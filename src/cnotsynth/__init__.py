@@ -12,7 +12,7 @@ from .circuit import (
     parse_circuit,
     write_circuit,
 )
-from .linalg import AugmentedTransform, ParityMatrix, SingularTransformError
+from .linalg import AugmentedTransform, ParityMatrix, SingularTransformError, transform_of_circuit
 from .linsynth import linear_tf_synth, row_op, separate
 from .phasepoly import (
     HSliceRecord,
@@ -41,7 +41,7 @@ from .topology import (
     shortest_path,
     steiner_tree,
 )
-from .verify import equivalent_up_to_phase, linear_action, phase_poly_equal
+from .verify import equivalent_up_to_phase, phase_poly_equal
 
 __all__ = [
     "AugmentedTransform",
@@ -68,7 +68,6 @@ __all__ = [
     "equivalent_up_to_phase",
     "extract_hfree",
     "extract_sliced",
-    "linear_action",
     "linear_tf_synth",
     "parse_circuit",
     "phase_nw_synth",
@@ -83,6 +82,7 @@ __all__ = [
     "shortest_path",
     "steiner_tree",
     "swap_template",
+    "transform_of_circuit",
     "uncomputable_terms",
     "write_circuit",
 ]

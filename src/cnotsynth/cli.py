@@ -18,13 +18,13 @@ from .circuit import (
     parse_circuit,
     write_circuit,
 )
-from .linalg import AugmentedTransform, ParityMatrix
+from .linalg import AugmentedTransform, ParityMatrix, transform_of_circuit
 from .linsynth import linear_tf_synth
 from .phasepoly import dump_phasepoly, extract_hfree
 from .phasesynth import phase_nw_synth
 from .pipeline import bench_random, bench_tsv, resynthesize
 from .topology import PRESET_NAMES, UnknownPresetError, parse_graph, preset_graph, write_graph
-from .verify import equivalent_up_to_phase, linear_action, phase_poly_equal
+from .verify import equivalent_up_to_phase, phase_poly_equal
 
 
 class CliError(Exception):
@@ -126,7 +126,7 @@ def _cmd_resynth(args) -> int:
         if bad:
             print(f"verification failed: {len(bad)} connectivity violations", file=sys.stderr)
             return 1
-        if circ.num_qubits <= 10:
+        if out.num_qubits <= 10:  # both circuits are padded to the graph's size
             padded = Circuit(out.num_qubits, circ.gates)
             if not equivalent_up_to_phase(padded, out):
                 print("verification failed: circuits are not equivalent", file=sys.stderr)
@@ -161,7 +161,7 @@ def _cmd_verify(args) -> int:
         elif args.mode == "phasepoly":
             ok = phase_poly_equal(a, b)
         else:
-            ok = linear_action(a) == linear_action(b)
+            ok = transform_of_circuit(a) == transform_of_circuit(b)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     print("equivalent" if ok else "NOT equivalent")

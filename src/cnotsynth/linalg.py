@@ -47,13 +47,14 @@ def format_parity(p: int) -> str:
 def f2_row_reduce(rows: list[int]) -> tuple[list[int], list[int]]:
     """Row-echelon basis of the linear parts (constant bit stripped).
 
-    Returns (basis, combos): ``basis[k]`` is a reduced row and ``combos[k]`` a
-    bitmask over the *input* rows (bit i = input row i used) producing it.
+    Returns (basis, combos): ``basis[k]`` is a reduced row and ``combos[k]`` the
+    parity over the *input* rows producing it: bit i+1 set when input row i is
+    used, bit 0 the XOR of the used rows' constants.
     """
     basis: list[int] = []
     combos: list[int] = []
     for i, row in enumerate(rows):
-        cur, combo = _reduce_against(row & ~CONST_BIT, 1 << i, basis, combos)
+        cur, combo = _reduce_against(row & ~CONST_BIT, (1 << (i + 1)) | (row & CONST_BIT), basis, combos)
         if cur:
             basis.append(cur)
             combos.append(combo)
@@ -62,31 +63,25 @@ def f2_row_reduce(rows: list[int]) -> tuple[list[int], list[int]]:
 
 def _reduce_against(cur: int, combo: int, basis: list[int], combos: list[int]) -> tuple[int, int]:
     for b, c in zip(basis, combos):
-        if cur & _pivot_bit(b):
+        if cur & 1 << (b.bit_length() - 1):  # b's pivot: its highest set bit
             cur ^= b
             combo ^= c
     return cur, combo
 
 
-def _pivot_bit(row: int) -> int:
-    # highest set bit as a mask
-    return 1 << (row.bit_length() - 1)
+def f2_solve(rows: list[int], targets: list[int]) -> list[int | None]:
+    """Rewrite each target as a parity over ``rows``, reducing ``rows`` once.
 
-
-def f2_solve(rows: list[int], target: int) -> int | None:
-    """Find a bitmask S over ``rows`` with XOR of their linear parts == target's.
-
-    Constant bits are ignored. Returns None when the target is not in the span.
+    In an answer bit i+1 selects row i, and bit 0 is the target's constant XOR
+    the selected rows' constants. The answer is None when the target's linear
+    part lies outside the span of the rows' linear parts.
     """
     basis, combos = f2_row_reduce(rows)
-    cur = target & ~CONST_BIT
-    combo = 0
-    cur, combo = _reduce_against(cur, combo, basis, combos)
-    return None if cur else combo
-
-
-def f2_in_span(rows: list[int], target: int) -> bool:
-    return f2_solve(rows, target) is not None
+    out: list[int | None] = []
+    for t in targets:
+        cur, combo = _reduce_against(t & ~CONST_BIT, t & CONST_BIT, basis, combos)
+        out.append(None if cur else combo)
+    return out
 
 
 def f2_rank(rows: list[int]) -> int:
@@ -164,46 +159,16 @@ class AugmentedTransform:
             raise ValueError("cannot shrink a transform")
         return AugmentedTransform(n, list(self.rows) + [1 << i for i in range(self.n + 1, n + 1)])
 
-    def to_dump(self) -> str:
-        lines = []
-        for r in self.rows:
-            bits = [str(r >> j & 1) for j in range(1, self.n + 1)] + [str(r & 1)]
-            lines.append(" ".join(bits))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_dump(text: str) -> "AugmentedTransform":
-        bits = [[int(t) for t in line.split()] for line in text.splitlines() if line.strip()]
-        return AugmentedTransform.from_bits(bits)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, AugmentedTransform) and (self.n, self.rows) == (other.n, other.rows)
 
 
-def apply_gate_to_transform(a: AugmentedTransform, g: Gate) -> AugmentedTransform:
-    """Pure version of :meth:`AugmentedTransform.apply_gate`."""
-    out = a.copy()
-    out.apply_gate(g)
-    return out
-
-
-def row_add(a: AugmentedTransform, src: int, dst: int) -> AugmentedTransform:
-    """Pure elementary row operation: row dst <- row dst XOR row src."""
-    out = a.copy()
-    out.row_xor(dst, src)
-    return out
-
-
-def replay_circuit(a: AugmentedTransform, gates) -> AugmentedTransform:
-    out = a.copy()
-    for g in gates:
-        out.apply_gate(g)
-    return out
-
-
 def transform_of_circuit(c: Circuit) -> AugmentedTransform:
     """Fold a {CNOT, X} circuit into its augmented transform, starting from [I|0]."""
-    return replay_circuit(AugmentedTransform.identity(c.num_qubits), c.gates)
+    out = AugmentedTransform.identity(c.num_qubits)
+    for g in c.gates:
+        out.apply_gate(g)
+    return out
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ in up to four passes that cancel terminal rows while restoring Steiner rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, GateKind, cnot
 from .linalg import CONST_BIT, AugmentedTransform, SingularTransformError
@@ -24,49 +24,19 @@ from .topology import (
 )
 
 
-@dataclass(frozen=True)
-class SubTree:
-    """A rooted slice of a Steiner tree whose root and leaves are terminals."""
-
-    root: int
-    leaves: tuple[int, ...]  # in BFS discovery order
-    parent: dict[int, int] = field(hash=False)
-    children: dict[int, tuple[int, ...]] = field(hash=False)
-    layer: dict[int, int] = field(hash=False)
-
-    def edges(self) -> list[tuple[int, int]]:
-        """(parent, child) pairs sorted by (child layer, child index)."""
-        return sorted(
-            ((p, c) for c, p in self.parent.items()),
-            key=lambda pc: (self.layer[pc[1]], pc[1]),
-        )
-
-    @property
-    def tree_leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in self.layer if not self.children[v])
-
-
-def _path_subtree(path: list[int]) -> SubTree:
-    parent = {b: a for a, b in zip(path, path[1:])}
-    children = {a: (b,) for a, b in zip(path, path[1:])}
-    children[path[-1]] = ()
-    layer = {v: k for k, v in enumerate(path)}
-    return SubTree(
-        root=path[0], leaves=(path[-1],), parent=parent, children=children, layer=layer
-    )
-
-
-def separate(tree: SteinerTree, pivot: int, terminals: frozenset[int], alg: int) -> list[SubTree]:
+def separate(tree: SteinerTree, pivot: int, terminals: frozenset[int], alg: int) -> list[SteinerTree]:
     """Cut a Steiner tree into edge-disjoint sub-trees rooted at terminals.
 
     A BFS from the pivot stops at every terminal it reaches; interior terminals
-    seed later sub-trees (processed FIFO). For ``alg == 4`` every sub-tree is
-    further split into one path per leaf, stored with root and leaf exchanged.
+    seed later sub-trees (processed FIFO). Each sub-tree's terminals are its
+    root and the terminals it reached, which are exactly its leaves. For
+    ``alg == 4`` every sub-tree is further split into one path per leaf, stored
+    with root and leaf exchanged.
     """
     assert pivot == tree.root
     pending = [pivot]
     remaining = set(terminals) - {pivot}
-    out: list[SubTree] = []
+    out: list[SteinerTree] = []
     while remaining:
         root = pending.pop(0)
         # BFS from root, cutting at terminals.
@@ -89,33 +59,26 @@ def separate(tree: SteinerTree, pivot: int, terminals: frozenset[int], alg: int)
                         pending.append(w)  # interior terminal: roots a later sub-tree
                 else:
                     queue.append(w)
-        sub = SubTree(
-            root=root,
-            leaves=tuple(leaves),
-            parent=parent,
-            children={v: tuple(cs) for v, cs in children.items()},
-            layer=layer,
-        )
-        if alg != 4:
-            out.append(sub)
-        else:
-            for leaf in sub.leaves:
+        if alg == 4:
+            for leaf in leaves:
                 path = [leaf]
                 while path[-1] != root:
-                    path.append(sub.parent[path[-1]])
-                out.append(_path_subtree(path))  # leaf becomes the root
+                    path.append(parent[path[-1]])
+                out.append(_as_tree(path))  # leaf becomes the root
+        else:
+            child_tuples = {v: tuple(cs) for v, cs in children.items()}
+            out.append(SteinerTree(root, frozenset(leaves) | {root}, parent, child_tuples, layer))
     return out
 
 
 @dataclass
 class RowOpResult:
     cnots: list[Gate]
-    matrix: object  # the (mutated) matrix the row operations were applied to
-    subtrees: list[tuple[int, tuple[int, ...]]] | None  # (root, leaves) when alg == 2
+    subtrees: list[tuple[int, tuple[int, ...]]] | None  # (root, sorted leaves) when alg == 2
 
 
-def _traversal_edges(sub: SubTree, which: str) -> list[tuple[int, int]]:
-    edges = sub.edges()
+def _traversal_edges(sub: SteinerTree, which: str) -> list[tuple[int, int]]:
+    edges = sub.tree_edges()
     if which == "bottom-up-1":  # non-root parents, deepest child first
         return sorted(
             (e for e in edges if e[0] != sub.root),
@@ -123,7 +86,7 @@ def _traversal_edges(sub: SubTree, which: str) -> list[tuple[int, int]]:
         )
     if which == "top-down-1":  # every edge, top first
         return edges
-    leaves = set(sub.tree_leaves)
+    leaves = set(sub.leaves())
     if which == "bottom-up-2":  # non-leaf children, deepest first
         return sorted(
             (e for e in edges if e[1] not in leaves),
@@ -164,9 +127,9 @@ def row_op(
                 if alg != 4:
                     matrix.row_xor(v, u)
         if alg == 4:
-            matrix.row_xor(sub.root, sub.leaves[0])
-    result_subtrees = [(s.root, s.leaves) for s in subtrees] if alg == 2 else None
-    return RowOpResult(cnots, matrix, result_subtrees)
+            matrix.row_xor(sub.root, sub.leaves()[0])
+    result_subtrees = [(s.root, s.leaves()) for s in subtrees] if alg == 2 else None
+    return RowOpResult(cnots, result_subtrees)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuit import PHASE_COEFF, Circuit, GateKind
-from .linalg import CONST_BIT, ParityMatrix, f2_row_reduce, f2_in_span, f2_solve, format_parity
+from .linalg import CONST_BIT, ParityMatrix, f2_solve, format_parity
 
 
 class PhasePolySet:
@@ -122,25 +122,21 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
     return SlicedExtraction(terms, tuple(state), tuple(records), fresh)
 
 
-def in_linear_span(parity: int, state: tuple[int, ...]) -> bool:
-    """Whether the variable part of ``parity`` is an XOR of the state rows' variable parts.
+def uncomputable_terms(p: PhasePolySet, h: HSliceRecord) -> PhasePolySet:
+    """Terms expressible before the H gate but not after it.
 
     The affine constant never blocks realizability (an X gate supplies it), so
     membership is decided on the linear parts alone.
     """
-    return f2_in_span(list(state), parity)
-
-
-def uncomputable_terms(p: PhasePolySet, h: HSliceRecord) -> PhasePolySet:
-    """Terms expressible before the H gate but not after it."""
-    basis_in = f2_row_reduce(list(h.q_in))[0]
-    basis_out = f2_row_reduce(list(h.q_out))[0]
-    out = PhasePolySet()
-    for coeff, parity in p.terms():
-        if f2_in_span(basis_in, parity) and not f2_in_span(basis_out, parity):
-            # bases are already reduced; f2_in_span re-reduces but stays cheap
-            out.add(coeff, parity)
-    return out
+    terms = p.terms()
+    parities = [parity for _, parity in terms]
+    before = f2_solve(list(h.q_in), parities)
+    after = f2_solve(list(h.q_out), parities)
+    return PhasePolySet(
+        (coeff, parity)
+        for (coeff, parity), b, a in zip(terms, before, after)
+        if b is not None and a is None
+    )
 
 
 def rebase(p: PhasePolySet, basis: tuple[int, ...]) -> ParityMatrix:
@@ -150,22 +146,12 @@ def rebase(p: PhasePolySet, basis: tuple[int, ...]) -> ParityMatrix:
     term's variable part; any constant mismatch goes into the column's flip bit.
     Raises ValueError when a term's variable part lies outside the span.
     """
-    n = len(basis)
-    rows = list(basis)
-    terms = []
-    for coeff, parity in p.terms():
-        combo = f2_solve(rows, parity)
+    terms = p.terms()
+    combos = f2_solve(list(basis), [parity for _, parity in terms])
+    for (_, parity), combo in zip(terms, combos):
         if combo is None:
             raise ValueError(f"parity {format_parity(parity)} is outside the basis span")
-        consts = 0
-        mask = 0
-        for i in range(n):
-            if combo >> i & 1:
-                mask |= 1 << (i + 1)
-                consts ^= rows[i] & CONST_BIT
-        bit = (parity & CONST_BIT) ^ consts
-        terms.append((coeff, mask | bit))
-    return ParityMatrix.from_terms(n, terms)
+    return ParityMatrix.from_terms(len(basis), [(c, combo) for (c, _), combo in zip(terms, combos)])
 
 
 def dump_phasepoly(p: PhasePolySet) -> str:

@@ -12,6 +12,7 @@ are preserved.
 from __future__ import annotations
 
 import math
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -92,20 +93,10 @@ def _apply_transform(a: AugmentedTransform, state: tuple[int, ...]) -> tuple[int
 
 def _mapping_transform(current: tuple[int, ...], target: tuple[int, ...]) -> AugmentedTransform:
     """The transform that a trailing circuit must realize to turn ``current`` into ``target``."""
-    rows = []
-    cur = list(current)
-    for trow in target:
-        combo = f2_solve(cur, trow)
-        if combo is None:
-            raise ValueError("target state is outside the span of the current state")
-        mask = 0
-        consts = 0
-        for j in range(len(cur)):
-            if combo >> j & 1:
-                mask |= 1 << (j + 1)
-                consts ^= cur[j] & CONST_BIT
-        rows.append(mask | ((trow & CONST_BIT) ^ consts))
-    return AugmentedTransform(len(cur), rows)
+    rows = f2_solve(list(current), list(target))
+    if None in rows:
+        raise ValueError("target state is outside the span of the current state")
+    return AugmentedTransform(len(current), rows)
 
 
 def _slices(c: Circuit):
@@ -270,8 +261,11 @@ def bench_random(
 
     Overheads and times are means over ``trials`` seeded circuits. Circuits are
     generated up front from the seed, so fanning the per-circuit work over a
-    bounded process pool (``workers`` > 1) changes timings but nothing else.
+    bounded process pool (``workers`` > 1, at most one per CPU) changes timings
+    but nothing else.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cells = []
     for name, g in graphs.items():
         for count in counts:
@@ -284,7 +278,7 @@ def bench_random(
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
             outcomes = list(pool.map(_bench_one, jobs))
     else:
         outcomes = [_bench_one(job) for job in jobs]

@@ -1,4 +1,4 @@
-"""Independent correctness oracles: transform replay, dense simulation, phase-poly equality.
+"""Independent correctness oracles: dense simulation and phase-poly equality.
 
 The dense simulator uses the convention |x1 x2 ... xn> with qubit 1 on the most
 significant axis, T = diag(1, e^{i pi/4}), and CNOT|c,t> = |c, c XOR t>.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Circuit, GateKind
-from .linalg import AugmentedTransform, transform_of_circuit
 from .phasepoly import extract_hfree
 
 MAX_DENSE_QUBITS = 12
@@ -22,11 +21,6 @@ _PHASES = {
     GateKind.SDG: -1j,
     GateKind.Z: -1.0,
 }
-
-
-def linear_action(c: Circuit) -> AugmentedTransform:
-    """Fold a {CNOT, X} circuit into its augmented transform (replay from identity)."""
-    return transform_of_circuit(c)
 
 
 def _check_size(n: int) -> None:

@@ -14,7 +14,7 @@ import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from cnotsynth.circuit import Circuit, Gate, GateKind, cnot, cnot_count, connectivity_violations
-from cnotsynth.linalg import AugmentedTransform, ParityMatrix
+from cnotsynth.linalg import AugmentedTransform, ParityMatrix, transform_of_circuit
 from cnotsynth.linsynth import linear_tf_synth, linear_tf_synth_traced
 from cnotsynth.phasepoly import PhasePolySet, extract_hfree
 from cnotsynth.phasesynth import phase_nw_synth_traced
@@ -26,7 +26,7 @@ from cnotsynth.topology import (
     preset_graph,
     steiner_tree,
 )
-from cnotsynth.verify import circuit_unitary, linear_action, phase_poly_equal, unitaries_equal_up_to_phase
+from cnotsynth.verify import circuit_unitary, phase_poly_equal, unitaries_equal_up_to_phase
 from tests.conftest import APPENDIX_A_BITS, APPENDIX_PHASE_TERMS
 
 
@@ -54,7 +54,7 @@ def test_criterion_1_linear_synth_golden(grid2x3):
         circ = linear_tf_synth(a, grid2x3)
         elapsed = time.perf_counter() - t0
         assert cnot_count(circ) == 26
-        assert linear_action(circ) == a
+        assert transform_of_circuit(circ) == a
         assert connectivity_violations(circ, grid2x3) == []
         assert elapsed < 1.0
 

@@ -39,6 +39,15 @@ def test_resynth_ok(circuit_file, tmp_path, capsys):
     assert parsed.num_qubits == 9
 
 
+def test_resynth_verify_on_padded_graph(circuit_file, tmp_path, capsys):
+    # 9 circuit qubits padded to 16 graph qubits: too large for the dense check
+    out = tmp_path / "out.qct"
+    args = ["resynth", "--algo", "opt-a", "--circuit", str(circuit_file), "--graph", "16q-square"]
+    assert main(args + ["--output", str(out), "--verify"]) == 0
+    assert "checked connectivity only" in capsys.readouterr().err
+    assert parse_circuit(out.read_text()).num_qubits == 16
+
+
 def test_resynth_swap_report_tsv(circuit_file, capsys):
     code = main(
         ["resynth", "--algo", "swap", "--circuit", str(circuit_file), "--graph", "9q-square"]
@@ -162,3 +171,9 @@ def test_bench_deterministic(capsys):
 
 def test_bench_bad_params(capsys):
     assert main(["bench", "--random", "n=6", "--graph", "appendix-2x3"]) == 2
+
+
+def test_bench_rejects_nonpositive_workers(capsys):
+    args = ["bench", "--random", "n=6", "cnots=2", "trials=1", "--graph", "appendix-2x3"]
+    assert main(args + ["--workers", "-3"]) == 2
+    assert "workers" in capsys.readouterr().err

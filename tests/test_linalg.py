@@ -7,8 +7,7 @@ from cnotsynth.circuit import Circuit, Gate, GateKind, cnot
 from cnotsynth.linalg import (
     AugmentedTransform,
     ParityMatrix,
-    apply_gate_to_transform,
-    f2_in_span,
+    CONST_BIT,
     f2_rank,
     f2_solve,
     parity_mask,
@@ -19,21 +18,22 @@ from tests.conftest import APPENDIX_A_BITS
 
 def test_x_sets_flip_bit():
     a = AugmentedTransform.identity(3)
-    out = apply_gate_to_transform(a, Gate(GateKind.X, 2))
+    out = a.copy()
+    out.apply_gate(Gate(GateKind.X, 2))
     assert out.get(2, 4) == 1
     assert a.get(2, 4) == 0  # input untouched
 
 
 def test_cnot_row_addition():
-    a = AugmentedTransform.identity(2)
-    out = apply_gate_to_transform(a, cnot(1, 2))
+    out = AugmentedTransform.identity(2)
+    out.apply_gate(cnot(1, 2))
     assert [out.get(2, j) for j in (1, 2, 3)] == [1, 1, 0]
 
 
 def test_rejects_other_gates():
     a = AugmentedTransform.identity(2)
     with pytest.raises(ValueError):
-        apply_gate_to_transform(a, Gate(GateKind.T, 1))
+        a.apply_gate(Gate(GateKind.T, 1))
 
 
 def test_appendix_first_column_replay():
@@ -87,13 +87,9 @@ def test_fold_equals_composition():
     folded = transform_of_circuit(circ)
     step = AugmentedTransform.identity(4)
     for g in circ.gates:
-        step = apply_gate_to_transform(step, g)
+        step = step.copy()
+        step.apply_gate(g)
     assert folded == step
-
-
-def test_dump_round_trip():
-    a = AugmentedTransform.from_bits(APPENDIX_A_BITS)
-    assert AugmentedTransform.from_dump(a.to_dump()) == a
 
 
 def test_transpose():
@@ -127,16 +123,20 @@ def test_parity_matrix_idempotent():
 
 def test_f2_span_matches_enumeration():
     rng = random.Random(3)
-    for _ in range(200):
-        rows = [rng.getrandbits(6) << 1 for _ in range(rng.randint(1, 5))]
-        target = rng.getrandbits(6) << 1
-        spanned = any(
-            _xor_subset(rows, mask) == target for mask in range(1 << len(rows))
-        )
-        assert f2_in_span(rows, target) == spanned
-        combo = f2_solve(rows, target)
-        if combo is not None:
-            assert _xor_subset(rows, combo) == target
+    for trial in range(400):
+        # the second half gives rows and targets random constant bits
+        const = (lambda: rng.getrandbits(1)) if trial >= 200 else (lambda: 0)
+        rows = [rng.getrandbits(6) << 1 | const() for _ in range(rng.randint(1, 5))]
+        targets = [rng.getrandbits(6) << 1 | const() for _ in range(3)]
+        for target, combo in zip(targets, f2_solve(rows, targets)):
+            spanned = any(
+                _xor_subset(rows, mask) & ~CONST_BIT == target & ~CONST_BIT
+                for mask in range(1 << len(rows))
+            )
+            assert (combo is not None) == spanned
+            if combo is not None:
+                # bit 0 of the answer supplies the constant the selected rows lack
+                assert _xor_subset(rows, combo >> 1) ^ (combo & CONST_BIT) == target
 
 
 def _xor_subset(rows, mask):
@@ -153,10 +153,9 @@ def test_rank():
 
 
 def test_row_add_pure():
-    from cnotsynth.linalg import row_add
-
     a = AugmentedTransform.identity(3)
-    b = row_add(a, 1, 2)
+    b = a.copy()
+    b.row_xor(2, 1)
     assert a.is_identity()
     assert [b.get(2, j) for j in (1, 2, 3)] == [1, 1, 0]
 

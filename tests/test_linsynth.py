@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cnotsynth.circuit import GateKind, cnot_count, connectivity_violations
-from cnotsynth.linalg import AugmentedTransform
+from cnotsynth.linalg import AugmentedTransform, transform_of_circuit
 from cnotsynth.linsynth import (
     linear_tf_synth,
     linear_tf_synth_traced,
@@ -12,7 +12,6 @@ from cnotsynth.linsynth import (
 )
 from cnotsynth.linalg import SingularTransformError
 from cnotsynth.topology import ConnectivityGraph, steiner_tree
-from cnotsynth.verify import linear_action
 from tests.conftest import APPENDIX_A_BITS
 
 
@@ -27,14 +26,15 @@ def test_separate_single_edge(grid2x3):
     tree = steiner_tree(grid2x3, {4, 5}, 4)
     subs = separate(tree, 4, frozenset({4, 5}), alg=1)
     assert len(subs) == 1
-    assert subs[0].root == 4 and subs[0].leaves == (5,)
+    assert subs[0].root == 4 and subs[0].leaves() == (5,)
 
 
 def test_separate_appendix_column1(grid2x3):
     # path 1-2-3-4-5 cuts into (1->2->3), (3->4), (4->5)
     tree = steiner_tree(grid2x3, {1, 3, 4, 5}, 1)
     subs = separate(tree, 1, frozenset({1, 3, 4, 5}), alg=1)
-    assert [(s.root, s.leaves) for s in subs] == [(1, (3,)), (3, (4,)), (4, (5,))]
+    assert [(s.root, s.leaves()) for s in subs] == [(1, (3,)), (3, (4,)), (4, (5,))]
+    assert [s.terminals for s in subs] == [{1, 3}, {3, 4}, {4, 5}]
     assert set(subs[0].parent) == {2, 3}  # Steiner node 2 inside the first sub-tree
 
 
@@ -42,7 +42,7 @@ def test_separate_flipped_paths(grid2x3):
     # phase-network mode: tree 4-5-6 becomes reversed paths (5->4), (6->5)
     tree = steiner_tree(grid2x3, {4, 5, 6}, 4)
     subs = separate(tree, 4, frozenset({4, 5, 6}), alg=4)
-    assert [(s.root, s.leaves) for s in subs] == [(5, (4,)), (6, (5,))]
+    assert [(s.root, s.leaves()) for s in subs] == [(5, (4,)), (6, (5,))]
 
 
 def test_separate_edge_disjoint(grid2x3):
@@ -110,7 +110,7 @@ def test_identity_gives_empty_circuit(grid2x3):
 def test_appendix_full_golden(grid2x3, appendix_transform):
     circ, traces = linear_tf_synth_traced(appendix_transform, grid2x3)
     assert cnot_count(circ) == 26
-    assert linear_action(circ) == appendix_transform
+    assert transform_of_circuit(circ) == appendix_transform
     assert connectivity_violations(circ, grid2x3) == []
 
     by_key = {(t.phase, t.column): t for t in traces}
@@ -190,7 +190,7 @@ def test_random_replay_oracle(grid2x3):
     for _ in range(200):
         a = _random_invertible(rng, 6)
         circ = linear_tf_synth(a, grid2x3)
-        assert linear_action(circ) == a
+        assert transform_of_circuit(circ) == a
         assert connectivity_violations(circ, grid2x3) == []
 
 
@@ -208,7 +208,7 @@ def test_transform_smaller_than_graph(grid2x3):
     a = _random_invertible(rng, 3)
     circ = linear_tf_synth(a, grid2x3)
     assert circ.num_qubits == 6
-    action = linear_action(circ)
+    action = transform_of_circuit(circ)
     assert action.rows[:3] == a.rows
     assert action.rows[3:] == [1 << i for i in (4, 5, 6)]
 
@@ -221,7 +221,7 @@ def test_disconnected_removal_fallback():
     for _ in range(60):
         a = _random_invertible(rng, 4)
         circ = linear_tf_synth(a, g)
-        assert linear_action(circ) == a
+        assert transform_of_circuit(circ) == a
         assert connectivity_violations(circ, g) == []
 
 
@@ -238,4 +238,4 @@ def test_x_gates_realize_flip_column(grid2x3):
     circ = linear_tf_synth(a, grid2x3)
     assert cnot_count(circ) == 0
     assert sum(1 for g in circ.gates if g.kind is GateKind.X) == 2
-    assert linear_action(circ) == a
+    assert transform_of_circuit(circ) == a

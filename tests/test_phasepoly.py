@@ -207,13 +207,14 @@ def _span_membership_oracle(parity, state):
 
 def test_span_membership_matches_exhaustive_oracle():
     rng = random.Random(9)
-    from cnotsynth.linalg import f2_in_span
+    from cnotsynth.linalg import f2_solve
 
     for _ in range(300):
         width = rng.randint(2, 6)
         state = tuple(rng.getrandbits(width + 1) & ~CONST_BIT for _ in range(rng.randint(1, 5)))
         parity = rng.getrandbits(width + 1)
-        assert f2_in_span(list(state), parity) == _span_membership_oracle(parity, state)
+        [combo] = f2_solve(list(state), [parity])
+        assert (combo is not None) == _span_membership_oracle(parity, state)
 
 
 def test_rebase_identity_basis():

@@ -1,4 +1,6 @@
 
+import hashlib
+import os
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from cnotsynth.circuit import (
     cnot,
     cnot_count,
     connectivity_violations,
+    write_circuit,
 )
 from cnotsynth.pipeline import (
     BENCH_COLUMNS,
@@ -23,7 +26,7 @@ from cnotsynth.pipeline import (
     swap_template,
 )
 from cnotsynth.phasepoly import extract_sliced
-from cnotsynth.topology import preset_graph
+from cnotsynth.topology import grid_graph, preset_graph
 from cnotsynth.verify import equivalent_up_to_phase
 
 
@@ -136,6 +139,32 @@ def test_opt_b_per_slice_linear_actions_match():
         assert extract_sliced(out).records == extract_sliced(Circuit(9, c.gates)).records
 
 
+# sha256 of write_circuit(output) for fixed seeds. A refactor must keep every
+# digest; a change that means to alter the emitted circuits updates them.
+PINNED_OUTPUTS = {
+    ("9q-square", 1, "opt-a"): "d15ab95327f24ba095ce74aa176a6525b13d30e0d84cdf2801609c3beb63b1d8",
+    ("9q-square", 1, "opt-b"): "b9cfb9ebd574a5a55cbf3668a18e1726fba04dede500ed8ccbd1fe14ab0445ed",
+    ("9q-square", 2, "opt-a"): "7ffbe313f1ad21995a67005ed18e622e752c07ef625d0f2ca6be2d9935c1c7a0",
+    ("9q-square", 2, "opt-b"): "4107a9e30e45dbe5459bcd7aaafba47e8d9028eccfbbd1b7907b72f9e46a7c85",
+    ("ibm-q20-tokyo", 1, "opt-a"): "d383174ce263073917da524957d6f081a8c4283d1953f0b273845b9b257ab4a5",
+    ("ibm-q20-tokyo", 1, "opt-b"): "3ddb81a2fd54e641152d916fdaa215801ba79044beb4ee859ff16f47368df0a7",
+    ("ibm-q20-tokyo", 2, "opt-a"): "2182024a5cd5cf5ea75d15344254e731e41d47103e90d0eb0d9c13a15ee9a43f",
+    ("ibm-q20-tokyo", 2, "opt-b"): "9639f21d607e0340a3fb8d1e804d111d8af5723a6a063f6b77339a976dc6fe08",
+    ("grid-5x5", 0, "opt-a"): "c96cacc95572993cc49bfa71a9ab72abce2ab13a78c51926645050a62e6d33a5",
+    ("grid-5x5", 0, "opt-b"): "07fa6adba876f39d7e77b97a6fbac4c2cae05361da2b5ddce2da7e02009a3e6b",
+}
+
+
+def test_emitted_circuits_pinned():
+    for (graph, seed, algo), digest in PINNED_OUTPUTS.items():
+        if graph == "grid-5x5":
+            c, g = random_circuit(25, 40, random.Random(seed)), grid_graph(5, 5)
+        else:
+            c, g = random_circuit(9, 20, random.Random(seed)), preset_graph(graph)
+        out, _ = resynthesize(c, g, algo)
+        assert hashlib.sha256(write_circuit(out).encode()).hexdigest() == digest, (graph, seed, algo)
+
+
 def test_larger_qubit_gate_set_passthrough():
     # a circuit that uses every gate kind survives both pipelines
     g = preset_graph("appendix-2x3")
@@ -207,3 +236,30 @@ def test_bench_deterministic_modulo_time():
     a = bench_random(graphs, 6, [3], trials=3, seed=9)
     b = bench_random(graphs, 6, [3], trials=3, seed=9)
     assert stripped(a) == stripped(b)
+
+
+def test_bench_workers_clamped_to_cpu_count(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class InlinePool:  # records the requested size and runs the jobs in this process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    graphs = {"appendix-2x3": preset_graph("appendix-2x3")}
+    rows = bench_random(graphs, 6, [2], trials=2, seed=1, workers=64)
+    assert pools == [2] and len(rows) == 1
+    with pytest.raises(ValueError):
+        bench_random(graphs, 6, [2], trials=2, seed=1, workers=0)

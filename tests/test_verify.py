@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from cnotsynth.circuit import Circuit, Gate, GateKind, cnot
-from cnotsynth.linalg import CONST_BIT
+from cnotsynth.linalg import CONST_BIT, transform_of_circuit
 from cnotsynth.verify import (
     apply_circuit,
     circuit_unitary,
     equivalent_up_to_phase,
-    linear_action,
     phase_poly_equal,
     unitaries_equal_up_to_phase,
 )
@@ -85,13 +84,13 @@ def test_norm_preserved():
 
 
 def test_linear_action_empty():
-    a = linear_action(Circuit(3, ()))
+    a = transform_of_circuit(Circuit(3, ()))
     assert a.is_identity()
 
 
 def test_linear_action_rejects_phase_gates():
     with pytest.raises(ValueError):
-        linear_action(Circuit(1, (Gate(GateKind.T, 1),)))
+        transform_of_circuit(Circuit(1, (Gate(GateKind.T, 1),)))
 
 
 def test_linear_action_matches_permutation():
@@ -101,7 +100,7 @@ def test_linear_action_matches_permutation():
     for _ in range(20):
         n = rng.randint(2, 6)
         c = _random_circuit(rng, n, 15, kinds=[GateKind.X])
-        a = linear_action(c)
+        a = transform_of_circuit(c)
         u = circuit_unitary(c)
         for basis in range(2**n):
             bits = [(basis >> (n - q)) & 1 for q in range(1, n + 1)]
