@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 if TYPE_CHECKING:
     from .topology import ConnectivityGraph
@@ -101,9 +101,6 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.gates)
-
-    def extended(self, gates: Iterable[Gate]) -> "Circuit":
-        return Circuit(self.num_qubits, self.gates + tuple(gates))
 
 
 def count_gates(c: Circuit, kind: GateKind | str) -> int:

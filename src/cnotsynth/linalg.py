@@ -137,9 +137,6 @@ class AugmentedTransform:
         else:
             raise ValueError(f"transform replay supports only CNOT and X, got {g.kind.value}")
 
-    def linear_rows(self) -> list[int]:
-        return [r & ~CONST_BIT for r in self.rows]
-
     def is_invertible(self) -> bool:
         return f2_rank(self.rows) == self.n
 
@@ -158,9 +155,6 @@ class AugmentedTransform:
         if n < self.n:
             raise ValueError("cannot shrink a transform")
         return AugmentedTransform(n, list(self.rows) + [1 << i for i in range(self.n + 1, n + 1)])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AugmentedTransform) and (self.n, self.rows) == (other.n, other.rows)
 
 
 def transform_of_circuit(c: Circuit) -> AugmentedTransform:

@@ -19,6 +19,7 @@ from .topology import (
     ConnectivityGraph,
     NoPathError,
     SteinerTree,
+    distances,
     shortest_path,
     steiner_tree,
 )
@@ -154,15 +155,11 @@ def _fix_diagonal(
     candidates = [j for j in range(i + 1, a.n + 1) if a.get(j, i)]
     if not candidates:
         raise SingularTransformError(f"no pivot available for column {i}")
-    dists = {}
-    for j in candidates:
-        try:
-            dists[j] = len(shortest_path(g, i, j, active)) - 1
-        except NoPathError:
-            pass
     gates: list[Gate] = []
-    if dists:
-        best = min(dists.items(), key=lambda kv: (kv[1], kv[0]))[0]
+    dist = distances(g, i, active)
+    reachable = [j for j in candidates if j in dist]
+    if reachable:
+        best = min(reachable, key=lambda j: (dist[j], j))
         path = shortest_path(g, i, best, active)
         # chain from the leaf end so the 1 walks up to the pivot row
         for child, parent in zip(path[::-1], path[::-1][1:]):
@@ -172,7 +169,11 @@ def _fix_diagonal(
         # no candidate reachable inside the shrunken graph: route through fixed
         # vertices with a full interior-restoring path (leaf gains the root row)
         full = frozenset(g.vertices)
-        best = min(candidates, key=lambda j: (len(shortest_path(g, i, j, full)), j))
+        dist = distances(g, i, full)
+        for j in candidates:
+            if j not in dist:
+                raise NoPathError(f"no path from {i} to {j} in the active subgraph")
+        best = min(candidates, key=lambda j: (dist[j], j))
         path = shortest_path(g, best, i, full)
         result = row_op(a, frozenset({best, i}), best, _as_tree(path), alg=3)
         gates.extend(result.cnots)
@@ -193,20 +194,6 @@ def _as_tree(path: list[int]) -> SteinerTree:
     )
 
 
-def _split_reachable(
-    g: ConnectivityGraph, pivot: int, terms: set[int], active: frozenset[int]
-) -> tuple[set[int], list[int]]:
-    reachable = set()
-    unreachable = []
-    for t in sorted(terms):
-        try:
-            shortest_path(g, pivot, t, active)
-            reachable.add(t)
-        except NoPathError:
-            unreachable.append(t)
-    return reachable, unreachable
-
-
 def _eliminate_column(
     a: AugmentedTransform,
     g: ConnectivityGraph,
@@ -220,14 +207,15 @@ def _eliminate_column(
     records: list[tuple[int, tuple[int, ...]]] = []
     if not terms:
         return cnots, records
-    reachable, unreachable = _split_reachable(g, i, terms, active)
+    dist = distances(g, i, active)
+    reachable = {t for t in terms if t in dist}
     if reachable:
         tree = steiner_tree(g, reachable | {i}, i, active)
         result = row_op(a, frozenset(reachable | {i}), i, tree, alg)
         cnots.extend(result.cnots)
         if result.subtrees:
             records.extend(result.subtrees)
-    for t in unreachable:
+    for t in sorted(terms - reachable):
         # route through already-fixed vertices; alg=3 leaves interior rows intact
         path = shortest_path(g, i, t, frozenset(g.vertices))
         result = row_op(a, frozenset({i, t}), i, _as_tree(path), alg=3)

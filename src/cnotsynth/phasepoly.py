@@ -89,6 +89,9 @@ class HSliceRecord:
     """Qubit states around one H gate: before (q_in) and after (q_out).
 
     q_out differs from q_in only at ``pos``, where a fresh path variable sits.
+    The rows of q_in are linearly independent: :func:`extract_sliced` starts
+    from the identity, a CNOT adds one row into another and an H swaps a row
+    for a fresh variable. :func:`uncomputable_terms` relies on it.
     """
 
     pos: int
@@ -125,17 +128,15 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
 def uncomputable_terms(p: PhasePolySet, h: HSliceRecord) -> PhasePolySet:
     """Terms expressible before the H gate but not after it.
 
-    The affine constant never blocks realizability (an X gate supplies it), so
-    membership is decided on the linear parts alone.
+    With ``q_in``'s rows independent and a fresh variable at ``pos`` in
+    ``q_out``, a term stops being expressible exactly when its unique
+    expression over ``q_in`` uses row ``pos``, so one solve decides. The affine
+    constant never blocks realizability (an X gate supplies it).
     """
     terms = p.terms()
-    parities = [parity for _, parity in terms]
-    before = f2_solve(list(h.q_in), parities)
-    after = f2_solve(list(h.q_out), parities)
+    combos = f2_solve(list(h.q_in), [parity for _, parity in terms])
     return PhasePolySet(
-        (coeff, parity)
-        for (coeff, parity), b, a in zip(terms, before, after)
-        if b is not None and a is None
+        term for term, combo in zip(terms, combos) if combo is not None and combo >> h.pos & 1
     )
 
 

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, GateKind, cnot, cnot_count
-from .linalg import CONST_BIT, AugmentedTransform, ParityMatrix, f2_solve
+from .linalg import AugmentedTransform, ParityMatrix, f2_solve
 from .linsynth import linear_tf_synth
 from .phasepoly import PhasePolySet, extract_hfree, extract_sliced, identity_state, rebase, uncomputable_terms
 from .phasesynth import phase_nw_synth
@@ -79,24 +79,22 @@ def swap_template(c: Circuit, g: ConnectivityGraph) -> Circuit:
     return Circuit(g.num_vertices, tuple(out))
 
 
-def _apply_transform(a: AugmentedTransform, state: tuple[int, ...]) -> tuple[int, ...]:
-    """State after running a circuit of action ``a`` on wires currently in ``state``."""
-    out = []
-    for row in a.rows:
-        acc = CONST_BIT if row & CONST_BIT else 0
-        for j, s in enumerate(state):
-            if row >> (j + 1) & 1:
-                acc ^= s
-        out.append(acc)
-    return tuple(out)
-
-
 def _mapping_transform(current: tuple[int, ...], target: tuple[int, ...]) -> AugmentedTransform:
     """The transform that a trailing circuit must realize to turn ``current`` into ``target``."""
     rows = f2_solve(list(current), list(target))
     if None in rows:
         raise ValueError("target state is outside the span of the current state")
     return AugmentedTransform(len(current), rows)
+
+
+def _rebuild(pm: ParityMatrix, target: tuple[int, ...], g: ConnectivityGraph) -> tuple[Gate, ...]:
+    """Phase network for ``pm``, then the linear restore that leaves the wires in ``target``.
+
+    ``pm`` and ``target`` are both written over the wire states at the start of the slice.
+    """
+    c_ph, a_ph = phase_nw_synth(pm, g)
+    c_lin = linear_tf_synth(_mapping_transform(tuple(a_ph.rows), target), g)
+    return c_ph.gates + c_lin.gates
 
 
 def _slices(c: Circuit):
@@ -120,11 +118,7 @@ def cnot_opt_a(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisRe
     per_slice: list[int] = []
     for run, h_gate in _slices(padded):
         terms, q = extract_hfree(Circuit(n, tuple(run)))
-        pm = ParityMatrix.from_terms(n, terms.terms())
-        c_ph, a_ph = phase_nw_synth(pm, g)
-        residual = _mapping_transform(tuple(a_ph.rows), q)
-        c_lin = linear_tf_synth(residual, g)
-        emitted = c_ph.gates + c_lin.gates
+        emitted = _rebuild(ParityMatrix.from_terms(n, terms.terms()), q, g)
         per_slice.append(cnot_count(Circuit(n, emitted)))
         out += emitted
         if h_gate is not None:
@@ -152,27 +146,20 @@ def cnot_opt_b(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisRe
     out: list[Gate] = []
     per_slice: list[int] = []
 
-    def emit_block(terms: PhasePolySet, target: tuple[int, ...]) -> list[Gate]:
-        state = q_init
-        gates: list[Gate] = []
-        if terms:
-            pm = rebase(terms, q_init)
-            c_ph, a_ph = phase_nw_synth(pm, g)
-            gates += c_ph.gates
-            state = _apply_transform(a_ph, q_init)
-        c_lin = linear_tf_synth(_mapping_transform(state, target), g)
-        return gates + list(c_lin.gates)
+    def emit_block(terms: PhasePolySet, target: tuple[int, ...]) -> tuple[Gate, ...]:
+        # the target in slice-start coordinates; q_init's rows are independent
+        return _rebuild(rebase(terms, q_init), tuple(f2_solve(list(q_init), list(target))), g)
 
     for h in ext.records:
         unc = uncomputable_terms(remaining, h)
         for _, parity in unc.terms():
             remaining.discard(parity)
         block = emit_block(unc, h.q_in)
-        per_slice.append(cnot_count(Circuit(n, tuple(block))))
-        out += block + [Gate(GateKind.H, h.pos)]
+        per_slice.append(cnot_count(Circuit(n, block)))
+        out += block + (Gate(GateKind.H, h.pos),)
         q_init = h.q_out
     block = emit_block(remaining, ext.state)
-    per_slice.append(cnot_count(Circuit(n, tuple(block))))
+    per_slice.append(cnot_count(Circuit(n, block)))
     out += block
 
     result = Circuit(n, tuple(out))

@@ -15,9 +15,10 @@ an optimal tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections import deque
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from functools import cache
+from typing import Iterable
 
 
 class NoPathError(ValueError):
@@ -73,17 +74,7 @@ class ConnectivityGraph:
 
     def is_connected(self, active: frozenset[int] | None = None) -> bool:
         verts = set(self.vertices) if active is None else set(active)
-        if not verts:
-            return True
-        seen = {min(verts)}
-        queue = deque(seen)
-        while queue:
-            u = queue.popleft()
-            for w in self.neighbors(u):
-                if w in verts and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen == verts
+        return not verts or distances(self, min(verts), verts).keys() == verts
 
 
 def parse_graph(text: str) -> ConnectivityGraph:
@@ -194,9 +185,10 @@ def preset_graph(name: str) -> ConnectivityGraph:
     raise UnknownPresetError(f"unknown preset {name!r}; valid: {', '.join(PRESET_NAMES)}")
 
 
-def _bfs_dist(g: ConnectivityGraph, sources: Sequence[int], active: frozenset[int]) -> dict[int, int]:
-    dist = {s: 0 for s in sources}
-    queue = deque(sources)
+def distances(g: ConnectivityGraph, source: int, active: frozenset[int]) -> dict[int, int]:
+    """Hop distance from ``source`` to every vertex it reaches through ``active`` vertices."""
+    dist = {source: 0}
+    queue = deque([source])
     while queue:
         u = queue.popleft()
         for w in g.neighbors(u):
@@ -221,7 +213,7 @@ def shortest_path(
         raise NoPathError(f"endpoint outside the active vertex set: {u} or {v}")
     if u == v:
         return [u]
-    dist_v = _bfs_dist(g, [v], active)
+    dist_v = distances(g, v, active)
     if u not in dist_v:
         raise NoPathError(f"no path from {u} to {v} in the active subgraph")
     path = [u]
@@ -338,7 +330,7 @@ def steiner_tree(
     if len(term_set) == 1:
         return _root_tree(set(), root, term_set)
 
-    all_dist = {u: _bfs_dist(g, [u], active) for u in active}
+    dist_from = cache(lambda u: distances(g, u, active))  # BFS only from vertices the merge asks about
 
     # Forest of subgraphs, each a (vertex list in insertion order, edge set).
     forest: list[tuple[list[int], set[tuple[int, int]]]] = [([t], set()) for t in sorted(term_set)]
@@ -353,10 +345,10 @@ def steiner_tree(
                     key = (0, (min(shared), min(shared)), i, j)
                 else:
                     cand = [
-                        (all_dist[u][v], (min(u, v), max(u, v)))
+                        (dist_from(u)[v], (min(u, v), max(u, v)))
                         for u in forest[i][0]
                         for v in forest[j][0]
-                        if v in all_dist[u]
+                        if v in dist_from(u)
                     ]
                     if not cand:
                         continue

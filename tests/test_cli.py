@@ -112,6 +112,27 @@ def _graph_file(tmp_path):
     return path
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("resynth", "swap"), ("resynth", "opt-a"), ("resynth", "opt-b"), ("synth-linear", None)],
+)
+def test_disconnected_graph_exit_2(tmp_path, capsys, command):
+    # two components, {1, 2} and {3, 4}; every input below couples them
+    graph = tmp_path / "split.graph"
+    graph.write_text("vertices 4\nedge 1 2\nedge 3 4\n")
+    sub, algo = command
+    if sub == "resynth":
+        circuit = tmp_path / "c.qct"
+        circuit.write_text("qubits 4\nCNOT 1 3\n")
+        args = ["resynth", "--algo", algo, "--circuit", str(circuit)]
+    else:
+        matrix = tmp_path / "m.mat"
+        matrix.write_text("n 4\n0 0 1 0 0\n0 1 0 0 0\n1 0 0 0 0\n0 0 0 1 0\n")  # swaps 1 and 3
+        args = ["synth-linear", "--matrix", str(matrix)]
+    assert main(args + ["--graph", str(graph)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_synth_phase(tmp_path, capsys):
     terms = tmp_path / "t.terms"
     terms.write_text("1 0 1 1\n4 1 0 1\n")

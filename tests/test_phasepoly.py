@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cnotsynth.circuit import Circuit, Gate, GateKind, cnot
-from cnotsynth.linalg import CONST_BIT, parity_mask, transform_of_circuit
+from cnotsynth.linalg import CONST_BIT, f2_rank, f2_solve, parity_mask, transform_of_circuit
 from cnotsynth.phasepoly import (
     HSliceRecord,
     PhasePolySet,
@@ -15,6 +15,7 @@ from cnotsynth.phasepoly import (
     rebase,
     uncomputable_terms,
 )
+from cnotsynth.pipeline import random_circuit
 from tests.conftest import APPENDIX_PHASE_TERMS
 
 
@@ -192,6 +193,30 @@ def test_uncomputable_keeps_surviving_terms():
     assert out == PhasePolySet([(1, parity_mask([2])), (1, parity_mask([1, 2]))])
 
 
+def test_uncomputable_matches_two_solve_definition():
+    # one solve against q_in decides what two solves (q_in, then q_out) decide,
+    # because every extract_sliced record has independent q_in rows
+    rng = random.Random(11)
+    records = 0
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        ext = extract_sliced(random_circuit(n, rng.randint(1, 30), rng))
+        remaining = PhasePolySet(ext.terms.terms())
+        for h in ext.records:
+            assert f2_rank(list(h.q_in)) == n
+            terms = remaining.terms()
+            parities = [parity for _, parity in terms]
+            before = f2_solve(list(h.q_in), parities)
+            after = f2_solve(list(h.q_out), parities)
+            expected = [t for t, b, a in zip(terms, before, after) if b is not None and a is None]
+            unc = uncomputable_terms(remaining, h)
+            assert list(unc.terms()) == expected
+            for _, parity in unc.terms():  # as the phase-partitioned pipeline does
+                remaining.discard(parity)
+            records += 1
+    assert records > 300
+
+
 def _span_membership_oracle(parity, state):
     # exhaustive subset-XOR over the variable parts
     target = parity & ~CONST_BIT
@@ -207,8 +232,6 @@ def _span_membership_oracle(parity, state):
 
 def test_span_membership_matches_exhaustive_oracle():
     rng = random.Random(9)
-    from cnotsynth.linalg import f2_solve
-
     for _ in range(300):
         width = rng.randint(2, 6)
         state = tuple(rng.getrandbits(width + 1) & ~CONST_BIT for _ in range(rng.randint(1, 5)))

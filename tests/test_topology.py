@@ -10,6 +10,7 @@ from cnotsynth.topology import (
     NoPathError,
     PRESET_NAMES,
     UnknownPresetError,
+    distances,
     parse_graph,
     preset_graph,
     shortest_path,
@@ -159,15 +160,28 @@ def test_path_respects_active(grid2x3):
 
 
 def test_paths_match_bfs_oracle_on_presets():
+    rng = random.Random(5)
+    cut_off = 0
     for name in PRESET_NAMES:
         g = preset_graph(name)
+        full = frozenset(g.vertices)
         for u in g.vertices:
+            assert distances(g, u, full) == {v: bfs_distance(g, u, v) for v in g.vertices}
             for v in g.vertices:
                 path = shortest_path(g, u, v)
                 assert len(path) - 1 == bfs_distance(g, u, v)
                 assert path[0] == u and path[-1] == v
                 for a, b in zip(path, path[1:]):
                     assert g.has_edge(a, b)
+        for _ in range(20):
+            # a random active subset; vertices it cuts off must be absent from the result
+            active = frozenset(v for v in g.vertices if rng.random() < 0.6)
+            for u in active:
+                dist = distances(g, u, active)
+                oracle = {v: bfs_distance(g, u, v, active) for v in active}
+                assert dist == {v: d for v, d in oracle.items() if d is not None}
+                cut_off += len(active) - len(dist)
+    assert cut_off > 0
 
 
 # -- Steiner trees ------------------------------------------------------------
