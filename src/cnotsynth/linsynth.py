@@ -169,11 +169,7 @@ def _fix_diagonal(
         # no candidate reachable inside the shrunken graph: route through fixed
         # vertices with a full interior-restoring path (leaf gains the root row)
         full = frozenset(g.vertices)
-        dist = distances(g, i, full)
-        for j in candidates:
-            if j not in dist:
-                raise NoPathError(f"no path from {i} to {j} in the active subgraph")
-        best = min(candidates, key=lambda j: (dist[j], j))
+        best = min(candidates, key=lambda j: (len(shortest_path(g, i, j, full)), j))
         path = shortest_path(g, best, i, full)
         result = row_op(a, frozenset({best, i}), best, _as_tree(path), alg=3)
         gates.extend(result.cnots)

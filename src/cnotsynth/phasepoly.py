@@ -128,9 +128,12 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
 def uncomputable_terms(p: PhasePolySet, h: HSliceRecord) -> PhasePolySet:
     """Terms expressible before the H gate but not after it.
 
-    With ``q_in``'s rows independent and a fresh variable at ``pos`` in
-    ``q_out``, a term stops being expressible exactly when its unique
-    expression over ``q_in`` uses row ``pos``, so one solve decides. The affine
+    Requires ``h`` as :func:`extract_sliced` builds it: the rows of ``q_in``
+    linearly independent and ``q_out`` equal to ``q_in`` but for a fresh
+    variable at ``pos``. ``q_out`` is not read. Under that precondition a term
+    stops being expressible exactly when its unique expression over ``q_in``
+    uses row ``pos``, so one solve decides; for a hand-built record that
+    breaks it the answer is not the before/after definition. The affine
     constant never blocks realizability (an X gate supplies it).
     """
     terms = p.terms()
