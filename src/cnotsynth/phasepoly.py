@@ -129,12 +129,13 @@ def uncomputable_terms(p: PhasePolySet, h: HSliceRecord) -> PhasePolySet:
     """Terms expressible before the H gate but not after it.
 
     Requires ``h`` as :func:`extract_sliced` builds it: the rows of ``q_in``
-    linearly independent and ``q_out`` equal to ``q_in`` but for a fresh
-    variable at ``pos``. ``q_out`` is not read. Under that precondition a term
-    stops being expressible exactly when its unique expression over ``q_in``
-    uses row ``pos``, so one solve decides; for a hand-built record that
-    breaks it the answer is not the before/after definition. The affine
-    constant never blocks realizability (an X gate supplies it).
+    linearly independent, and the state after the H equal to ``q_in`` but for
+    a fresh variable at ``pos``; only ``q_in`` and ``pos`` are read. Under that
+    precondition a term stops being expressible exactly when its unique
+    expression over ``q_in`` uses row ``pos``, so one solve decides. A
+    hand-built record that breaks it gets an answer that may differ from the
+    before/after definition, with no error. The affine constant never blocks
+    realizability (an X gate supplies it).
     """
     terms = p.terms()
     combos = f2_solve(list(h.q_in), [parity for _, parity in terms])
