@@ -72,10 +72,6 @@ def cnot(control: int, target: int) -> Gate:
     return Gate(GateKind.CNOT, target, control)
 
 
-def gate(kind: GateKind | str, qubit: int) -> Gate:
-    return Gate(GateKind(kind), qubit)
-
-
 @dataclass(frozen=True)
 class Circuit:
     """An ordered gate list over {CNOT, H, T, TDG, S, SDG, X, Y, Z}.

@@ -23,7 +23,7 @@ from .linsynth import linear_tf_synth
 from .phasepoly import dump_phasepoly, extract_hfree
 from .phasesynth import phase_nw_synth
 from .pipeline import bench_random, bench_tsv, resynthesize
-from .topology import PRESET_NAMES, UnknownPresetError, parse_graph, preset_graph, write_graph
+from .topology import PRESET_NAMES, parse_graph, preset_graph, write_graph
 from .verify import equivalent_up_to_phase, phase_poly_equal
 
 
@@ -66,6 +66,8 @@ def _load_matrix(path: str) -> AugmentedTransform:
     try:
         n = int(lines[0].split()[1])
         bits = [[int(t) for t in ln.split()] for ln in lines[1:]]
+        if any(b not in (0, 1) for row in bits for b in row):
+            raise ValueError("matrix entries must be 0 or 1")
         if len(bits) != n:
             raise ValueError(f"expected {n} rows, got {len(bits)}")
         return AugmentedTransform.from_bits(bits)
@@ -89,6 +91,8 @@ def _load_terms(path: str, n: int | None = None) -> ParityMatrix:
             raise CliError(f"{path} line {line_no}: {exc}") from exc
         if len(tokens) < 3:
             raise CliError(f"{path} line {line_no}: expected '<c> <bitflip> <parity bits>'")
+        if any(t not in (0, 1) for t in tokens[1:]):
+            raise CliError(f"{path} line {line_no}: bit-flip and parity entries must be 0 or 1")
         rows.append(tokens)
     if not rows:
         raise CliError(f"{path}: no terms")
@@ -265,7 +269,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (UnknownPresetError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

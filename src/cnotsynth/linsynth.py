@@ -11,7 +11,7 @@ in up to four passes that cancel terminal rows while restoring Steiner rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 
 from .circuit import Circuit, Gate, GateKind, cnot
 from .linalg import CONST_BIT, AugmentedTransform, SingularTransformError
@@ -72,12 +72,6 @@ def separate(tree: SteinerTree, pivot: int, terminals: frozenset[int], alg: int)
     return out
 
 
-@dataclass
-class RowOpResult:
-    cnots: list[Gate]
-    subtrees: list[tuple[int, tuple[int, ...]]] | None  # (root, sorted leaves) when alg == 2
-
-
 def _traversal_edges(sub: SteinerTree, which: str) -> list[tuple[int, int]]:
     edges = sub.tree_edges()
     if which == "bottom-up-1":  # non-root parents, deepest child first
@@ -104,8 +98,10 @@ def row_op(
     pivot: int,
     tree: SteinerTree,
     alg: int,
-) -> RowOpResult:
+) -> tuple[list[Gate], list[SteinerTree]]:
     """Emit the CNOTs that clear a column's terminal rows, updating ``matrix``.
+
+    Returns the CNOTs and the sub-trees :func:`separate` cut ``tree`` into.
 
     ``matrix`` only needs a ``row_xor(dst, src)`` method; it is mutated in place.
     ``alg`` selects the traversal set: 1 skips the first bottom-up and second
@@ -129,20 +125,7 @@ def row_op(
                     matrix.row_xor(v, u)
         if alg == 4:
             matrix.row_xor(sub.root, sub.leaves()[0])
-    result_subtrees = [(s.root, s.leaves()) for s in subtrees] if alg == 2 else None
-    return RowOpResult(cnots, result_subtrees)
-
-
-@dataclass
-class ColumnTrace:
-    """Per-column record of one elimination phase, for inspection and golden tests."""
-
-    phase: int
-    column: int
-    diag_cnots: list[Gate]
-    tree_cnots: list[Gate]
-    correction_cnots: list[Gate]
-    matrix_after: AugmentedTransform
+    return cnots, subtrees
 
 
 def _fix_diagonal(
@@ -171,8 +154,7 @@ def _fix_diagonal(
         full = frozenset(g.vertices)
         best = min(candidates, key=lambda j: (len(shortest_path(g, i, j, full)), j))
         path = shortest_path(g, best, i, full)
-        result = row_op(a, frozenset({best, i}), best, _as_tree(path), alg=3)
-        gates.extend(result.cnots)
+        gates.extend(row_op(a, frozenset({best, i}), best, _as_tree(path), alg=3)[0])
     return gates
 
 
@@ -196,35 +178,31 @@ def _eliminate_column(
     i: int,
     active: frozenset[int],
     alg: int,
-) -> tuple[list[Gate], list[tuple[int, tuple[int, ...]]]]:
-    """Clear column i below the diagonal; returns (cnots, (root, leaves) records)."""
+) -> tuple[list[Gate], list[SteinerTree]]:
+    """Clear column i below the diagonal; returns the CNOTs and ``row_op``'s sub-trees."""
     terms = {j for j in range(i + 1, a.n + 1) if a.get(j, i)}
     cnots: list[Gate] = []
-    records: list[tuple[int, tuple[int, ...]]] = []
+    subtrees: list[SteinerTree] = []
     if not terms:
-        return cnots, records
+        return cnots, subtrees
     dist = distances(g, i, active)
     reachable = {t for t in terms if t in dist}
     if reachable:
         tree = steiner_tree(g, reachable | {i}, i, active)
-        result = row_op(a, frozenset(reachable | {i}), i, tree, alg)
-        cnots.extend(result.cnots)
-        if result.subtrees:
-            records.extend(result.subtrees)
+        cnots, subtrees = row_op(a, frozenset(reachable | {i}), i, tree, alg)
     for t in sorted(terms - reachable):
         # route through already-fixed vertices; alg=3 leaves interior rows intact
         path = shortest_path(g, i, t, frozenset(g.vertices))
-        result = row_op(a, frozenset({i, t}), i, _as_tree(path), alg=3)
-        cnots.extend(result.cnots)
-        records.append((i, (t,)))
-    return cnots, records
+        path_cnots, path_subtrees = row_op(a, frozenset({i, t}), i, _as_tree(path), alg=3)
+        cnots += path_cnots
+        subtrees += path_subtrees
+    return cnots, subtrees
 
 
 def _corrections(
     a: AugmentedTransform,
     g: ConnectivityGraph,
-    records: list[tuple[int, tuple[int, ...]]],
-    partner: dict[int, int],
+    subtrees: list[SteinerTree],
     active: frozenset[int],
 ) -> list[Gate]:
     """Re-pair every leaf whose sub-tree root has a larger index.
@@ -234,27 +212,37 @@ def _corrections(
     so the leaf is chased down the chain of earlier roots until its partner has
     a smaller index. ``partner`` maps each leaf to its current pairing row.
     """
+    partner = {leaf: sub.root for sub in subtrees for leaf in sub.leaves()}
     gates: list[Gate] = []
     full = frozenset(g.vertices)
-    for root, leaves in records:
-        for leaf in sorted(leaves):
-            r = root
+    for sub in subtrees:
+        for leaf in sub.leaves():
+            r = sub.root
             while r > leaf:
                 try:
                     path = shortest_path(g, r, leaf, active)
                 except NoPathError:
                     path = shortest_path(g, r, leaf, full)
-                result = row_op(a, frozenset({r, leaf}), r, _as_tree(path), alg=3)
-                gates.extend(result.cnots)
+                gates += row_op(a, frozenset({r, leaf}), r, _as_tree(path), alg=3)[0]
                 partner[leaf] = partner[r]
                 r = partner[r]
     return gates
 
 
-def linear_tf_synth_traced(
-    a: AugmentedTransform, g: ConnectivityGraph
-) -> tuple[Circuit, list[ColumnTrace]]:
-    """LINEAR-TF-SYNTH with the per-column elimination trace exposed."""
+def linear_tf_synth(
+    a: AugmentedTransform,
+    g: ConnectivityGraph,
+    trace: Callable[..., None] | None = None,
+) -> Circuit:
+    """Synthesize a {CNOT, X} circuit realizing ``a`` with every CNOT on an edge of ``g``.
+
+    Replaying the returned circuit through the transform rules from the identity
+    reproduces ``a`` exactly (padded with identity rows if the graph is larger).
+    ``trace``, when given, is called after each column of each elimination phase
+    as ``trace("column", phase=, column=, diag=, tree=, corrections=, matrix=)``:
+    the CNOTs of the diagonal fix, of the Steiner-tree pass and of the
+    corrections (phase 2 only), and a copy of the matrix after the column.
+    """
     if not a.is_invertible():
         raise SingularTransformError("left block of the transform is singular")
     if a.n > g.num_vertices:
@@ -266,39 +254,23 @@ def linear_tf_synth_traced(
     for gt in x_gates:
         work.rows[gt.target - 1] ^= CONST_BIT
 
-    traces: list[ColumnTrace] = []
-    y1: list[Gate] = []
-    active = frozenset(g.vertices)
-    for i in range(1, n + 1):
-        diag = [] if work.get(i, i) else _fix_diagonal(work, g, i, active)
-        cnots, _ = _eliminate_column(work, g, i, active, alg=1)
-        y1 += diag + cnots
-        traces.append(ColumnTrace(1, i, diag, cnots, [], work.copy()))
-        active -= {i}
-
-    work = work.transposed_linear()
-    y2: list[Gate] = []
-    active = frozenset(g.vertices)
-    for i in range(1, n + 1):
-        diag = [] if work.get(i, i) else _fix_diagonal(work, g, i, active)
-        cnots, records = _eliminate_column(work, g, i, active, alg=2)
-        partner = {leaf: root for root, leaves in records for leaf in leaves}
-        corr = _corrections(work, g, records, partner, active)
-        y2 += diag + cnots + corr
-        traces.append(ColumnTrace(2, i, diag, cnots, corr, work.copy()))
-        active -= {i}
+    # phase 1 (alg 1) reaches upper-triangular form; phase 2 (alg 2) reduces
+    # the transpose of that to the identity
+    y: dict[int, list[Gate]] = {1: [], 2: []}
+    for phase in (1, 2):
+        if phase == 2:
+            work = work.transposed_linear()
+        active = frozenset(g.vertices)
+        for i in range(1, n + 1):
+            diag = [] if work.get(i, i) else _fix_diagonal(work, g, i, active)
+            cnots, subtrees = _eliminate_column(work, g, i, active, alg=phase)
+            corr = _corrections(work, g, subtrees, active) if phase == 2 else []
+            y[phase] += diag + cnots + corr
+            if trace:
+                trace("column", phase=phase, column=i, diag=diag, tree=cnots, corrections=corr, matrix=work.copy())
+            active -= {i}
 
     assert work.is_identity(), "elimination failed to reach the identity"
 
-    flipped = [cnot(gt.target, gt.control) for gt in y2]
-    gates = flipped + y1[::-1] + x_gates
-    return Circuit(n, tuple(gates)), traces
-
-
-def linear_tf_synth(a: AugmentedTransform, g: ConnectivityGraph) -> Circuit:
-    """Synthesize a {CNOT, X} circuit realizing ``a`` with every CNOT on an edge of ``g``.
-
-    Replaying the returned circuit through the transform rules from the identity
-    reproduces ``a`` exactly (padded with identity rows if the graph is larger).
-    """
-    return linear_tf_synth_traced(a, g)[0]
+    flipped = [cnot(gt.target, gt.control) for gt in y[2]]
+    return Circuit(n, tuple(flipped + y[1][::-1] + x_gates))

@@ -18,6 +18,7 @@ net effect of the four traversals it emits.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, GateKind
@@ -64,24 +65,6 @@ class _ColumnMatrix:
                     col.mask ^= 1 << dst
 
 
-@dataclass
-class SteinerEvent:
-    """One Steiner-tree expansion step: the emitted CNOT batch and what it realized."""
-
-    root: int
-    terminals: frozenset[int]
-    cnots: tuple[Gate, ...]
-    placements: tuple[Gate, ...]
-
-
-@dataclass
-class PhaseSynthResult:
-    circuit: Circuit
-    transform: AugmentedTransform  # residual linear action of the circuit
-    upfront: tuple[Gate, ...] = ()
-    events: tuple[SteinerEvent, ...] = ()
-
-
 def select_pivot(masks: list[int], candidates: frozenset[int]) -> int:
     """Pivot row for splitting a cofactor.
 
@@ -113,7 +96,7 @@ def select_pivot(masks: list[int], candidates: frozenset[int]) -> int:
 class PhaseSynthesizer:
     """Stateful driver of the cofactor stack; see the module docstring for the scheme."""
 
-    def __init__(self, p: ParityMatrix, g: ConnectivityGraph):
+    def __init__(self, p: ParityMatrix, g: ConnectivityGraph, trace: Callable[..., None] | None = None):
         if g.num_vertices == 0:
             raise ValueError("connectivity graph is empty")
         if p.n > g.num_vertices:
@@ -122,9 +105,8 @@ class PhaseSynthesizer:
         self.g = g
         self.wires = [1 << i for i in range(1, g.num_vertices + 1)]
         self.gates: list[Gate] = []
-        self.events: list[SteinerEvent] = []
         self.stack: list[_Frame] = []
-        self.upfront: list[Gate] = []
+        self.trace = trace
         self._place_single_variable_terms(p)
 
     # -- placement helpers -------------------------------------------------
@@ -159,7 +141,7 @@ class PhaseSynthesizer:
             for bit in (False, True):  # the plain term goes before the X of its complement
                 col = singles.get((i, bit))
                 if col is not None:
-                    self.upfront += self._place(i, col.bit, col.coeff)
+                    self._place(i, col.bit, col.coeff)
         if remaining:
             self.stack.append(_Frame(remaining, frozenset(range(1, self.n + 1)), None))
 
@@ -177,29 +159,27 @@ class PhaseSynthesizer:
 
     # -- main loop ---------------------------------------------------------
 
-    def fix_columns(self, frame: _Frame) -> SteinerEvent | None:
+    def fix_columns(self, frame: _Frame) -> None:
         """Collect the frame's all-ones rows onto its target wire, then realize columns."""
         if frame.target is None or not frame.cols:
-            return None
+            return
         s_prime = {
             k
             for k in range(1, self.n + 1)
             if k != frame.target and all(col.mask >> k & 1 for col in frame.cols)
         }
-        if not s_prime:
-            return None
-        return self._expand(frame, frame.target, s_prime | {frame.target})
+        if s_prime:
+            self._expand(frame, frame.target, s_prime | {frame.target})
 
-    def _expand(self, frame: _Frame, root: int, terminals: set[int]) -> SteinerEvent:
+    def _expand(self, frame: _Frame, root: int, terminals: set[int]) -> None:
         tree = steiner_tree(self.g, terminals, root)  # always on the full graph
         matrix = _ColumnMatrix([frame] + self.stack)
-        result = row_op(matrix, frozenset(terminals), root, tree, alg=4)
-        for gate in result.cnots:
+        cnots, _ = row_op(matrix, frozenset(terminals), root, tree, alg=4)
+        for gate in cnots:
             self._emit(gate)
         placements = self._scan_realized(frame)
-        event = SteinerEvent(root, frozenset(terminals), tuple(result.cnots), tuple(placements))
-        self.events.append(event)
-        return event
+        if self.trace:
+            self.trace("steiner", root=root, terminals=frozenset(terminals), cnots=cnots, placements=placements)
 
     def _force_realize(self, frame: _Frame) -> None:
         # A frame ran out of pivot rows with live columns: realize them one by
@@ -231,28 +211,23 @@ class PhaseSynthesizer:
             if zeros:
                 self.stack.append(_Frame(zeros, rest, frame.target))
 
-    def result(self) -> PhaseSynthResult:
-        return PhaseSynthResult(
-            circuit=Circuit(self.g.num_vertices, tuple(self.gates)),
-            transform=AugmentedTransform(self.g.num_vertices, list(self.wires)),
-            upfront=tuple(self.upfront),
-            events=tuple(self.events),
-        )
 
-
-def phase_nw_synth_traced(p: ParityMatrix, g: ConnectivityGraph) -> PhaseSynthResult:
-    synth = PhaseSynthesizer(p, g)
-    synth.run()
-    return synth.result()
-
-
-def phase_nw_synth(p: ParityMatrix, g: ConnectivityGraph) -> tuple[Circuit, AugmentedTransform]:
+def phase_nw_synth(
+    p: ParityMatrix,
+    g: ConnectivityGraph,
+    trace: Callable[..., None] | None = None,
+) -> tuple[Circuit, AugmentedTransform]:
     """Synthesize a connectivity-valid phase polynomial network for ``p``.
 
     Every input term's parity appears on some wire immediately before the phase
     gate its coefficient dictates (preceded by an X when the term carries the
     flip bit relative to the wire). Returns the circuit and its residual linear
     action; callers compose the latter away with :func:`linear_tf_synth`.
+    ``trace``, when given, is called once per Steiner-tree expansion as
+    ``trace("steiner", root=, terminals=, cnots=, placements=)``: the CNOTs it
+    emitted and the X and phase gates placed right after them. The gates before
+    the first expansion place the single-variable terms and hold no CNOT.
     """
-    result = phase_nw_synth_traced(p, g)
-    return result.circuit, result.transform
+    synth = PhaseSynthesizer(p, g, trace)
+    synth.run()
+    return Circuit(g.num_vertices, tuple(synth.gates)), AugmentedTransform(g.num_vertices, list(synth.wires))

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from cnotsynth.linalg import AugmentedTransform, ParityMatrix, parity_mask
@@ -23,6 +25,16 @@ APPENDIX_PHASE_TERMS = [
     (7, parity_mask([1, 2, 4, 6], const=True)),
     (1, parity_mask([2, 4, 5])),
 ]
+
+
+def traced(synth, *args):
+    """Call ``synth(*args)`` with a trace sink; return its result and the events it received.
+
+    Each event is a namespace holding ``kind`` and the fields passed with it.
+    """
+    events = []
+    result = synth(*args, trace=lambda kind, **fields: events.append(SimpleNamespace(kind=kind, **fields)))
+    return result, events
 
 
 @pytest.fixture(scope="session")

@@ -15,9 +15,9 @@ from networkx.generators.atlas import graph_atlas_g
 
 from cnotsynth.circuit import Circuit, Gate, GateKind, cnot, cnot_count, connectivity_violations
 from cnotsynth.linalg import AugmentedTransform, ParityMatrix, transform_of_circuit
-from cnotsynth.linsynth import linear_tf_synth, linear_tf_synth_traced
+from cnotsynth.linsynth import linear_tf_synth
 from cnotsynth.phasepoly import PhasePolySet, extract_hfree
-from cnotsynth.phasesynth import phase_nw_synth_traced
+from cnotsynth.phasesynth import phase_nw_synth
 from cnotsynth.pipeline import bench_random, bench_tsv, random_circuit, resynthesize
 from cnotsynth.topology import (
     ConnectivityGraph,
@@ -27,7 +27,7 @@ from cnotsynth.topology import (
     steiner_tree,
 )
 from cnotsynth.verify import circuit_unitary, phase_poly_equal, unitaries_equal_up_to_phase
-from tests.conftest import APPENDIX_A_BITS, APPENDIX_PHASE_TERMS
+from tests.conftest import APPENDIX_A_BITS, APPENDIX_PHASE_TERMS, traced
 
 
 @contextmanager
@@ -138,18 +138,18 @@ EXPECTED_MATRICES = {
 def test_criterion_2_elimination_traces(grid2x3):
     with criterion(2, "step-for-step elimination traces of the 6x6 instance"):
         a = AugmentedTransform.from_bits(APPENDIX_A_BITS)
-        _, traces = linear_tf_synth_traced(a, grid2x3)
+        _, traces = traced(linear_tf_synth, a, grid2x3)
         by_key = {(t.phase, t.column): t for t in traces}
         for col, (diag, tree) in EXPECTED_PHASE1.items():
-            assert _pairs(by_key[1, col].diag_cnots) == diag, (1, col)
-            assert _pairs(by_key[1, col].tree_cnots) == tree, (1, col)
+            assert _pairs(by_key[1, col].diag) == diag, (1, col)
+            assert _pairs(by_key[1, col].tree) == tree, (1, col)
         for col, (tree, corr) in EXPECTED_PHASE2.items():
-            assert _pairs(by_key[2, col].diag_cnots) == [], (2, col)
-            assert _pairs(by_key[2, col].tree_cnots) == tree, (2, col)
-            assert _pairs(by_key[2, col].correction_cnots) == corr, (2, col)
+            assert _pairs(by_key[2, col].diag) == [], (2, col)
+            assert _pairs(by_key[2, col].tree) == tree, (2, col)
+            assert _pairs(by_key[2, col].corrections) == corr, (2, col)
         for (phase, col), rows in EXPECTED_MATRICES.items():
             expected = AugmentedTransform.from_bits([r + [0] for r in rows])
-            assert by_key[phase, col].matrix_after == expected, (phase, col)
+            assert by_key[phase, col].matrix == expected, (phase, col)
 
 
 # -- criterion 3: phase network golden ------------------------------------------------
@@ -173,23 +173,23 @@ def test_criterion_3_phase_network_golden(grid2x3):
     with criterion(3, "per-iteration phase network synthesis of the 8x7 instance"):
         pm = ParityMatrix.from_terms(6, APPENDIX_PHASE_TERMS)
         t0 = time.perf_counter()
-        res = phase_nw_synth_traced(pm, grid2x3)
+        (circ, _), events = traced(phase_nw_synth, pm, grid2x3)
         elapsed = time.perf_counter() - t0
-        assert len(res.events) == len(EXPECTED_PHASE_EVENTS)
+        assert len(events) == len(EXPECTED_PHASE_EVENTS)
         # Roots, terminals, CNOT batches, phase-gate kinds and wires reproduce the
         # walkthrough's iterations 4, 5, 8, 9, 10, 11, 12, 13, 14. The X pattern
         # follows flip bits tracked through CNOTs (the walkthrough's figures drop
         # them en route, which would break the extraction equality asserted below;
         # its X set differs at iterations 5, 8, 9, 13, 14).
-        for ev, (root, terminals, cnot_pairs, placed) in zip(res.events, EXPECTED_PHASE_EVENTS):
+        for ev, (root, terminals, cnot_pairs, placed) in zip(events, EXPECTED_PHASE_EVENTS):
             assert ev.root == root
             assert ev.terminals == frozenset(terminals)
             assert _pairs(ev.cnots) == cnot_pairs
             assert [g.kind for g in ev.placements] == placed
             assert all(g.target == root for g in ev.placements)
-        terms, _ = extract_hfree(res.circuit)
+        terms, _ = extract_hfree(circ)
         assert terms == PhasePolySet(APPENDIX_PHASE_TERMS)
-        assert connectivity_violations(res.circuit, grid2x3) == []
+        assert connectivity_violations(circ, grid2x3) == []
         assert elapsed < 1.0
 
 

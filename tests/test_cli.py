@@ -133,6 +133,24 @@ def test_disconnected_graph_exit_2(tmp_path, capsys, command):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sub, text",
+    [
+        ("synth-linear", "n 2\n2 0 0\n0 1 0\n"),
+        ("synth-phase", "1 0 2 0 0 0 0 0\n"),
+        ("synth-phase", "1 5 1 0 0 0 0 0\n"),
+    ],
+    ids=["matrix-entry-2", "parity-entry-2", "bitflip-5"],
+)
+def test_non_binary_entries_exit_2(tmp_path, capsys, sub, text):
+    # coefficients are free integers mod 8, but bit-flips and parity/matrix entries are 0/1
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    flag = "--matrix" if sub == "synth-linear" else "--terms"
+    assert main([sub, flag, str(path), "--graph", "9q-square"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_synth_phase(tmp_path, capsys):
     terms = tmp_path / "t.terms"
     terms.write_text("1 0 1 1\n4 1 0 1\n")

@@ -2,17 +2,16 @@ import random
 
 import pytest
 
-from cnotsynth.circuit import GateKind, cnot_count, connectivity_violations
+from cnotsynth.circuit import GateKind, cnot, cnot_count, connectivity_violations
 from cnotsynth.linalg import AugmentedTransform, transform_of_circuit
 from cnotsynth.linsynth import (
     linear_tf_synth,
-    linear_tf_synth_traced,
     row_op,
     separate,
 )
 from cnotsynth.linalg import SingularTransformError
-from cnotsynth.topology import ConnectivityGraph, steiner_tree
-from tests.conftest import APPENDIX_A_BITS
+from cnotsynth.topology import ConnectivityGraph, grid_graph, preset_graph, steiner_tree
+from tests.conftest import APPENDIX_A_BITS, traced
 
 
 def _pairs(gates):
@@ -61,24 +60,24 @@ def test_separate_edge_disjoint(grid2x3):
 
 def test_row_op_alg1_column1(grid2x3, appendix_transform):
     tree = steiner_tree(grid2x3, {1, 3, 4, 5}, 1)
-    result = row_op(appendix_transform, frozenset({1, 3, 4, 5}), 1, tree, alg=1)
-    assert _pairs(result.cnots) == [(4, 5), (3, 4), (1, 2), (2, 3), (1, 2)]
+    cnots, _ = row_op(appendix_transform, frozenset({1, 3, 4, 5}), 1, tree, alg=1)
+    assert _pairs(cnots) == [(4, 5), (3, 4), (1, 2), (2, 3), (1, 2)]
 
 
 def test_row_op_alg2_post_transpose(grid2x3):
     # first column after the transpose: tree 1-2-5-4, three single-edge sub-trees
     a = AugmentedTransform.from_bits(APPENDIX_A_BITS)  # content irrelevant to the gate list
     tree = steiner_tree(grid2x3, {1, 2, 4, 5}, 1)
-    result = row_op(a, frozenset({1, 2, 4, 5}), 1, tree, alg=2)
-    assert _pairs(result.cnots) == [(5, 4), (2, 5), (1, 2)]
-    assert result.subtrees == [(1, (2,)), (2, (5,)), (5, (4,))]
+    cnots, subtrees = row_op(a, frozenset({1, 2, 4, 5}), 1, tree, alg=2)
+    assert _pairs(cnots) == [(5, 4), (2, 5), (1, 2)]
+    assert [(s.root, s.leaves()) for s in subtrees] == [(1, (2,)), (2, (5,)), (5, (4,))]
 
 
 def test_row_op_single_terminal(grid2x3, appendix_transform):
     tree = steiner_tree(grid2x3, {3}, 3)
     before = appendix_transform.copy()
-    result = row_op(appendix_transform, frozenset({3}), 3, tree, alg=1)
-    assert result.cnots == []
+    cnots, _ = row_op(appendix_transform, frozenset({3}), 3, tree, alg=1)
+    assert cnots == []
     assert appendix_transform == before
 
 
@@ -86,9 +85,9 @@ def test_row_op_replay_matches_matrix(grid2x3, appendix_transform):
     # the CNOT list and the row updates must stay in lockstep
     tree = steiner_tree(grid2x3, {1, 3, 4, 5}, 1)
     work = appendix_transform.copy()
-    result = row_op(work, frozenset({1, 3, 4, 5}), 1, tree, alg=1)
+    cnots, _ = row_op(work, frozenset({1, 3, 4, 5}), 1, tree, alg=1)
     replay = appendix_transform.copy()
-    for g in result.cnots:
+    for g in cnots:
         replay.apply_gate(g)
     assert replay == work
 
@@ -108,28 +107,28 @@ def test_identity_gives_empty_circuit(grid2x3):
 
 
 def test_appendix_full_golden(grid2x3, appendix_transform):
-    circ, traces = linear_tf_synth_traced(appendix_transform, grid2x3)
+    circ, traces = traced(linear_tf_synth, appendix_transform, grid2x3)
     assert cnot_count(circ) == 26
     assert transform_of_circuit(circ) == appendix_transform
     assert connectivity_violations(circ, grid2x3) == []
 
     by_key = {(t.phase, t.column): t for t in traces}
     # upper-triangularization CNOT lists, including the two diagonal fixes
-    assert _pairs(by_key[1, 1].tree_cnots) == [(4, 5), (3, 4), (1, 2), (2, 3), (1, 2)]
-    assert _pairs(by_key[1, 2].diag_cnots) == [(3, 2)]
-    assert _pairs(by_key[1, 2].tree_cnots) == [(3, 4), (2, 3), (2, 5), (5, 6), (2, 5)]
-    assert _pairs(by_key[1, 3].tree_cnots) == [(4, 5), (3, 4)]
-    assert _pairs(by_key[1, 4].diag_cnots) == [(5, 4)]
-    assert _pairs(by_key[1, 4].tree_cnots) == [(4, 5)]
+    assert _pairs(by_key[1, 1].tree) == [(4, 5), (3, 4), (1, 2), (2, 3), (1, 2)]
+    assert _pairs(by_key[1, 2].diag) == [(3, 2)]
+    assert _pairs(by_key[1, 2].tree) == [(3, 4), (2, 3), (2, 5), (5, 6), (2, 5)]
+    assert _pairs(by_key[1, 3].tree) == [(4, 5), (3, 4)]
+    assert _pairs(by_key[1, 4].diag) == [(5, 4)]
+    assert _pairs(by_key[1, 4].tree) == [(4, 5)]
     # reduction to identity, including the single correction
-    assert _pairs(by_key[2, 1].tree_cnots) == [(5, 4), (2, 5), (1, 2)]
-    assert _pairs(by_key[2, 1].correction_cnots) == [(5, 4)]
-    assert _pairs(by_key[2, 2].tree_cnots) == [(2, 3), (2, 5)]
-    assert _pairs(by_key[2, 3].tree_cnots) == [(5, 6), (4, 5), (5, 6), (4, 5), (3, 4)]
+    assert _pairs(by_key[2, 1].tree) == [(5, 4), (2, 5), (1, 2)]
+    assert _pairs(by_key[2, 1].corrections) == [(5, 4)]
+    assert _pairs(by_key[2, 2].tree) == [(2, 3), (2, 5)]
+    assert _pairs(by_key[2, 3].tree) == [(5, 6), (4, 5), (5, 6), (4, 5), (3, 4)]
 
 
 def test_appendix_intermediate_matrices(grid2x3, appendix_transform):
-    _, traces = linear_tf_synth_traced(appendix_transform, grid2x3)
+    _, traces = traced(linear_tf_synth, appendix_transform, grid2x3)
     by_key = {(t.phase, t.column): t for t in traces}
     after_col1 = AugmentedTransform.from_bits(
         [
@@ -141,7 +140,7 @@ def test_appendix_intermediate_matrices(grid2x3, appendix_transform):
             [0, 1, 0, 1, 0, 1, 0],
         ]
     )
-    assert by_key[1, 1].matrix_after == after_col1
+    assert by_key[1, 1].matrix == after_col1
     after_col3 = AugmentedTransform.from_bits(
         [
             [1, 1, 0, 1, 1, 0, 0],
@@ -152,14 +151,14 @@ def test_appendix_intermediate_matrices(grid2x3, appendix_transform):
             [0, 0, 0, 0, 0, 1, 0],
         ]
     )
-    assert by_key[1, 3].matrix_after == after_col3
+    assert by_key[1, 3].matrix == after_col3
     # phase-2 milestone: the matrix ends as the identity
-    assert by_key[2, 6].matrix_after.is_identity()
+    assert by_key[2, 6].matrix.is_identity()
 
 
 def test_upper_triangular_milestone(grid2x3, appendix_transform):
-    _, traces = linear_tf_synth_traced(appendix_transform, grid2x3)
-    final_phase1 = [t for t in traces if t.phase == 1][-1].matrix_after
+    _, traces = traced(linear_tf_synth, appendix_transform, grid2x3)
+    final_phase1 = [t for t in traces if t.phase == 1][-1].matrix
     n = final_phase1.n
     for i in range(1, n + 1):
         assert final_phase1.get(i, i) == 1
@@ -169,12 +168,12 @@ def test_upper_triangular_milestone(grid2x3, appendix_transform):
 
 def test_phase2_unit_row_milestone(grid2x3, appendix_transform):
     # after processing column i, every row j <= i equals the unit vector e_j
-    _, traces = linear_tf_synth_traced(appendix_transform, grid2x3)
+    _, traces = traced(linear_tf_synth, appendix_transform, grid2x3)
     for t in traces:
         if t.phase != 2:
             continue
         for j in range(1, t.column + 1):
-            assert t.matrix_after.rows[j - 1] == 1 << j, (t.column, j)
+            assert t.matrix.rows[j - 1] == 1 << j, (t.column, j)
 
 
 def _random_invertible(rng, n) -> AugmentedTransform:
@@ -192,6 +191,25 @@ def test_random_replay_oracle(grid2x3):
         circ = linear_tf_synth(a, grid2x3)
         assert transform_of_circuit(circ) == a
         assert connectivity_violations(circ, grid2x3) == []
+    # the trace sink on larger graphs: it leaves the circuit unchanged, reports
+    # every column in order, and its CNOT lists reassemble the circuit
+    for g in (preset_graph("9q-square"), preset_graph("ibm-q20-tokyo"), grid_graph(5, 5)):
+        n = g.num_vertices
+        for _ in range(4):
+            a = _random_invertible(rng, n)
+            circ, events = traced(linear_tf_synth, a, g)
+            assert circ == linear_tf_synth(a, g)
+            assert transform_of_circuit(circ) == a
+            assert [(e.kind, e.phase, e.column) for e in events] == [
+                ("column", phase, i) for phase in (1, 2) for i in range(1, n + 1)
+            ]
+            y = {1: [], 2: []}
+            for e in events:
+                y[e.phase] += e.diag + e.tree + e.corrections
+            flipped = [cnot(gt.target, gt.control) for gt in y[2]]
+            x_gates = [gt for gt in circ.gates if gt.kind is GateKind.X]
+            assert list(circ.gates) == flipped + y[1][::-1] + x_gates
+            assert events[-1].matrix.is_identity()
 
 
 def test_singular_rejected(grid2x3):

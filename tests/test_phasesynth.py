@@ -6,9 +6,9 @@ import pytest
 from cnotsynth.circuit import Gate, GateKind, cnot_count, connectivity_violations
 from cnotsynth.linalg import ParityMatrix, parity_mask
 from cnotsynth.phasepoly import PhasePolySet, extract_hfree
-from cnotsynth.phasesynth import phase_nw_synth, phase_nw_synth_traced, select_pivot
-from cnotsynth.topology import preset_graph
-from tests.conftest import APPENDIX_PHASE_TERMS
+from cnotsynth.phasesynth import phase_nw_synth, select_pivot
+from cnotsynth.topology import grid_graph, preset_graph
+from tests.conftest import APPENDIX_PHASE_TERMS, traced
 
 
 # -- pivot selection ----------------------------------------------------------
@@ -111,8 +111,9 @@ def _pairs(gates):
 
 
 def test_appendix_event_trace(grid2x3, appendix_parity_matrix):
-    res = phase_nw_synth_traced(appendix_parity_matrix, grid2x3)
-    assert res.upfront == ()
+    (circ, _), events = traced(phase_nw_synth, appendix_parity_matrix, grid2x3)
+    # no single-variable terms: the Steiner expansions account for every gate
+    assert [g for ev in events for g in ev.cnots + ev.placements] == list(circ.gates)
 
     expected = [
         # (root, terminals, cnot pairs, placements)
@@ -134,8 +135,9 @@ def test_appendix_event_trace(grid2x3, appendix_parity_matrix):
     # (as the transform rules require) the wire already holds the constant at
     # iteration 5 and lacks it at 8, 9, 13 and 14. Only this placement makes
     # the extraction check below reproduce the seven input terms exactly.
-    assert len(res.events) == len(expected)
-    for ev, (root, terminals, pairs, placed) in zip(res.events, expected):
+    assert len(events) == len(expected)
+    for ev, (root, terminals, pairs, placed) in zip(events, expected):
+        assert ev.kind == "steiner"
         assert ev.root == root
         assert ev.terminals == frozenset(terminals)
         assert _pairs(ev.cnots) == pairs
@@ -143,14 +145,14 @@ def test_appendix_event_trace(grid2x3, appendix_parity_matrix):
         wire = {root}  # every placement in this instance lands on the event's root wire
         assert {g.target for g in ev.placements} <= wire
 
-    assert cnot_count(res.circuit) == 21
-    terms, _ = extract_hfree(res.circuit)
+    assert cnot_count(circ) == 21
+    terms, _ = extract_hfree(circ)
     assert terms == PhasePolySet(APPENDIX_PHASE_TERMS)
 
 
 def test_appendix_iteration4_detail(grid2x3, appendix_parity_matrix):
-    res = phase_nw_synth_traced(appendix_parity_matrix, grid2x3)
-    ev = res.events[0]
+    _, events = traced(phase_nw_synth, appendix_parity_matrix, grid2x3)
+    ev = events[0]
     assert _pairs(ev.cnots) == [(6, 5), (5, 4)]
     assert [(g.kind, g.target) for g in ev.placements] == [
         (GateKind.X, 4),
@@ -159,8 +161,8 @@ def test_appendix_iteration4_detail(grid2x3, appendix_parity_matrix):
 
 
 def test_appendix_iteration14_detail(grid2x3, appendix_parity_matrix):
-    res = phase_nw_synth_traced(appendix_parity_matrix, grid2x3)
-    ev = res.events[-1]
+    _, events = traced(phase_nw_synth, appendix_parity_matrix, grid2x3)
+    ev = events[-1]
     assert _pairs(ev.cnots) == [(6, 5), (4, 5), (5, 2)]
     assert ev.placements[-1] == Gate(GateKind.Z, 2)
 
@@ -210,14 +212,20 @@ def test_determinism(grid2x3, appendix_parity_matrix):
 
 def test_other_presets():
     rng = random.Random(123)
-    for name in ("9q-square", "ibm-q20-tokyo"):
-        g = preset_graph(name)
+    for g in (preset_graph("9q-square"), preset_graph("ibm-q20-tokyo"), grid_graph(5, 5)):
         for _ in range(10):
             pm = _random_parity_matrix(rng, g.num_vertices, 8)
-            circ, _ = phase_nw_synth(pm, g)
+            (circ, tf), events = traced(phase_nw_synth, pm, g)
+            assert (circ, tf) == phase_nw_synth(pm, g)
             assert connectivity_violations(circ, g) == []
             terms, _ = extract_hfree(circ)
             assert terms == PhasePolySet(pm.terms())
+            # the Steiner expansions emit a suffix of the circuit; the gates
+            # before it place single-variable terms and hold no CNOT
+            suffix = [gt for ev in events for gt in ev.cnots + ev.placements]
+            prefix = circ.gates[: len(circ.gates) - len(suffix)]
+            assert list(circ.gates[len(prefix):]) == suffix
+            assert all(gt.kind is not GateKind.CNOT for gt in prefix)
 
 
 def test_width_mismatch():
