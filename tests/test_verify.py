@@ -70,6 +70,49 @@ def test_simulator_matches_kron_oracle():
         assert np.allclose(circuit_unitary(c), kron_unitary(c), atol=1e-12)
 
 
+def _hfree_heavy_circuit(rng, n, runs, run_length):
+    """Long H-free runs, each with at least one Y, separated by single H gates."""
+    hfree = [k for k in GateKind if k not in (GateKind.CNOT, GateKind.H)]
+    gates = []
+    for k in range(runs):
+        if k:
+            gates.append(Gate(GateKind.H, rng.randint(1, n)))
+        run = list(_random_circuit(rng, n, run_length, kinds=hfree).gates)
+        run.insert(rng.randrange(len(run) + 1), Gate(GateKind.Y, rng.randint(1, n)))
+        gates += run
+    return Circuit(n, tuple(gates))
+
+
+def test_simulator_matches_kron_oracle_on_long_hfree_runs():
+    # atol 1e-12 pins the exact global phase: i per Y gate, 2^(-1/2) per H
+    rng = random.Random(5)
+    for n in range(1, 7):
+        for _ in range(4):
+            c = _hfree_heavy_circuit(rng, n, rng.randint(1, 4), 25)
+            assert np.allclose(circuit_unitary(c), kron_unitary(c), atol=1e-12)
+
+
+def test_deferred_normalisation_survives_long_h_chains():
+    # 2049 unnormalised butterflies would overflow float64 without the periodic rescale
+    c = Circuit(1, (Gate(GateKind.H, 1),) * 2049)
+    assert np.allclose(circuit_unitary(c), _MATS[GateKind.H], atol=1e-12)
+
+
+def test_apply_circuit_on_flipped_batched_input():
+    rng = random.Random(31)
+    gen = np.random.default_rng(31)
+    for n in range(1, 6):
+        c = _hfree_heavy_circuit(rng, n, 3, 12)
+        u = kron_unitary(c)
+        for batch in ((), (3,), (2, 3)):
+            psi = gen.normal(size=(2,) * n + batch) + 1j * gen.normal(size=(2,) * n + batch)
+            flipped = np.flip(psi, axis=0)  # negative stride: not C-contiguous
+            expected = (u @ flipped.reshape(2**n, -1)).reshape(flipped.shape)
+            out = apply_circuit(c, flipped)
+            assert out.shape == flipped.shape
+            assert np.allclose(out, expected, atol=1e-12)
+
+
 def test_norm_preserved():
     rng = random.Random(4)
     for _ in range(10):
@@ -145,6 +188,57 @@ def test_global_phase_ignored():
     y = Circuit(1, (Gate(GateKind.Y, 1),))
     xz = Circuit(1, (Gate(GateKind.Z, 1), Gate(GateKind.X, 1)))
     assert equivalent_up_to_phase(y, xz)
+
+
+def _variants(rng, a):
+    """(b, label) pairs: a itself, a one-gate deletion, a global-phase variant, a T <-> TDG swap.
+
+    ``a`` must hold at least one Y, one S and one T or TDG.
+    """
+    n, gates = a.num_qubits, list(a.gates)
+    at = rng.randrange(len(gates))
+    deleted = gates[:at] + gates[at + 1 :]
+    # Y = i X Z, and T T = S: equal up to a global phase only
+    if rng.random() < 0.5:
+        i = rng.choice([i for i, g in enumerate(gates) if g.kind is GateKind.Y])
+        q = gates[i].target
+        phased = gates[:i] + [Gate(GateKind.Z, q), Gate(GateKind.X, q)] + gates[i + 1 :]
+    else:
+        i = rng.choice([i for i, g in enumerate(gates) if g.kind is GateKind.S])
+        phased = gates[:i] + [Gate(GateKind.T, gates[i].target)] * 2 + gates[i + 1 :]
+    ts = [i for i, g in enumerate(gates) if g.kind in (GateKind.T, GateKind.TDG)]
+    i = rng.choice(ts)
+    swapped_kind = GateKind.TDG if gates[i].kind is GateKind.T else GateKind.T
+    swapped = gates[:i] + [Gate(swapped_kind, gates[i].target)] + gates[i + 1 :]
+    return [
+        (a, "self"),
+        (Circuit(n, tuple(deleted)), "deletion"),
+        (Circuit(n, tuple(phased)), "phase"),
+        (Circuit(n, tuple(swapped)), "t-swap"),
+    ]
+
+
+def test_equivalence_matches_two_unitary_definition():
+    # the one-array check against U1 = e^{i theta} U2 on two separately built unitaries;
+    # the Kronecker oracle builds them up to 6 qubits, the simulator above that
+    rng = random.Random(808)
+    verdicts = {"self": set(), "deletion": set(), "phase": set(), "t-swap": set()}
+    pairs = 0
+    for _ in range(80):
+        n = rng.randint(1, 8)
+        gates = list(_random_circuit(rng, n, rng.randint(4, 30)).gates)
+        for kind in (GateKind.Y, GateKind.S, GateKind.T):
+            gates.insert(rng.randrange(len(gates) + 1), Gate(kind, rng.randint(1, n)))
+        a = Circuit(n, tuple(gates))
+        unitary = kron_unitary if n <= 6 else circuit_unitary
+        ua = unitary(a)
+        for b, label in _variants(rng, a):
+            want = unitaries_equal_up_to_phase(ua, unitary(b))
+            assert equivalent_up_to_phase(a, b) == want, (label, a, b)
+            verdicts[label].add(want)
+            pairs += 1
+    assert pairs >= 300
+    assert verdicts == {"self": {True}, "deletion": {False}, "phase": {True}, "t-swap": {False}}
 
 
 def test_size_cap():
