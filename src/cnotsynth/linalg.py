@@ -51,21 +51,25 @@ def f2_row_reduce(rows: list[int]) -> tuple[list[int], list[int]]:
     parity over the *input* rows producing it: bit i+1 set when input row i is
     used, bit 0 the XOR of the used rows' constants.
     """
-    basis: list[int] = []
-    combos: list[int] = []
+    pivots: dict[int, tuple[int, int]] = {}  # pivot bit_length -> (basis row, combo), in basis order
+    pmask = 0
     for i, row in enumerate(rows):
-        cur, combo = _reduce_against(row & ~CONST_BIT, (1 << (i + 1)) | (row & CONST_BIT), basis, combos)
+        cur, combo = _reduce_against(row & ~CONST_BIT, (1 << (i + 1)) | (row & CONST_BIT), pivots, pmask)
         if cur:
-            basis.append(cur)
-            combos.append(combo)
-    return basis, combos
+            pivots[cur.bit_length()] = (cur, combo)
+            pmask |= 1 << (cur.bit_length() - 1)
+    return [b for b, _ in pivots.values()], [c for _, c in pivots.values()]
 
 
-def _reduce_against(cur: int, combo: int, basis: list[int], combos: list[int]) -> tuple[int, int]:
-    for b, c in zip(basis, combos):
-        if cur & 1 << (b.bit_length() - 1):  # b's pivot: its highest set bit
-            cur ^= b
-            combo ^= c
+def _reduce_against(cur: int, combo: int, pivots: dict[int, tuple[int, int]], pmask: int) -> tuple[int, int]:
+    """Clear ``cur``'s pivot bits (``pmask``), top first, with ``pivots``: bit_length -> (row, combo).
+
+    Every nonzero span element's top bit is a pivot, so the residual and combo are unique.
+    """
+    while m := cur & pmask:
+        b, c = pivots[m.bit_length()]
+        cur ^= b
+        combo ^= c
     return cur, combo
 
 
@@ -77,9 +81,11 @@ def f2_solve(rows: list[int], targets: list[int]) -> list[int | None]:
     part lies outside the span of the rows' linear parts.
     """
     basis, combos = f2_row_reduce(rows)
+    pivots = {b.bit_length(): (b, c) for b, c in zip(basis, combos)}
+    pmask = sum(1 << (b.bit_length() - 1) for b in basis)  # pivots are distinct
     out: list[int | None] = []
     for t in targets:
-        cur, combo = _reduce_against(t & ~CONST_BIT, t & CONST_BIT, basis, combos)
+        cur, combo = _reduce_against(t & ~CONST_BIT, t & CONST_BIT, pivots, pmask)
         out.append(None if cur else combo)
     return out
 
@@ -119,11 +125,6 @@ class AugmentedTransform:
     def copy(self) -> "AugmentedTransform":
         return AugmentedTransform(self.n, list(self.rows))
 
-    def get(self, i: int, j: int) -> int:
-        """Entry at row i, column j; column n+1 is the bit-flip column."""
-        mask = CONST_BIT if j == self.n + 1 else (1 << j)
-        return 1 if self.rows[i - 1] & mask else 0
-
     def row_xor(self, dst: int, src: int) -> None:
         """Row dst <- row dst XOR row src (1-indexed, dst != src)."""
         if dst == src:
@@ -139,14 +140,15 @@ class AugmentedTransform:
         else:
             raise ValueError(f"transform replay supports only CNOT and X, got {g.kind.value}")
 
-    def is_invertible(self) -> bool:
-        return f2_rank(self.rows) == self.n
-
     def transposed_linear(self) -> "AugmentedTransform":
-        """Transpose of the n x n block; the flip column is dropped (it must be 0)."""
-        rows = []
-        for i in range(1, self.n + 1):
-            rows.append(parity_mask([j for j in range(1, self.n + 1) if self.rows[j - 1] >> i & 1]))
+        """Transpose of the n x n block, visiting only set bits; the flip column is dropped (it must be 0)."""
+        rows = [0] * self.n
+        for j, row in enumerate(self.rows, start=1):
+            row &= ~CONST_BIT
+            while row:
+                low = row & -row
+                rows[low.bit_length() - 2] |= 1 << j
+                row ^= low
         return AugmentedTransform(self.n, rows)
 
     def is_identity(self) -> bool:

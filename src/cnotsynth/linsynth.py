@@ -128,14 +128,19 @@ def row_op(
     return cnots, subtrees
 
 
+def _ones_below(a: AugmentedTransform, i: int, rows: set[int]) -> set[int]:
+    """The rows j > i among ``rows`` whose column-i entry is 1."""
+    return {j for j in rows if j > i and a.rows[j - 1] >> i & 1}
+
+
 def _fix_diagonal(
     a: AugmentedTransform,
     g: ConnectivityGraph,
     i: int,
     active: frozenset[int],
+    candidates: set[int],
 ) -> list[Gate]:
-    """Propagate a 1 from below the diagonal up into A[i, i]."""
-    candidates = [j for j in range(i + 1, a.n + 1) if a.get(j, i)]
+    """Propagate a 1 from ``candidates``, the rows below A[i, i] with a 1 in column i, up into A[i, i]."""
     if not candidates:
         raise SingularTransformError(f"no pivot available for column {i}")
     gates: list[Gate] = []
@@ -177,10 +182,10 @@ def _eliminate_column(
     g: ConnectivityGraph,
     i: int,
     active: frozenset[int],
+    terms: set[int],
     alg: int,
 ) -> tuple[list[Gate], list[SteinerTree]]:
-    """Clear column i below the diagonal; returns the CNOTs and ``row_op``'s sub-trees."""
-    terms = {j for j in range(i + 1, a.n + 1) if a.get(j, i)}
+    """Clear the 1s of column i in rows ``terms``; returns the CNOTs and ``row_op``'s sub-trees."""
     cnots: list[Gate] = []
     subtrees: list[SteinerTree] = []
     if not terms:
@@ -238,13 +243,15 @@ def linear_tf_synth(
 
     Replaying the returned circuit through the transform rules from the identity
     reproduces ``a`` exactly (padded with identity rows if the graph is larger).
+    Row operations preserve rank, so a singular ``a`` reaches a column with no
+    pivot, which raises :class:`SingularTransformError`. The cost follows the
+    rows that differ from the identity: only they are scanned for 1s below the
+    diagonal, and a column with its diagonal set and no 1 below it does no work.
     ``trace``, when given, is called after each column of each elimination phase
     as ``trace("column", phase=, column=, diag=, tree=, corrections=, matrix=)``:
     the CNOTs of the diagonal fix, of the Steiner-tree pass and of the
     corrections (phase 2 only), and a copy of the matrix after the column.
     """
-    if not a.is_invertible():
-        raise SingularTransformError("left block of the transform is singular")
     if a.n > g.num_vertices:
         raise ValueError(f"transform needs {a.n} qubits but graph has {g.num_vertices}")
     work = a.padded(g.num_vertices)
@@ -260,15 +267,24 @@ def linear_tf_synth(
     for phase in (1, 2):
         if phase == 2:
             work = work.transposed_linear()
-        active = frozenset(g.vertices)
+        rows = work.rows
+        # holds every row that differs from the identity; a CNOT changes only its target
+        touched = {j for j in range(1, n + 1) if rows[j - 1] != 1 << j}
         for i in range(1, n + 1):
-            diag = [] if work.get(i, i) else _fix_diagonal(work, g, i, active)
-            cnots, subtrees = _eliminate_column(work, g, i, active, alg=phase)
-            corr = _corrections(work, g, subtrees, active) if phase == 2 else []
+            diag, cnots, corr = [], [], []
+            below = _ones_below(work, i, touched)
+            if below or not rows[i - 1] >> i & 1:
+                active = frozenset(range(i, n + 1))
+                if not rows[i - 1] >> i & 1:
+                    diag = _fix_diagonal(work, g, i, active, below)
+                    touched.update(gt.target for gt in diag)
+                    below = _ones_below(work, i, touched)
+                cnots, subtrees = _eliminate_column(work, g, i, active, below, alg=phase)
+                corr = _corrections(work, g, subtrees, active) if phase == 2 else []
+                touched.update(gt.target for gt in cnots + corr)
             y[phase] += diag + cnots + corr
             if trace:
                 trace("column", phase=phase, column=i, diag=diag, tree=cnots, corrections=corr, matrix=work.copy())
-            active -= {i}
 
     assert work.is_identity(), "elimination failed to reach the identity"
 

@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cnotsynth.linalg import AugmentedTransform, ParityMatrix, parity_mask
+from cnotsynth.linalg import CONST_BIT, AugmentedTransform, ParityMatrix, f2_rank, parity_mask
 from cnotsynth.topology import preset_graph
 
 # 6x6 linear transformation of the worked linear-synthesis example (flip column zero).
@@ -25,6 +25,25 @@ APPENDIX_PHASE_TERMS = [
     (7, parity_mask([1, 2, 4, 6], const=True)),
     (1, parity_mask([2, 4, 5])),
 ]
+
+
+def entry(a: AugmentedTransform, i: int, j: int) -> int:
+    """Entry at row i, column j; column n+1 is the bit-flip column."""
+    mask = CONST_BIT if j == a.n + 1 else 1 << j
+    return 1 if a.rows[i - 1] & mask else 0
+
+
+def is_invertible(a: AugmentedTransform) -> bool:
+    return f2_rank(a.rows) == a.n
+
+
+def random_invertible(rng, n) -> AugmentedTransform:
+    """A uniformly random invertible n x n transform with a random flip column."""
+    while True:
+        bits = [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(n)]
+        a = AugmentedTransform.from_bits(bits)
+        if is_invertible(a):
+            return a
 
 
 def traced(synth, *args):

@@ -27,7 +27,7 @@ from cnotsynth.topology import (
     steiner_tree,
 )
 from cnotsynth.verify import circuit_unitary, phase_poly_equal, unitaries_equal_up_to_phase
-from tests.conftest import APPENDIX_A_BITS, APPENDIX_PHASE_TERMS, traced
+from tests.conftest import APPENDIX_A_BITS, APPENDIX_PHASE_TERMS, random_invertible, traced
 
 
 @contextmanager
@@ -308,14 +308,6 @@ def test_criterion_6_steiner_bound():
 # -- criterion 7: quadratic CNOT growth ----------------------------------------------------
 
 
-def _random_invertible(rng, n):
-    while True:
-        bits = [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(n)]
-        a = AugmentedTransform.from_bits(bits)
-        if a.is_invertible():
-            return a
-
-
 def test_criterion_7_quadratic_scaling():
     with criterion(7, "CNOT counts stay below c*n^2 with c calibrated at n=4"):
         grids = {4: (2, 2), 6: (2, 3), 9: (3, 3), 12: (3, 4), 16: (4, 4)}
@@ -325,7 +317,7 @@ def test_criterion_7_quadratic_scaling():
             g = grid_graph(r, cgrid)
             trials = 50 if n == 4 else 20
             worst[n] = max(
-                cnot_count(linear_tf_synth(_random_invertible(rng, n), g))
+                cnot_count(linear_tf_synth(random_invertible(rng, n), g))
                 for _ in range(trials)
             )
         c = 1.5 * worst[4] / 4**2

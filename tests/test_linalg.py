@@ -9,25 +9,26 @@ from cnotsynth.linalg import (
     ParityMatrix,
     CONST_BIT,
     f2_rank,
+    f2_row_reduce,
     f2_solve,
     parity_mask,
     transform_of_circuit,
 )
-from tests.conftest import APPENDIX_A_BITS
+from tests.conftest import APPENDIX_A_BITS, entry, is_invertible
 
 
 def test_x_sets_flip_bit():
     a = AugmentedTransform.identity(3)
     out = a.copy()
     out.apply_gate(Gate(GateKind.X, 2))
-    assert out.get(2, 4) == 1
-    assert a.get(2, 4) == 0  # input untouched
+    assert entry(out, 2, 4) == 1
+    assert entry(a, 2, 4) == 0  # input untouched
 
 
 def test_cnot_row_addition():
     out = AugmentedTransform.identity(2)
     out.apply_gate(cnot(1, 2))
-    assert [out.get(2, j) for j in (1, 2, 3)] == [1, 1, 0]
+    assert [entry(out, 2, j) for j in (1, 2, 3)] == [1, 1, 0]
 
 
 def test_rejects_other_gates():
@@ -68,10 +69,10 @@ def test_row_add_involution():
 def test_row_add_preserves_invertibility(n, rng):
     bits = [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(n)]
     a = AugmentedTransform.from_bits(bits)
-    before = a.is_invertible()
+    before = is_invertible(a)
     dst, src = rng.sample(range(1, n + 1), 2)
     a.row_xor(dst, src)
-    assert a.is_invertible() == before
+    assert is_invertible(a) == before
 
 
 def test_fold_equals_composition():
@@ -95,8 +96,8 @@ def test_fold_equals_composition():
 def test_transpose():
     a = AugmentedTransform.from_bits([[1, 1, 0], [0, 1, 0]])
     t = a.transposed_linear()
-    assert [t.get(1, j) for j in (1, 2)] == [1, 0]
-    assert [t.get(2, j) for j in (1, 2)] == [1, 1]
+    assert [entry(t, 1, j) for j in (1, 2)] == [1, 0]
+    assert [entry(t, 2, j) for j in (1, 2)] == [1, 1]
 
 
 def test_from_bits_rejects_non_binary_entries():
@@ -154,6 +155,66 @@ def _xor_subset(rows, mask):
     return acc
 
 
+def _sweep_reduce(cur, combo, basis, combos):
+    # reference: test every basis row's pivot in turn
+    for b, c in zip(basis, combos):
+        if cur & 1 << (b.bit_length() - 1):
+            cur ^= b
+            combo ^= c
+    return cur, combo
+
+
+def _sweep_row_reduce(rows):
+    basis, combos = [], []
+    for i, row in enumerate(rows):
+        cur, combo = _sweep_reduce(row & ~CONST_BIT, (1 << (i + 1)) | (row & CONST_BIT), basis, combos)
+        if cur:
+            basis.append(cur)
+            combos.append(combo)
+    return basis, combos
+
+
+def _sweep_solve(rows, targets):
+    basis, combos = _sweep_row_reduce(rows)
+    out = []
+    for t in targets:
+        cur, combo = _sweep_reduce(t & ~CONST_BIT, t & CONST_BIT, basis, combos)
+        out.append(None if cur else combo)
+    return out
+
+
+def _random_rows(rng, width):
+    """Rows of random density with random constants; some repeat or combine earlier rows."""
+    rows = []
+    density = rng.random()
+    for _ in range(rng.randint(0, width + 3)):
+        if rows and rng.random() < 0.25:  # dependent on earlier rows
+            row = 0
+            for r in rng.sample(rows, rng.randint(1, len(rows))):
+                row ^= r
+            row = row & ~CONST_BIT | rng.getrandbits(1)
+        else:
+            row = sum(1 << v for v in range(1, width + 1) if rng.random() < density) | rng.getrandbits(1)
+        rows.append(row)
+    return rows
+
+
+def test_pivot_indexed_reduction_matches_sequential_sweep():
+    rng = random.Random(20)
+    for _ in range(5000):
+        width = rng.randint(1, 40)
+        rows = _random_rows(rng, width)
+        targets = [rng.getrandbits(width) << 1 | rng.getrandbits(1) for _ in range(3)]
+        for _ in range(3):  # targets inside the span
+            t = rng.getrandbits(1)
+            for r in rows:
+                if rng.random() < 0.5:
+                    t ^= r & ~CONST_BIT
+            targets.append(t)
+        assert f2_row_reduce(rows) == _sweep_row_reduce(rows)
+        assert f2_solve(rows, targets) == _sweep_solve(rows, targets)
+
+
 def test_rank():
     assert f2_rank([0b10, 0b100, 0b110]) == 2
     assert f2_rank([]) == 0
@@ -164,7 +225,7 @@ def test_row_add_pure():
     b = a.copy()
     b.row_xor(2, 1)
     assert a.is_identity()
-    assert [b.get(2, j) for j in (1, 2, 3)] == [1, 1, 0]
+    assert [entry(b, 2, j) for j in (1, 2, 3)] == [1, 1, 0]
 
 
 B0_GRID = [

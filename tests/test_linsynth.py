@@ -1,17 +1,20 @@
+import hashlib
 import random
+import sys
+from collections import Counter
 
 import pytest
 
-from cnotsynth.circuit import GateKind, cnot, cnot_count, connectivity_violations
-from cnotsynth.linalg import AugmentedTransform, transform_of_circuit
+from cnotsynth import linsynth
+from cnotsynth.circuit import GateKind, cnot, cnot_count, connectivity_violations, write_circuit
+from cnotsynth.linalg import CONST_BIT, AugmentedTransform, SingularTransformError, transform_of_circuit
 from cnotsynth.linsynth import (
     linear_tf_synth,
     row_op,
     separate,
 )
-from cnotsynth.linalg import SingularTransformError
 from cnotsynth.topology import ConnectivityGraph, grid_graph, preset_graph, steiner_tree
-from tests.conftest import APPENDIX_A_BITS, traced
+from tests.conftest import APPENDIX_A_BITS, entry, is_invertible, random_invertible, traced
 
 
 def _pairs(gates):
@@ -161,9 +164,9 @@ def test_upper_triangular_milestone(grid2x3, appendix_transform):
     final_phase1 = [t for t in traces if t.phase == 1][-1].matrix
     n = final_phase1.n
     for i in range(1, n + 1):
-        assert final_phase1.get(i, i) == 1
+        assert entry(final_phase1, i, i) == 1
         for j in range(1, i):
-            assert final_phase1.get(i, j) == 0
+            assert entry(final_phase1, i, j) == 0
 
 
 def test_phase2_unit_row_milestone(grid2x3, appendix_transform):
@@ -176,18 +179,10 @@ def test_phase2_unit_row_milestone(grid2x3, appendix_transform):
             assert t.matrix.rows[j - 1] == 1 << j, (t.column, j)
 
 
-def _random_invertible(rng, n) -> AugmentedTransform:
-    while True:
-        bits = [[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(n)]
-        a = AugmentedTransform.from_bits(bits)
-        if a.is_invertible():
-            return a
-
-
 def test_random_replay_oracle(grid2x3):
     rng = random.Random(1205)
     for _ in range(200):
-        a = _random_invertible(rng, 6)
+        a = random_invertible(rng, 6)
         circ = linear_tf_synth(a, grid2x3)
         assert transform_of_circuit(circ) == a
         assert connectivity_violations(circ, grid2x3) == []
@@ -196,7 +191,7 @@ def test_random_replay_oracle(grid2x3):
     for g in (preset_graph("9q-square"), preset_graph("ibm-q20-tokyo"), grid_graph(5, 5)):
         n = g.num_vertices
         for _ in range(4):
-            a = _random_invertible(rng, n)
+            a = random_invertible(rng, n)
             circ, events = traced(linear_tf_synth, a, g)
             assert circ == linear_tf_synth(a, g)
             assert transform_of_circuit(circ) == a
@@ -223,7 +218,7 @@ def test_singular_rejected(grid2x3):
 def test_transform_smaller_than_graph(grid2x3):
     # a 3-qubit transform routed on the 6-vertex graph: padded wires stay identity
     rng = random.Random(5)
-    a = _random_invertible(rng, 3)
+    a = random_invertible(rng, 3)
     circ = linear_tf_synth(a, grid2x3)
     assert circ.num_qubits == 6
     action = transform_of_circuit(circ)
@@ -231,13 +226,18 @@ def test_transform_smaller_than_graph(grid2x3):
     assert action.rows[3:] == [1 << i for i in (4, 5, 6)]
 
 
+def _star():
+    # removing the hub (vertex 1) disconnects everything, forcing the
+    # full-graph routing fallbacks
+    return ConnectivityGraph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
+
+
 def test_disconnected_removal_fallback():
-    # star graph: removing the hub (vertex 1) disconnects everything, forcing
-    # the full-graph routing fallback; functional correctness must survive
-    g = ConnectivityGraph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
+    # functional correctness must survive the full-graph routing fallback
+    g = _star()
     rng = random.Random(17)
     for _ in range(60):
-        a = _random_invertible(rng, 4)
+        a = random_invertible(rng, 4)
         circ = linear_tf_synth(a, g)
         assert transform_of_circuit(circ) == a
         assert connectivity_violations(circ, g) == []
@@ -257,3 +257,110 @@ def test_x_gates_realize_flip_column(grid2x3):
     assert cnot_count(circ) == 0
     assert sum(1 for g in circ.gates if g.kind is GateKind.X) == 2
     assert transform_of_circuit(circ) == a
+
+
+# -- cost follows the non-identity rows: pinned outputs and singular input ---------
+
+
+def _pin_graphs():
+    return {
+        "appendix-2x3": preset_graph("appendix-2x3"),
+        "star-4": _star(),
+        "9q-square": preset_graph("9q-square"),
+        "rigetti-16q-aspen": preset_graph("rigetti-16q-aspen"),
+        "ibm-q20-tokyo": preset_graph("ibm-q20-tokyo"),
+        "grid-5x5": grid_graph(5, 5),
+    }
+
+
+def _near_identity(rng, n, k):
+    """An invertible transform whose rows differ from the identity in at most k rows."""
+    a = AugmentedTransform.identity(n)
+    rows = rng.sample(range(1, n + 1), k)
+    for _ in range(3 * k):
+        dst = rng.choice(rows)
+        a.row_xor(dst, rng.choice([j for j in range(1, n + 1) if j != dst]))
+    for r in rows:
+        if rng.random() < 0.3:
+            a.rows[r - 1] ^= CONST_BIT
+    return a
+
+
+def _pin_inputs(rng, n):
+    """The identity, two transforms for each count 1-5 of non-identity rows, and six dense ones."""
+    inputs = [AugmentedTransform.identity(n)]
+    inputs += [_near_identity(rng, n, k) for k in range(1, min(5, n) + 1) for _ in range(2)]
+    inputs += [random_invertible(rng, n) for _ in range(6)]
+    return inputs
+
+
+# sha256 over every output circuit and every traced column (phase, column, diag,
+# tree and correction CNOTs, matrix rows) of _pin_inputs(random.Random(name), n)
+PINNED_LINEAR = {
+    "appendix-2x3": "17e884c2a9f26946baa76def70f343d7a6ad71769f2ad81afd638c2b86e508ec",
+    "star-4": "77ecac5fba222c199641ce783738a28f3837b225a561d83971f06202e9df4240",
+    "9q-square": "effde5417b08e53efd166d33e9fe1f62200f0d47ee4c310551ad3d8c359e9e4a",
+    "rigetti-16q-aspen": "fdc4aaad941d998ef1b3aa300df333ef68b016d3af15e115fca9ed375357e308",
+    "ibm-q20-tokyo": "06d52740ff6d3dcc2cb502a85cf9b41e098b216d1f27a4889fe54d3bf3c5fe8e",
+    "grid-5x5": "b3a8131dccd26b231bf9b8e8df64eff2135d73e8738895861180a5e6d8d792b8",
+}
+
+
+def test_linear_synthesis_pinned(monkeypatch):
+    # row_op gets alg=3 only from the full-graph routing fallbacks and from
+    # _corrections; count which of them ran
+    fallbacks = Counter()
+
+    def spy(*args, **kwargs):
+        if kwargs.get("alg") == 3:
+            fallbacks[sys._getframe(1).f_code.co_name] += 1
+        return row_op(*args, **kwargs)
+
+    monkeypatch.setattr(linsynth, "row_op", spy)
+    for name, g in _pin_graphs().items():
+        digest = hashlib.sha256()
+        for a in _pin_inputs(random.Random(name), g.num_vertices):
+            circ, events = traced(linear_tf_synth, a, g)
+            digest.update(write_circuit(circ).encode())
+            for e in events:
+                fields = (e.phase, e.column, _pairs(e.diag), _pairs(e.tree), _pairs(e.corrections), e.matrix.rows)
+                digest.update(repr(fields).encode())
+        assert digest.hexdigest() == PINNED_LINEAR[name], name
+    assert fallbacks["_eliminate_column"] > 0  # a term unreachable inside the shrunken graph
+    assert fallbacks["_fix_diagonal"] > 0  # a pivot candidate unreachable likewise
+
+
+def _singular(rng, n):
+    """A singular transform: dense and random, or the identity with one row made dependent."""
+    if rng.random() < 0.5:
+        while True:
+            a = AugmentedTransform.from_bits([[rng.randint(0, 1) for _ in range(n + 1)] for _ in range(n)])
+            if not is_invertible(a):
+                return a
+    a = AugmentedTransform.identity(n)
+    r = rng.randint(1, n)
+    dependent = 0
+    for j in rng.sample(range(1, n + 1), rng.randint(0, min(3, n - 1))):
+        if j != r:
+            dependent ^= a.rows[j - 1]
+    a.rows[r - 1] = dependent | rng.getrandbits(1)
+    for _ in range(rng.randint(0, 2 * n)):
+        dst, src = rng.sample(range(1, n + 1), 2)
+        a.row_xor(dst, src)
+    return a
+
+
+def test_singular_input_rejected_by_elimination():
+    # row operations preserve rank, so the elimination itself reaches a column
+    # without a pivot: every singular input raises SingularTransformError,
+    # never another exception and never a circuit
+    rejected = 0
+    for name, g in _pin_graphs().items():
+        rng = random.Random(f"singular-{name}")
+        for _ in range(200):
+            a = _singular(rng, g.num_vertices)
+            assert not is_invertible(a)
+            with pytest.raises(SingularTransformError):
+                linear_tf_synth(a, g)
+            rejected += 1
+    assert rejected >= 1000

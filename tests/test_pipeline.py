@@ -152,15 +152,21 @@ PINNED_OUTPUTS = {
     ("ibm-q20-tokyo", 2, "opt-b"): "9639f21d607e0340a3fb8d1e804d111d8af5723a6a063f6b77339a976dc6fe08",
     ("grid-5x5", 0, "opt-a"): "c96cacc95572993cc49bfa71a9ab72abce2ab13a78c51926645050a62e6d33a5",
     ("grid-5x5", 0, "opt-b"): "07fa6adba876f39d7e77b97a6fbac4c2cae05361da2b5ddce2da7e02009a3e6b",
+    ("16q-square", 1, "opt-a"): "52ebece0e00aa7308fea75e9d2f0f52a73118239a33ae76a50573fb29d4945dd",
+    ("16q-square", 1, "opt-b"): "ffbdc9c6702951181225e342d87aaaeff685dbaa297bb67b4e27d51d467364cf",
+    ("rigetti-16q-aspen", 1, "opt-a"): "d35c52d1874947ae99db466cede89ea010ddf2d29d2a28dc22d35c3a06506657",
+    ("rigetti-16q-aspen", 1, "opt-b"): "2b39c64e485039fbea2207daa8d368f66d171fa8e34d0e35728f51864f96acb0",
+    ("ibm-qx5", 1, "opt-a"): "c224fd9bb264147adfe1b06e5e34869956e8313140336a3da4be774d8df71060",
+    ("ibm-qx5", 1, "opt-b"): "e4a09596877a246dc94ed34b65e71192604702e2b3f8748ecddee58025d11ade",
 }
+# (qubits, CNOTs) of each graph's random circuit; 9-qubit circuits with 20 CNOTs elsewhere
+PINNED_SIZES = {"grid-5x5": (25, 40), "16q-square": (16, 30), "rigetti-16q-aspen": (16, 30), "ibm-qx5": (16, 30)}
 
 
 def test_emitted_circuits_pinned():
     for (graph, seed, algo), digest in PINNED_OUTPUTS.items():
-        if graph == "grid-5x5":
-            c, g = random_circuit(25, 40, random.Random(seed)), grid_graph(5, 5)
-        else:
-            c, g = random_circuit(9, 20, random.Random(seed)), preset_graph(graph)
+        c = random_circuit(*PINNED_SIZES.get(graph, (9, 20)), random.Random(seed))
+        g = grid_graph(5, 5) if graph == "grid-5x5" else preset_graph(graph)
         out, _ = resynthesize(c, g, algo)
         assert hashlib.sha256(write_circuit(out).encode()).hexdigest() == digest, (graph, seed, algo)
 
