@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
     from .topology import ConnectivityGraph
@@ -99,12 +99,13 @@ class Circuit:
         return len(self.gates)
 
 
-def count_gates(c: Circuit, kind: GateKind | str) -> int:
+def count_gates(c: Circuit | Iterable[Gate], kind: GateKind | str) -> int:
+    """Gates of ``kind`` in a circuit or in a bare gate sequence."""
     kind = GateKind(kind)
-    return sum(1 for g in c.gates if g.kind is kind)
+    return sum(1 for g in c if g.kind is kind)
 
 
-def cnot_count(c: Circuit) -> int:
+def cnot_count(c: Circuit | Iterable[Gate]) -> int:
     return count_gates(c, GateKind.CNOT)
 
 

@@ -90,10 +90,6 @@ def f2_solve(rows: list[int], targets: list[int]) -> list[int | None]:
     return out
 
 
-def f2_rank(rows: list[int]) -> int:
-    return len(f2_row_reduce(rows)[0])
-
-
 @dataclass
 class AugmentedTransform:
     """The augmented transform [A'|b]: n rows of n variable bits plus a flip bit.

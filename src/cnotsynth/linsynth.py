@@ -157,7 +157,10 @@ def _fix_diagonal(
         # no candidate reachable inside the shrunken graph: route through fixed
         # vertices with a full interior-restoring path (leaf gains the root row)
         full = frozenset(g.vertices)
-        best = min(candidates, key=lambda j: (len(shortest_path(g, i, j, full)), j))
+        dist = distances(g, i, full)
+        if not candidates <= dist.keys():
+            raise NoPathError(f"a pivot candidate for column {i} is unreachable from {i}")
+        best = min(candidates, key=lambda j: (dist[j], j))
         path = shortest_path(g, best, i, full)
         gates.extend(row_op(a, frozenset({best, i}), best, _as_tree(path), alg=3)[0])
     return gates

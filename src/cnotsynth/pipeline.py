@@ -119,7 +119,7 @@ def cnot_opt_a(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisRe
     for run, h_gate in _slices(padded):
         terms, q = extract_hfree(Circuit(n, tuple(run)))
         emitted = _rebuild(ParityMatrix.from_terms(n, terms.terms()), q, g)
-        per_slice.append(cnot_count(Circuit(n, emitted)))
+        per_slice.append(cnot_count(emitted))
         out += emitted
         if h_gate is not None:
             out.append(h_gate)
@@ -155,11 +155,11 @@ def cnot_opt_b(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisRe
         for _, parity in unc.terms():
             remaining.discard(parity)
         block = emit_block(unc, h.q_in)
-        per_slice.append(cnot_count(Circuit(n, block)))
+        per_slice.append(cnot_count(block))
         out += block + (Gate(GateKind.H, h.pos),)
         q_init = h.q_out
     block = emit_block(remaining, ext.state)
-    per_slice.append(cnot_count(Circuit(n, block)))
+    per_slice.append(cnot_count(block))
     out += block
 
     result = Circuit(n, tuple(out))

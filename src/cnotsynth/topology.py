@@ -4,21 +4,28 @@ The Steiner heuristic keeps a forest of subgraphs (initially one per terminal) a
 repeatedly joins the two closest ones along a shortest path, then takes a spanning
 tree and prunes non-terminal leaves. All choices are deterministic:
 
-* pair selection: smallest (distance, normalized endpoint pair);
+* pair selection: smallest (distance, normalized endpoint pair), then the pair
+  of subgraphs created first;
 * path between the chosen endpoints: parent walk in a BFS tree grown from the
   smaller endpoint with neighbors expanded in descending index order;
 * spanning tree: Kruskal over the accumulated edges in ascending lexicographic order.
 
 The resulting tree is within 2(1 - 1/l) of the optimum, l being the leaf count of
 an optimal tree.
+
+Every distance and path question is answered from one BFS per (graph, active
+set, source), memoized lazily on the graph. The closest pair of every two
+subgraphs is kept in a table; after a merge only the new path vertices are
+scanned against the other subgraphs. Two terminals are joined by their merge
+path alone, which Kruskal and pruning would leave unchanged.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache
-from typing import Iterable
+from itertools import count
+from typing import Callable, Iterable
 
 
 class NoPathError(ValueError):
@@ -73,7 +80,7 @@ class ConnectivityGraph:
         return cache
 
     def is_connected(self, active: frozenset[int] | None = None) -> bool:
-        verts = set(self.vertices) if active is None else set(active)
+        verts = frozenset(self.vertices if active is None else active)
         return not verts or distances(self, min(verts), verts).keys() == verts
 
 
@@ -176,17 +183,50 @@ def preset_graph(name: str) -> ConnectivityGraph:
     return _PRESETS[name]()
 
 
+_Search = Callable[[int], tuple[dict[int, int], dict[int, int | None]]]
+
+
+def _searches(g: ConnectivityGraph, active: frozenset[int]) -> _Search:
+    """BFS through ``active`` from any source: ``search(source) -> (distances, parents)``.
+
+    Neighbors are expanded in descending index order, which fixes the parent
+    tree. Results are memoized on ``g`` per (active set, source) and shared
+    between callers, so neither dict may be mutated.
+    """
+    memo = g.__dict__.get("_bfs")
+    if memo is None:
+        memo = {}
+        object.__setattr__(g, "_bfs", memo)
+    table = memo.get(active)
+    if table is None:
+        table = memo[active] = {}
+    adj = g._adjacency()
+
+    def search(source: int) -> tuple[dict[int, int], dict[int, int | None]]:
+        hit = table.get(source)
+        if hit is None:
+            dist = {source: 0}
+            parent: dict[int, int | None] = {source: None}
+            queue = [source]
+            for u in queue:
+                d = dist[u] + 1
+                for w in reversed(adj[u]):
+                    if w in active and w not in dist:
+                        dist[w] = d
+                        parent[w] = u
+                        queue.append(w)
+            hit = table[source] = (dist, parent)
+        return hit
+
+    return search
+
+
 def distances(g: ConnectivityGraph, source: int, active: frozenset[int]) -> dict[int, int]:
-    """Hop distance from ``source`` to every vertex it reaches through ``active`` vertices."""
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w in active and w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+    """Hop distance from ``source`` to every vertex it reaches through ``active`` vertices.
+
+    The dict is memoized on ``g`` and shared: read it, do not mutate it.
+    """
+    return _searches(g, active)(source)[0]
 
 
 def shortest_path(
@@ -215,25 +255,14 @@ def shortest_path(
     return path
 
 
-def _merge_path(
-    g: ConnectivityGraph, u: int, v: int, active: frozenset[int]
-) -> list[int]:
-    # Path convention used only inside the Steiner merge: parent walk in a BFS
+def _merge_path(search: _Search, u: int, v: int) -> list[int]:
+    # Path convention used only inside the Steiner merge: parent walk in the BFS
     # tree grown from min(u, v) expanding neighbors in descending index order.
     a, b = (u, v) if u < v else (v, u)
-    parent: dict[int, int | None] = {a: None}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        if x == b:
-            break
-        for w in sorted(g.neighbors(x), reverse=True):
-            if w in active and w not in parent:
-                parent[w] = x
-                queue.append(w)
+    parent = search(a)[1]
     path = [b]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
+    while (p := parent[path[-1]]) is not None:
+        path.append(p)
     path.reverse()  # now a -> b
     return path if path[0] == u else path[::-1]
 
@@ -320,49 +349,64 @@ def steiner_tree(
         raise ValueError("terminals must lie inside the active vertex set")
     if len(term_set) == 1:
         return _root_tree(set(), root, term_set)
+    order = sorted(term_set)
+    search = _searches(g, active)
+    if len(order) == 2:
+        # one merge joins the pair along a path, which Kruskal and pruning keep whole
+        if order[1] not in search(order[0])[0]:
+            raise _disconnected(order)
+        return _root_tree(_path_edges(_merge_path(search, *order)), root, term_set)
 
-    dist_from = cache(lambda u: distances(g, u, active))  # BFS only from vertices the merge asks about
-
-    # Forest of subgraphs, each a (vertex list in insertion order, edge set).
-    forest: list[tuple[list[int], set[tuple[int, int]]]] = [([t], set()) for t in sorted(term_set)]
+    # Forest of subgraphs keyed by creation order: id -> (vertices, edges).
+    # closest[i, j] (i < j) is the smallest (distance, normalized endpoint pair)
+    # between subgraphs i and j; pairs that cannot reach each other are absent.
+    forest: dict[int, tuple[list[int], set[tuple[int, int]]]] = {
+        k: ([t], set()) for k, t in enumerate(order)
+    }
+    ids = count(len(order))
+    closest: dict[tuple[int, int], tuple[int, tuple[int, int]]] = {}
+    for i, t in enumerate(order[:-1]):
+        dist_t = search(t)[0]
+        for j in range(i + 1, len(order)):
+            if order[j] in dist_t:
+                closest[i, j] = (dist_t[order[j]], (t, order[j]))
     while len(forest) > 1:
-        best = None  # (dist, normalized endpoint pair, i, j)
-        for i in range(len(forest)):
-            set_i = set(forest[i][0])
-            for j in range(i + 1, len(forest)):
-                set_j = set(forest[j][0])
-                shared = set_i & set_j
-                if shared:
-                    key = (0, (min(shared), min(shared)), i, j)
-                else:
-                    cand = [
-                        (dist_from(u)[v], (min(u, v), max(u, v)))
-                        for u in forest[i][0]
-                        for v in forest[j][0]
-                        if v in dist_from(u)
-                    ]
-                    if not cand:
-                        continue
-                    key = min(cand) + (i, j)
-                if best is None or key[:2] < best[:2]:
-                    best = key
-        if best is None:
-            raise DisconnectedTerminalsError(
-                f"terminals {sorted(term_set)} are not connected within the active subgraph"
-            )
-        dist, (u, v), i, j = best
-        path = [] if dist == 0 else _merge_path(g, u, v, active)
-        new_edges = forest[i][1] | forest[j][1]
-        for a, b in zip(path, path[1:]):
-            new_edges.add((min(a, b), max(a, b)))
-        new_verts = list(dict.fromkeys(forest[i][0] + forest[j][0] + path))
-        forest = [f for k, f in enumerate(forest) if k not in (i, j)]
-        forest.append((new_verts, new_edges))
+        if not closest:
+            raise _disconnected(order)
+        (i, j), (_, (u, v)) = min(closest.items(), key=lambda kv: (kv[1], kv[0]))
+        path = _merge_path(search, u, v)
+        verts_i, edges_i = forest.pop(i)
+        verts_j, edges_j = forest.pop(j)
+        # vertices new to the merged subgraph; a shortest path between a closest
+        # pair meets no subgraph in its interior, and scanning more would be harmless
+        fresh = path[1:-1]
+        fresh_dist = [search(x)[0] for x in fresh] if forest else []
+        new = next(ids)
+        del closest[i, j]
+        for k, (verts_k, _) in forest.items():
+            old = (closest.pop((x, k) if x < k else (k, x), None) for x in (i, j))
+            cands = [c for c in old if c] + [
+                (dist_x[y], (x, y) if x < y else (y, x))
+                for x, dist_x in zip(fresh, fresh_dist)
+                for y in verts_k
+                if y in dist_x
+            ]
+            if cands:
+                closest[k, new] = min(cands)
+        forest[new] = (verts_i + verts_j + fresh, edges_i | edges_j | _path_edges(path))
 
-    _, edges = forest[0]
+    _, edges = forest.popitem()[1]
     edges = _kruskal(edges)
     edges = _prune_nonterminal_leaves(edges, term_set)
     return _root_tree(edges, root, term_set)
+
+
+def _disconnected(terminals: list[int]) -> DisconnectedTerminalsError:
+    return DisconnectedTerminalsError(f"terminals {terminals} are not connected within the active subgraph")
+
+
+def _path_edges(path: list[int]) -> set[tuple[int, int]]:
+    return {(a, b) if a < b else (b, a) for a, b in zip(path, path[1:])}
 
 
 def _kruskal(edges: set[tuple[int, int]]) -> set[tuple[int, int]]:

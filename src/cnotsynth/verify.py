@@ -131,18 +131,6 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     return u.reshape(dim, dim)
 
 
-def unitaries_equal_up_to_phase(u1: np.ndarray, u2: np.ndarray, tol: float = 1e-7) -> bool:
-    """True iff u1 = e^{i theta} u2 within ``tol`` max-entry deviation."""
-    if u1.shape != u2.shape:
-        return False
-    idx = np.unravel_index(np.argmax(np.abs(u1)), u1.shape)
-    if abs(u2[idx]) < tol:
-        return False
-    phase = u2[idx] / u1[idx]
-    phase /= abs(phase)
-    return bool(np.max(np.abs(u1 * phase - u2)) <= tol)
-
-
 def _inverse(c: Circuit) -> Circuit:
     """The gates reversed, with T <-> TDG and S <-> SDG; every other gate is its own inverse."""
     gates = (Gate(_INVERSE[g.kind], g.target) if g.kind in _INVERSE else g for g in reversed(c.gates))

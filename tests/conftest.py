@@ -1,8 +1,9 @@
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from cnotsynth.linalg import CONST_BIT, AugmentedTransform, ParityMatrix, f2_rank, parity_mask
+from cnotsynth.linalg import CONST_BIT, AugmentedTransform, ParityMatrix, f2_row_reduce, parity_mask
 from cnotsynth.topology import preset_graph
 
 # 6x6 linear transformation of the worked linear-synthesis example (flip column zero).
@@ -31,6 +32,22 @@ def entry(a: AugmentedTransform, i: int, j: int) -> int:
     """Entry at row i, column j; column n+1 is the bit-flip column."""
     mask = CONST_BIT if j == a.n + 1 else 1 << j
     return 1 if a.rows[i - 1] & mask else 0
+
+
+def f2_rank(rows: list[int]) -> int:
+    return len(f2_row_reduce(rows)[0])
+
+
+def unitaries_equal_up_to_phase(u1: np.ndarray, u2: np.ndarray, tol: float = 1e-7) -> bool:
+    """True iff u1 = e^{i theta} u2 within ``tol`` max-entry deviation."""
+    if u1.shape != u2.shape:
+        return False
+    idx = np.unravel_index(np.argmax(np.abs(u1)), u1.shape)
+    if abs(u2[idx]) < tol:
+        return False
+    phase = u2[idx] / u1[idx]
+    phase /= abs(phase)
+    return bool(np.max(np.abs(u1 * phase - u2)) <= tol)
 
 
 def is_invertible(a: AugmentedTransform) -> bool:

@@ -26,8 +26,14 @@ from cnotsynth.topology import (
     preset_graph,
     steiner_tree,
 )
-from cnotsynth.verify import circuit_unitary, phase_poly_equal, unitaries_equal_up_to_phase
-from tests.conftest import APPENDIX_A_BITS, APPENDIX_PHASE_TERMS, random_invertible, traced
+from cnotsynth.verify import circuit_unitary, phase_poly_equal
+from tests.conftest import (
+    APPENDIX_A_BITS,
+    APPENDIX_PHASE_TERMS,
+    random_invertible,
+    traced,
+    unitaries_equal_up_to_phase,
+)
 
 
 @contextmanager

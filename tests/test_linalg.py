@@ -8,13 +8,12 @@ from cnotsynth.linalg import (
     AugmentedTransform,
     ParityMatrix,
     CONST_BIT,
-    f2_rank,
     f2_row_reduce,
     f2_solve,
     parity_mask,
     transform_of_circuit,
 )
-from tests.conftest import APPENDIX_A_BITS, entry, is_invertible
+from tests.conftest import APPENDIX_A_BITS, entry, f2_rank, is_invertible
 
 
 def test_x_sets_flip_bit():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cnotsynth.circuit import Circuit, Gate, GateKind, cnot
-from cnotsynth.linalg import CONST_BIT, f2_rank, f2_solve, parity_mask, transform_of_circuit
+from cnotsynth.linalg import CONST_BIT, f2_solve, parity_mask, transform_of_circuit
 from cnotsynth.phasepoly import (
     HSliceRecord,
     PhasePolySet,
@@ -16,7 +16,7 @@ from cnotsynth.phasepoly import (
     uncomputable_terms,
 )
 from cnotsynth.pipeline import random_circuit
-from tests.conftest import APPENDIX_PHASE_TERMS
+from tests.conftest import APPENDIX_PHASE_TERMS, f2_rank
 
 
 def test_single_t():
@@ -269,8 +269,6 @@ def test_rebase_outside_span():
 
 def test_rebase_round_trip_random_bases():
     rng = random.Random(41)
-    from cnotsynth.linalg import f2_rank
-
     for _ in range(50):
         n = 5
         while True:

@@ -26,17 +26,19 @@ from cnotsynth.pipeline import (
     swap_template,
 )
 from cnotsynth.phasepoly import extract_sliced
-from cnotsynth.topology import grid_graph, preset_graph
+from cnotsynth.topology import ConnectivityGraph, _searches, grid_graph, preset_graph
 from cnotsynth.verify import equivalent_up_to_phase
 
 
-def _bfs_dist(g, u, v):
+def _bfs_dist(g, u, v, active=None):
+    """Hop distance from u to v through ``active`` (default: every vertex); None if unreachable."""
+    active = set(g.vertices) if active is None else active
     frontier, dist, seen = {u}, 0, {u}
-    while v not in frontier:
-        frontier = {w for x in frontier for w in g.neighbors(x) if w not in seen}
+    while frontier and v not in frontier:
+        frontier = {w for x in frontier for w in g.neighbors(x) if w in active and w not in seen}
         seen |= frontier
         dist += 1
-    return dist
+    return dist if frontier else None
 
 
 # -- SWAP template -----------------------------------------------------------------
@@ -169,6 +171,25 @@ def test_emitted_circuits_pinned():
         g = grid_graph(5, 5) if graph == "grid-5x5" else preset_graph(graph)
         out, _ = resynthesize(c, g, algo)
         assert hashlib.sha256(write_circuit(out).encode()).hexdigest() == digest, (graph, seed, algo)
+
+
+def test_bfs_memo_bounded_and_unchanged_by_callers():
+    g = preset_graph("ibm-q20-tokyo")
+    n = g.num_vertices
+    c = random_circuit(16, 60, random.Random(3))
+    for algo in ("opt-a", "opt-b"):
+        resynthesize(c, g, algo)
+    memo = g.__dict__["_bfs"]
+    entries = sum(len(table) for table in memo.values())
+    # the whole graph and the suffix sets {i..n} of linear synthesis, one BFS per source
+    assert n < entries <= (n + 1) * n
+    fresh = ConnectivityGraph.from_edges(n, g.edges)
+    assert "_bfs" not in fresh.__dict__
+    assert g == fresh and hash(g) == hash(fresh)  # the memo is not part of the graph's value
+    for active, table in memo.items():
+        for source, (dist, parent) in table.items():
+            assert dist == {v: d for v in active if (d := _bfs_dist(g, source, v, active)) is not None}
+            assert parent == _searches(fresh, active)(source)[1]
 
 
 def test_larger_qubit_gate_set_passthrough():

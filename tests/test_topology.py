@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -17,6 +18,7 @@ from cnotsynth.topology import (
     steiner_tree,
     write_graph,
 )
+from cnotsynth.topology import _kruskal, _merge_path, _prune_nonterminal_leaves, _root_tree, _searches
 
 
 # -- independent oracles ----------------------------------------------------
@@ -245,3 +247,134 @@ def test_approximation_bound_random_sample():
         assert tree.edge_count <= bound, (g.edges, terminals, tree.edge_count, opt)
         checked += 1
     assert checked == 150
+
+
+# -- reference: the pair-scan merge, kept here as the specification -------------
+
+
+def _early_stop_merge_path(g, u, v, active):
+    # BFS from min(u, v), neighbors in descending order, stopped once max(u, v) is popped
+    a, b = (u, v) if u < v else (v, u)
+    parent = {a: None}
+    queue = deque([a])
+    while queue:
+        x = queue.popleft()
+        if x == b:
+            break
+        for w in sorted(g.neighbors(x), reverse=True):
+            if w in active and w not in parent:
+                parent[w] = x
+                queue.append(w)
+    path = [b]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path if path[0] == u else path[::-1]
+
+
+def _reference_steiner_tree(g, terminals, root, active, shared_merges):
+    """Every round rescans all vertex pairs of all forest pairs for the closest one.
+
+    ``shared_merges`` counts merges of two subgraphs that already share a vertex.
+    """
+    term_set = frozenset(terminals)
+    if len(term_set) == 1:
+        return _root_tree(set(), root, term_set)
+    forest = [([t], set()) for t in sorted(term_set)]
+    while len(forest) > 1:
+        best = None  # (dist, normalized endpoint pair, i, j)
+        for i in range(len(forest)):
+            set_i = set(forest[i][0])
+            for j in range(i + 1, len(forest)):
+                shared = set_i & set(forest[j][0])
+                if shared:
+                    key = (0, (min(shared), min(shared)), i, j)
+                else:
+                    cand = [
+                        (d, (min(u, v), max(u, v)))
+                        for u in forest[i][0]
+                        for v in forest[j][0]
+                        if (d := bfs_distance(g, u, v, active)) is not None
+                    ]
+                    if not cand:
+                        continue
+                    key = min(cand) + (i, j)
+                if best is None or key[:2] < best[:2]:
+                    best = key
+        if best is None:
+            raise DisconnectedTerminalsError("disconnected")
+        dist, (u, v), i, j = best
+        shared_merges[0] += dist == 0
+        path = [] if dist == 0 else _early_stop_merge_path(g, u, v, active)
+        new_edges = forest[i][1] | forest[j][1]
+        for a, b in zip(path, path[1:]):
+            new_edges.add((min(a, b), max(a, b)))
+        new_verts = list(dict.fromkeys(forest[i][0] + forest[j][0] + path))
+        forest = [f for k, f in enumerate(forest) if k not in (i, j)]
+        forest.append((new_verts, new_edges))
+    edges = _prune_nonterminal_leaves(_kruskal(forest[0][1]), term_set)
+    return _root_tree(edges, root, term_set)
+
+
+def _reference_graphs():
+    rng = random.Random(7070)
+    for name in PRESET_NAMES:
+        yield preset_graph(name)
+    for _ in range(25):
+        yield _random_connected_graph(rng, rng.randint(3, 12))
+
+
+def test_steiner_tree_matches_pair_scan_reference():
+    rng = random.Random(20261018)
+    seen = {"suffix": 0, "arbitrary": 0, "full": 0, "two": 0, "disconnected": 0}
+    shared_merges = [0]
+    for g in _reference_graphs():
+        n = g.num_vertices
+        for trial in range(40):
+            kind = ("full", "suffix", "arbitrary")[trial % 3]
+            if kind == "full":
+                active = frozenset(g.vertices)
+            elif kind == "suffix":
+                active = frozenset(range(rng.randint(1, n - 1), n + 1))
+            else:
+                active = frozenset(v for v in g.vertices if rng.random() < 0.7) or frozenset({1})
+            k = min(len(active), rng.choice([1, 2, 2, 3, 4, rng.randint(2, n)]))
+            terminals = set(rng.sample(sorted(active), k))
+            root = rng.choice(sorted(terminals))
+            try:
+                want = _reference_steiner_tree(g, terminals, root, active, shared_merges)
+            except DisconnectedTerminalsError:
+                with pytest.raises(DisconnectedTerminalsError):
+                    steiner_tree(g, terminals, root, active)
+                seen["disconnected"] += 1
+                continue
+            got = steiner_tree(g, terminals, root, active)
+            assert (got.root, got.parent, got.children, got.layer) == (
+                want.root,
+                want.parent,
+                want.children,
+                want.layer,
+            ), (sorted(g.edges), terminals, root, sorted(active))
+            seen[kind] += 1
+            seen["two"] += k == 2
+    assert min(seen.values()) > 20, seen
+    # A merge path never enters a third subgraph: a vertex it met would sit
+    # closer than the chosen pair. So no two subgraphs ever share a vertex,
+    # and the reference's shared-vertex branch never fires.
+    assert shared_merges[0] == 0
+
+
+def test_merge_path_matches_early_stopping_bfs():
+    rng = random.Random(11)
+    checked = 0
+    for g in _reference_graphs():
+        for _ in range(30):
+            active = frozenset(v for v in g.vertices if rng.random() < 0.8)
+            if len(active) < 2:
+                continue
+            u, v = rng.sample(sorted(active), 2)
+            if bfs_distance(g, u, v, active) is None:
+                continue
+            assert _merge_path(_searches(g, active), u, v) == _early_stop_merge_path(g, u, v, active)
+            checked += 1
+    assert checked > 500

@@ -10,8 +10,8 @@ from cnotsynth.verify import (
     circuit_unitary,
     equivalent_up_to_phase,
     phase_poly_equal,
-    unitaries_equal_up_to_phase,
 )
+from tests.conftest import unitaries_equal_up_to_phase
 
 
 # -- independent Kronecker-product oracle ---------------------------------------
