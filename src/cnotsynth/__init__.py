@@ -13,7 +13,7 @@ from .circuit import (
     write_circuit,
 )
 from .linalg import AugmentedTransform, ParityMatrix, SingularTransformError, transform_of_circuit
-from .linsynth import linear_tf_synth, row_op, separate
+from .linsynth import linear_tf_synth, row_op
 from .phasepoly import (
     HSliceRecord,
     PhasePolySet,
@@ -78,7 +78,6 @@ __all__ = [
     "resynthesize",
     "row_op",
     "select_pivot",
-    "separate",
     "shortest_path",
     "steiner_tree",
     "swap_template",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -68,7 +69,13 @@ class Gate:
         return f"{self.kind.value}({self.target})"
 
 
+@cache
 def cnot(control: int, target: int) -> Gate:
+    """The CNOT gate on (control, target), built and checked once per pair and then shared.
+
+    Gates are immutable, so every caller may hold the same instance. The memo
+    holds one gate per pair ever asked for; a call that raises stores nothing.
+    """
     return Gate(GateKind.CNOT, target, control)
 
 

@@ -7,10 +7,17 @@ target flipped) + (first-phase CNOTs reversed) + (X gates clearing the flip
 column). Steiner trees route each column's row operations; trees are cut into
 sub-trees whose roots and leaves are terminals, and each sub-tree is traversed
 in up to four passes that cancel terminal rows while restoring Steiner rows.
+
+A tree walk costs one pass over its edges. The cut is a BFS that records each
+sub-tree's vertices layer by layer, so every pass of a sub-tree is read from
+one top-down ordering (layer, child) and one bottom-up ordering (-layer,
+child). Path sub-trees (every path-per-leaf sub-tree, and every tree with two
+terminals) take their passes straight from the path order, with no BFS.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Callable
 
 from .circuit import Circuit, Gate, GateKind, cnot
@@ -25,71 +32,110 @@ from .topology import (
 )
 
 
-def separate(tree: SteinerTree, pivot: int, terminals: frozenset[int], alg: int) -> list[SteinerTree]:
+_Edge = tuple[int, int]
+
+
+def _cut(
+    tree: SteinerTree, pivot: int, terminals: frozenset[int], alg: int
+) -> list[tuple[SteinerTree, list[_Edge]]]:
     """Cut a Steiner tree into edge-disjoint sub-trees rooted at terminals.
 
     A BFS from the pivot stops at every terminal it reaches; interior terminals
     seed later sub-trees (processed FIFO). Each sub-tree's terminals are its
     root and the terminals it reached, which are exactly its leaves. For
     ``alg == 4`` every sub-tree is further split into one path per leaf, stored
-    with root and leaf exchanged.
+    with root and leaf exchanged. Each sub-tree comes with the (parent, child)
+    edges of its ``alg`` passes, in order.
     """
     assert pivot == tree.root
-    pending = [pivot]
+    if len(terminals) == 2 and pivot in terminals:
+        (end,) = terminals - {pivot}
+        path = [end]
+        while path[-1] != pivot:
+            path.append(tree.parent[path[-1]])
+        if len(path) == len(tree.layer):  # the whole tree is this path
+            if alg != 4:
+                path.reverse()
+            return [(_as_tree(path), _path_passes(path, alg))]
+    pending = deque([pivot])
     remaining = set(terminals) - {pivot}
-    out: list[SteinerTree] = []
+    out: list[tuple[SteinerTree, list[_Edge]]] = []
     while remaining:
-        root = pending.pop(0)
-        # BFS from root, cutting at terminals.
+        root = pending.popleft()
+        # BFS from root one layer at a time, cutting at terminals
         parent: dict[int, int] = {}
         children: dict[int, list[int]] = {root: []}
         layer = {root: 0}
         leaves: list[int] = []
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in tree.children[u]:
-                parent[w] = u
-                children[u].append(w)
-                children[w] = []
-                layer[w] = layer[u] + 1
-                if w in terminals:
-                    leaves.append(w)
-                    remaining.discard(w)
-                    if tree.children[w]:
-                        pending.append(w)  # interior terminal: roots a later sub-tree
-                else:
-                    queue.append(w)
+        levels: list[list[int]] = []  # levels[d]: the vertices at depth d + 1
+        frontier = [root]
+        while frontier:
+            level: list[int] = []
+            inner: list[int] = []
+            for u in frontier:
+                for w in tree.children[u]:
+                    parent[w] = u
+                    children[u].append(w)
+                    children[w] = []
+                    layer[w] = len(levels) + 1
+                    level.append(w)
+                    if w in terminals:
+                        leaves.append(w)
+                        remaining.discard(w)
+                        if tree.children[w]:
+                            pending.append(w)  # interior terminal: roots a later sub-tree
+                    else:
+                        inner.append(w)
+            if level:
+                levels.append(level)
+            frontier = inner
         if alg == 4:
             for leaf in leaves:
                 path = [leaf]
                 while path[-1] != root:
                     path.append(parent[path[-1]])
-                out.append(_as_tree(path))  # leaf becomes the root
+                out.append((_as_tree(path), _path_passes(path, alg)))  # leaf becomes the root
         else:
-            child_tuples = {v: tuple(cs) for v, cs in children.items()}
-            out.append(SteinerTree(root, frozenset(leaves) | {root}, parent, child_tuples, layer))
+            sub = SteinerTree(
+                root, frozenset(leaves) | {root}, parent, {v: tuple(cs) for v, cs in children.items()}, layer
+            )
+            out.append((sub, _tree_passes(sub, levels, alg)))
     return out
 
 
-def _traversal_edges(sub: SteinerTree, which: str) -> list[tuple[int, int]]:
-    edges = sub.tree_edges()
-    if which == "bottom-up-1":  # non-root parents, deepest child first
-        return sorted(
-            (e for e in edges if e[0] != sub.root),
-            key=lambda pc: (-sub.layer[pc[1]], pc[1]),
-        )
-    if which == "top-down-1":  # every edge, top first
-        return edges
-    leaves = set(sub.leaves())
-    if which == "bottom-up-2":  # non-leaf children, deepest first
-        return sorted(
-            (e for e in edges if e[1] not in leaves),
-            key=lambda pc: (-sub.layer[pc[1]], pc[1]),
-        )
-    if which == "top-down-2":  # non-root parents and non-leaf children, top first
-        return [e for e in edges if e[0] != sub.root and e[1] not in leaves]
-    raise ValueError(which)
+def _path_passes(path: list[int], alg: int) -> list[_Edge]:
+    """The passes over the path sub-tree ``_as_tree(path)``, read straight off the path."""
+    down = list(zip(path, path[1:]))
+    up = down[::-1]
+    # bottom-up-1 skips the root's edge, bottom-up-2 the leaf's, top-down-2 both
+    if alg == 1:
+        return down + up[1:]
+    return up[:-1] + down + up[1:] + down[1:-1]
+
+
+def _tree_passes(sub: SteinerTree, levels: list[list[int]], alg: int) -> list[_Edge]:
+    """The passes over ``sub``, whose vertices at depth d + 1 are ``levels[d]`` (sorted in place).
+
+    Top-down passes take edges by (child layer, child index), bottom-up ones by
+    (-child layer, child index). ``alg == 1`` runs top-down-1 (every edge) and
+    bottom-up-2 (edges into non-leaves); the others first run bottom-up-1 (edges
+    out of non-roots) and end with top-down-2 (edges out of non-roots into
+    non-leaves).
+    """
+    root, parent, children = sub.root, sub.parent, sub.children
+    for level in levels:
+        level.sort()
+    down = [(parent[c], c) for level in levels for c in level]
+    up = [(parent[c], c) for level in reversed(levels) for c in level]
+    up_inner = [e for e in up if children[e[1]]]
+    if alg == 1:
+        return down + up_inner
+    return (
+        [e for e in up if e[0] != root]
+        + down
+        + up_inner
+        + [e for e in down if e[0] != root and children[e[1]]]
+    )
 
 
 def row_op(
@@ -101,7 +147,7 @@ def row_op(
 ) -> tuple[list[Gate], list[SteinerTree]]:
     """Emit the CNOTs that clear a column's terminal rows, updating ``matrix``.
 
-    Returns the CNOTs and the sub-trees :func:`separate` cut ``tree`` into.
+    Returns the CNOTs and the sub-trees :func:`_cut` cut ``tree`` into.
 
     ``matrix`` only needs a ``row_xor(dst, src)`` method; it is mutated in place.
     ``alg`` selects the traversal set: 1 skips the first bottom-up and second
@@ -112,20 +158,17 @@ def row_op(
     """
     if alg not in (1, 2, 3, 4):
         raise ValueError(f"alg must be 1..4, got {alg}")
-    subtrees = separate(tree, pivot, terminals, alg)
+    cut = _cut(tree, pivot, terminals, alg)
     cnots: list[Gate] = []
-    for sub in reversed(subtrees):  # starting from the last sub-tree
-        passes = ["top-down-1", "bottom-up-2"]
-        if alg != 1:
-            passes = ["bottom-up-1"] + passes + ["top-down-2"]
-        for which in passes:
-            for u, v in _traversal_edges(sub, which):
-                cnots.append(cnot(u, v))
-                if alg != 4:
-                    matrix.row_xor(v, u)
+    for sub, edges in reversed(cut):  # starting from the last sub-tree
+        cnots += [cnot(u, v) for u, v in edges]
         if alg == 4:
-            matrix.row_xor(sub.root, sub.leaves()[0])
-    return cnots, subtrees
+            (leaf,) = sub.terminals - {sub.root}
+            matrix.row_xor(sub.root, leaf)
+        else:
+            for u, v in edges:
+                matrix.row_xor(v, u)
+    return cnots, [sub for sub, _ in cut]
 
 
 def _ones_below(a: AugmentedTransform, i: int, rows: set[int]) -> set[int]:

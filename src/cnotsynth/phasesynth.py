@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .circuit import Circuit, Gate, GateKind
 from .linalg import CONST_BIT, AugmentedTransform, ParityMatrix
@@ -163,11 +165,8 @@ class PhaseSynthesizer:
         """Collect the frame's all-ones rows onto its target wire, then realize columns."""
         if frame.target is None or not frame.cols:
             return
-        s_prime = {
-            k
-            for k in range(1, self.n + 1)
-            if k != frame.target and all(col.mask >> k & 1 for col in frame.cols)
-        }
+        common = reduce(and_, (col.mask for col in frame.cols))
+        s_prime = {k for k in range(1, self.n + 1) if k != frame.target and common >> k & 1}
         if s_prime:
             self._expand(frame, frame.target, s_prime | {frame.target})
 

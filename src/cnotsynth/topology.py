@@ -22,7 +22,6 @@ path alone, which Kruskal and pruning would leave unchanged.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Iterable
@@ -49,14 +48,7 @@ class ConnectivityGraph:
 
     @staticmethod
     def from_edges(num_vertices: int, edges: Iterable[tuple[int, int]]) -> "ConnectivityGraph":
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
-                raise ValueError(f"edge ({u},{v}) outside vertex range 1..{num_vertices}")
-            norm.add((min(u, v), max(u, v)))
-        return ConnectivityGraph(num_vertices, frozenset(norm))
+        return ConnectivityGraph(num_vertices, frozenset(_edge(num_vertices, u, v) for u, v in edges))
 
     @property
     def vertices(self) -> range:
@@ -84,8 +76,20 @@ class ConnectivityGraph:
         return not verts or distances(self, min(verts), verts).keys() == verts
 
 
+def _edge(num_vertices: int, u: int, v: int) -> tuple[int, int]:
+    """The normalized edge (min, max) of ``u`` and ``v``; raises ValueError for a bad edge."""
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if not (1 <= u <= num_vertices and 1 <= v <= num_vertices):
+        raise ValueError(f"edge ({u},{v}) outside vertex range 1..{num_vertices}")
+    return (u, v) if u < v else (v, u)
+
+
 def parse_graph(text: str) -> ConnectivityGraph:
-    """Parse the graph file format: ``vertices <n>`` then ``edge <u> <v>`` lines."""
+    """Parse the graph file format: ``vertices <n>`` then ``edge <u> <v>`` lines.
+
+    Every error is a ValueError whose message starts with the line it is on.
+    """
     num = None
     edges = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -96,14 +100,26 @@ def parse_graph(text: str) -> ConnectivityGraph:
         if num is None:
             if tokens[0] != "vertices" or len(tokens) != 2:
                 raise ValueError(f"line {line_no}: expected header 'vertices <n>'")
-            num = int(tokens[1])
+            try:
+                num = int(tokens[1])
+            except ValueError:
+                raise ValueError(f"line {line_no}: bad vertex count {tokens[1]!r}") from None
+            if num < 1:
+                raise ValueError(f"line {line_no}: vertex count must be positive")
             continue
         if tokens[0] != "edge" or len(tokens) != 3:
             raise ValueError(f"line {line_no}: expected 'edge <u> <v>'")
-        edges.append((int(tokens[1]), int(tokens[2])))
+        try:
+            u, v = int(tokens[1]), int(tokens[2])
+        except ValueError:
+            raise ValueError(f"line {line_no}: bad vertex in {line!r}") from None
+        try:
+            edges.append(_edge(num, u, v))
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
     if num is None:
-        raise ValueError("missing 'vertices <n>' header")
-    return ConnectivityGraph.from_edges(num, edges)
+        raise ValueError("line 1: missing 'vertices <n>' header")
+    return ConnectivityGraph(num, frozenset(edges))
 
 
 def write_graph(g: ConnectivityGraph) -> str:
@@ -290,30 +306,24 @@ class SteinerTree:
     def edge_count(self) -> int:
         return len(self.parent)
 
-    def tree_edges(self) -> list[tuple[int, int]]:
-        """(parent, child) pairs ordered by (child layer, child index)."""
-        return sorted(
-            ((p, c) for c, p in self.parent.items()),
-            key=lambda pc: (self.layer[pc[1]], pc[1]),
-        )
-
     def leaves(self) -> tuple[int, ...]:
         return tuple(sorted(v for v in self.layer if not self.children[v]))
 
 
 def _root_tree(edges: set[tuple[int, int]], root: int, terminals: frozenset[int]) -> SteinerTree:
-    adj: dict[int, list[int]] = {}
-    for a, b in edges:
+    # Every edge must be normalized as (a, b) with a < b. Then one lexicographic
+    # sort leaves every adjacency list ascending: a vertex's smaller neighbors
+    # come from edges (a, x), which sort before its edges (x, b).
+    adj: dict[int, list[int]] = {root: []}
+    for a, b in sorted(edges):
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    adj.setdefault(root, [])
     parent: dict[int, int] = {}
     layer = {root: 0}
     children: dict[int, list[int]] = {v: [] for v in adj}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for w in sorted(adj[x]):
+    queue = [root]
+    for x in queue:
+        for w in adj[x]:
             if w not in layer:
                 layer[w] = layer[x] + 1
                 parent[w] = x
@@ -323,7 +333,7 @@ def _root_tree(edges: set[tuple[int, int]], root: int, terminals: frozenset[int]
         root=root,
         terminals=terminals,
         parent=parent,
-        children={v: tuple(sorted(cs)) for v, cs in children.items()},
+        children={v: tuple(cs) for v, cs in children.items()},
         layer=layer,
     )
 

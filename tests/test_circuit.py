@@ -65,6 +65,14 @@ def test_gate_invariants():
         Circuit(2, (Gate(GateKind.T, 3),))
 
 
+def test_cnot_built_once_per_pair():
+    assert cnot(2, 3) is cnot(2, 3)
+    assert cnot(3, 2) == Gate(GateKind.CNOT, 2, control=3)
+    for _ in range(2):  # a call that raises is not memoized
+        with pytest.raises(ValueError):
+            cnot(1, 1)
+
+
 @st.composite
 def circuits(draw):
     n = draw(st.integers(min_value=1, max_value=6))

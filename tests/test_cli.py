@@ -134,6 +134,29 @@ def test_disconnected_graph_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("vertices -2\nedge 1 2\n", 1, "vertex count must be positive"),
+        ("vertices 0\n", 1, "vertex count must be positive"),
+        ("# a comment\nvertices two\n", 2, "bad vertex count"),
+        ("vertices 4\nedge 1 2\nedge 2 x\n", 3, "bad vertex"),
+        ("vertices 4\nedge 3 3\n", 2, "self-loop"),
+        ("vertices 4\nedge 1 2\n\nedge 4 5\n", 4, "outside vertex range"),
+        ("\n", 1, "missing 'vertices <n>' header"),
+    ],
+    ids=["negative-count", "zero-count", "count-not-int", "endpoint-not-int", "self-loop", "out-of-range", "empty"],
+)
+def test_malformed_graph_file_exit_2(tmp_path, capsys, text, line, message):
+    graph = tmp_path / "bad.graph"
+    graph.write_text(text)
+    circuit = tmp_path / "c.qct"
+    circuit.write_text("qubits 2\nCNOT 1 2\n")
+    assert main(["resynth", "--algo", "swap", "--circuit", str(circuit), "--graph", str(graph)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and f"line {line}: " in err and message in err
+
+
+@pytest.mark.parametrize(
     "sub, text",
     [
         ("synth-linear", "n 2\n2 0 0\n0 1 0\n"),

@@ -9,12 +9,22 @@ from cnotsynth import linsynth
 from cnotsynth.circuit import GateKind, cnot, cnot_count, connectivity_violations, write_circuit
 from cnotsynth.linalg import CONST_BIT, AugmentedTransform, SingularTransformError, transform_of_circuit
 from cnotsynth.linsynth import (
+    _as_tree,
+    _cut,
     linear_tf_synth,
     row_op,
-    separate,
 )
-from cnotsynth.topology import ConnectivityGraph, grid_graph, preset_graph, steiner_tree
-from tests.conftest import APPENDIX_A_BITS, entry, is_invertible, random_invertible, traced
+from cnotsynth.topology import (
+    PRESET_NAMES,
+    ConnectivityGraph,
+    DisconnectedTerminalsError,
+    SteinerTree,
+    grid_graph,
+    preset_graph,
+    shortest_path,
+    steiner_tree,
+)
+from tests.conftest import APPENDIX_A_BITS, entry, is_invertible, random_connected_graph, random_invertible, traced
 
 
 def _pairs(gates):
@@ -26,7 +36,7 @@ def _pairs(gates):
 
 def test_separate_single_edge(grid2x3):
     tree = steiner_tree(grid2x3, {4, 5}, 4)
-    subs = separate(tree, 4, frozenset({4, 5}), alg=1)
+    subs = [s for s, _ in _cut(tree, 4, frozenset({4, 5}), alg=1)]
     assert len(subs) == 1
     assert subs[0].root == 4 and subs[0].leaves() == (5,)
 
@@ -34,7 +44,7 @@ def test_separate_single_edge(grid2x3):
 def test_separate_appendix_column1(grid2x3):
     # path 1-2-3-4-5 cuts into (1->2->3), (3->4), (4->5)
     tree = steiner_tree(grid2x3, {1, 3, 4, 5}, 1)
-    subs = separate(tree, 1, frozenset({1, 3, 4, 5}), alg=1)
+    subs = [s for s, _ in _cut(tree, 1, frozenset({1, 3, 4, 5}), alg=1)]
     assert [(s.root, s.leaves()) for s in subs] == [(1, (3,)), (3, (4,)), (4, (5,))]
     assert [s.terminals for s in subs] == [{1, 3}, {3, 4}, {4, 5}]
     assert set(subs[0].parent) == {2, 3}  # Steiner node 2 inside the first sub-tree
@@ -43,13 +53,13 @@ def test_separate_appendix_column1(grid2x3):
 def test_separate_flipped_paths(grid2x3):
     # phase-network mode: tree 4-5-6 becomes reversed paths (5->4), (6->5)
     tree = steiner_tree(grid2x3, {4, 5, 6}, 4)
-    subs = separate(tree, 4, frozenset({4, 5, 6}), alg=4)
+    subs = [s for s, _ in _cut(tree, 4, frozenset({4, 5, 6}), alg=4)]
     assert [(s.root, s.leaves()) for s in subs] == [(5, (4,)), (6, (5,))]
 
 
 def test_separate_edge_disjoint(grid2x3):
     tree = steiner_tree(grid2x3, {2, 3, 4, 6}, 2, frozenset({2, 3, 4, 5, 6}))
-    subs = separate(tree, 2, frozenset({2, 3, 4, 6}), alg=1)
+    subs = [s for s, _ in _cut(tree, 2, frozenset({2, 3, 4, 6}), alg=1)]
     seen = set()
     for s in subs:
         for child, parent in s.parent.items():
@@ -99,6 +109,145 @@ def test_row_op_bad_alg(grid2x3, appendix_transform):
     tree = steiner_tree(grid2x3, {4, 5}, 4)
     with pytest.raises(ValueError):
         row_op(appendix_transform, frozenset({4, 5}), 4, tree, alg=0)
+
+
+# -- reference: the sort-per-pass traversal, kept here as the specification ------
+
+
+def _reference_separate(tree, pivot, terminals, alg):
+    """FIFO BFS from each sub-tree root, cutting at terminals; alg 4 splits per leaf."""
+    assert pivot == tree.root
+    pending = [pivot]
+    remaining = set(terminals) - {pivot}
+    out = []
+    while remaining:
+        root = pending.pop(0)
+        parent = {}
+        children = {root: []}
+        layer = {root: 0}
+        leaves = []
+        queue = [root]
+        while queue:
+            u = queue.pop(0)
+            for w in tree.children[u]:
+                parent[w] = u
+                children[u].append(w)
+                children[w] = []
+                layer[w] = layer[u] + 1
+                if w in terminals:
+                    leaves.append(w)
+                    remaining.discard(w)
+                    if tree.children[w]:
+                        pending.append(w)
+                else:
+                    queue.append(w)
+        if alg == 4:
+            for leaf in leaves:
+                path = [leaf]
+                while path[-1] != root:
+                    path.append(parent[path[-1]])
+                out.append(_as_tree(path))
+        else:
+            child_tuples = {v: tuple(cs) for v, cs in children.items()}
+            out.append(SteinerTree(root, frozenset(leaves) | {root}, parent, child_tuples, layer))
+    return out
+
+
+def _reference_tree_edges(sub):
+    """(parent, child) pairs ordered by (child layer, child index)."""
+    return sorted(((p, c) for c, p in sub.parent.items()), key=lambda pc: (sub.layer[pc[1]], pc[1]))
+
+
+def _reference_traversal_edges(sub, which):
+    """Each pass sorts the sub-tree's edges afresh."""
+    edges = _reference_tree_edges(sub)
+    if which == "bottom-up-1":  # non-root parents, deepest child first
+        return sorted(
+            (e for e in edges if e[0] != sub.root),
+            key=lambda pc: (-sub.layer[pc[1]], pc[1]),
+        )
+    if which == "top-down-1":  # every edge, top first
+        return edges
+    leaves = set(sub.leaves())
+    if which == "bottom-up-2":  # non-leaf children, deepest first
+        return sorted(
+            (e for e in edges if e[1] not in leaves),
+            key=lambda pc: (-sub.layer[pc[1]], pc[1]),
+        )
+    if which == "top-down-2":  # non-root parents and non-leaf children, top first
+        return [e for e in edges if e[0] != sub.root and e[1] not in leaves]
+    raise ValueError(which)
+
+
+def _reference_row_op(matrix, terminals, pivot, tree, alg):
+    subtrees = _reference_separate(tree, pivot, terminals, alg)
+    cnots = []
+    for sub in reversed(subtrees):
+        passes = ["top-down-1", "bottom-up-2"]
+        if alg != 1:
+            passes = ["bottom-up-1"] + passes + ["top-down-2"]
+        for which in passes:
+            for u, v in _reference_traversal_edges(sub, which):
+                cnots.append(cnot(u, v))
+                if alg != 4:
+                    matrix.row_xor(v, u)
+        if alg == 4:
+            matrix.row_xor(sub.root, sub.leaves()[0])
+    return cnots, subtrees
+
+
+def _row_op_cases(rng):
+    """(graph, terminals, pivot, tree): Steiner trees from every preset and from random
+    connected graphs, over full and suffix active sets, and _as_tree shortest paths.
+    A tree over three or more terminals is also cut at only two of them, so the
+    tree is more than the path between them, once with the pivot among the two
+    and once without."""
+    graphs = [preset_graph(name) for name in PRESET_NAMES]
+    graphs += [random_connected_graph(rng, rng.randint(3, 14)) for _ in range(30)]
+    graphs.append(grid_graph(5, 5))
+    for g in graphs:
+        n = g.num_vertices
+        for trial in range(30):
+            active = frozenset(g.vertices) if trial % 2 else frozenset(range(rng.randint(1, n - 1), n + 1))
+            k = min(len(active), rng.choice([1, 2, 3, 4, 5, rng.randint(2, n)]))
+            terminals = frozenset(rng.sample(sorted(active), k))
+            pivot = rng.choice(sorted(terminals))
+            try:
+                tree = steiner_tree(g, terminals, pivot, active)
+            except DisconnectedTerminalsError:
+                continue
+            yield g, terminals, pivot, tree
+            if k >= 3:
+                yield g, frozenset({pivot, rng.choice(sorted(terminals - {pivot}))}), pivot, tree
+                yield g, frozenset(rng.sample(sorted(terminals - {pivot}), 2)), pivot, tree
+        for _ in range(10):
+            u, v = rng.sample(list(g.vertices), 2)
+            yield g, frozenset({u, v}), u, _as_tree(shortest_path(g, u, v))
+
+
+def test_row_op_matches_sort_per_pass_reference():
+    rng = random.Random(8080)
+    seen = Counter()
+    for g, terminals, pivot, tree in _row_op_cases(rng):
+        start = random_invertible(rng, g.num_vertices)
+        for alg in (1, 2, 3, 4):
+            got_matrix, want_matrix = start.copy(), start.copy()
+            got_cnots, got_subs = row_op(got_matrix, terminals, pivot, tree, alg)
+            want_cnots, want_subs = _reference_row_op(want_matrix, terminals, pivot, tree, alg)
+            case = (sorted(g.edges), sorted(terminals), pivot, alg)
+            assert _pairs(got_cnots) == _pairs(want_cnots), case
+            assert [(s.root, s.terminals, s.parent, s.children, s.layer) for s in got_subs] == [
+                (s.root, s.terminals, s.parent, s.children, s.layer) for s in want_subs
+            ], case
+            assert got_matrix == want_matrix, case
+        seen["terminals-%d" % min(len(terminals), 3)] += 1
+        seen["tree beyond the terminals"] += len(tree.terminals) > len(terminals)
+        seen["interior terminal"] += any(tree.children[t] for t in terminals - {pivot})
+        seen["pivot not a terminal"] += pivot not in terminals
+        seen["branching"] += any(len(cs) > 1 for cs in tree.children.values())
+    # single terminals, paths (two terminals), trees that cut into several
+    # sub-trees, two-terminal cuts of larger trees, pivots outside the terminals
+    assert min(seen.values()) > 100, seen
 
 
 # -- LINEAR-TF-SYNTH -------------------------------------------------------------

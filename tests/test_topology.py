@@ -14,11 +14,13 @@ from cnotsynth.topology import (
     distances,
     parse_graph,
     preset_graph,
+    SteinerTree,
     shortest_path,
     steiner_tree,
     write_graph,
 )
-from cnotsynth.topology import _kruskal, _merge_path, _prune_nonterminal_leaves, _root_tree, _searches
+from cnotsynth.topology import _kruskal, _merge_path, _prune_nonterminal_leaves, _searches
+from tests.conftest import random_connected_graph
 
 
 # -- independent oracles ----------------------------------------------------
@@ -219,20 +221,12 @@ def test_root_must_be_terminal(grid2x3):
         steiner_tree(grid2x3, {3, 4}, 1)
 
 
-def _random_connected_graph(rng, n):
-    while True:
-        edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
-        g = ConnectivityGraph.from_edges(n, edges)
-        if g.is_connected():
-            return g
-
-
 def test_approximation_bound_random_sample():
     rng = random.Random(20260810)
     checked = 0
     for _ in range(150):
         n = rng.randint(3, 7)
-        g = _random_connected_graph(rng, n)
+        g = random_connected_graph(rng, n)
         k = rng.randint(2, min(4, n))
         terminals = set(rng.sample(range(1, n + 1), k))
         root = min(terminals)
@@ -272,6 +266,26 @@ def _early_stop_merge_path(g, u, v, active):
     return path if path[0] == u else path[::-1]
 
 
+def _reference_root_tree(edges, root, terminals):
+    """BFS from the root over an adjacency list sorted per vertex; children sorted again."""
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    adj.setdefault(root, [])
+    parent, layer, children = {}, {root: 0}, {v: [] for v in adj}
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for w in sorted(adj[x]):
+            if w not in layer:
+                layer[w] = layer[x] + 1
+                parent[w] = x
+                children[x].append(w)
+                queue.append(w)
+    return SteinerTree(root, terminals, parent, {v: tuple(sorted(cs)) for v, cs in children.items()}, layer)
+
+
 def _reference_steiner_tree(g, terminals, root, active, shared_merges):
     """Every round rescans all vertex pairs of all forest pairs for the closest one.
 
@@ -279,7 +293,7 @@ def _reference_steiner_tree(g, terminals, root, active, shared_merges):
     """
     term_set = frozenset(terminals)
     if len(term_set) == 1:
-        return _root_tree(set(), root, term_set)
+        return _reference_root_tree(set(), root, term_set)
     forest = [([t], set()) for t in sorted(term_set)]
     while len(forest) > 1:
         best = None  # (dist, normalized endpoint pair, i, j)
@@ -313,7 +327,7 @@ def _reference_steiner_tree(g, terminals, root, active, shared_merges):
         forest = [f for k, f in enumerate(forest) if k not in (i, j)]
         forest.append((new_verts, new_edges))
     edges = _prune_nonterminal_leaves(_kruskal(forest[0][1]), term_set)
-    return _root_tree(edges, root, term_set)
+    return _reference_root_tree(edges, root, term_set)
 
 
 def _reference_graphs():
@@ -321,7 +335,7 @@ def _reference_graphs():
     for name in PRESET_NAMES:
         yield preset_graph(name)
     for _ in range(25):
-        yield _random_connected_graph(rng, rng.randint(3, 12))
+        yield random_connected_graph(rng, rng.randint(3, 12))
 
 
 def test_steiner_tree_matches_pair_scan_reference():
