@@ -12,7 +12,8 @@ A tree walk costs one pass over its edges. The cut is a BFS that records each
 sub-tree's vertices layer by layer, so every pass of a sub-tree is read from
 one top-down ordering (layer, child) and one bottom-up ordering (-layer,
 child). Path sub-trees (every path-per-leaf sub-tree, and every tree with two
-terminals) take their passes straight from the path order, with no BFS.
+terminals) take their passes straight from the path order, with no BFS, and a
+two-terminal tree that is exactly its path is its own single sub-tree.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .topology import (
     NoPathError,
     SteinerTree,
     distances,
+    path_tree,
     shortest_path,
     steiner_tree,
 )
@@ -54,9 +56,11 @@ def _cut(
         while path[-1] != pivot:
             path.append(tree.parent[path[-1]])
         if len(path) == len(tree.layer):  # the whole tree is this path
-            if alg != 4:
-                path.reverse()
-            return [(_as_tree(path), _path_passes(path, alg))]
+            if alg == 4:  # the leaf end becomes the root
+                return [(path_tree(path), _path_passes(path, alg))]
+            path.reverse()
+            sub = tree if tree.terminals == terminals else path_tree(path)
+            return [(sub, _path_passes(path, alg))]
     pending = deque([pivot])
     remaining = set(terminals) - {pivot}
     out: list[tuple[SteinerTree, list[_Edge]]] = []
@@ -94,7 +98,7 @@ def _cut(
                 path = [leaf]
                 while path[-1] != root:
                     path.append(parent[path[-1]])
-                out.append((_as_tree(path), _path_passes(path, alg)))  # leaf becomes the root
+                out.append((path_tree(path), _path_passes(path, alg)))  # leaf becomes the root
         else:
             sub = SteinerTree(
                 root, frozenset(leaves) | {root}, parent, {v: tuple(cs) for v, cs in children.items()}, layer
@@ -104,7 +108,7 @@ def _cut(
 
 
 def _path_passes(path: list[int], alg: int) -> list[_Edge]:
-    """The passes over the path sub-tree ``_as_tree(path)``, read straight off the path."""
+    """The passes over the path sub-tree ``path_tree(path)``, read straight off the path."""
     down = list(zip(path, path[1:]))
     up = down[::-1]
     # bottom-up-1 skips the root's edge, bottom-up-2 the leaf's, top-down-2 both
@@ -205,22 +209,8 @@ def _fix_diagonal(
             raise NoPathError(f"a pivot candidate for column {i} is unreachable from {i}")
         best = min(candidates, key=lambda j: (dist[j], j))
         path = shortest_path(g, best, i, full)
-        gates.extend(row_op(a, frozenset({best, i}), best, _as_tree(path), alg=3)[0])
+        gates.extend(row_op(a, frozenset({best, i}), best, path_tree(path), alg=3)[0])
     return gates
-
-
-def _as_tree(path: list[int]) -> SteinerTree:
-    parent = {b: a for a, b in zip(path, path[1:])}
-    children = {a: (b,) for a, b in zip(path, path[1:])}
-    children[path[-1]] = ()
-    layer = {v: k for k, v in enumerate(path)}
-    return SteinerTree(
-        root=path[0],
-        terminals=frozenset({path[0], path[-1]}),
-        parent=parent,
-        children=children,
-        layer=layer,
-    )
 
 
 def _eliminate_column(
@@ -244,7 +234,7 @@ def _eliminate_column(
     for t in sorted(terms - reachable):
         # route through already-fixed vertices; alg=3 leaves interior rows intact
         path = shortest_path(g, i, t, frozenset(g.vertices))
-        path_cnots, path_subtrees = row_op(a, frozenset({i, t}), i, _as_tree(path), alg=3)
+        path_cnots, path_subtrees = row_op(a, frozenset({i, t}), i, path_tree(path), alg=3)
         cnots += path_cnots
         subtrees += path_subtrees
     return cnots, subtrees
@@ -274,7 +264,7 @@ def _corrections(
                     path = shortest_path(g, r, leaf, active)
                 except NoPathError:
                     path = shortest_path(g, r, leaf, full)
-                gates += row_op(a, frozenset({r, leaf}), r, _as_tree(path), alg=3)[0]
+                gates += row_op(a, frozenset({r, leaf}), r, path_tree(path), alg=3)[0]
                 partner[leaf] = partner[r]
                 r = partner[r]
     return gates

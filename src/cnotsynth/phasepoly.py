@@ -4,15 +4,18 @@ Wire states and parity terms are parity ints (see :mod:`cnotsynth.linalg`):
 bit i is path variable x_i, bit 0 the affine constant. For H-free circuits the
 state lives over x_1..x_n; every H gate replaces its wire's state with a fresh
 variable x_{n+j} and records the states immediately before and after, which is
-what the phase-partitioned pipeline slices on.
+what the phase-partitioned pipeline slices on. Dual rows kept beside the states
+rewrite any term of their span over them with one AND per row, so no F2
+reduction is needed to place or rebase a term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .circuit import PHASE_COEFF, Circuit, GateKind
-from .linalg import CONST_BIT, ParityMatrix, f2_solve, format_parity
+from .linalg import CONST_BIT, ParityMatrix, format_parity
+from .linalg import f2_solve  # noqa: F401  (unused; perfbench's tracer test reads this binding)
 
 
 class PhasePolySet:
@@ -91,12 +94,25 @@ class HSliceRecord:
     q_out differs from q_in only at ``pos``, where a fresh path variable sits.
     The rows of q_in are linearly independent: :func:`extract_sliced` starts
     from the identity, a CNOT adds one row into another and an H swaps a row
-    for a fresh variable. :func:`uncomputable_terms` relies on it.
+    for a fresh variable.
+
+    ``dual_in`` holds the dual rows of q_in, over the variable bits only:
+    ``popcount(dual_in[i] & q_in[j])`` is odd exactly when i == j. So a term
+    in the span of q_in uses row i in its (unique) expression over q_in exactly
+    when its AND with ``dual_in[i]`` has odd parity. The dual rows depend on
+    the gate history, not only on q_in, so record equality ignores them.
     """
 
     pos: int
     q_in: tuple[int, ...]
     q_out: tuple[int, ...]
+    dual_in: tuple[int, ...] = field(compare=False)
+
+    @property
+    def dual_out(self) -> tuple[int, ...]:
+        """The dual rows of q_out: ``dual_in`` with row ``pos`` replaced by the fresh variable."""
+        i = self.pos - 1
+        return self.dual_in[:i] + (self.q_out[i],) + self.dual_in[i + 1 :]
 
 
 @dataclass(frozen=True)
@@ -105,58 +121,91 @@ class SlicedExtraction:
     state: tuple[int, ...]
     records: tuple[HSliceRecord, ...]
     num_vars: int  # n + number of H gates
+    # slice_maps[k]: the state at the end of slice k (before H k, or the final
+    # state) written over the state at its start, as f2_solve would return it
+    slice_maps: tuple[tuple[int, ...], ...]
 
 
 def extract_sliced(c: Circuit) -> SlicedExtraction:
-    """Full-circuit extraction where each H gate introduces a fresh path variable."""
+    """Full-circuit extraction where each H gate introduces a fresh path variable.
+
+    Beside the wire states it keeps their dual rows (see :class:`HSliceRecord`):
+    a CNOT(c, t) adds row t into dual row c, an H sets its wire's dual row to
+    the fresh variable. Each slice's own map is the same fold restarted from
+    the identity at the slice start.
+    """
     n = c.num_qubits
     terms = PhasePolySet()
     state = list(identity_state(n))
+    dual = list(identity_state(n))
+    local = list(identity_state(n))
     records: list[HSliceRecord] = []
+    maps: list[tuple[int, ...]] = []
     fresh = n
     for g in c.gates:
-        if g.kind is GateKind.H:
+        kind = g.kind
+        if kind is GateKind.H:
             fresh += 1
+            i = g.target - 1
             before = tuple(state)
-            state[g.target - 1] = 1 << fresh
-            records.append(HSliceRecord(g.target, before, tuple(state)))
-        else:
-            _fold_gate(state, terms, g)
-    return SlicedExtraction(terms, tuple(state), tuple(records), fresh)
+            dual_in = tuple(dual)
+            state[i] = dual[i] = 1 << fresh
+            records.append(HSliceRecord(g.target, before, tuple(state), dual_in))
+            maps.append(tuple(local))
+            local = list(identity_state(n))
+            continue
+        _fold_gate(state, terms, g)
+        if kind is GateKind.CNOT:
+            dual[g.control - 1] ^= dual[g.target - 1]
+            local[g.target - 1] ^= local[g.control - 1]
+        elif kind is GateKind.X or kind is GateKind.Y:
+            local[g.target - 1] ^= CONST_BIT
+    maps.append(tuple(local))
+    return SlicedExtraction(terms, tuple(state), tuple(records), fresh, tuple(maps))
 
 
 def uncomputable_terms(p: PhasePolySet, h: HSliceRecord) -> PhasePolySet:
     """Terms expressible before the H gate but not after it.
 
-    Requires ``h`` as :func:`extract_sliced` builds it: the rows of ``q_in``
-    linearly independent, and the state after the H equal to ``q_in`` but for
-    a fresh variable at ``pos``; only ``q_in`` and ``pos`` are read. Under that
-    precondition a term stops being expressible exactly when its unique
-    expression over ``q_in`` uses row ``pos``, so one solve decides. A
-    hand-built record that breaks it gets an answer that may differ from the
-    before/after definition, with no error. The affine constant never blocks
-    realizability (an X gate supplies it).
+    Requires ``h`` as :func:`extract_sliced` builds it (q_in's rows independent,
+    ``dual_in`` their dual rows, q_out equal to q_in but for a fresh variable
+    at ``pos``) and ``p`` the extraction's terms that no earlier record found
+    uncomputable. A term of ``p`` made before the H survived every earlier H,
+    so it lies in the span of q_in, and it stops being expressible exactly
+    when its expression over q_in uses row ``pos``: one AND with
+    ``dual_in[pos]`` decides. A term made after the H lies in the span of the
+    other rows of q_in plus variables at least as new as the fresh one, on
+    which that AND has even parity, so it is kept. Inputs that break the
+    precondition get an answer that may differ from the before/after
+    definition, with no error. The affine constant never blocks realizability
+    (an X gate supplies it).
     """
-    terms = p.terms()
-    combos = f2_solve(list(h.q_in), [parity for _, parity in terms])
-    return PhasePolySet(
-        term for term, combo in zip(terms, combos) if combo is not None and combo >> h.pos & 1
-    )
+    dual = h.dual_in[h.pos - 1]
+    return PhasePolySet((coeff, parity) for parity, coeff in p._terms.items() if (parity & dual).bit_count() & 1)
 
 
-def rebase(p: PhasePolySet, basis: tuple[int, ...]) -> ParityMatrix:
+def rebase(p: PhasePolySet, basis: tuple[int, ...], dual: tuple[int, ...]) -> ParityMatrix:
     """Rewrite each parity as an XOR of the basis rows, as a wire-indexed matrix.
 
-    The matrix column for a term selects the wires whose basis rows XOR to the
-    term's variable part; any constant mismatch goes into the column's flip bit.
-    Raises ValueError when a term's variable part lies outside the span.
+    ``dual`` holds the dual rows of ``basis`` (see :class:`HSliceRecord`), so a
+    term selects row i when its AND with ``dual[i]`` has odd parity. The matrix
+    column for a term selects those wires; its flip bit is the term's constant
+    XOR the selected rows' constants, as :func:`~cnotsynth.linalg.f2_solve`
+    gives it. Raises ValueError when the selected rows do not XOR to the
+    term's variable part, i.e. the term lies outside the span.
     """
-    terms = p.terms()
-    combos = f2_solve(list(basis), [parity for _, parity in terms])
-    for (_, parity), combo in zip(terms, combos):
-        if combo is None:
+    cols = []
+    for coeff, parity in p.terms():
+        combo = parity & CONST_BIT
+        acc = 0
+        for i, (row, d) in enumerate(zip(basis, dual), start=1):
+            if (parity & d).bit_count() & 1:
+                combo ^= (1 << i) | (row & CONST_BIT)
+                acc ^= row
+        if (acc ^ parity) & ~CONST_BIT:
             raise ValueError(f"parity {format_parity(parity)} is outside the basis span")
-    return ParityMatrix.from_terms(len(basis), [(c, combo) for (c, _), combo in zip(terms, combos)])
+        cols.append((coeff, combo))
+    return ParityMatrix.from_terms(len(basis), cols)
 
 
 def dump_phasepoly(p: PhasePolySet) -> str:

@@ -6,7 +6,11 @@ second extracts the phase polynomial of the whole circuit once, synthesizes in
 each slice exactly the terms that become uncomputable at that slice's H gate
 (new path variables make earlier parities unreachable), and restores the
 original qubit states before every H so the per-slice linear transformations
-are preserved.
+are preserved. The extraction keeps the dual rows of the wire states
+(``popcount(dual[i] & state[j])`` odd exactly when i == j) and each slice's own
+affine map, so placing a term, rewriting it over the slice-start state and the
+slice's restore target take no F2 reduction: both passes solve once per slice,
+for the mapping transform of the linear restore.
 """
 
 from __future__ import annotations
@@ -136,29 +140,27 @@ def cnot_opt_b(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisRe
     Each slice synthesizes the terms that stop being expressible once that
     slice's H fires, then restores the input circuit's qubit states at that
     point, so every per-slice linear transformation matches the original.
+    Terms are placed and rebased through the extraction's dual rows, and the
+    restore target is the slice's recorded map over its start state.
     """
     t0 = time.perf_counter()
     n = g.num_vertices
     padded = _pad(c, n)
     ext = extract_sliced(padded)
     remaining = PhasePolySet(ext.terms.terms())
-    q_init = identity_state(n)
+    # the slice-start state and its dual rows; each slice's target is its own map
+    basis = dual = identity_state(n)
     out: list[Gate] = []
     per_slice: list[int] = []
-
-    def emit_block(terms: PhasePolySet, target: tuple[int, ...]) -> tuple[Gate, ...]:
-        # the target in slice-start coordinates; q_init's rows are independent
-        return _rebuild(rebase(terms, q_init), tuple(f2_solve(list(q_init), list(target))), g)
-
-    for h in ext.records:
+    for h, target in zip(ext.records, ext.slice_maps):
         unc = uncomputable_terms(remaining, h)
         for _, parity in unc.terms():
             remaining.discard(parity)
-        block = emit_block(unc, h.q_in)
+        block = _rebuild(rebase(unc, basis, dual), target, g)
         per_slice.append(cnot_count(block))
         out += block + (Gate(GateKind.H, h.pos),)
-        q_init = h.q_out
-    block = emit_block(remaining, ext.state)
+        basis, dual = h.q_out, h.dual_out
+    block = _rebuild(rebase(remaining, basis, dual), ext.slice_maps[-1], g)
     per_slice.append(cnot_count(block))
     out += block
 

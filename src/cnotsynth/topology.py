@@ -17,7 +17,8 @@ Every distance and path question is answered from one BFS per (graph, active
 set, source), memoized lazily on the graph. The closest pair of every two
 subgraphs is kept in a table; after a merge only the new path vertices are
 scanned against the other subgraphs. Two terminals are joined by their merge
-path alone, which Kruskal and pruning would leave unchanged.
+path alone, which Kruskal and pruning would leave unchanged; the path, walked
+from the root, is the tree.
 """
 
 from __future__ import annotations
@@ -310,6 +311,15 @@ class SteinerTree:
         return tuple(sorted(v for v in self.layer if not self.children[v]))
 
 
+def path_tree(path: list[int]) -> SteinerTree:
+    """The tree of a path: rooted at ``path[0]``, its two ends the terminals."""
+    parent = {b: a for a, b in zip(path, path[1:])}
+    children = {a: (b,) for a, b in zip(path, path[1:])}
+    children[path[-1]] = ()
+    layer = {v: k for k, v in enumerate(path)}
+    return SteinerTree(path[0], frozenset({path[0], path[-1]}), parent, children, layer)
+
+
 def _root_tree(edges: set[tuple[int, int]], root: int, terminals: frozenset[int]) -> SteinerTree:
     # Every edge must be normalized as (a, b) with a < b. Then one lexicographic
     # sort leaves every adjacency list ascending: a vertex's smaller neighbors
@@ -358,14 +368,15 @@ def steiner_tree(
     if not term_set <= active:
         raise ValueError("terminals must lie inside the active vertex set")
     if len(term_set) == 1:
-        return _root_tree(set(), root, term_set)
+        return path_tree([root])
     order = sorted(term_set)
     search = _searches(g, active)
     if len(order) == 2:
         # one merge joins the pair along a path, which Kruskal and pruning keep whole
         if order[1] not in search(order[0])[0]:
             raise _disconnected(order)
-        return _root_tree(_path_edges(_merge_path(search, *order)), root, term_set)
+        (other,) = term_set - {root}
+        return path_tree(_merge_path(search, root, other))
 
     # Forest of subgraphs keyed by creation order: id -> (vertices, edges).
     # closest[i, j] (i < j) is the smallest (distance, normalized endpoint pair)

@@ -9,7 +9,6 @@ from cnotsynth import linsynth
 from cnotsynth.circuit import GateKind, cnot, cnot_count, connectivity_violations, write_circuit
 from cnotsynth.linalg import CONST_BIT, AugmentedTransform, SingularTransformError, transform_of_circuit
 from cnotsynth.linsynth import (
-    _as_tree,
     _cut,
     linear_tf_synth,
     row_op,
@@ -20,6 +19,7 @@ from cnotsynth.topology import (
     DisconnectedTerminalsError,
     SteinerTree,
     grid_graph,
+    path_tree,
     preset_graph,
     shortest_path,
     steiner_tree,
@@ -146,7 +146,7 @@ def _reference_separate(tree, pivot, terminals, alg):
                 path = [leaf]
                 while path[-1] != root:
                     path.append(parent[path[-1]])
-                out.append(_as_tree(path))
+                out.append(path_tree(path))
         else:
             child_tuples = {v: tuple(cs) for v, cs in children.items()}
             out.append(SteinerTree(root, frozenset(leaves) | {root}, parent, child_tuples, layer))
@@ -198,7 +198,7 @@ def _reference_row_op(matrix, terminals, pivot, tree, alg):
 
 def _row_op_cases(rng):
     """(graph, terminals, pivot, tree): Steiner trees from every preset and from random
-    connected graphs, over full and suffix active sets, and _as_tree shortest paths.
+    connected graphs, over full and suffix active sets, and path_tree shortest paths.
     A tree over three or more terminals is also cut at only two of them, so the
     tree is more than the path between them, once with the pivot among the two
     and once without."""
@@ -222,7 +222,7 @@ def _row_op_cases(rng):
                 yield g, frozenset(rng.sample(sorted(terminals - {pivot}), 2)), pivot, tree
         for _ in range(10):
             u, v = rng.sample(list(g.vertices), 2)
-            yield g, frozenset({u, v}), u, _as_tree(shortest_path(g, u, v))
+            yield g, frozenset({u, v}), u, path_tree(shortest_path(g, u, v))
 
 
 def test_row_op_matches_sort_per_pass_reference():
@@ -248,6 +248,18 @@ def test_row_op_matches_sort_per_pass_reference():
     # single terminals, paths (two terminals), trees that cut into several
     # sub-trees, two-terminal cuts of larger trees, pivots outside the terminals
     assert min(seen.values()) > 100, seen
+
+
+def test_cut_hands_back_a_two_terminal_path_tree():
+    # a tree that is exactly the path between its two terminals is its own
+    # single sub-tree, except in path-per-leaf mode, where the leaf end roots it
+    g = grid_graph(3, 3)
+    tree = path_tree(shortest_path(g, 1, 9))
+    for alg in (1, 2, 3):
+        [(sub, _)] = _cut(tree, 1, frozenset({1, 9}), alg)
+        assert sub is tree
+    [(sub, _)] = _cut(tree, 1, frozenset({1, 9}), 4)
+    assert sub.root == 9 and sub.terminals == tree.terminals
 
 
 # -- LINEAR-TF-SYNTH -------------------------------------------------------------

@@ -1,10 +1,11 @@
 
 import random
+from collections import Counter
 
 import pytest
 
 from cnotsynth.circuit import Circuit, Gate, GateKind, cnot
-from cnotsynth.linalg import CONST_BIT, f2_solve, parity_mask, transform_of_circuit
+from cnotsynth.linalg import CONST_BIT, ParityMatrix, f2_solve, parity_mask, transform_of_circuit
 from cnotsynth.phasepoly import (
     HSliceRecord,
     PhasePolySet,
@@ -148,7 +149,8 @@ def test_sliced_consistent_with_hfree():
 def test_single_h():
     ext = extract_sliced(Circuit(1, (Gate(GateKind.H, 1),)))
     assert len(ext.terms) == 0
-    assert ext.records == (HSliceRecord(1, (parity_mask([1]),), (parity_mask([2]),)),)
+    assert ext.records == (HSliceRecord(1, (parity_mask([1]),), (parity_mask([2]),), (parity_mask([1]),)),)
+    assert ext.records[0].dual_in == (parity_mask([1]),)
     assert ext.num_vars == 2
 
 
@@ -172,12 +174,12 @@ def test_fresh_variable_numbering():
 
 
 def test_uncomputable_empty():
-    h = HSliceRecord(1, identity_state(2), (parity_mask([3]), parity_mask([2])))
+    h = HSliceRecord(1, identity_state(2), (parity_mask([3]), parity_mask([2])), identity_state(2))
     assert len(uncomputable_terms(PhasePolySet(), h)) == 0
 
 
 def test_uncomputable_single_qubit():
-    h = HSliceRecord(1, (parity_mask([1]),), (parity_mask([2]),))
+    h = HSliceRecord(1, (parity_mask([1]),), (parity_mask([2]),), (parity_mask([1]),))
     p = PhasePolySet([(3, parity_mask([1]))])
     out = uncomputable_terms(p, h)
     assert out == p
@@ -187,7 +189,7 @@ def test_uncomputable_keeps_surviving_terms():
     # x1 survives the H on qubit 2; x2 does not
     q_in = (parity_mask([1]), parity_mask([2]))
     q_out = (parity_mask([1]), parity_mask([3]))
-    h = HSliceRecord(2, q_in, q_out)
+    h = HSliceRecord(2, q_in, q_out, q_in)  # the identity is its own dual
     p = PhasePolySet([(1, parity_mask([1])), (1, parity_mask([2])), (1, parity_mask([1, 2]))])
     out = uncomputable_terms(p, h)
     assert out == PhasePolySet([(1, parity_mask([2])), (1, parity_mask([1, 2]))])
@@ -242,13 +244,13 @@ def test_span_membership_matches_exhaustive_oracle():
 
 def test_rebase_identity_basis():
     p = PhasePolySet([(1, parity_mask([1, 3])), (5, parity_mask([2], const=True))])
-    pm = rebase(p, identity_state(3))
+    pm = rebase(p, identity_state(3), identity_state(3))
     assert pm.terms() == list(p.terms())
 
 
 def test_rebase_direct_basis_hit():
     basis = (parity_mask([1]), parity_mask([1, 2]))
-    pm = rebase(PhasePolySet([(1, parity_mask([1, 2]))]), basis)
+    pm = rebase(PhasePolySet([(1, parity_mask([1, 2]))]), basis, _dual_rows(basis))
     assert len(pm.columns) == 1
     assert pm.columns[0].mask == parity_mask([2])  # selects wire 2 only
     assert not pm.columns[0].bit
@@ -257,14 +259,14 @@ def test_rebase_direct_basis_hit():
 def test_rebase_constant_mismatch_becomes_flip_bit():
     # wire 1 holds 1 + x1; the term x1 rebases to wire 1 with the flip bit set
     basis = (parity_mask([1], const=True),)
-    pm = rebase(PhasePolySet([(2, parity_mask([1]))]), basis)
+    pm = rebase(PhasePolySet([(2, parity_mask([1]))]), basis, (parity_mask([1]),))
     assert pm.columns[0].mask == parity_mask([1])
     assert pm.columns[0].bit
 
 
 def test_rebase_outside_span():
     with pytest.raises(ValueError):
-        rebase(PhasePolySet([(1, parity_mask([2]))]), (parity_mask([1]),))
+        rebase(PhasePolySet([(1, parity_mask([2]))]), (parity_mask([1]),), (parity_mask([1]),))
 
 
 def test_rebase_round_trip_random_bases():
@@ -285,7 +287,7 @@ def test_rebase_round_trip_random_bases():
                     acc ^= basis[i]
             terms.append((rng.randint(1, 7), acc))
         p = PhasePolySet(terms)
-        pm = rebase(p, basis)
+        pm = rebase(p, basis, _dual_rows(basis))
         # expand back: each column re-applied to the basis reproduces its term
         expanded = PhasePolySet()
         for col in pm.columns:
@@ -295,6 +297,111 @@ def test_rebase_round_trip_random_bases():
                     acc ^= basis[i]
             expanded.add(col.coeff, acc)
         assert expanded == p
+
+
+def _dual_rows(basis):
+    # dual row i holds x_v exactly when the expression of x_v over the basis
+    # uses row i, so dual[i] & basis[j] has odd parity exactly when i == j
+    n = len(basis)
+    combos = f2_solve(list(basis), [1 << v for v in range(1, n + 1)])
+    return tuple(
+        sum(1 << v for v, combo in zip(range(1, n + 1), combos) if combo >> i & 1) for i in range(1, n + 1)
+    )
+
+
+def _is_dual(dual, state):
+    return all(
+        ((d & row).bit_count() & 1) == (i == j) and not d & CONST_BIT
+        for i, d in enumerate(dual)
+        for j, row in enumerate(state)
+    )
+
+
+def _random_extractions(seed, count):
+    # random_circuit draws all nine gate kinds, X and Y included
+    rng = random.Random(seed)
+    for _ in range(count):
+        c = random_circuit(rng.randint(2, 9), rng.randint(0, 30), rng)
+        yield c, extract_sliced(c)
+
+
+def test_dual_rows_invariant_at_every_record_and_at_the_end():
+    kinds = Counter()
+    for c, ext in _random_extractions(21, 300):
+        kinds.update(gt.kind for gt in c.gates)
+        for h in ext.records:
+            assert _is_dual(h.dual_in, h.q_in)
+            assert _is_dual(h.dual_out, h.q_out)
+        # one more H exposes the dual rows of the final state as its dual_in
+        end = extract_sliced(Circuit(c.num_qubits, c.gates + (Gate(GateKind.H, 1),)))
+        assert end.records[-1].q_in == ext.state
+        assert _is_dual(end.records[-1].dual_in, ext.state)
+    assert min(kinds[GateKind.X], kinds[GateKind.Y], kinds[GateKind.H], kinds[GateKind.CNOT]) > 300
+
+
+def test_dual_rows_ignored_by_record_equality():
+    # two gate histories reach the second H in one wire state, (x3, x2), whose
+    # dual rows differ on x1, a variable the first H took out of the state
+    h = Gate(GateKind.H, 1)
+    a = extract_sliced(Circuit(2, (h, h))).records[1]
+    b = extract_sliced(Circuit(2, (cnot(2, 1), h, h))).records[1]
+    assert a.q_in == b.q_in == (parity_mask([3]), parity_mask([2]))
+    assert a.dual_in == (parity_mask([3]), parity_mask([2]))
+    assert b.dual_in == (parity_mask([3]), parity_mask([1, 2]))
+    assert a == b
+
+
+def test_slice_maps_equal_f2_solve_of_slice_ends():
+    flips = 0
+    for c, ext in _random_extractions(23, 300):
+        starts = [identity_state(c.num_qubits)] + [h.q_out for h in ext.records]
+        ends = [h.q_in for h in ext.records] + [ext.state]
+        assert len(ext.slice_maps) == len(starts)
+        for start, end, slice_map in zip(starts, ends, ext.slice_maps):
+            assert slice_map == tuple(f2_solve(list(start), list(end)))
+            flips += sum(row & CONST_BIT for row in slice_map)
+    assert flips > 100
+
+
+def _reference_rebase(p, basis):
+    # rebase as one f2_solve over the basis
+    terms = p.terms()
+    combos = f2_solve(list(basis), [parity for _, parity in terms])
+    if None in combos:
+        raise ValueError("outside the span")
+    return ParityMatrix.from_terms(len(basis), [(coeff, combo) for (coeff, _), combo in zip(terms, combos)])
+
+
+def test_rebase_matches_f2_solve_reference():
+    rng = random.Random(25)
+    inside = outside = flipped = 0
+    for c, ext in _random_extractions(27, 200):
+        n = c.num_qubits
+        starts = [(identity_state(n), identity_state(n))] + [(h.q_out, h.dual_out) for h in ext.records]
+        for basis, dual in starts:
+            terms = []
+            for _ in range(rng.randint(1, 6)):  # random XORs of the basis rows
+                acc = CONST_BIT if rng.random() < 0.5 else 0
+                for row in basis:
+                    if rng.random() < 0.5:
+                        acc ^= row
+                terms.append((rng.randint(1, 7), acc))
+            p = PhasePolySet(terms)
+            pm = rebase(p, basis, dual)
+            assert pm == _reference_rebase(p, basis)
+            inside += len(pm.columns)
+            flipped += sum(col.bit for col in pm.columns)
+            # a random parity over every variable of the extraction, usually outside the span
+            stray = PhasePolySet([(1, rng.getrandbits(ext.num_vars + 1))])
+            try:
+                expected = _reference_rebase(stray, basis)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    rebase(stray, basis, dual)
+                outside += 1
+            else:
+                assert rebase(stray, basis, dual) == expected
+    assert min(inside, outside, flipped) > 100
 
 
 def test_dump_format():

@@ -13,6 +13,7 @@ from cnotsynth.topology import (
     UnknownPresetError,
     distances,
     parse_graph,
+    path_tree,
     preset_graph,
     SteinerTree,
     shortest_path,
@@ -284,6 +285,31 @@ def _reference_root_tree(edges, root, terminals):
                 children[x].append(w)
                 queue.append(w)
     return SteinerTree(root, terminals, parent, {v: tuple(sorted(cs)) for v, cs in children.items()}, layer)
+
+
+def test_path_tree_matches_rooting_its_edges():
+    rng = random.Random(4242)
+    for _ in range(50):
+        g = random_connected_graph(rng, rng.randint(2, 12))
+        u, v = rng.sample(list(g.vertices), 2)
+        path = shortest_path(g, u, v)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
+        got, want = path_tree(path), _reference_root_tree(edges, u, frozenset({u, v}))
+        assert (got.root, got.terminals, got.parent, got.children, got.layer) == (
+            want.root,
+            want.terminals,
+            want.parent,
+            want.children,
+            want.layer,
+        )
+    single = path_tree([3])
+    assert (single.root, single.terminals, single.parent, single.children, single.layer) == (
+        3,
+        frozenset({3}),
+        {},
+        {3: ()},
+        {3: 0},
+    )
 
 
 def _reference_steiner_tree(g, terminals, root, active, shared_merges):
