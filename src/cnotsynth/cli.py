@@ -66,8 +66,6 @@ def _load_matrix(path: str) -> AugmentedTransform:
     try:
         n = int(lines[0].split()[1])
         bits = [[int(t) for t in ln.split()] for ln in lines[1:]]
-        if any(b not in (0, 1) for row in bits for b in row):
-            raise ValueError("matrix entries must be 0 or 1")
         if len(bits) != n:
             raise ValueError(f"expected {n} rows, got {len(bits)}")
         return AugmentedTransform.from_bits(bits)

@@ -12,8 +12,9 @@ A tree walk costs one pass over its edges. The cut is a BFS that records each
 sub-tree's vertices layer by layer, so every pass of a sub-tree is read from
 one top-down ordering (layer, child) and one bottom-up ordering (-layer,
 child). Path sub-trees (every path-per-leaf sub-tree, and every tree with two
-terminals) take their passes straight from the path order, with no BFS, and a
-two-terminal tree that is exactly its path is its own single sub-tree.
+terminals) take their passes straight from the path order, with no BFS. Every
+leaf of a tree is a terminal, so a two-terminal tree is the path between them
+and is its own single sub-tree.
 """
 
 from __future__ import annotations
@@ -37,32 +38,27 @@ from .topology import (
 _Edge = tuple[int, int]
 
 
-def _cut(
-    tree: SteinerTree, pivot: int, terminals: frozenset[int], alg: int
-) -> list[tuple[SteinerTree, list[_Edge]]]:
-    """Cut a Steiner tree into edge-disjoint sub-trees rooted at terminals.
+def _cut(tree: SteinerTree, alg: int) -> list[tuple[SteinerTree, list[_Edge]]]:
+    """Cut a Steiner tree into edge-disjoint sub-trees rooted at its terminals.
 
-    A BFS from the pivot stops at every terminal it reaches; interior terminals
-    seed later sub-trees (processed FIFO). Each sub-tree's terminals are its
-    root and the terminals it reached, which are exactly its leaves. For
+    A BFS from the tree's root stops at every terminal it reaches; interior
+    terminals seed later sub-trees (processed FIFO). Each sub-tree's terminals
+    are its root and the terminals it reached, which are exactly its leaves. For
     ``alg == 4`` every sub-tree is further split into one path per leaf, stored
     with root and leaf exchanged. Each sub-tree comes with the (parent, child)
     edges of its ``alg`` passes, in order.
     """
-    assert pivot == tree.root
-    if len(terminals) == 2 and pivot in terminals:
-        (end,) = terminals - {pivot}
+    terminals = tree.terminals
+    if len(terminals) == 2:  # the tree is the path between them
+        (end,) = terminals - {tree.root}
         path = [end]
-        while path[-1] != pivot:
+        while path[-1] != tree.root:
             path.append(tree.parent[path[-1]])
-        if len(path) == len(tree.layer):  # the whole tree is this path
-            if alg == 4:  # the leaf end becomes the root
-                return [(path_tree(path), _path_passes(path, alg))]
-            path.reverse()
-            sub = tree if tree.terminals == terminals else path_tree(path)
-            return [(sub, _path_passes(path, alg))]
-    pending = deque([pivot])
-    remaining = set(terminals) - {pivot}
+        if alg == 4:  # the leaf end becomes the root
+            return [(path_tree(path), _path_passes(path, alg))]
+        return [(tree, _path_passes(path[::-1], alg))]
+    pending = deque([tree.root])
+    remaining = set(terminals) - {tree.root}
     out: list[tuple[SteinerTree, list[_Edge]]] = []
     while remaining:
         root = pending.popleft()
@@ -142,15 +138,10 @@ def _tree_passes(sub: SteinerTree, levels: list[list[int]], alg: int) -> list[_E
     )
 
 
-def row_op(
-    matrix,
-    terminals: frozenset[int],
-    pivot: int,
-    tree: SteinerTree,
-    alg: int,
-) -> tuple[list[Gate], list[SteinerTree]]:
+def row_op(matrix, tree: SteinerTree, alg: int) -> tuple[list[Gate], list[SteinerTree]]:
     """Emit the CNOTs that clear a column's terminal rows, updating ``matrix``.
 
+    The terminals are ``tree.terminals`` and the pivot is ``tree.root``.
     Returns the CNOTs and the sub-trees :func:`_cut` cut ``tree`` into.
 
     ``matrix`` only needs a ``row_xor(dst, src)`` method; it is mutated in place.
@@ -162,7 +153,7 @@ def row_op(
     """
     if alg not in (1, 2, 3, 4):
         raise ValueError(f"alg must be 1..4, got {alg}")
-    cut = _cut(tree, pivot, terminals, alg)
+    cut = _cut(tree, alg)
     cnots: list[Gate] = []
     for sub, edges in reversed(cut):  # starting from the last sub-tree
         cnots += [cnot(u, v) for u, v in edges]
@@ -209,7 +200,7 @@ def _fix_diagonal(
             raise NoPathError(f"a pivot candidate for column {i} is unreachable from {i}")
         best = min(candidates, key=lambda j: (dist[j], j))
         path = shortest_path(g, best, i, full)
-        gates.extend(row_op(a, frozenset({best, i}), best, path_tree(path), alg=3)[0])
+        gates.extend(row_op(a, path_tree(path), alg=3)[0])
     return gates
 
 
@@ -229,12 +220,11 @@ def _eliminate_column(
     dist = distances(g, i, active)
     reachable = {t for t in terms if t in dist}
     if reachable:
-        tree = steiner_tree(g, reachable | {i}, i, active)
-        cnots, subtrees = row_op(a, frozenset(reachable | {i}), i, tree, alg)
+        cnots, subtrees = row_op(a, steiner_tree(g, reachable | {i}, i, active), alg)
     for t in sorted(terms - reachable):
         # route through already-fixed vertices; alg=3 leaves interior rows intact
         path = shortest_path(g, i, t, frozenset(g.vertices))
-        path_cnots, path_subtrees = row_op(a, frozenset({i, t}), i, path_tree(path), alg=3)
+        path_cnots, path_subtrees = row_op(a, path_tree(path), alg=3)
         cnots += path_cnots
         subtrees += path_subtrees
     return cnots, subtrees
@@ -264,7 +254,7 @@ def _corrections(
                     path = shortest_path(g, r, leaf, active)
                 except NoPathError:
                     path = shortest_path(g, r, leaf, full)
-                gates += row_op(a, frozenset({r, leaf}), r, path_tree(path), alg=3)[0]
+                gates += row_op(a, path_tree(path), alg=3)[0]
                 partner[leaf] = partner[r]
                 r = partner[r]
     return gates

@@ -173,12 +173,12 @@ class PhaseSynthesizer:
     def _expand(self, frame: _Frame, root: int, terminals: set[int]) -> None:
         tree = steiner_tree(self.g, terminals, root)  # always on the full graph
         matrix = _ColumnMatrix([frame] + self.stack)
-        cnots, _ = row_op(matrix, frozenset(terminals), root, tree, alg=4)
+        cnots, _ = row_op(matrix, tree, alg=4)
         for gate in cnots:
             self._emit(gate)
         placements = self._scan_realized(frame)
         if self.trace:
-            self.trace("steiner", root=root, terminals=frozenset(terminals), cnots=cnots, placements=placements)
+            self.trace("steiner", root=root, terminals=tree.terminals, cnots=cnots, placements=placements)
 
     def _force_realize(self, frame: _Frame) -> None:
         # A frame ran out of pivot rows with live columns: realize them one by

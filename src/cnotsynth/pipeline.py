@@ -253,8 +253,11 @@ def bench_random(
     bounded process pool (``workers`` > 1, at most one per CPU) changes timings
     but nothing else.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    for name, value, least in (("num_qubits", num_qubits, 2), ("trials", trials, 1), ("workers", workers, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+    if any(count < 1 for count in counts):
+        raise ValueError(f"CNOT counts must be at least 1, got {counts}")
     cells = []
     for name, g in graphs.items():
         for count in counts:

@@ -1,24 +1,26 @@
 """Connectivity graphs, shortest paths, and the merge-based Steiner-tree approximation.
 
 The Steiner heuristic keeps a forest of subgraphs (initially one per terminal) and
-repeatedly joins the two closest ones along a shortest path, then takes a spanning
-tree and prunes non-terminal leaves. All choices are deterministic:
+repeatedly joins the two closest ones along a shortest path. All choices are
+deterministic:
 
 * pair selection: smallest (distance, normalized endpoint pair), then the pair
   of subgraphs created first;
 * path between the chosen endpoints: parent walk in a BFS tree grown from the
-  smaller endpoint with neighbors expanded in descending index order;
-* spanning tree: Kruskal over the accumulated edges in ascending lexicographic order.
+  smaller endpoint with neighbors expanded in descending index order.
 
-The resulting tree is within 2(1 - 1/l) of the optimum, l being the leaf count of
-an optimal tree.
+A merge path's interior meets no subgraph: a vertex it met would sit closer
+than the chosen pair. So every merge joins two trees by a path whose ends are
+their only shared vertices, and the forest stays a forest of trees whose leaves
+are terminals. The last subgraph is therefore the Steiner tree itself; no
+spanning-tree or pruning pass is needed. It is within 2(1 - 1/l) of the
+optimum, l being the leaf count of an optimal tree.
 
 Every distance and path question is answered from one BFS per (graph, active
 set, source), memoized lazily on the graph. The closest pair of every two
 subgraphs is kept in a table; after a merge only the new path vertices are
 scanned against the other subgraphs. Two terminals are joined by their merge
-path alone, which Kruskal and pruning would leave unchanged; the path, walked
-from the root, is the tree.
+path alone, which, walked from the root, is the tree.
 """
 
 from __future__ import annotations
@@ -71,10 +73,6 @@ class ConnectivityGraph:
             cache = {v: tuple(sorted(ns)) for v, ns in adj.items()}
             object.__setattr__(self, "_adj", cache)
         return cache
-
-    def is_connected(self, active: frozenset[int] | None = None) -> bool:
-        verts = frozenset(self.vertices if active is None else active)
-        return not verts or distances(self, min(verts), verts).keys() == verts
 
 
 def _edge(num_vertices: int, u: int, v: int) -> tuple[int, int]:
@@ -300,10 +298,6 @@ class SteinerTree:
     layer: dict[int, int] = field(hash=False)
 
     @property
-    def nodes(self) -> frozenset[int]:
-        return frozenset(self.layer)
-
-    @property
     def edge_count(self) -> int:
         return len(self.parent)
 
@@ -372,7 +366,7 @@ def steiner_tree(
     order = sorted(term_set)
     search = _searches(g, active)
     if len(order) == 2:
-        # one merge joins the pair along a path, which Kruskal and pruning keep whole
+        # one merge joins the pair along a path, which is the tree
         if order[1] not in search(order[0])[0]:
             raise _disconnected(order)
         (other,) = term_set - {root}
@@ -398,8 +392,8 @@ def steiner_tree(
         path = _merge_path(search, u, v)
         verts_i, edges_i = forest.pop(i)
         verts_j, edges_j = forest.pop(j)
-        # vertices new to the merged subgraph; a shortest path between a closest
-        # pair meets no subgraph in its interior, and scanning more would be harmless
+        # vertices new to the merged subgraph: a shortest path between a closest
+        # pair meets no subgraph in its interior
         fresh = path[1:-1]
         fresh_dist = [search(x)[0] for x in fresh] if forest else []
         new = next(ids)
@@ -417,8 +411,6 @@ def steiner_tree(
         forest[new] = (verts_i + verts_j + fresh, edges_i | edges_j | _path_edges(path))
 
     _, edges = forest.popitem()[1]
-    edges = _kruskal(edges)
-    edges = _prune_nonterminal_leaves(edges, term_set)
     return _root_tree(edges, root, term_set)
 
 
@@ -428,38 +420,3 @@ def _disconnected(terminals: list[int]) -> DisconnectedTerminalsError:
 
 def _path_edges(path: list[int]) -> set[tuple[int, int]]:
     return {(a, b) if a < b else (b, a) for a, b in zip(path, path[1:])}
-
-
-def _kruskal(edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    # All weights are 1, so the spanning tree is built in lexicographic edge order.
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    kept = set()
-    for a, b in sorted(edges):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            kept.add((a, b))
-    return kept
-
-
-def _prune_nonterminal_leaves(
-    edges: set[tuple[int, int]], terminals: frozenset[int]
-) -> set[tuple[int, int]]:
-    edges = set(edges)
-    while True:
-        degree: dict[int, int] = {}
-        for a, b in edges:
-            degree[a] = degree.get(a, 0) + 1
-            degree[b] = degree.get(b, 0) + 1
-        drop = [v for v, d in degree.items() if d == 1 and v not in terminals]
-        if not drop:
-            return edges
-        dead = set(drop)
-        edges = {e for e in edges if e[0] not in dead and e[1] not in dead}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cnotsynth.linalg import CONST_BIT, AugmentedTransform, ParityMatrix, f2_row_reduce, parity_mask
-from cnotsynth.topology import ConnectivityGraph, preset_graph
+from cnotsynth.topology import ConnectivityGraph, SteinerTree, distances, preset_graph
 
 # 6x6 linear transformation of the worked linear-synthesis example (flip column zero).
 APPENDIX_A_BITS = [
@@ -63,12 +63,21 @@ def random_invertible(rng, n) -> AugmentedTransform:
             return a
 
 
+def is_connected(g: ConnectivityGraph) -> bool:
+    """True iff every vertex of ``g`` is reachable from vertex 1."""
+    return distances(g, 1, frozenset(g.vertices)).keys() == set(g.vertices)
+
+
+def tree_nodes(tree: SteinerTree) -> frozenset[int]:
+    return frozenset(tree.layer)
+
+
 def random_connected_graph(rng, n) -> ConnectivityGraph:
     """A connected graph on n vertices, each possible edge kept with probability 0.4."""
     while True:
         edges = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < 0.4]
         g = ConnectivityGraph.from_edges(n, edges)
-        if g.is_connected():
+        if is_connected(g):
             return g
 
 

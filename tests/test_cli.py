@@ -239,3 +239,13 @@ def test_bench_rejects_nonpositive_workers(capsys):
     args = ["bench", "--random", "n=6", "cnots=2", "trials=1", "--graph", "appendix-2x3"]
     assert main(args + ["--workers", "-3"]) == 2
     assert "workers" in capsys.readouterr().err
+    # impossible grids are rejected by name before any circuit is drawn
+    for params, name in [
+        (["n=1", "cnots=3", "trials=2"], "num_qubits"),
+        (["n=6", "cnots=3", "trials=0"], "trials"),
+        (["n=6", "cnots=3,-3", "trials=2"], "CNOT counts"),
+        (["n=6", "cnots=0", "trials=2"], "CNOT counts"),
+    ]:
+        assert main(["bench", "--random", *params, "--graph", "appendix-2x3"]) == 2, params
+        captured = capsys.readouterr()
+        assert name in captured.err and not captured.out, params

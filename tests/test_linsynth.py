@@ -36,7 +36,7 @@ def _pairs(gates):
 
 def test_separate_single_edge(grid2x3):
     tree = steiner_tree(grid2x3, {4, 5}, 4)
-    subs = [s for s, _ in _cut(tree, 4, frozenset({4, 5}), alg=1)]
+    subs = [s for s, _ in _cut(tree, alg=1)]
     assert len(subs) == 1
     assert subs[0].root == 4 and subs[0].leaves() == (5,)
 
@@ -44,7 +44,7 @@ def test_separate_single_edge(grid2x3):
 def test_separate_appendix_column1(grid2x3):
     # path 1-2-3-4-5 cuts into (1->2->3), (3->4), (4->5)
     tree = steiner_tree(grid2x3, {1, 3, 4, 5}, 1)
-    subs = [s for s, _ in _cut(tree, 1, frozenset({1, 3, 4, 5}), alg=1)]
+    subs = [s for s, _ in _cut(tree, alg=1)]
     assert [(s.root, s.leaves()) for s in subs] == [(1, (3,)), (3, (4,)), (4, (5,))]
     assert [s.terminals for s in subs] == [{1, 3}, {3, 4}, {4, 5}]
     assert set(subs[0].parent) == {2, 3}  # Steiner node 2 inside the first sub-tree
@@ -53,13 +53,13 @@ def test_separate_appendix_column1(grid2x3):
 def test_separate_flipped_paths(grid2x3):
     # phase-network mode: tree 4-5-6 becomes reversed paths (5->4), (6->5)
     tree = steiner_tree(grid2x3, {4, 5, 6}, 4)
-    subs = [s for s, _ in _cut(tree, 4, frozenset({4, 5, 6}), alg=4)]
+    subs = [s for s, _ in _cut(tree, alg=4)]
     assert [(s.root, s.leaves()) for s in subs] == [(5, (4,)), (6, (5,))]
 
 
 def test_separate_edge_disjoint(grid2x3):
     tree = steiner_tree(grid2x3, {2, 3, 4, 6}, 2, frozenset({2, 3, 4, 5, 6}))
-    subs = [s for s, _ in _cut(tree, 2, frozenset({2, 3, 4, 6}), alg=1)]
+    subs = [s for s, _ in _cut(tree, alg=1)]
     seen = set()
     for s in subs:
         for child, parent in s.parent.items():
@@ -73,7 +73,7 @@ def test_separate_edge_disjoint(grid2x3):
 
 def test_row_op_alg1_column1(grid2x3, appendix_transform):
     tree = steiner_tree(grid2x3, {1, 3, 4, 5}, 1)
-    cnots, _ = row_op(appendix_transform, frozenset({1, 3, 4, 5}), 1, tree, alg=1)
+    cnots, _ = row_op(appendix_transform, tree, alg=1)
     assert _pairs(cnots) == [(4, 5), (3, 4), (1, 2), (2, 3), (1, 2)]
 
 
@@ -81,7 +81,7 @@ def test_row_op_alg2_post_transpose(grid2x3):
     # first column after the transpose: tree 1-2-5-4, three single-edge sub-trees
     a = AugmentedTransform.from_bits(APPENDIX_A_BITS)  # content irrelevant to the gate list
     tree = steiner_tree(grid2x3, {1, 2, 4, 5}, 1)
-    cnots, subtrees = row_op(a, frozenset({1, 2, 4, 5}), 1, tree, alg=2)
+    cnots, subtrees = row_op(a, tree, alg=2)
     assert _pairs(cnots) == [(5, 4), (2, 5), (1, 2)]
     assert [(s.root, s.leaves()) for s in subtrees] == [(1, (2,)), (2, (5,)), (5, (4,))]
 
@@ -89,7 +89,7 @@ def test_row_op_alg2_post_transpose(grid2x3):
 def test_row_op_single_terminal(grid2x3, appendix_transform):
     tree = steiner_tree(grid2x3, {3}, 3)
     before = appendix_transform.copy()
-    cnots, _ = row_op(appendix_transform, frozenset({3}), 3, tree, alg=1)
+    cnots, _ = row_op(appendix_transform, tree, alg=1)
     assert cnots == []
     assert appendix_transform == before
 
@@ -98,7 +98,7 @@ def test_row_op_replay_matches_matrix(grid2x3, appendix_transform):
     # the CNOT list and the row updates must stay in lockstep
     tree = steiner_tree(grid2x3, {1, 3, 4, 5}, 1)
     work = appendix_transform.copy()
-    cnots, _ = row_op(work, frozenset({1, 3, 4, 5}), 1, tree, alg=1)
+    cnots, _ = row_op(work, tree, alg=1)
     replay = appendix_transform.copy()
     for g in cnots:
         replay.apply_gate(g)
@@ -108,17 +108,17 @@ def test_row_op_replay_matches_matrix(grid2x3, appendix_transform):
 def test_row_op_bad_alg(grid2x3, appendix_transform):
     tree = steiner_tree(grid2x3, {4, 5}, 4)
     with pytest.raises(ValueError):
-        row_op(appendix_transform, frozenset({4, 5}), 4, tree, alg=0)
+        row_op(appendix_transform, tree, alg=0)
 
 
 # -- reference: the sort-per-pass traversal, kept here as the specification ------
 
 
-def _reference_separate(tree, pivot, terminals, alg):
+def _reference_separate(tree, alg):
     """FIFO BFS from each sub-tree root, cutting at terminals; alg 4 splits per leaf."""
-    assert pivot == tree.root
-    pending = [pivot]
-    remaining = set(terminals) - {pivot}
+    terminals = tree.terminals
+    pending = [tree.root]
+    remaining = set(terminals) - {tree.root}
     out = []
     while remaining:
         root = pending.pop(0)
@@ -179,8 +179,8 @@ def _reference_traversal_edges(sub, which):
     raise ValueError(which)
 
 
-def _reference_row_op(matrix, terminals, pivot, tree, alg):
-    subtrees = _reference_separate(tree, pivot, terminals, alg)
+def _reference_row_op(matrix, tree, alg):
+    subtrees = _reference_separate(tree, alg)
     cnots = []
     for sub in reversed(subtrees):
         passes = ["top-down-1", "bottom-up-2"]
@@ -197,11 +197,8 @@ def _reference_row_op(matrix, terminals, pivot, tree, alg):
 
 
 def _row_op_cases(rng):
-    """(graph, terminals, pivot, tree): Steiner trees from every preset and from random
-    connected graphs, over full and suffix active sets, and path_tree shortest paths.
-    A tree over three or more terminals is also cut at only two of them, so the
-    tree is more than the path between them, once with the pivot among the two
-    and once without."""
+    """(graph, tree): Steiner trees from every preset and from random connected
+    graphs, over full and suffix active sets, and path_tree shortest paths."""
     graphs = [preset_graph(name) for name in PRESET_NAMES]
     graphs += [random_connected_graph(rng, rng.randint(3, 14)) for _ in range(30)]
     graphs.append(grid_graph(5, 5))
@@ -216,37 +213,31 @@ def _row_op_cases(rng):
                 tree = steiner_tree(g, terminals, pivot, active)
             except DisconnectedTerminalsError:
                 continue
-            yield g, terminals, pivot, tree
-            if k >= 3:
-                yield g, frozenset({pivot, rng.choice(sorted(terminals - {pivot}))}), pivot, tree
-                yield g, frozenset(rng.sample(sorted(terminals - {pivot}), 2)), pivot, tree
+            yield g, tree
         for _ in range(10):
             u, v = rng.sample(list(g.vertices), 2)
-            yield g, frozenset({u, v}), u, path_tree(shortest_path(g, u, v))
+            yield g, path_tree(shortest_path(g, u, v))
 
 
 def test_row_op_matches_sort_per_pass_reference():
     rng = random.Random(8080)
     seen = Counter()
-    for g, terminals, pivot, tree in _row_op_cases(rng):
+    for g, tree in _row_op_cases(rng):
         start = random_invertible(rng, g.num_vertices)
         for alg in (1, 2, 3, 4):
             got_matrix, want_matrix = start.copy(), start.copy()
-            got_cnots, got_subs = row_op(got_matrix, terminals, pivot, tree, alg)
-            want_cnots, want_subs = _reference_row_op(want_matrix, terminals, pivot, tree, alg)
-            case = (sorted(g.edges), sorted(terminals), pivot, alg)
+            got_cnots, got_subs = row_op(got_matrix, tree, alg)
+            want_cnots, want_subs = _reference_row_op(want_matrix, tree, alg)
+            case = (sorted(g.edges), sorted(tree.terminals), tree.root, alg)
             assert _pairs(got_cnots) == _pairs(want_cnots), case
             assert [(s.root, s.terminals, s.parent, s.children, s.layer) for s in got_subs] == [
                 (s.root, s.terminals, s.parent, s.children, s.layer) for s in want_subs
             ], case
             assert got_matrix == want_matrix, case
-        seen["terminals-%d" % min(len(terminals), 3)] += 1
-        seen["tree beyond the terminals"] += len(tree.terminals) > len(terminals)
-        seen["interior terminal"] += any(tree.children[t] for t in terminals - {pivot})
-        seen["pivot not a terminal"] += pivot not in terminals
+        seen["terminals-%d" % min(len(tree.terminals), 3)] += 1
+        seen["interior terminal"] += any(tree.children[t] for t in tree.terminals - {tree.root})
         seen["branching"] += any(len(cs) > 1 for cs in tree.children.values())
-    # single terminals, paths (two terminals), trees that cut into several
-    # sub-trees, two-terminal cuts of larger trees, pivots outside the terminals
+    # single terminals, paths (two terminals), trees that cut into several sub-trees
     assert min(seen.values()) > 100, seen
 
 
@@ -256,9 +247,9 @@ def test_cut_hands_back_a_two_terminal_path_tree():
     g = grid_graph(3, 3)
     tree = path_tree(shortest_path(g, 1, 9))
     for alg in (1, 2, 3):
-        [(sub, _)] = _cut(tree, 1, frozenset({1, 9}), alg)
+        [(sub, _)] = _cut(tree, alg)
         assert sub is tree
-    [(sub, _)] = _cut(tree, 1, frozenset({1, 9}), 4)
+    [(sub, _)] = _cut(tree, 4)
     assert sub.root == 9 and sub.terminals == tree.terminals
 
 

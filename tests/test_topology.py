@@ -1,6 +1,6 @@
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 
 import networkx as nx
 import pytest
@@ -20,8 +20,8 @@ from cnotsynth.topology import (
     steiner_tree,
     write_graph,
 )
-from cnotsynth.topology import _kruskal, _merge_path, _prune_nonterminal_leaves, _searches
-from tests.conftest import random_connected_graph
+from cnotsynth.topology import _merge_path, _searches
+from tests.conftest import is_connected, random_connected_graph, tree_nodes
 
 
 # -- independent oracles ----------------------------------------------------
@@ -89,14 +89,14 @@ def _induced_connected(g: ConnectivityGraph, nodes: set[int]) -> bool:
 def check_tree(tree, g: ConnectivityGraph, terminals, root):
     """Structural invariants: spans terminals, leaves are terminals, edges exist, acyclic."""
     assert tree.root == root
-    assert set(terminals) <= set(tree.nodes)
+    assert set(terminals) <= tree_nodes(tree)
     for leaf in tree.leaves():
         assert leaf in terminals
     for child, parent in tree.parent.items():
         assert g.has_edge(child, parent)
         assert tree.layer[child] == tree.layer[parent] + 1
     # parent map acyclicity: walking up always reaches the root
-    for v in tree.nodes:
+    for v in tree_nodes(tree):
         seen = set()
         while v != tree.root:
             assert v not in seen
@@ -123,7 +123,7 @@ def test_9q_square_structure():
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_connected_simple(name):
     g = preset_graph(name)
-    assert g.is_connected()
+    assert is_connected(g)
     for u, v in g.edges:
         assert u < v  # normalized, no self loops or duplicates
 
@@ -194,7 +194,7 @@ def test_paths_match_bfs_oracle_on_presets():
 
 def test_single_terminal(grid2x3):
     tree = steiner_tree(grid2x3, {3}, 3)
-    assert tree.nodes == {3}
+    assert tree_nodes(tree) == {3}
     assert tree.edge_count == 0
 
 
@@ -312,10 +312,41 @@ def test_path_tree_matches_rooting_its_edges():
     )
 
 
-def _reference_steiner_tree(g, terminals, root, active, shared_merges):
-    """Every round rescans all vertex pairs of all forest pairs for the closest one.
+def _reference_kruskal(edges):
+    # All weights are 1, so the spanning tree is built in lexicographic edge order.
+    parent = {}
 
-    ``shared_merges`` counts merges of two subgraphs that already share a vertex.
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    kept = set()
+    for a, b in sorted(edges):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            kept.add((a, b))
+    return kept
+
+
+def _reference_prune(edges, terminals):
+    """Drop non-terminal leaves until none is left."""
+    edges = set(edges)
+    while True:
+        degree = Counter(v for e in edges for v in e)
+        dead = {v for v, d in degree.items() if d == 1 and v not in terminals}
+        if not dead:
+            return edges
+        edges = {e for e in edges if e[0] not in dead and e[1] not in dead}
+
+
+def _reference_steiner_tree(g, terminals, root, active, counts):
+    """Every round rescans all vertex pairs of all forest pairs for the closest one,
+    and the last subgraph is reduced to a spanning tree without non-terminal leaves.
+
+    ``counts["shared"]`` counts merges of two subgraphs that already share a
+    vertex, ``counts["trimmed"]`` merges whose subgraph that reduction would change.
     """
     term_set = frozenset(terminals)
     if len(term_set) == 1:
@@ -344,7 +375,8 @@ def _reference_steiner_tree(g, terminals, root, active, shared_merges):
         if best is None:
             raise DisconnectedTerminalsError("disconnected")
         dist, (u, v), i, j = best
-        shared_merges[0] += dist == 0
+        counts["merges"] += 1
+        counts["shared"] += dist == 0
         path = [] if dist == 0 else _early_stop_merge_path(g, u, v, active)
         new_edges = forest[i][1] | forest[j][1]
         for a, b in zip(path, path[1:]):
@@ -352,7 +384,8 @@ def _reference_steiner_tree(g, terminals, root, active, shared_merges):
         new_verts = list(dict.fromkeys(forest[i][0] + forest[j][0] + path))
         forest = [f for k, f in enumerate(forest) if k not in (i, j)]
         forest.append((new_verts, new_edges))
-    edges = _prune_nonterminal_leaves(_kruskal(forest[0][1]), term_set)
+        counts["trimmed"] += _reference_prune(_reference_kruskal(new_edges), term_set) != new_edges
+    edges = _reference_prune(_reference_kruskal(forest[0][1]), term_set)
     return _reference_root_tree(edges, root, term_set)
 
 
@@ -367,7 +400,7 @@ def _reference_graphs():
 def test_steiner_tree_matches_pair_scan_reference():
     rng = random.Random(20261018)
     seen = {"suffix": 0, "arbitrary": 0, "full": 0, "two": 0, "disconnected": 0}
-    shared_merges = [0]
+    counts = Counter()
     for g in _reference_graphs():
         n = g.num_vertices
         for trial in range(40):
@@ -382,7 +415,7 @@ def test_steiner_tree_matches_pair_scan_reference():
             terminals = set(rng.sample(sorted(active), k))
             root = rng.choice(sorted(terminals))
             try:
-                want = _reference_steiner_tree(g, terminals, root, active, shared_merges)
+                want = _reference_steiner_tree(g, terminals, root, active, counts)
             except DisconnectedTerminalsError:
                 with pytest.raises(DisconnectedTerminalsError):
                     steiner_tree(g, terminals, root, active)
@@ -400,8 +433,12 @@ def test_steiner_tree_matches_pair_scan_reference():
     assert min(seen.values()) > 20, seen
     # A merge path never enters a third subgraph: a vertex it met would sit
     # closer than the chosen pair. So no two subgraphs ever share a vertex,
-    # and the reference's shared-vertex branch never fires.
-    assert shared_merges[0] == 0
+    # and the reference's shared-vertex branch never fires. Each merge then
+    # joins two trees whose leaves are terminals by a path between them, so
+    # every subgraph is already its own spanning tree with no non-terminal leaf.
+    assert counts["shared"] == 0
+    assert counts["trimmed"] == 0
+    assert counts["merges"] > 1000, counts
 
 
 def test_merge_path_matches_early_stopping_bfs():
