@@ -83,7 +83,9 @@ def cnot(control: int, target: int) -> Gate:
 class Circuit:
     """An ordered gate list over {CNOT, H, T, TDG, S, SDG, X, Y, Z}.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction; safe to share across threads. The
+    constructor checks every gate's qubits against ``num_qubits``;
+    :meth:`trusted` builds without that check.
     """
 
     num_qubits: int
@@ -98,6 +100,19 @@ class Circuit:
             for q in qubits:
                 if not 1 <= q <= self.num_qubits:
                     raise ValueError(f"qubit index {q} outside [1, {self.num_qubits}] in {g}")
+
+    @classmethod
+    def trusted(cls, num_qubits: int, gates: tuple[Gate, ...]) -> "Circuit":
+        """A circuit whose gates are known to act on qubits 1..``num_qubits``, built in O(1).
+
+        For synthesizer and pipeline output, whose qubits are vertices of the
+        graph the circuit is sized to, or gates of a circuit already checked
+        against at most ``num_qubits`` qubits. Nothing is checked.
+        """
+        c = object.__new__(cls)
+        object.__setattr__(c, "num_qubits", num_qubits)
+        object.__setattr__(c, "gates", gates)
+        return c
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)

@@ -65,6 +65,8 @@ def _load_matrix(path: str) -> AugmentedTransform:
         raise CliError(f"{path}: expected header 'n <k>'")
     try:
         n = int(lines[0].split()[1])
+        if n < 1:
+            raise ValueError("matrix size must be positive")
         bits = [[int(t) for t in ln.split()] for ln in lines[1:]]
         if len(bits) != n:
             raise ValueError(f"expected {n} rows, got {len(bits)}")

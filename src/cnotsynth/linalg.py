@@ -137,10 +137,16 @@ class AugmentedTransform:
             raise ValueError(f"transform replay supports only CNOT and X, got {g.kind.value}")
 
     def transposed_linear(self) -> "AugmentedTransform":
-        """Transpose of the n x n block, visiting only set bits; the flip column is dropped (it must be 0)."""
-        rows = [0] * self.n
+        """Transpose of the n x n block; the flip column is dropped (it must be 0).
+
+        Starts from the identity and visits only the set bits of the rows that differ from it.
+        """
+        rows = [1 << i for i in range(1, self.n + 1)]
         for j, row in enumerate(self.rows, start=1):
             row &= ~CONST_BIT
+            if row == 1 << j:
+                continue
+            rows[j - 1] ^= 1 << j  # undo the identity's entry (j, j)
             while row:
                 low = row & -row
                 rows[low.bit_length() - 2] |= 1 << j

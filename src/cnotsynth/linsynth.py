@@ -270,13 +270,19 @@ def linear_tf_synth(
     Replaying the returned circuit through the transform rules from the identity
     reproduces ``a`` exactly (padded with identity rows if the graph is larger).
     Row operations preserve rank, so a singular ``a`` reaches a column with no
-    pivot, which raises :class:`SingularTransformError`. The cost follows the
-    rows that differ from the identity: only they are scanned for 1s below the
-    diagonal, and a column with its diagonal set and no 1 below it does no work.
-    ``trace``, when given, is called after each column of each elimination phase
-    as ``trace("column", phase=, column=, diag=, tree=, corrections=, matrix=)``:
+    pivot, which raises :class:`SingularTransformError`.
+
+    Beyond O(n) set-up per phase (padding, the transpose, finding the rows that
+    differ from the identity), the cost is the work: a column with work has an
+    unset diagonal or a 1 below it in such a row, so a mask of the columns those
+    rows can reach picks each next column to visit, and only those rows are
+    scanned for 1s below the diagonal. Columns with nothing to clear are never
+    visited; an identity linear block visits none. ``trace``, when given, is
+    still called after every column of each elimination phase, in order, as
+    ``trace("column", phase=, column=, diag=, tree=, corrections=, matrix=)``:
     the CNOTs of the diagonal fix, of the Steiner-tree pass and of the
-    corrections (phase 2 only), and a copy of the matrix after the column.
+    corrections (phase 2 only), empty for a column without work, and a copy of
+    the matrix after the column.
     """
     if a.n > g.num_vertices:
         raise ValueError(f"transform needs {a.n} qubits but graph has {g.num_vertices}")
@@ -296,7 +302,22 @@ def linear_tf_synth(
         rows = work.rows
         # holds every row that differs from the identity; a CNOT changes only its target
         touched = {j for j in range(1, n + 1) if rows[j - 1] != 1 << j}
-        for i in range(1, n + 1):
+        # column k has work when row k lacks its diagonal (so row k is touched)
+        # or a touched row j > k holds a 1 in it: the columns a touched row j
+        # adds are j and its bits below j, and a row changes only as a target
+        pending = 0
+        for j in touched:
+            pending |= rows[j - 1] & ((1 << j) - 1) | 1 << j
+        i = 0
+        while True:
+            ahead = pending >> (i + 1) << (i + 1)
+            nxt = (ahead & -ahead).bit_length() - 1 if ahead else n + 1
+            if trace:
+                for k in range(i + 1, nxt):
+                    trace("column", phase=phase, column=k, diag=[], tree=[], corrections=[], matrix=work.copy())
+            if nxt > n:
+                break
+            i = nxt
             diag, cnots, corr = [], [], []
             below = _ones_below(work, i, touched)
             if below or not rows[i - 1] >> i & 1:
@@ -307,7 +328,10 @@ def linear_tf_synth(
                     below = _ones_below(work, i, touched)
                 cnots, subtrees = _eliminate_column(work, g, i, active, below, alg=phase)
                 corr = _corrections(work, g, subtrees, active) if phase == 2 else []
-                touched.update(gt.target for gt in cnots + corr)
+                targets = {gt.target for gt in diag + cnots + corr}
+                touched |= targets
+                for t in targets:
+                    pending |= rows[t - 1] & ((1 << t) - 1) | 1 << t
             y[phase] += diag + cnots + corr
             if trace:
                 trace("column", phase=phase, column=i, diag=diag, tree=cnots, corrections=corr, matrix=work.copy())
@@ -315,4 +339,4 @@ def linear_tf_synth(
     assert work.is_identity(), "elimination failed to reach the identity"
 
     flipped = [cnot(gt.target, gt.control) for gt in y[2]]
-    return Circuit(n, tuple(flipped + y[1][::-1] + x_gates))
+    return Circuit.trusted(n, tuple(flipped + y[1][::-1] + x_gates))

@@ -58,7 +58,7 @@ class ResynthesisReport:
 def _pad(c: Circuit, n: int) -> Circuit:
     if c.num_qubits > n:
         raise ValueError(f"circuit has {c.num_qubits} qubits but the graph offers {n}")
-    return Circuit(n, c.gates)
+    return Circuit.trusted(n, c.gates)
 
 
 def swap_template(c: Circuit, g: ConnectivityGraph) -> Circuit:
@@ -80,7 +80,7 @@ def swap_template(c: Circuit, g: ConnectivityGraph) -> Circuit:
         out.append(cnot(path[-2], gt.target))
         for a, b in reversed(swaps):
             out += [cnot(a, b), cnot(b, a), cnot(a, b)]
-    return Circuit(g.num_vertices, tuple(out))
+    return Circuit.trusted(g.num_vertices, tuple(out))
 
 
 def _mapping_transform(current: tuple[int, ...], target: tuple[int, ...]) -> AugmentedTransform:
@@ -121,13 +121,13 @@ def cnot_opt_a(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisRe
     out: list[Gate] = []
     per_slice: list[int] = []
     for run, h_gate in _slices(padded):
-        terms, q = extract_hfree(Circuit(n, tuple(run)))
+        terms, q = extract_hfree(Circuit.trusted(n, tuple(run)))
         emitted = _rebuild(ParityMatrix.from_terms(n, terms.terms()), q, g)
         per_slice.append(cnot_count(emitted))
         out += emitted
         if h_gate is not None:
             out.append(h_gate)
-    result = Circuit(n, tuple(out))
+    result = Circuit.trusted(n, tuple(out))
     report = ResynthesisReport.build(
         cnot_count(c), cnot_count(result), per_slice, time.perf_counter() - t0
     )
@@ -164,7 +164,7 @@ def cnot_opt_b(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisRe
     per_slice.append(cnot_count(block))
     out += block
 
-    result = Circuit(n, tuple(out))
+    result = Circuit.trusted(n, tuple(out))
     report = ResynthesisReport.build(
         cnot_count(c), cnot_count(result), per_slice, time.perf_counter() - t0
     )

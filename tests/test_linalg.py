@@ -97,6 +97,17 @@ def test_transpose():
     t = a.transposed_linear()
     assert [entry(t, 1, j) for j in (1, 2)] == [1, 0]
     assert [entry(t, 2, j) for j in (1, 2)] == [1, 1]
+    # entry by entry, on transforms whose rows are mostly those of the identity
+    rng = random.Random(97)
+    for n in (1, 2, 5, 9):
+        for _ in range(50):
+            a = AugmentedTransform.identity(n)
+            for _ in range(rng.randint(0, n)):
+                a.rows[rng.randrange(n)] = rng.getrandbits(n) << 1 | rng.getrandbits(1)
+            t = a.transposed_linear()
+            assert [[entry(t, i, j) for j in range(1, n + 1)] for i in range(1, n + 1)] == [
+                [entry(a, j, i) for j in range(1, n + 1)] for i in range(1, n + 1)
+            ]
 
 
 def test_from_bits_rejects_non_binary_entries():

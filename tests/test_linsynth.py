@@ -482,6 +482,45 @@ def test_linear_synthesis_pinned(monkeypatch):
     assert fallbacks["_fix_diagonal"] > 0  # a pivot candidate unreachable likewise
 
 
+def test_traced_and_untraced_linear_synthesis_agree(monkeypatch):
+    # the untraced call jumps over columns with nothing to clear; the traced
+    # one still reports every column, and both emit the same gates
+    visited = Counter()
+
+    def spy(a, i, rows):
+        visited[i] += 1
+        return ones_below(a, i, rows)
+
+    ones_below = linsynth._ones_below
+    monkeypatch.setattr(linsynth, "_ones_below", spy)
+    graphs = {name: preset_graph(name) for name in PRESET_NAMES} | {"grid-5x5": grid_graph(5, 5)}
+    # sparse random graphs send columns through the full-graph routing fallbacks,
+    # whose CNOTs reach rows outside the active set
+    rng = random.Random("skip-random-graphs")
+    graphs |= {f"random-{k}": random_connected_graph(rng, rng.randint(4, 12)) for k in range(12)}
+    for name, g in graphs.items():
+        n = g.num_vertices
+        rng = random.Random(f"skip-{name}")
+        inputs = [AugmentedTransform.identity(n)]
+        inputs += [_near_identity(rng, n, k) for k in (1, 2, 3) for _ in range(3)]
+        inputs += [random_invertible(rng, n) for _ in range(3)]
+        for a in inputs:
+            visited.clear()
+            circ = linear_tf_synth(a, g)
+            worked = sum(visited.values())
+            traced_circ, events = traced(linear_tf_synth, a, g)
+            assert list(circ.gates) == list(traced_circ.gates), name
+            assert transform_of_circuit(circ) == a
+            assert [(e.kind, e.phase, e.column) for e in events] == [
+                ("column", phase, i) for phase in (1, 2) for i in range(1, n + 1)
+            ], name
+            if a.is_identity():
+                assert worked == 0 and circ.gates == ()  # no per-column work in either phase
+            for before, e in zip(events, events[1:]):
+                if e.phase == before.phase and not (e.diag or e.tree or e.corrections):
+                    assert e.matrix == before.matrix  # a column without CNOTs leaves the matrix as it was
+
+
 def _singular(rng, n):
     """A singular transform: dense and random, or the identity with one row made dependent."""
     if rng.random() < 0.5:

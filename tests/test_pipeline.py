@@ -7,13 +7,17 @@ import pytest
 
 from cnotsynth.circuit import (
     Circuit,
+    CircuitSyntaxError,
     Gate,
     GateKind,
     cnot,
     cnot_count,
     connectivity_violations,
+    parse_circuit,
     write_circuit,
 )
+from cnotsynth.linalg import ParityMatrix
+from cnotsynth.linsynth import linear_tf_synth
 from cnotsynth.pipeline import (
     BENCH_COLUMNS,
     ResynthesisReport,
@@ -26,8 +30,10 @@ from cnotsynth.pipeline import (
     swap_template,
 )
 from cnotsynth.phasepoly import extract_sliced
-from cnotsynth.topology import ConnectivityGraph, _searches, grid_graph, preset_graph
+from cnotsynth.phasesynth import phase_nw_synth
+from cnotsynth.topology import PRESET_NAMES, ConnectivityGraph, _searches, grid_graph, preset_graph
 from cnotsynth.verify import equivalent_up_to_phase
+from tests.conftest import random_invertible
 
 
 def _bfs_dist(g, u, v, active=None):
@@ -171,6 +177,35 @@ def test_emitted_circuits_pinned():
         g = grid_graph(5, 5) if graph == "grid-5x5" else preset_graph(graph)
         out, _ = resynthesize(c, g, algo)
         assert hashlib.sha256(write_circuit(out).encode()).hexdigest() == digest, (graph, seed, algo)
+
+
+def _revalidated(c):
+    """``c`` rebuilt through the checking constructor, which raises on a qubit out of range."""
+    return Circuit(c.num_qubits, c.gates)
+
+
+def test_trusted_outputs_pass_the_public_check():
+    # synthesizer and pipeline outputs skip the per-gate range check; every one
+    # of them must still pass it
+    for name in PRESET_NAMES:
+        g = preset_graph(name)
+        n = g.num_vertices
+        rng = random.Random(f"trusted-{name}")
+        for _ in range(3):
+            c = random_circuit(min(9, n), 15, rng)
+            for algo in ("swap", "opt-a", "opt-b"):
+                out, _ = resynthesize(c, g, algo)
+                assert _revalidated(out) == out, (name, algo)
+            terms = [(rng.randint(1, 7), rng.getrandbits(n + 1) | 2) for _ in range(rng.randint(0, 8))]
+            phase, _ = phase_nw_synth(ParityMatrix.from_terms(n, terms), g)
+            assert _revalidated(phase) == phase, name
+            linear = linear_tf_synth(random_invertible(rng, n), g)
+            assert _revalidated(linear) == linear, name
+    # the constructor and the parser keep checking
+    with pytest.raises(ValueError, match="outside"):
+        Circuit(3, (cnot(1, 4),))
+    with pytest.raises(CircuitSyntaxError, match="outside"):
+        parse_circuit("qubits 3\nCNOT 1 4\n")
 
 
 def test_bfs_memo_bounded_and_unchanged_by_callers():
