@@ -33,9 +33,6 @@ class PhasePolySet:
         else:
             self._terms.pop(parity, None)
 
-    def discard(self, parity: int) -> None:
-        self._terms.pop(parity, None)
-
     def terms(self) -> tuple[tuple[int, int], ...]:
         """(coefficient, parity) pairs in first-appearance order."""
         return tuple((c, p) for p, c in self._terms.items())
@@ -124,6 +121,9 @@ class SlicedExtraction:
     # slice_maps[k]: the state at the end of slice k (before H k, or the final
     # state) written over the state at its start, as f2_solve would return it
     slice_maps: tuple[tuple[int, ...], ...]
+    # slice_terms[k]: the terms whose parity a phase gate first touches in
+    # slice k; together they are exactly ``terms``
+    slice_terms: tuple[PhasePolySet, ...]
 
 
 def extract_sliced(c: Circuit) -> SlicedExtraction:
@@ -133,6 +133,11 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
     a CNOT(c, t) adds row t into dual row c, an H sets its wire's dual row to
     the fresh variable. Each slice's own map is the same fold restarted from
     the identity at the slice start.
+
+    Each parity belongs to the slice where a phase gate first touches it, and
+    every later coefficient on it is added into that slice's terms, even after
+    they cancel to 0. The parity was a wire state in its slice, so it lies in
+    the span of that slice's start state.
     """
     n = c.num_qubits
     terms = PhasePolySet()
@@ -141,10 +146,15 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
     local = list(identity_state(n))
     records: list[HSliceRecord] = []
     maps: list[tuple[int, ...]] = []
+    slice_terms: list[PhasePolySet] = [PhasePolySet()]
+    owner: dict[int, PhasePolySet] = {}
     fresh = n
     for g in c.gates:
         kind = g.kind
-        if kind is GateKind.H:
+        if kind in PHASE_COEFF:
+            parity = state[g.target - 1]
+            owner.setdefault(parity, slice_terms[-1]).add(PHASE_COEFF[kind], parity)
+        elif kind is GateKind.H:
             fresh += 1
             i = g.target - 1
             before = tuple(state)
@@ -153,6 +163,7 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
             records.append(HSliceRecord(g.target, before, tuple(state), dual_in))
             maps.append(tuple(local))
             local = list(identity_state(n))
+            slice_terms.append(PhasePolySet())
             continue
         _fold_gate(state, terms, g)
         if kind is GateKind.CNOT:
@@ -161,11 +172,16 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
         elif kind is GateKind.X or kind is GateKind.Y:
             local[g.target - 1] ^= CONST_BIT
     maps.append(tuple(local))
-    return SlicedExtraction(terms, tuple(state), tuple(records), fresh, tuple(maps))
+    return SlicedExtraction(terms, tuple(state), tuple(records), fresh, tuple(maps), tuple(slice_terms))
 
 
 def uncomputable_terms(p: PhasePolySet, h: HSliceRecord) -> PhasePolySet:
     """Terms expressible before the H gate but not after it.
+
+    This is the paper's CNOT-OPT-B rule, which emits each term at the last H
+    before which it is still computable. No pipeline calls it any more:
+    :func:`~cnotsynth.pipeline.cnot_opt_b` places each term in the slice where
+    it first appears (``SlicedExtraction.slice_terms``).
 
     Requires ``h`` as :func:`extract_sliced` builds it (q_in's rows independent,
     ``dual_in`` their dual rows, q_out equal to q_in but for a fresh variable

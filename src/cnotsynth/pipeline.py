@@ -2,15 +2,15 @@
 
 Both optimizing passes cut the circuit at its H gates. The first re-synthesizes
 each H-free slice from its phase polynomial and linear action in place. The
-second extracts the phase polynomial of the whole circuit once, synthesizes in
-each slice exactly the terms that become uncomputable at that slice's H gate
-(new path variables make earlier parities unreachable), and restores the
-original qubit states before every H so the per-slice linear transformations
-are preserved. The extraction keeps the dual rows of the wire states
-(``popcount(dual[i] & state[j])`` odd exactly when i == j) and each slice's own
-affine map, so placing a term, rewriting it over the slice-start state and the
-slice's restore target take no F2 reduction: both passes solve once per slice,
-for the mapping transform of the linear restore.
+second extracts the phase polynomial of the whole circuit once, synthesizes each
+term in the slice where a phase gate first touches its parity (a wire state
+there, so computable; the paper's CNOT-OPT-B waits for the last computable
+slice, where it seldom is one), and restores the original qubit states before
+every H so the per-slice linear transformations are preserved. The extraction
+assigns terms to slices in its one fold and keeps the dual rows of the wire
+states and each slice's own affine map, so rebasing a term over the slice-start
+state and the slice's restore target take no F2 reduction: both passes solve
+once per slice, for the mapping transform of the linear restore.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, Gate, GateKind, cnot, cnot_count
 from .linalg import AugmentedTransform, ParityMatrix, f2_solve
 from .linsynth import linear_tf_synth
-from .phasepoly import PhasePolySet, extract_hfree, extract_sliced, identity_state, rebase, uncomputable_terms
+from .phasepoly import extract_hfree, extract_sliced, identity_state, rebase
 from .phasesynth import phase_nw_synth
 from .topology import ConnectivityGraph, shortest_path
 
@@ -137,32 +137,27 @@ def cnot_opt_a(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisRe
 def cnot_opt_b(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisReport]:
     """Partition the whole circuit's phase polynomial across its H gates.
 
-    Each slice synthesizes the terms that stop being expressible once that
-    slice's H fires, then restores the input circuit's qubit states at that
-    point, so every per-slice linear transformation matches the original.
-    Terms are placed and rebased through the extraction's dual rows, and the
-    restore target is the slice's recorded map over its start state.
+    Each slice synthesizes the terms whose parity first appears in it, then
+    restores the input circuit's qubit states at its end, so every per-slice
+    linear transformation matches the original. Terms are rebased over the
+    slice-start state through the extraction's dual rows, and the restore
+    target is the slice's recorded map over that state.
     """
     t0 = time.perf_counter()
     n = g.num_vertices
     padded = _pad(c, n)
     ext = extract_sliced(padded)
-    remaining = PhasePolySet(ext.terms.terms())
     # the slice-start state and its dual rows; each slice's target is its own map
     basis = dual = identity_state(n)
     out: list[Gate] = []
     per_slice: list[int] = []
-    for h, target in zip(ext.records, ext.slice_maps):
-        unc = uncomputable_terms(remaining, h)
-        for _, parity in unc.terms():
-            remaining.discard(parity)
-        block = _rebuild(rebase(unc, basis, dual), target, g)
+    for terms, target, h in zip(ext.slice_terms, ext.slice_maps, ext.records + (None,)):
+        block = _rebuild(rebase(terms, basis, dual), target, g)
         per_slice.append(cnot_count(block))
-        out += block + (Gate(GateKind.H, h.pos),)
-        basis, dual = h.q_out, h.dual_out
-    block = _rebuild(rebase(remaining, basis, dual), ext.slice_maps[-1], g)
-    per_slice.append(cnot_count(block))
-    out += block
+        out += block
+        if h is not None:
+            out.append(Gate(GateKind.H, h.pos))
+            basis, dual = h.q_out, h.dual_out
 
     result = Circuit.trusted(n, tuple(out))
     report = ResynthesisReport.build(

@@ -38,16 +38,30 @@ def f2_rank(rows: list[int]) -> int:
     return len(f2_row_reduce(rows)[0])
 
 
+_ROW_BLOCK_ENTRIES = 1 << 16
+
+
 def unitaries_equal_up_to_phase(u1: np.ndarray, u2: np.ndarray, tol: float = 1e-7) -> bool:
-    """True iff u1 = e^{i theta} u2 within ``tol`` max-entry deviation."""
+    """True iff u1 = e^{i theta} u2 within ``tol`` max-entry deviation.
+
+    theta is read at u1's largest entry (the first one, in row-major order).
+    Both passes go over blocks of rows, so no full-size temporary is built.
+    """
     if u1.shape != u2.shape:
         return False
-    idx = np.unravel_index(np.argmax(np.abs(u1)), u1.shape)
+    step = max(1, _ROW_BLOCK_ENTRIES // (u1.size // len(u1)))
+    blocks = range(0, len(u1), step)
+    best, idx = -1.0, None
+    for i in blocks:
+        mags = np.abs(u1[i : i + step])
+        k = np.unravel_index(np.argmax(mags), mags.shape)
+        if mags[k] > best:
+            best, idx = mags[k], (i + k[0],) + k[1:]
     if abs(u2[idx]) < tol:
         return False
     phase = u2[idx] / u1[idx]
     phase /= abs(phase)
-    return bool(np.max(np.abs(u1 * phase - u2)) <= tol)
+    return all(np.abs(u1[i : i + step] * phase - u2[i : i + step]).max() <= tol for i in blocks)
 
 
 def is_invertible(a: AugmentedTransform) -> bool:

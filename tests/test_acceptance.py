@@ -237,11 +237,13 @@ def test_criterion_4_equivalence_suite(equivalence_suite):
 
 
 def test_criterion_5_overhead_ordering(equivalence_suite):
-    with criterion(5, "median overhead: slice-and-build beats the SWAP template"):
+    with criterion(5, "median overhead: both slice-and-build passes beat the SWAP template"):
         results, _ = equivalence_suite
         opta = statistics.median(r["opt-a"]["overhead"] for r in results)
+        optb = statistics.median(r["opt-b"]["overhead"] for r in results)
         swap = statistics.median(r["swap"]["overhead"] for r in results)
         assert opta <= swap, (opta, swap)
+        assert optb <= swap, (optb, swap)
 
 
 # -- criterion 6: Steiner approximation bound ---------------------------------------------

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from cnotsynth.circuit import Circuit, Gate, GateKind, cnot
+from cnotsynth.circuit import PHASE_COEFF, Circuit, Gate, GateKind, cnot
 from cnotsynth.linalg import CONST_BIT, ParityMatrix, f2_solve, parity_mask, transform_of_circuit
 from cnotsynth.phasepoly import (
     HSliceRecord,
@@ -16,7 +16,8 @@ from cnotsynth.phasepoly import (
     rebase,
     uncomputable_terms,
 )
-from cnotsynth.pipeline import random_circuit
+from cnotsynth.pipeline import cnot_opt_b, random_circuit
+from cnotsynth.topology import ConnectivityGraph
 from tests.conftest import APPENDIX_PHASE_TERMS, f2_rank
 
 
@@ -213,8 +214,8 @@ def test_uncomputable_matches_two_solve_definition():
             expected = [t for t, b, a in zip(terms, before, after) if b is not None and a is None]
             unc = uncomputable_terms(remaining, h)
             assert list(unc.terms()) == expected
-            for _, parity in unc.terms():  # as the phase-partitioned pipeline does
-                remaining.discard(parity)
+            # the paper's CNOT-OPT-B rule: a term leaves once it is uncomputable
+            remaining = PhasePolySet(t for t in terms if t not in expected)
             records += 1
     assert records > 300
 
@@ -361,6 +362,66 @@ def test_slice_maps_equal_f2_solve_of_slice_ends():
             assert slice_map == tuple(f2_solve(list(start), list(end)))
             flips += sum(row & CONST_BIT for row in slice_map)
     assert flips > 100
+
+
+def _touching_slices(c):
+    # reference fold: parity -> indices of the slices whose phase gates touch it, in gate order
+    state = list(identity_state(c.num_qubits))
+    fresh, k, touched = c.num_qubits, 0, {}
+    for gt in c.gates:
+        i = gt.target - 1
+        if gt.kind in PHASE_COEFF:
+            touched.setdefault(state[i], []).append(k)
+        if gt.kind is GateKind.CNOT:
+            state[i] ^= state[gt.control - 1]
+        elif gt.kind in (GateKind.X, GateKind.Y):
+            state[i] ^= CONST_BIT
+        elif gt.kind is GateKind.H:
+            fresh, k = fresh + 1, k + 1
+            state[i] = 1 << fresh
+    return touched
+
+
+def test_slice_terms_partition_terms_by_first_appearance():
+    moved = 0
+    for c, ext in _random_extractions(29, 300):
+        assert len(ext.slice_terms) == len(ext.records) + 1
+        touched = _touching_slices(c)
+        merged = PhasePolySet()
+        for k, terms in enumerate(ext.slice_terms):
+            for coeff, parity in terms.terms():
+                assert touched[parity][0] == k
+                assert merged.coefficient(parity) == 0  # each parity in one slice only
+                merged.add(coeff, parity)
+                moved += touched[parity][-1] != k
+        assert merged == ext.terms
+    assert moved > 50
+
+
+def test_slice_terms_rebase_over_their_slice_start():
+    for c, ext in _random_extractions(31, 300):
+        n = c.num_qubits
+        starts = [(identity_state(n), identity_state(n))] + [(h.q_out, h.dual_out) for h in ext.records]
+        for terms, (basis, dual) in zip(ext.slice_terms, starts):
+            assert len(rebase(terms, basis, dual).columns) == len(terms)
+
+
+def test_term_touched_again_after_a_later_h_stays_in_its_first_slice():
+    t, tdg, h2 = Gate(GateKind.T, 1), Gate(GateKind.TDG, 1), Gate(GateKind.H, 2)
+    ext = extract_sliced(Circuit(2, (t, h2, t)))
+    assert ext.slice_terms == (PhasePolySet([(2, parity_mask([1]))]), PhasePolySet())
+    # cancelled to 0 in its slice, then touched again: it goes back to that slice
+    ext = extract_sliced(Circuit(2, (t, tdg, h2, t)))
+    assert ext.slice_terms == (PhasePolySet([(1, parity_mask([1]))]), PhasePolySet())
+
+
+def test_t_and_tdg_in_different_slices_emit_no_phase_gate():
+    g = ConnectivityGraph.from_edges(2, [(1, 2)])
+    c = Circuit(2, (Gate(GateKind.T, 1), Gate(GateKind.H, 2), cnot(2, 1), cnot(2, 1), Gate(GateKind.TDG, 1)))
+    ext = extract_sliced(c)
+    assert len(ext.terms) == 0 and not any(ext.slice_terms)
+    out, _ = cnot_opt_b(c, g)
+    assert [gt.kind for gt in out.gates if gt.kind in PHASE_COEFF] == []
 
 
 def _reference_rebase(p, basis):

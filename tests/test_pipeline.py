@@ -151,21 +151,21 @@ def test_opt_b_per_slice_linear_actions_match():
 # digest; a change that means to alter the emitted circuits updates them.
 PINNED_OUTPUTS = {
     ("9q-square", 1, "opt-a"): "d15ab95327f24ba095ce74aa176a6525b13d30e0d84cdf2801609c3beb63b1d8",
-    ("9q-square", 1, "opt-b"): "b9cfb9ebd574a5a55cbf3668a18e1726fba04dede500ed8ccbd1fe14ab0445ed",
+    ("9q-square", 1, "opt-b"): "fe7ea14544d443f17a368ad68913e3c1bb68f2d02b7497f6d1ca3fccb9eaaf4a",
     ("9q-square", 2, "opt-a"): "7ffbe313f1ad21995a67005ed18e622e752c07ef625d0f2ca6be2d9935c1c7a0",
-    ("9q-square", 2, "opt-b"): "4107a9e30e45dbe5459bcd7aaafba47e8d9028eccfbbd1b7907b72f9e46a7c85",
+    ("9q-square", 2, "opt-b"): "416d29e5aa8a928f505bb023f47d5798874ab735972d5173ef9b932b4f467aa0",
     ("ibm-q20-tokyo", 1, "opt-a"): "d383174ce263073917da524957d6f081a8c4283d1953f0b273845b9b257ab4a5",
-    ("ibm-q20-tokyo", 1, "opt-b"): "3ddb81a2fd54e641152d916fdaa215801ba79044beb4ee859ff16f47368df0a7",
+    ("ibm-q20-tokyo", 1, "opt-b"): "87f21732babd245cb04999ec457bd7857b4b6c73d98ef463ce1f7c3f050b5f52",
     ("ibm-q20-tokyo", 2, "opt-a"): "2182024a5cd5cf5ea75d15344254e731e41d47103e90d0eb0d9c13a15ee9a43f",
-    ("ibm-q20-tokyo", 2, "opt-b"): "9639f21d607e0340a3fb8d1e804d111d8af5723a6a063f6b77339a976dc6fe08",
+    ("ibm-q20-tokyo", 2, "opt-b"): "4c764c95def03a6f20f9aecdab4bf593c9058a14ee5caee86047ce7ea99fdc9f",
     ("grid-5x5", 0, "opt-a"): "c96cacc95572993cc49bfa71a9ab72abce2ab13a78c51926645050a62e6d33a5",
-    ("grid-5x5", 0, "opt-b"): "07fa6adba876f39d7e77b97a6fbac4c2cae05361da2b5ddce2da7e02009a3e6b",
+    ("grid-5x5", 0, "opt-b"): "0689c65ddb488247ae3af7db6eee767293101c899a9f7af8fe175bbf4b18f135",
     ("16q-square", 1, "opt-a"): "52ebece0e00aa7308fea75e9d2f0f52a73118239a33ae76a50573fb29d4945dd",
-    ("16q-square", 1, "opt-b"): "ffbdc9c6702951181225e342d87aaaeff685dbaa297bb67b4e27d51d467364cf",
+    ("16q-square", 1, "opt-b"): "62a992f6b89d9a30b4d2b20359d1625bcd9007c59b66c208593627809db6f1b2",
     ("rigetti-16q-aspen", 1, "opt-a"): "d35c52d1874947ae99db466cede89ea010ddf2d29d2a28dc22d35c3a06506657",
-    ("rigetti-16q-aspen", 1, "opt-b"): "2b39c64e485039fbea2207daa8d368f66d171fa8e34d0e35728f51864f96acb0",
+    ("rigetti-16q-aspen", 1, "opt-b"): "e049b60e8d952d696f51e2d672b1035d41c6bb65016ca42bc24b0ed7eda6faba",
     ("ibm-qx5", 1, "opt-a"): "c224fd9bb264147adfe1b06e5e34869956e8313140336a3da4be774d8df71060",
-    ("ibm-qx5", 1, "opt-b"): "e4a09596877a246dc94ed34b65e71192604702e2b3f8748ecddee58025d11ade",
+    ("ibm-qx5", 1, "opt-b"): "8ab2826e4fab082fdce2d36f90dbd1548a4dbb1e9650f99d416ef780c23dfb63",
 }
 # (qubits, CNOTs) of each graph's random circuit; 9-qubit circuits with 20 CNOTs elsewhere
 PINNED_SIZES = {"grid-5x5": (25, 40), "16q-square": (16, 30), "rigetti-16q-aspen": (16, 30), "ibm-qx5": (16, 30)}
