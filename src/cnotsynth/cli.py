@@ -40,8 +40,8 @@ def _load_graph(spec: str):
     if path.exists():
         try:
             return parse_graph(path.read_text())
-        except ValueError as exc:
-            raise CliError(f"bad graph file {spec}: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise CliError(f"bad graph file {spec!r}: {exc}") from exc
     raise CliError(f"unknown preset or missing graph file {spec!r}; presets: {', '.join(PRESET_NAMES)}")
 
 
@@ -115,7 +115,10 @@ def _cmd_resynth(args) -> int:
     graph = _load_graph(args.graph)
     out, report = resynthesize(circ, graph, args.algo)
     if args.output:
-        Path(args.output).write_text(write_circuit(out))
+        try:
+            Path(args.output).write_text(write_circuit(out))
+        except OSError as exc:
+            raise CliError(f"cannot write circuit {args.output}: {exc}") from exc
     else:
         sys.stdout.write(write_circuit(out))
     if args.report == "json":
@@ -207,8 +210,11 @@ def _cmd_presets(args) -> int:
     for name in PRESET_NAMES:
         text = write_graph(preset_graph(name))
         if outdir:
-            outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / f"{name}.graph").write_text(text)
+            try:
+                outdir.mkdir(parents=True, exist_ok=True)
+                (outdir / f"{name}.graph").write_text(text)
+            except OSError as exc:
+                raise CliError(f"cannot write presets to {outdir}: {exc}") from exc
         else:
             sys.stdout.write(f"# {name}\n{text}")
     return 0

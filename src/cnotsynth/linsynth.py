@@ -8,13 +8,16 @@ column). Steiner trees route each column's row operations; trees are cut into
 sub-trees whose roots and leaves are terminals, and each sub-tree is traversed
 in up to four passes that cancel terminal rows while restoring Steiner rows.
 
-A tree walk costs one pass over its edges. The cut is a BFS that records each
-sub-tree's vertices layer by layer, so every pass of a sub-tree is read from
-one top-down ordering (layer, child) and one bottom-up ordering (-layer,
-child). Path sub-trees (every path-per-leaf sub-tree, and every tree with two
-terminals) take their passes straight from the path order, with no BFS. Every
-leaf of a tree is a terminal, so a two-terminal tree is the path between them
-and is its own single sub-tree.
+A tree walk costs one pass over its edges. The cut is a BFS that builds no
+tree: it records each sub-tree's vertices layer by layer and returns a (root,
+leaves, edges) record whose edges, its passes, are read from one top-down
+ordering (layer, child) and one bottom-up ordering (-layer, child); inside a
+sub-tree a vertex is a leaf exactly when it is a terminal. Path sub-trees
+(every path-per-leaf sub-tree, and every tree with two terminals) take their
+passes straight from the path order, with no BFS. Every leaf of a tree is a
+terminal, so a two-terminal tree is the path between them and is its own
+single sub-tree. The routing fallbacks and the corrections clear a row along a
+shortest path by applying the path's passes, with no tree at all.
 """
 
 from __future__ import annotations
@@ -29,24 +32,27 @@ from .topology import (
     NoPathError,
     SteinerTree,
     distances,
-    path_tree,
     shortest_path,
     steiner_tree,
 )
 
 
 _Edge = tuple[int, int]
+# one piece of a cut tree: (root, leaves, the (parent, child) edges of its passes)
+_SubTree = tuple[int, tuple[int, ...], list[_Edge]]
 
 
-def _cut(tree: SteinerTree, alg: int) -> list[tuple[SteinerTree, list[_Edge]]]:
+def _cut(tree: SteinerTree, alg: int) -> list[_SubTree]:
     """Cut a Steiner tree into edge-disjoint sub-trees rooted at its terminals.
 
     A BFS from the tree's root stops at every terminal it reaches; interior
     terminals seed later sub-trees (processed FIFO). Each sub-tree's terminals
-    are its root and the terminals it reached, which are exactly its leaves. For
-    ``alg == 4`` every sub-tree is further split into one path per leaf, stored
-    with root and leaf exchanged. Each sub-tree comes with the (parent, child)
-    edges of its ``alg`` passes, in order.
+    are its root and the terminals it reached, which are exactly its leaves
+    (listed in ascending order), so a vertex inside a sub-tree is a leaf exactly
+    when it is a terminal. For ``alg == 4`` every sub-tree is further split into
+    one path per leaf, in the order the BFS reached them, with root and leaf
+    exchanged. Each record carries the (parent, child) edges of its ``alg``
+    passes, in order.
     """
     terminals = tree.terminals
     if len(terminals) == 2:  # the tree is the path between them
@@ -55,17 +61,15 @@ def _cut(tree: SteinerTree, alg: int) -> list[tuple[SteinerTree, list[_Edge]]]:
         while path[-1] != tree.root:
             path.append(tree.parent[path[-1]])
         if alg == 4:  # the leaf end becomes the root
-            return [(path_tree(path), _path_passes(path, alg))]
-        return [(tree, _path_passes(path[::-1], alg))]
+            return [(end, (tree.root,), _path_passes(path, alg))]
+        return [(tree.root, (end,), _path_passes(path[::-1], alg))]
+    parent, children = tree.parent, tree.children
     pending = deque([tree.root])
-    remaining = set(terminals) - {tree.root}
-    out: list[tuple[SteinerTree, list[_Edge]]] = []
+    remaining = len(terminals) - 1
+    out: list[_SubTree] = []
     while remaining:
         root = pending.popleft()
         # BFS from root one layer at a time, cutting at terminals
-        parent: dict[int, int] = {}
-        children: dict[int, list[int]] = {root: []}
-        layer = {root: 0}
         leaves: list[int] = []
         levels: list[list[int]] = []  # levels[d]: the vertices at depth d + 1
         frontier = [root]
@@ -73,38 +77,31 @@ def _cut(tree: SteinerTree, alg: int) -> list[tuple[SteinerTree, list[_Edge]]]:
             level: list[int] = []
             inner: list[int] = []
             for u in frontier:
-                for w in tree.children[u]:
-                    parent[w] = u
-                    children[u].append(w)
-                    children[w] = []
-                    layer[w] = len(levels) + 1
+                for w in children[u]:
                     level.append(w)
                     if w in terminals:
                         leaves.append(w)
-                        remaining.discard(w)
-                        if tree.children[w]:
+                        remaining -= 1
+                        if children[w]:
                             pending.append(w)  # interior terminal: roots a later sub-tree
                     else:
                         inner.append(w)
-            if level:
-                levels.append(level)
+            levels.append(level)  # never empty: a non-terminal is no leaf
             frontier = inner
         if alg == 4:
             for leaf in leaves:
                 path = [leaf]
                 while path[-1] != root:
                     path.append(parent[path[-1]])
-                out.append((path_tree(path), _path_passes(path, alg)))  # leaf becomes the root
+                out.append((leaf, (root,), _path_passes(path, alg)))
         else:
-            sub = SteinerTree(
-                root, frozenset(leaves) | {root}, parent, {v: tuple(cs) for v, cs in children.items()}, layer
-            )
-            out.append((sub, _tree_passes(sub, levels, alg)))
+            leaves.sort()
+            out.append((root, tuple(leaves), _tree_passes(tree, root, levels, alg)))
     return out
 
 
 def _path_passes(path: list[int], alg: int) -> list[_Edge]:
-    """The passes over the path sub-tree ``path_tree(path)``, read straight off the path."""
+    """The passes over the path rooted at ``path[0]`` with its one leaf at ``path[-1]``."""
     down = list(zip(path, path[1:]))
     up = down[::-1]
     # bottom-up-1 skips the root's edge, bottom-up-2 the leaf's, top-down-2 both
@@ -113,36 +110,37 @@ def _path_passes(path: list[int], alg: int) -> list[_Edge]:
     return up[:-1] + down + up[1:] + down[1:-1]
 
 
-def _tree_passes(sub: SteinerTree, levels: list[list[int]], alg: int) -> list[_Edge]:
-    """The passes over ``sub``, whose vertices at depth d + 1 are ``levels[d]`` (sorted in place).
+def _tree_passes(tree: SteinerTree, root: int, levels: list[list[int]], alg: int) -> list[_Edge]:
+    """The passes over ``tree``'s sub-tree under ``root``; ``levels[d]`` holds its vertices at depth d + 1.
 
     Top-down passes take edges by (child layer, child index), bottom-up ones by
     (-child layer, child index). ``alg == 1`` runs top-down-1 (every edge) and
-    bottom-up-2 (edges into non-leaves); the others first run bottom-up-1 (edges
-    out of non-roots) and end with top-down-2 (edges out of non-roots into
-    non-leaves).
+    bottom-up-2 (edges into non-leaves, that is, non-terminals); the others
+    first run bottom-up-1 (edges out of non-roots) and end with top-down-2
+    (edges out of non-roots into non-leaves). Sorts each level in place.
     """
-    root, parent, children = sub.root, sub.parent, sub.children
+    parent, terminals = tree.parent, tree.terminals
     for level in levels:
         level.sort()
     down = [(parent[c], c) for level in levels for c in level]
     up = [(parent[c], c) for level in reversed(levels) for c in level]
-    up_inner = [e for e in up if children[e[1]]]
+    up_inner = [e for e in up if e[1] not in terminals]
     if alg == 1:
         return down + up_inner
     return (
         [e for e in up if e[0] != root]
         + down
         + up_inner
-        + [e for e in down if e[0] != root and children[e[1]]]
+        + [e for e in down if e[0] != root and e[1] not in terminals]
     )
 
 
-def row_op(matrix, tree: SteinerTree, alg: int) -> tuple[list[Gate], list[SteinerTree]]:
+def row_op(matrix, tree: SteinerTree, alg: int) -> tuple[list[Gate], list[_SubTree]]:
     """Emit the CNOTs that clear a column's terminal rows, updating ``matrix``.
 
     The terminals are ``tree.terminals`` and the pivot is ``tree.root``.
-    Returns the CNOTs and the sub-trees :func:`_cut` cut ``tree`` into.
+    Returns the CNOTs and the (root, leaves, edges) records :func:`_cut` cut
+    ``tree`` into.
 
     ``matrix`` only needs a ``row_xor(dst, src)`` method; it is mutated in place.
     ``alg`` selects the traversal set: 1 skips the first bottom-up and second
@@ -155,15 +153,26 @@ def row_op(matrix, tree: SteinerTree, alg: int) -> tuple[list[Gate], list[Steine
         raise ValueError(f"alg must be 1..4, got {alg}")
     cut = _cut(tree, alg)
     cnots: list[Gate] = []
-    for sub, edges in reversed(cut):  # starting from the last sub-tree
+    for root, leaves, edges in reversed(cut):  # starting from the last sub-tree
         cnots += [cnot(u, v) for u, v in edges]
         if alg == 4:
-            (leaf,) = sub.terminals - {sub.root}
-            matrix.row_xor(sub.root, leaf)
+            matrix.row_xor(root, leaves[0])
         else:
             for u, v in edges:
                 matrix.row_xor(v, u)
-    return cnots, [sub for sub, _ in cut]
+    return cnots, cut
+
+
+def _path_row_op(matrix, path: list[int]) -> tuple[list[Gate], _SubTree]:
+    """``row_op(matrix, path_tree(path), alg=3)`` without the tree: the path's four passes.
+
+    Row ``path[-1]`` gains row ``path[0]``; the interior rows come back as they
+    were. Returns the CNOTs and the path's one (root, leaves, edges) record.
+    """
+    edges = _path_passes(path, 3)
+    for u, v in edges:
+        matrix.row_xor(v, u)
+    return [cnot(u, v) for u, v in edges], (path[0], (path[-1],), edges)
 
 
 def _ones_below(a: AugmentedTransform, i: int, rows: set[int]) -> set[int]:
@@ -200,7 +209,7 @@ def _fix_diagonal(
             raise NoPathError(f"a pivot candidate for column {i} is unreachable from {i}")
         best = min(candidates, key=lambda j: (dist[j], j))
         path = shortest_path(g, best, i, full)
-        gates.extend(row_op(a, path_tree(path), alg=3)[0])
+        gates += _path_row_op(a, path)[0]
     return gates
 
 
@@ -211,10 +220,10 @@ def _eliminate_column(
     active: frozenset[int],
     terms: set[int],
     alg: int,
-) -> tuple[list[Gate], list[SteinerTree]]:
-    """Clear the 1s of column i in rows ``terms``; returns the CNOTs and ``row_op``'s sub-trees."""
+) -> tuple[list[Gate], list[_SubTree]]:
+    """Clear the 1s of column i in rows ``terms``; returns the CNOTs and every row op's sub-tree records."""
     cnots: list[Gate] = []
-    subtrees: list[SteinerTree] = []
+    subtrees: list[_SubTree] = []
     if not terms:
         return cnots, subtrees
     dist = distances(g, i, active)
@@ -223,17 +232,16 @@ def _eliminate_column(
         cnots, subtrees = row_op(a, steiner_tree(g, reachable | {i}, i, active), alg)
     for t in sorted(terms - reachable):
         # route through already-fixed vertices; alg=3 leaves interior rows intact
-        path = shortest_path(g, i, t, frozenset(g.vertices))
-        path_cnots, path_subtrees = row_op(a, path_tree(path), alg=3)
+        path_cnots, sub = _path_row_op(a, shortest_path(g, i, t, frozenset(g.vertices)))
         cnots += path_cnots
-        subtrees += path_subtrees
+        subtrees.append(sub)
     return cnots, subtrees
 
 
 def _corrections(
     a: AugmentedTransform,
     g: ConnectivityGraph,
-    subtrees: list[SteinerTree],
+    subtrees: list[_SubTree],
     active: frozenset[int],
 ) -> list[Gate]:
     """Re-pair every leaf whose sub-tree root has a larger index.
@@ -243,18 +251,18 @@ def _corrections(
     so the leaf is chased down the chain of earlier roots until its partner has
     a smaller index. ``partner`` maps each leaf to its current pairing row.
     """
-    partner = {leaf: sub.root for sub in subtrees for leaf in sub.leaves()}
+    partner = {leaf: root for root, leaves, _ in subtrees for leaf in leaves}
     gates: list[Gate] = []
     full = frozenset(g.vertices)
-    for sub in subtrees:
-        for leaf in sub.leaves():
-            r = sub.root
+    for root, leaves, _ in subtrees:
+        for leaf in leaves:
+            r = root
             while r > leaf:
                 try:
                     path = shortest_path(g, r, leaf, active)
                 except NoPathError:
                     path = shortest_path(g, r, leaf, full)
-                gates += row_op(a, path_tree(path), alg=3)[0]
+                gates += _path_row_op(a, path)[0]
                 partner[leaf] = partner[r]
                 r = partner[r]
     return gates

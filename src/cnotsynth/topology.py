@@ -18,15 +18,19 @@ optimum, l being the leaf count of an optimal tree.
 
 Every distance and path question is answered from one BFS per (graph, active
 set, source), memoized lazily on the graph. The closest pair of every two
-subgraphs is kept in a table; after a merge only the new path vertices are
-scanned against the other subgraphs. Two terminals are joined by their merge
-path alone, which, walked from the root, is the tree.
+subgraphs is kept in a table of comparable tuples; after a merge only the new
+path vertices are scanned against the other subgraphs, and a candidate pair is
+built only when it is no farther than the best one. The merges write their
+edges into one adjacency map, which one BFS from the root turns into the tree.
+Two terminals are joined by their merge path alone, which is the tree.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import count
+from math import inf
 from typing import Callable, Iterable
 
 
@@ -301,9 +305,6 @@ class SteinerTree:
     def edge_count(self) -> int:
         return len(self.parent)
 
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(sorted(v for v in self.layer if not self.children[v]))
-
 
 def path_tree(path: list[int]) -> SteinerTree:
     """The tree of a path: rooted at ``path[0]``, its two ends the terminals."""
@@ -312,34 +313,6 @@ def path_tree(path: list[int]) -> SteinerTree:
     children[path[-1]] = ()
     layer = {v: k for k, v in enumerate(path)}
     return SteinerTree(path[0], frozenset({path[0], path[-1]}), parent, children, layer)
-
-
-def _root_tree(edges: set[tuple[int, int]], root: int, terminals: frozenset[int]) -> SteinerTree:
-    # Every edge must be normalized as (a, b) with a < b. Then one lexicographic
-    # sort leaves every adjacency list ascending: a vertex's smaller neighbors
-    # come from edges (a, x), which sort before its edges (x, b).
-    adj: dict[int, list[int]] = {root: []}
-    for a, b in sorted(edges):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    parent: dict[int, int] = {}
-    layer = {root: 0}
-    children: dict[int, list[int]] = {v: [] for v in adj}
-    queue = [root]
-    for x in queue:
-        for w in adj[x]:
-            if w not in layer:
-                layer[w] = layer[x] + 1
-                parent[w] = x
-                children[x].append(w)
-                queue.append(w)
-    return SteinerTree(
-        root=root,
-        terminals=terminals,
-        parent=parent,
-        children={v: tuple(cs) for v, cs in children.items()},
-        layer=layer,
-    )
 
 
 def steiner_tree(
@@ -372,51 +345,64 @@ def steiner_tree(
         (other,) = term_set - {root}
         return path_tree(_merge_path(search, root, other))
 
-    # Forest of subgraphs keyed by creation order: id -> (vertices, edges).
-    # closest[i, j] (i < j) is the smallest (distance, normalized endpoint pair)
-    # between subgraphs i and j; pairs that cannot reach each other are absent.
-    forest: dict[int, tuple[list[int], set[tuple[int, int]]]] = {
-        k: ([t], set()) for k, t in enumerate(order)
-    }
+    # Forest of subgraphs keyed by creation order: id -> vertices. The subgraphs
+    # share no vertex, so one adjacency map holds all their edges. closest[i, j]
+    # (i < j) is (distance, x, y, i, j) for the closest pair x < y between
+    # subgraphs i and j, so the smallest entry is the next merge; pairs that
+    # cannot reach each other are absent.
+    forest = {k: [t] for k, t in enumerate(order)}
+    adj: defaultdict[int, list[int]] = defaultdict(list)
     ids = count(len(order))
-    closest: dict[tuple[int, int], tuple[int, tuple[int, int]]] = {}
+    closest: dict[tuple[int, int], tuple[int, ...]] = {}
     for i, t in enumerate(order[:-1]):
         dist_t = search(t)[0]
         for j in range(i + 1, len(order)):
             if order[j] in dist_t:
-                closest[i, j] = (dist_t[order[j]], (t, order[j]))
+                closest[i, j] = (dist_t[order[j]], t, order[j], i, j)
+    far = (inf,)  # farther than any pair
     while len(forest) > 1:
         if not closest:
             raise _disconnected(order)
-        (i, j), (_, (u, v)) = min(closest.items(), key=lambda kv: (kv[1], kv[0]))
+        _, u, v, i, j = min(closest.values())
+        del closest[i, j]
         path = _merge_path(search, u, v)
-        verts_i, edges_i = forest.pop(i)
-        verts_j, edges_j = forest.pop(j)
+        for a, b in zip(path, path[1:]):
+            adj[a].append(b)
+            adj[b].append(a)
         # vertices new to the merged subgraph: a shortest path between a closest
         # pair meets no subgraph in its interior
         fresh = path[1:-1]
-        fresh_dist = [search(x)[0] for x in fresh] if forest else []
+        merged = forest.pop(i) + forest.pop(j) + fresh
         new = next(ids)
-        del closest[i, j]
-        for k, (verts_k, _) in forest.items():
-            old = (closest.pop((x, k) if x < k else (k, x), None) for x in (i, j))
-            cands = [c for c in old if c] + [
-                (dist_x[y], (x, y) if x < y else (y, x))
-                for x, dist_x in zip(fresh, fresh_dist)
-                for y in verts_k
-                if y in dist_x
-            ]
-            if cands:
-                closest[k, new] = min(cands)
-        forest[new] = (verts_i + verts_j + fresh, edges_i | edges_j | _path_edges(path))
+        fresh_dist = [(x, search(x)[0]) for x in fresh] if forest else []
+        for k, verts_k in forest.items():
+            # the pairs into i, into j and from the fresh vertices all end in
+            # different vertices, so tuples compare by (distance, x, y)
+            best = min(closest.pop((i, k) if i < k else (k, i), far), closest.pop((j, k) if j < k else (k, j), far))
+            for x, dist_x in fresh_dist:
+                for y in verts_k:
+                    d = dist_x.get(y, inf)
+                    if d <= best[0] and (cand := (d, x, y) if x < y else (d, y, x)) < best:
+                        best = cand  # only a pair no farther than the best is built
+            if best is not far:
+                closest[k, new] = best[:3] + (k, new)
+        forest[new] = merged
 
-    _, edges = forest.popitem()[1]
-    return _root_tree(edges, root, term_set)
+    # root the tree: BFS from the root, children ascending
+    parent: dict[int, int] = {}
+    layer = {root: 0}
+    children: dict[int, tuple[int, ...]] = {}
+    queue = [root]
+    for x in queue:
+        below = sorted(w for w in adj[x] if w not in layer)
+        for w in below:
+            parent[w] = x
+            layer[w] = layer[x] + 1
+        children[x] = tuple(below)
+        queue += below
+    return SteinerTree(root, term_set, parent, children, layer)
 
 
 def _disconnected(terminals: list[int]) -> DisconnectedTerminalsError:
     return DisconnectedTerminalsError(f"terminals {terminals} are not connected within the active subgraph")
 
-
-def _path_edges(path: list[int]) -> set[tuple[int, int]]:
-    return {(a, b) if a < b else (b, a) for a, b in zip(path, path[1:])}

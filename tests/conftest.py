@@ -86,6 +86,11 @@ def tree_nodes(tree: SteinerTree) -> frozenset[int]:
     return frozenset(tree.layer)
 
 
+def tree_leaves(tree: SteinerTree) -> tuple[int, ...]:
+    """The tree's childless vertices, ascending."""
+    return tuple(sorted(v for v in tree.layer if not tree.children[v]))
+
+
 def random_connected_graph(rng, n) -> ConnectivityGraph:
     """A connected graph on n vertices, each possible edge kept with probability 0.4."""
     while True:

@@ -73,6 +73,23 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert "unknown gate" in capsys.readouterr().err
 
 
+def test_unreadable_graph_exit_2(circuit_file, tmp_path, capsys):
+    # a directory is no graph file; "" names the working directory
+    code = main(["resynth", "--algo", "swap", "--circuit", str(circuit_file), "--graph", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: bad graph file")
+    assert main(["bench", "--random", "n=6", "cnots=2", "trials=1", "--graph", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: bad graph file") and not captured.out
+
+
+def test_unwritable_output_exit_2(circuit_file, tmp_path, capsys):
+    args = ["resynth", "--algo", "swap", "--circuit", str(circuit_file), "--graph", "9q-square"]
+    code = main(args + ["--output", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: cannot write circuit")
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["resynth", "--algo", "frobnicate", "--circuit", "x", "--graph", "y"])
@@ -205,6 +222,13 @@ def test_presets_dump(tmp_path):
     assert "9q-square.graph" in files and len(files) == 6
     g = parse_graph((outdir / "ibm-q20-tokyo.graph").read_text())
     assert g.num_vertices == 20
+
+
+def test_presets_outdir_is_a_file_exit_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["presets", "--outdir", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write presets")
 
 
 def test_bench_deterministic(capsys):

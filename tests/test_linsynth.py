@@ -10,6 +10,8 @@ from cnotsynth.circuit import GateKind, cnot, cnot_count, connectivity_violation
 from cnotsynth.linalg import CONST_BIT, AugmentedTransform, SingularTransformError, transform_of_circuit
 from cnotsynth.linsynth import (
     _cut,
+    _path_passes,
+    _path_row_op,
     linear_tf_synth,
     row_op,
 )
@@ -24,7 +26,15 @@ from cnotsynth.topology import (
     shortest_path,
     steiner_tree,
 )
-from tests.conftest import APPENDIX_A_BITS, entry, is_invertible, random_connected_graph, random_invertible, traced
+from tests.conftest import (
+    APPENDIX_A_BITS,
+    entry,
+    is_invertible,
+    random_connected_graph,
+    random_invertible,
+    traced,
+    tree_leaves,
+)
 
 
 def _pairs(gates):
@@ -36,36 +46,35 @@ def _pairs(gates):
 
 def test_separate_single_edge(grid2x3):
     tree = steiner_tree(grid2x3, {4, 5}, 4)
-    subs = [s for s, _ in _cut(tree, alg=1)]
+    subs = _cut(tree, alg=1)
     assert len(subs) == 1
-    assert subs[0].root == 4 and subs[0].leaves() == (5,)
+    assert subs[0][:2] == (4, (5,))
 
 
 def test_separate_appendix_column1(grid2x3):
     # path 1-2-3-4-5 cuts into (1->2->3), (3->4), (4->5)
     tree = steiner_tree(grid2x3, {1, 3, 4, 5}, 1)
-    subs = [s for s, _ in _cut(tree, alg=1)]
-    assert [(s.root, s.leaves()) for s in subs] == [(1, (3,)), (3, (4,)), (4, (5,))]
-    assert [s.terminals for s in subs] == [{1, 3}, {3, 4}, {4, 5}]
-    assert set(subs[0].parent) == {2, 3}  # Steiner node 2 inside the first sub-tree
+    subs = _cut(tree, alg=1)
+    assert [(root, leaves) for root, leaves, _ in subs] == [(1, (3,)), (3, (4,)), (4, (5,))]
+    assert {child for _, child in subs[0][2]} == {2, 3}  # Steiner node 2 inside the first sub-tree
 
 
 def test_separate_flipped_paths(grid2x3):
     # phase-network mode: tree 4-5-6 becomes reversed paths (5->4), (6->5)
     tree = steiner_tree(grid2x3, {4, 5, 6}, 4)
-    subs = [s for s, _ in _cut(tree, alg=4)]
-    assert [(s.root, s.leaves()) for s in subs] == [(5, (4,)), (6, (5,))]
+    subs = _cut(tree, alg=4)
+    assert [(root, leaves) for root, leaves, _ in subs] == [(5, (4,)), (6, (5,))]
 
 
 def test_separate_edge_disjoint(grid2x3):
     tree = steiner_tree(grid2x3, {2, 3, 4, 6}, 2, frozenset({2, 3, 4, 5, 6}))
-    subs = [s for s, _ in _cut(tree, alg=1)]
+    subs = _cut(tree, alg=1)
     seen = set()
-    for s in subs:
-        for child, parent in s.parent.items():
-            edge = (min(child, parent), max(child, parent))
-            assert edge not in seen
-            seen.add(edge)
+    for _, _, passes in subs:
+        edges = {(min(parent, child), max(parent, child)) for parent, child in passes}
+        assert not edges & seen
+        seen |= edges
+    assert len(seen) == tree.edge_count
 
 
 # -- ROW-OP ---------------------------------------------------------------------
@@ -83,7 +92,7 @@ def test_row_op_alg2_post_transpose(grid2x3):
     tree = steiner_tree(grid2x3, {1, 2, 4, 5}, 1)
     cnots, subtrees = row_op(a, tree, alg=2)
     assert _pairs(cnots) == [(5, 4), (2, 5), (1, 2)]
-    assert [(s.root, s.leaves()) for s in subtrees] == [(1, (2,)), (2, (5,)), (5, (4,))]
+    assert [(root, leaves) for root, leaves, _ in subtrees] == [(1, (2,)), (2, (5,)), (5, (4,))]
 
 
 def test_row_op_single_terminal(grid2x3, appendix_transform):
@@ -168,7 +177,7 @@ def _reference_traversal_edges(sub, which):
         )
     if which == "top-down-1":  # every edge, top first
         return edges
-    leaves = set(sub.leaves())
+    leaves = set(tree_leaves(sub))
     if which == "bottom-up-2":  # non-leaf children, deepest first
         return sorted(
             (e for e in edges if e[1] not in leaves),
@@ -180,20 +189,23 @@ def _reference_traversal_edges(sub, which):
 
 
 def _reference_row_op(matrix, tree, alg):
-    subtrees = _reference_separate(tree, alg)
+    """The CNOTs and a (root, leaves, pass edges) record per sub-tree, in cut order."""
+    passes = ["top-down-1", "bottom-up-2"]
+    if alg != 1:
+        passes = ["bottom-up-1"] + passes + ["top-down-2"]
+    records = [
+        (sub.root, tree_leaves(sub), [e for which in passes for e in _reference_traversal_edges(sub, which)])
+        for sub in _reference_separate(tree, alg)
+    ]
     cnots = []
-    for sub in reversed(subtrees):
-        passes = ["top-down-1", "bottom-up-2"]
-        if alg != 1:
-            passes = ["bottom-up-1"] + passes + ["top-down-2"]
-        for which in passes:
-            for u, v in _reference_traversal_edges(sub, which):
-                cnots.append(cnot(u, v))
-                if alg != 4:
-                    matrix.row_xor(v, u)
+    for root, leaves, edges in reversed(records):
+        for u, v in edges:
+            cnots.append(cnot(u, v))
+            if alg != 4:
+                matrix.row_xor(v, u)
         if alg == 4:
-            matrix.row_xor(sub.root, sub.leaves()[0])
-    return cnots, subtrees
+            matrix.row_xor(root, leaves[0])
+    return cnots, records
 
 
 def _row_op_cases(rng):
@@ -230,9 +242,7 @@ def test_row_op_matches_sort_per_pass_reference():
             want_cnots, want_subs = _reference_row_op(want_matrix, tree, alg)
             case = (sorted(g.edges), sorted(tree.terminals), tree.root, alg)
             assert _pairs(got_cnots) == _pairs(want_cnots), case
-            assert [(s.root, s.terminals, s.parent, s.children, s.layer) for s in got_subs] == [
-                (s.root, s.terminals, s.parent, s.children, s.layer) for s in want_subs
-            ], case
+            assert got_subs == want_subs, case
             assert got_matrix == want_matrix, case
         seen["terminals-%d" % min(len(tree.terminals), 3)] += 1
         seen["interior terminal"] += any(tree.children[t] for t in tree.terminals - {tree.root})
@@ -241,16 +251,36 @@ def test_row_op_matches_sort_per_pass_reference():
     assert min(seen.values()) > 100, seen
 
 
-def test_cut_hands_back_a_two_terminal_path_tree():
+def test_cut_of_a_two_terminal_tree_is_its_path():
     # a tree that is exactly the path between its two terminals is its own
-    # single sub-tree, except in path-per-leaf mode, where the leaf end roots it
+    # single sub-tree, whose record is the path's passes, except in
+    # path-per-leaf mode, where the leaf end roots it
     g = grid_graph(3, 3)
-    tree = path_tree(shortest_path(g, 1, 9))
+    path = shortest_path(g, 1, 9)
+    tree = path_tree(path)
     for alg in (1, 2, 3):
-        [(sub, _)] = _cut(tree, alg)
-        assert sub is tree
-    [(sub, _)] = _cut(tree, 4)
-    assert sub.root == 9 and sub.terminals == tree.terminals
+        assert _cut(tree, alg) == [(1, (9,), _path_passes(path, alg))]
+    assert _cut(tree, 4) == [(9, (1,), _path_passes(path[::-1], 4))]
+    assert _cut(path_tree([5]), 1) == []
+
+
+def test_path_row_op_is_row_op_on_the_path_tree():
+    rng = random.Random(3131)
+    checked = 0
+    for g, tree in _row_op_cases(rng):
+        if len(tree.terminals) != 2:
+            continue
+        (end,) = tree.terminals - {tree.root}
+        path = shortest_path(g, tree.root, end)
+        start = random_invertible(rng, g.num_vertices)
+        got_matrix, want_matrix = start.copy(), start.copy()
+        got_cnots, got_sub = _path_row_op(got_matrix, path)
+        want_cnots, want_subs = row_op(want_matrix, path_tree(path), alg=3)
+        assert _pairs(got_cnots) == _pairs(want_cnots)
+        assert [got_sub] == want_subs
+        assert got_matrix == want_matrix
+        checked += 1
+    assert checked > 200
 
 
 # -- LINEAR-TF-SYNTH -------------------------------------------------------------
@@ -459,16 +489,16 @@ PINNED_LINEAR = {
 
 
 def test_linear_synthesis_pinned(monkeypatch):
-    # row_op gets alg=3 only from the full-graph routing fallbacks and from
+    # path row ops run only in the full-graph routing fallbacks and in
     # _corrections; count which of them ran
     fallbacks = Counter()
 
     def spy(*args, **kwargs):
-        if kwargs.get("alg") == 3:
-            fallbacks[sys._getframe(1).f_code.co_name] += 1
-        return row_op(*args, **kwargs)
+        fallbacks[sys._getframe(1).f_code.co_name] += 1
+        return path_row_op(*args, **kwargs)
 
-    monkeypatch.setattr(linsynth, "row_op", spy)
+    path_row_op = linsynth._path_row_op
+    monkeypatch.setattr(linsynth, "_path_row_op", spy)
     for name, g in _pin_graphs().items():
         digest = hashlib.sha256()
         for a in _pin_inputs(random.Random(name), g.num_vertices):

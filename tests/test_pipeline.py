@@ -2,6 +2,7 @@
 import hashlib
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,8 +17,9 @@ from cnotsynth.circuit import (
     parse_circuit,
     write_circuit,
 )
+from cnotsynth import linsynth, phasesynth
 from cnotsynth.linalg import ParityMatrix
-from cnotsynth.linsynth import linear_tf_synth
+from cnotsynth.linsynth import linear_tf_synth, row_op
 from cnotsynth.pipeline import (
     BENCH_COLUMNS,
     ResynthesisReport,
@@ -31,9 +33,11 @@ from cnotsynth.pipeline import (
 )
 from cnotsynth.phasepoly import extract_sliced
 from cnotsynth.phasesynth import phase_nw_synth
-from cnotsynth.topology import PRESET_NAMES, ConnectivityGraph, _searches, grid_graph, preset_graph
+from cnotsynth.topology import PRESET_NAMES, ConnectivityGraph, _searches, grid_graph, preset_graph, steiner_tree
 from cnotsynth.verify import equivalent_up_to_phase
 from tests.conftest import random_invertible
+from tests.test_linsynth import _reference_row_op
+from tests.test_topology import _reference_steiner_tree
 
 
 def _bfs_dist(g, u, v, active=None):
@@ -177,6 +181,68 @@ def test_emitted_circuits_pinned():
         g = grid_graph(5, 5) if graph == "grid-5x5" else preset_graph(graph)
         out, _ = resynthesize(c, g, algo)
         assert hashlib.sha256(write_circuit(out).encode()).hexdigest() == digest, (graph, seed, algo)
+
+
+def _long_slice_circuit(rng, n):
+    """1,600 gates on n qubits, one H per 100; the other kinds drawn uniformly."""
+    kinds = [k for k in GateKind if k is not GateKind.H]
+    gates = []
+    for k in range(1600):
+        kind = GateKind.H if k % 100 == 99 else rng.choice(kinds)
+        if kind is GateKind.CNOT:
+            gates.append(cnot(*rng.sample(range(1, n + 1), 2)))
+        else:
+            gates.append(Gate(kind, rng.randint(1, n)))
+    return Circuit(n, tuple(gates))
+
+
+def test_pipeline_trees_match_the_references(monkeypatch):
+    # the Steiner trees and row ops the pipelines really make on long slices:
+    # many terminals, most with interior terminals, unlike random terminal sets
+    trees, ops = [], []
+
+    def tree_spy(g, terminals, root, active=None):
+        tree = steiner_tree(g, terminals, root, active)
+        trees.append((g, active or frozenset(g.vertices), tree))
+        return tree
+
+    def op_spy(matrix, tree, alg):
+        ops.append((g.num_vertices, tree, alg))  # g: the graph being compiled for
+        return row_op(matrix, tree, alg)
+
+    for module in (linsynth, phasesynth):
+        monkeypatch.setattr(module, "steiner_tree", tree_spy)
+        monkeypatch.setattr(module, "row_op", op_spy)
+    rng = random.Random("pipeline-trees")
+    for name in ("16q-square", "ibm-q20-tokyo"):
+        g = preset_graph(name)
+        for _ in range(3):
+            c = _long_slice_circuit(rng, 16)
+            for algo in ("opt-a", "opt-b"):
+                resynthesize(c, g, algo)
+
+    def sample(items, tree_of, size):
+        # of the trees with three or more terminals: the half of the sample
+        # with the most terminals, and a seeded draw from the rest
+        items = [item for item in items if len(tree_of(item).terminals) > 2]
+        items.sort(key=lambda item: -len(tree_of(item).terminals))
+        return items[: size // 2] + rng.sample(items[size // 2 :], size - size // 2)
+
+    seen = Counter()
+    for g, active, tree in sample(trees, lambda item: item[2], 60):
+        want = _reference_steiner_tree(g, tree.terminals, tree.root, active, Counter())
+        assert (tree.parent, tree.children, tree.layer) == (want.parent, want.children, want.layer)
+        seen["max terminals"] = max(seen["max terminals"], len(tree.terminals))
+        seen["interior terminal"] += any(tree.children[t] for t in tree.terminals - {tree.root})
+    for n, tree, alg in sample(ops, lambda item: item[1], 120):
+        start = random_invertible(rng, n)
+        got_matrix, want_matrix = start.copy(), start.copy()
+        got_cnots, got_subs = row_op(got_matrix, tree, alg)
+        want_cnots, want_subs = _reference_row_op(want_matrix, tree, alg)
+        assert got_cnots == want_cnots and got_subs == want_subs and got_matrix == want_matrix
+        seen[f"alg {alg}"] += 1
+    assert seen["max terminals"] >= 8 and seen["interior terminal"] > 30, seen
+    assert min(seen[f"alg {alg}"] for alg in (1, 2, 4)) > 5, seen
 
 
 def _revalidated(c):

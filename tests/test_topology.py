@@ -21,7 +21,7 @@ from cnotsynth.topology import (
     write_graph,
 )
 from cnotsynth.topology import _merge_path, _searches
-from tests.conftest import is_connected, random_connected_graph, tree_nodes
+from tests.conftest import is_connected, random_connected_graph, tree_leaves, tree_nodes
 
 
 # -- independent oracles ----------------------------------------------------
@@ -90,7 +90,7 @@ def check_tree(tree, g: ConnectivityGraph, terminals, root):
     """Structural invariants: spans terminals, leaves are terminals, edges exist, acyclic."""
     assert tree.root == root
     assert set(terminals) <= tree_nodes(tree)
-    for leaf in tree.leaves():
+    for leaf in tree_leaves(tree):
         assert leaf in terminals
     for child, parent in tree.parent.items():
         assert g.has_edge(child, parent)
