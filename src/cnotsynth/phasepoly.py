@@ -4,18 +4,18 @@ Wire states and parity terms are parity ints (see :mod:`cnotsynth.linalg`):
 bit i is path variable x_i, bit 0 the affine constant. For H-free circuits the
 state lives over x_1..x_n; every H gate replaces its wire's state with a fresh
 variable x_{n+j} and records the states immediately before and after, which is
-what the phase-partitioned pipeline slices on. Dual rows kept beside the states
-rewrite any term of their span over them with one AND per row, so no F2
-reduction is needed to place or rebase a term.
+what the slice-and-build pipelines slice on. The sliced extraction also folds
+each slice's own map from the identity, so it writes every phase term over the
+wires at the start of its slice as it goes, and no term needs an F2 reduction
+to be placed or rebased.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import PHASE_COEFF, Circuit, GateKind
-from .linalg import CONST_BIT, ParityMatrix, format_parity
-from .linalg import f2_solve  # noqa: F401  (unused; perfbench's tracer test reads this binding)
+from .linalg import CONST_BIT, ParityMatrix, f2_solve, format_parity
 
 
 class PhasePolySet:
@@ -92,24 +92,11 @@ class HSliceRecord:
     The rows of q_in are linearly independent: :func:`extract_sliced` starts
     from the identity, a CNOT adds one row into another and an H swaps a row
     for a fresh variable.
-
-    ``dual_in`` holds the dual rows of q_in, over the variable bits only:
-    ``popcount(dual_in[i] & q_in[j])`` is odd exactly when i == j. So a term
-    in the span of q_in uses row i in its (unique) expression over q_in exactly
-    when its AND with ``dual_in[i]`` has odd parity. The dual rows depend on
-    the gate history, not only on q_in, so record equality ignores them.
     """
 
     pos: int
     q_in: tuple[int, ...]
     q_out: tuple[int, ...]
-    dual_in: tuple[int, ...] = field(compare=False)
-
-    @property
-    def dual_out(self) -> tuple[int, ...]:
-        """The dual rows of q_out: ``dual_in`` with row ``pos`` replaced by the fresh variable."""
-        i = self.pos - 1
-        return self.dual_in[:i] + (self.q_out[i],) + self.dual_in[i + 1 :]
 
 
 @dataclass(frozen=True)
@@ -121,6 +108,9 @@ class SlicedExtraction:
     # slice_maps[k]: the state at the end of slice k (before H k, or the final
     # state) written over the state at its start, as f2_solve would return it
     slice_maps: tuple[tuple[int, ...], ...]
+    # own_terms[k]: the terms that slice k's own phase gates make, as
+    # extract_hfree of the slice's gates gives them
+    own_terms: tuple[PhasePolySet, ...]
     # slice_terms[k]: the terms whose parity a phase gate first touches in
     # slice k; together they are exactly ``terms``
     slice_terms: tuple[PhasePolySet, ...]
@@ -129,99 +119,91 @@ class SlicedExtraction:
 def extract_sliced(c: Circuit) -> SlicedExtraction:
     """Full-circuit extraction where each H gate introduces a fresh path variable.
 
-    Beside the wire states it keeps their dual rows (see :class:`HSliceRecord`):
-    a CNOT(c, t) adds row t into dual row c, an H sets its wire's dual row to
-    the fresh variable. Each slice's own map is the same fold restarted from
-    the identity at the slice start.
+    Beside the wire states it folds each slice's own map, restarted from the
+    identity at the slice start, so every phase gate's parity is also known
+    over the wires at the start of its slice. Both slice partitions hold their
+    terms in that frame.
 
     Each parity belongs to the slice where a phase gate first touches it, and
-    every later coefficient on it is added into that slice's terms, even after
-    they cancel to 0. The parity was a wire state in its slice, so it lies in
-    the span of that slice's start state.
+    every later coefficient on it is added into that slice's term, even after
+    they cancel to 0. Within one slice a parity and its expression over the
+    slice-start wires determine each other, because the start state's rows
+    are independent.
     """
     n = c.num_qubits
+    identity = identity_state(n)
     terms = PhasePolySet()
-    state = list(identity_state(n))
-    dual = list(identity_state(n))
-    local = list(identity_state(n))
+    state = list(identity)
+    local = list(identity)
     records: list[HSliceRecord] = []
     maps: list[tuple[int, ...]] = []
-    slice_terms: list[PhasePolySet] = [PhasePolySet()]
-    owner: dict[int, PhasePolySet] = {}
+    own = PhasePolySet()
+    first = PhasePolySet()
+    own_terms = [own]
+    slice_terms = [first]
+    owner: dict[int, tuple[PhasePolySet, int]] = {}  # parity -> (its slice's terms, its key there)
     fresh = n
     for g in c.gates:
         kind = g.kind
-        if kind in PHASE_COEFF:
-            parity = state[g.target - 1]
-            owner.setdefault(parity, slice_terms[-1]).add(PHASE_COEFF[kind], parity)
-        elif kind is GateKind.H:
-            fresh += 1
-            i = g.target - 1
-            before = tuple(state)
-            dual_in = tuple(dual)
-            state[i] = dual[i] = 1 << fresh
-            records.append(HSliceRecord(g.target, before, tuple(state), dual_in))
-            maps.append(tuple(local))
-            local = list(identity_state(n))
-            slice_terms.append(PhasePolySet())
-            continue
-        _fold_gate(state, terms, g)
+        i = g.target - 1
         if kind is GateKind.CNOT:
-            dual[g.control - 1] ^= dual[g.target - 1]
-            local[g.target - 1] ^= local[g.control - 1]
-        elif kind is GateKind.X or kind is GateKind.Y:
-            local[g.target - 1] ^= CONST_BIT
+            state[i] ^= state[g.control - 1]
+            local[i] ^= local[g.control - 1]
+            continue
+        if kind is GateKind.H:
+            fresh += 1
+            before = tuple(state)
+            state[i] = 1 << fresh
+            records.append(HSliceRecord(g.target, before, tuple(state)))
+            maps.append(tuple(local))
+            local = list(identity)
+            own, first = PhasePolySet(), PhasePolySet()
+            own_terms.append(own)
+            slice_terms.append(first)
+            continue
+        if kind is not GateKind.X:
+            coeff = PHASE_COEFF[kind]
+            parity, key = state[i], local[i]
+            terms.add(coeff, parity)
+            own.add(coeff, key)
+            home, home_key = owner.setdefault(parity, (first, key))
+            home.add(coeff, home_key)
+        if kind is GateKind.X or kind is GateKind.Y:
+            state[i] ^= CONST_BIT
+            local[i] ^= CONST_BIT
     maps.append(tuple(local))
-    return SlicedExtraction(terms, tuple(state), tuple(records), fresh, tuple(maps), tuple(slice_terms))
+    return SlicedExtraction(
+        terms, tuple(state), tuple(records), fresh, tuple(maps), tuple(own_terms), tuple(slice_terms)
+    )
 
 
 def uncomputable_terms(p: PhasePolySet, h: HSliceRecord) -> PhasePolySet:
-    """Terms expressible before the H gate but not after it.
+    """Terms expressible over q_in but not over q_out: the paper's CNOT-OPT-B rule.
 
-    This is the paper's CNOT-OPT-B rule, which emits each term at the last H
-    before which it is still computable. No pipeline calls it any more:
-    :func:`~cnotsynth.pipeline.cnot_opt_b` places each term in the slice where
-    it first appears (``SlicedExtraction.slice_terms``).
-
-    Requires ``h`` as :func:`extract_sliced` builds it (q_in's rows independent,
-    ``dual_in`` their dual rows, q_out equal to q_in but for a fresh variable
-    at ``pos``) and ``p`` the extraction's terms that no earlier record found
-    uncomputable. A term of ``p`` made before the H survived every earlier H,
-    so it lies in the span of q_in, and it stops being expressible exactly
-    when its expression over q_in uses row ``pos``: one AND with
-    ``dual_in[pos]`` decides. A term made after the H lies in the span of the
-    other rows of q_in plus variables at least as new as the fresh one, on
-    which that AND has even parity, so it is kept. Inputs that break the
-    precondition get an answer that may differ from the before/after
-    definition, with no error. The affine constant never blocks realizability
-    (an X gate supplies it).
+    No pipeline calls it: :func:`~cnotsynth.pipeline.cnot_opt_b` places each
+    term in the slice where it first appears (``SlicedExtraction.slice_terms``).
+    The affine constant never blocks realizability (an X gate supplies it).
     """
-    dual = h.dual_in[h.pos - 1]
-    return PhasePolySet((coeff, parity) for parity, coeff in p._terms.items() if (parity & dual).bit_count() & 1)
+    terms = p.terms()
+    parities = [parity for _, parity in terms]
+    before = f2_solve(list(h.q_in), parities)
+    after = f2_solve(list(h.q_out), parities)
+    return PhasePolySet(t for t, b, a in zip(terms, before, after) if b is not None and a is None)
 
 
-def rebase(p: PhasePolySet, basis: tuple[int, ...], dual: tuple[int, ...]) -> ParityMatrix:
+def rebase(p: PhasePolySet, basis: tuple[int, ...]) -> ParityMatrix:
     """Rewrite each parity as an XOR of the basis rows, as a wire-indexed matrix.
 
-    ``dual`` holds the dual rows of ``basis`` (see :class:`HSliceRecord`), so a
-    term selects row i when its AND with ``dual[i]`` has odd parity. The matrix
-    column for a term selects those wires; its flip bit is the term's constant
-    XOR the selected rows' constants, as :func:`~cnotsynth.linalg.f2_solve`
-    gives it. Raises ValueError when the selected rows do not XOR to the
-    term's variable part, i.e. the term lies outside the span.
+    The column of a term is its :func:`~cnotsynth.linalg.f2_solve` combination
+    over ``basis``. Raises ValueError when a term lies outside the basis span.
+    No pipeline calls it: :func:`extract_sliced` writes every term over its
+    slice's start wires as it folds.
     """
-    cols = []
-    for coeff, parity in p.terms():
-        combo = parity & CONST_BIT
-        acc = 0
-        for i, (row, d) in enumerate(zip(basis, dual), start=1):
-            if (parity & d).bit_count() & 1:
-                combo ^= (1 << i) | (row & CONST_BIT)
-                acc ^= row
-        if (acc ^ parity) & ~CONST_BIT:
-            raise ValueError(f"parity {format_parity(parity)} is outside the basis span")
-        cols.append((coeff, combo))
-    return ParityMatrix.from_terms(len(basis), cols)
+    terms = p.terms()
+    combos = f2_solve(list(basis), [parity for _, parity in terms])
+    if None in combos:
+        raise ValueError(f"parity {format_parity(terms[combos.index(None)][1])} is outside the basis span")
+    return ParityMatrix.from_terms(len(basis), [(coeff, combo) for (coeff, _), combo in zip(terms, combos)])
 
 
 def dump_phasepoly(p: PhasePolySet) -> str:

@@ -1,16 +1,15 @@
 """End-to-end re-synthesis: SWAP-template baseline and the two slice-and-build passes.
 
-Both optimizing passes cut the circuit at its H gates. The first re-synthesizes
-each H-free slice from its phase polynomial and linear action in place. The
-second extracts the phase polynomial of the whole circuit once, synthesizes each
-term in the slice where a phase gate first touches its parity (a wire state
-there, so computable; the paper's CNOT-OPT-B waits for the last computable
-slice, where it seldom is one), and restores the original qubit states before
-every H so the per-slice linear transformations are preserved. The extraction
-assigns terms to slices in its one fold and keeps the dual rows of the wire
-states and each slice's own affine map, so rebasing a term over the slice-start
-state and the slice's restore target take no F2 reduction: both passes solve
-once per slice, for the mapping transform of the linear restore.
+Both optimizing passes cut the circuit at its H gates and share one slice loop:
+one extraction of the whole circuit, then per slice a phase network for its
+terms and a linear restore of the input circuit's own map of the slice, then
+the H. They differ only in which terms a slice synthesizes. The first takes
+the terms the slice's own phase gates make. The second takes the terms whose
+parity a phase gate first touches in the slice (a wire state there, so
+computable; the paper's CNOT-OPT-B waits for the last computable slice, where
+it seldom is one). The extraction writes every term and every slice map over
+the wires at the slice start, so each slice solves once, for the mapping
+transform of its linear restore.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, Gate, GateKind, cnot, cnot_count
 from .linalg import AugmentedTransform, ParityMatrix, f2_solve
 from .linsynth import linear_tf_synth
-from .phasepoly import extract_hfree, extract_sliced, identity_state, rebase
+from .phasepoly import extract_sliced
 from .phasesynth import phase_nw_synth
 from .topology import ConnectivityGraph, shortest_path
 
@@ -101,69 +100,43 @@ def _rebuild(pm: ParityMatrix, target: tuple[int, ...], g: ConnectivityGraph) ->
     return c_ph.gates + c_lin.gates
 
 
-def _slices(c: Circuit):
-    """Yield (h-free gate run, following H gate or None)."""
-    run: list[Gate] = []
-    for gt in c.gates:
-        if gt.kind is GateKind.H:
-            yield run, gt
-            run = []
-        else:
-            run.append(gt)
-    yield run, None
+def _slice_loop(c: Circuit, g: ConnectivityGraph, partition) -> tuple[Circuit, ResynthesisReport]:
+    """Rebuild every slice from its terms in ``partition(extraction)``, then emit its H.
 
-
-def cnot_opt_a(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisReport]:
-    """Slice at H gates and re-synthesize each slice from its (P, Q) summary."""
+    Each slice's terms are written over the wires at its start, and its restore
+    target is the input circuit's own map of the slice over the same wires, so
+    every per-slice linear transformation matches the original.
+    """
     t0 = time.perf_counter()
     n = g.num_vertices
-    padded = _pad(c, n)
+    ext = extract_sliced(_pad(c, n))
     out: list[Gate] = []
     per_slice: list[int] = []
-    for run, h_gate in _slices(padded):
-        terms, q = extract_hfree(Circuit.trusted(n, tuple(run)))
-        emitted = _rebuild(ParityMatrix.from_terms(n, terms.terms()), q, g)
-        per_slice.append(cnot_count(emitted))
-        out += emitted
-        if h_gate is not None:
-            out.append(h_gate)
+    for terms, target, h in zip(partition(ext), ext.slice_maps, ext.records + (None,)):
+        block = _rebuild(ParityMatrix.from_terms(n, terms.terms()), target, g)
+        per_slice.append(cnot_count(block))
+        out += block
+        if h is not None:
+            out.append(Gate(GateKind.H, h.pos))
     result = Circuit.trusted(n, tuple(out))
     report = ResynthesisReport.build(
         cnot_count(c), cnot_count(result), per_slice, time.perf_counter() - t0
     )
     return result, report
+
+
+def cnot_opt_a(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisReport]:
+    """Slice at H gates and re-synthesize each slice from its own (P, Q) summary."""
+    return _slice_loop(c, g, lambda ext: ext.own_terms)
 
 
 def cnot_opt_b(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisReport]:
     """Partition the whole circuit's phase polynomial across its H gates.
 
     Each slice synthesizes the terms whose parity first appears in it, then
-    restores the input circuit's qubit states at its end, so every per-slice
-    linear transformation matches the original. Terms are rebased over the
-    slice-start state through the extraction's dual rows, and the restore
-    target is the slice's recorded map over that state.
+    restores the input circuit's qubit states at its end.
     """
-    t0 = time.perf_counter()
-    n = g.num_vertices
-    padded = _pad(c, n)
-    ext = extract_sliced(padded)
-    # the slice-start state and its dual rows; each slice's target is its own map
-    basis = dual = identity_state(n)
-    out: list[Gate] = []
-    per_slice: list[int] = []
-    for terms, target, h in zip(ext.slice_terms, ext.slice_maps, ext.records + (None,)):
-        block = _rebuild(rebase(terms, basis, dual), target, g)
-        per_slice.append(cnot_count(block))
-        out += block
-        if h is not None:
-            out.append(Gate(GateKind.H, h.pos))
-            basis, dual = h.q_out, h.dual_out
-
-    result = Circuit.trusted(n, tuple(out))
-    report = ResynthesisReport.build(
-        cnot_count(c), cnot_count(result), per_slice, time.perf_counter() - t0
-    )
-    return result, report
+    return _slice_loop(c, g, lambda ext: ext.slice_terms)
 
 
 def resynthesize(c: Circuit, g: ConnectivityGraph, algo: str) -> tuple[Circuit, ResynthesisReport]:

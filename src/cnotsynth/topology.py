@@ -291,15 +291,13 @@ class SteinerTree:
     """A rooted tree over graph edges spanning a terminal set.
 
     ``parent`` maps every non-root node to its parent; ``children`` lists each
-    node's children in ascending order; ``layer`` is the depth from the root.
-    Every leaf is a terminal.
+    node's children in ascending order. Every leaf is a terminal.
     """
 
     root: int
     terminals: frozenset[int]
     parent: dict[int, int] = field(hash=False)
     children: dict[int, tuple[int, ...]] = field(hash=False)
-    layer: dict[int, int] = field(hash=False)
 
     @property
     def edge_count(self) -> int:
@@ -311,8 +309,7 @@ def path_tree(path: list[int]) -> SteinerTree:
     parent = {b: a for a, b in zip(path, path[1:])}
     children = {a: (b,) for a, b in zip(path, path[1:])}
     children[path[-1]] = ()
-    layer = {v: k for k, v in enumerate(path)}
-    return SteinerTree(path[0], frozenset({path[0], path[-1]}), parent, children, layer)
+    return SteinerTree(path[0], frozenset({path[0], path[-1]}), parent, children)
 
 
 def steiner_tree(
@@ -389,18 +386,17 @@ def steiner_tree(
         forest[new] = merged
 
     # root the tree: BFS from the root, children ascending
-    parent: dict[int, int] = {}
-    layer = {root: 0}
+    parent = {root: root}  # the root's entry marks it visited and is dropped below
     children: dict[int, tuple[int, ...]] = {}
     queue = [root]
     for x in queue:
-        below = sorted(w for w in adj[x] if w not in layer)
+        below = sorted(w for w in adj[x] if w not in parent)
         for w in below:
             parent[w] = x
-            layer[w] = layer[x] + 1
         children[x] = tuple(below)
         queue += below
-    return SteinerTree(root, term_set, parent, children, layer)
+    del parent[root]
+    return SteinerTree(root, term_set, parent, children)
 
 
 def _disconnected(terminals: list[int]) -> DisconnectedTerminalsError:

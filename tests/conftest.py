@@ -83,12 +83,23 @@ def is_connected(g: ConnectivityGraph) -> bool:
 
 
 def tree_nodes(tree: SteinerTree) -> frozenset[int]:
-    return frozenset(tree.layer)
+    return frozenset(tree.parent) | {tree.root}
 
 
 def tree_leaves(tree: SteinerTree) -> tuple[int, ...]:
     """The tree's childless vertices, ascending."""
-    return tuple(sorted(v for v in tree.layer if not tree.children[v]))
+    return tuple(sorted(v for v in tree_nodes(tree) if not tree.children[v]))
+
+
+def tree_depths(tree: SteinerTree) -> dict[int, int]:
+    """Each vertex's depth below the root, walking the children lists."""
+    depth = {tree.root: 0}
+    queue = [tree.root]
+    for v in queue:
+        for w in tree.children[v]:
+            depth[w] = depth[v] + 1
+            queue.append(w)
+    return depth
 
 
 def random_connected_graph(rng, n) -> ConnectivityGraph:

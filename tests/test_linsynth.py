@@ -33,6 +33,7 @@ from tests.conftest import (
     random_connected_graph,
     random_invertible,
     traced,
+    tree_depths,
     tree_leaves,
 )
 
@@ -133,7 +134,6 @@ def _reference_separate(tree, alg):
         root = pending.pop(0)
         parent = {}
         children = {root: []}
-        layer = {root: 0}
         leaves = []
         queue = [root]
         while queue:
@@ -142,7 +142,6 @@ def _reference_separate(tree, alg):
                 parent[w] = u
                 children[u].append(w)
                 children[w] = []
-                layer[w] = layer[u] + 1
                 if w in terminals:
                     leaves.append(w)
                     remaining.discard(w)
@@ -158,22 +157,24 @@ def _reference_separate(tree, alg):
                 out.append(path_tree(path))
         else:
             child_tuples = {v: tuple(cs) for v, cs in children.items()}
-            out.append(SteinerTree(root, frozenset(leaves) | {root}, parent, child_tuples, layer))
+            out.append(SteinerTree(root, frozenset(leaves) | {root}, parent, child_tuples))
     return out
 
 
 def _reference_tree_edges(sub):
-    """(parent, child) pairs ordered by (child layer, child index)."""
-    return sorted(((p, c) for c, p in sub.parent.items()), key=lambda pc: (sub.layer[pc[1]], pc[1]))
+    """(parent, child) pairs ordered by (child depth, child index)."""
+    depth = tree_depths(sub)
+    return sorted(((p, c) for c, p in sub.parent.items()), key=lambda pc: (depth[pc[1]], pc[1]))
 
 
 def _reference_traversal_edges(sub, which):
     """Each pass sorts the sub-tree's edges afresh."""
     edges = _reference_tree_edges(sub)
+    depth = tree_depths(sub)
     if which == "bottom-up-1":  # non-root parents, deepest child first
         return sorted(
             (e for e in edges if e[0] != sub.root),
-            key=lambda pc: (-sub.layer[pc[1]], pc[1]),
+            key=lambda pc: (-depth[pc[1]], pc[1]),
         )
     if which == "top-down-1":  # every edge, top first
         return edges
@@ -181,7 +182,7 @@ def _reference_traversal_edges(sub, which):
     if which == "bottom-up-2":  # non-leaf children, deepest first
         return sorted(
             (e for e in edges if e[1] not in leaves),
-            key=lambda pc: (-sub.layer[pc[1]], pc[1]),
+            key=lambda pc: (-depth[pc[1]], pc[1]),
         )
     if which == "top-down-2":  # non-root parents and non-leaf children, top first
         return [e for e in edges if e[0] != sub.root and e[1] not in leaves]

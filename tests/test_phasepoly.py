@@ -1,6 +1,5 @@
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -150,8 +149,7 @@ def test_sliced_consistent_with_hfree():
 def test_single_h():
     ext = extract_sliced(Circuit(1, (Gate(GateKind.H, 1),)))
     assert len(ext.terms) == 0
-    assert ext.records == (HSliceRecord(1, (parity_mask([1]),), (parity_mask([2]),), (parity_mask([1]),)),)
-    assert ext.records[0].dual_in == (parity_mask([1]),)
+    assert ext.records == (HSliceRecord(1, (parity_mask([1]),), (parity_mask([2]),)),)
     assert ext.num_vars == 2
 
 
@@ -175,12 +173,12 @@ def test_fresh_variable_numbering():
 
 
 def test_uncomputable_empty():
-    h = HSliceRecord(1, identity_state(2), (parity_mask([3]), parity_mask([2])), identity_state(2))
+    h = HSliceRecord(1, identity_state(2), (parity_mask([3]), parity_mask([2])))
     assert len(uncomputable_terms(PhasePolySet(), h)) == 0
 
 
 def test_uncomputable_single_qubit():
-    h = HSliceRecord(1, (parity_mask([1]),), (parity_mask([2]),), (parity_mask([1]),))
+    h = HSliceRecord(1, (parity_mask([1]),), (parity_mask([2]),))
     p = PhasePolySet([(3, parity_mask([1]))])
     out = uncomputable_terms(p, h)
     assert out == p
@@ -190,28 +188,25 @@ def test_uncomputable_keeps_surviving_terms():
     # x1 survives the H on qubit 2; x2 does not
     q_in = (parity_mask([1]), parity_mask([2]))
     q_out = (parity_mask([1]), parity_mask([3]))
-    h = HSliceRecord(2, q_in, q_out, q_in)  # the identity is its own dual
+    h = HSliceRecord(2, q_in, q_out)
     p = PhasePolySet([(1, parity_mask([1])), (1, parity_mask([2])), (1, parity_mask([1, 2]))])
     out = uncomputable_terms(p, h)
     assert out == PhasePolySet([(1, parity_mask([2])), (1, parity_mask([1, 2]))])
 
 
 def test_uncomputable_matches_two_solve_definition():
-    # one solve against q_in decides what two solves (q_in, then q_out) decide,
-    # because every extract_sliced record has independent q_in rows
+    # in the span of q_in but not of q_out, decided by exhaustive subset XOR
     rng = random.Random(11)
     records = 0
     for _ in range(300):
-        n = rng.randint(2, 9)
+        n = rng.randint(2, 6)
         ext = extract_sliced(random_circuit(n, rng.randint(1, 30), rng))
         remaining = PhasePolySet(ext.terms.terms())
         for h in ext.records:
             assert f2_rank(list(h.q_in)) == n
             terms = remaining.terms()
-            parities = [parity for _, parity in terms]
-            before = f2_solve(list(h.q_in), parities)
-            after = f2_solve(list(h.q_out), parities)
-            expected = [t for t, b, a in zip(terms, before, after) if b is not None and a is None]
+            before, after = _span(h.q_in), _span(h.q_out)
+            expected = [t for t in terms if t[1] & ~CONST_BIT in before and t[1] & ~CONST_BIT not in after]
             unc = uncomputable_terms(remaining, h)
             assert list(unc.terms()) == expected
             # the paper's CNOT-OPT-B rule: a term leaves once it is uncomputable
@@ -220,17 +215,16 @@ def test_uncomputable_matches_two_solve_definition():
     assert records > 300
 
 
+def _span(state):
+    # every subset XOR of the rows' variable parts
+    out = {0}
+    for row in state:
+        out |= {acc ^ (row & ~CONST_BIT) for acc in out}
+    return out
+
+
 def _span_membership_oracle(parity, state):
-    # exhaustive subset-XOR over the variable parts
-    target = parity & ~CONST_BIT
-    for mask in range(1 << len(state)):
-        acc = 0
-        for i, row in enumerate(state):
-            if mask >> i & 1:
-                acc ^= row & ~CONST_BIT
-        if acc == target:
-            return True
-    return False
+    return parity & ~CONST_BIT in _span(state)
 
 
 def test_span_membership_matches_exhaustive_oracle():
@@ -245,13 +239,13 @@ def test_span_membership_matches_exhaustive_oracle():
 
 def test_rebase_identity_basis():
     p = PhasePolySet([(1, parity_mask([1, 3])), (5, parity_mask([2], const=True))])
-    pm = rebase(p, identity_state(3), identity_state(3))
+    pm = rebase(p, identity_state(3))
     assert pm.terms() == list(p.terms())
 
 
 def test_rebase_direct_basis_hit():
     basis = (parity_mask([1]), parity_mask([1, 2]))
-    pm = rebase(PhasePolySet([(1, parity_mask([1, 2]))]), basis, _dual_rows(basis))
+    pm = rebase(PhasePolySet([(1, parity_mask([1, 2]))]), basis)
     assert len(pm.columns) == 1
     assert pm.columns[0].mask == parity_mask([2])  # selects wire 2 only
     assert not pm.columns[0].bit
@@ -260,14 +254,14 @@ def test_rebase_direct_basis_hit():
 def test_rebase_constant_mismatch_becomes_flip_bit():
     # wire 1 holds 1 + x1; the term x1 rebases to wire 1 with the flip bit set
     basis = (parity_mask([1], const=True),)
-    pm = rebase(PhasePolySet([(2, parity_mask([1]))]), basis, (parity_mask([1]),))
+    pm = rebase(PhasePolySet([(2, parity_mask([1]))]), basis)
     assert pm.columns[0].mask == parity_mask([1])
     assert pm.columns[0].bit
 
 
 def test_rebase_outside_span():
     with pytest.raises(ValueError):
-        rebase(PhasePolySet([(1, parity_mask([2]))]), (parity_mask([1]),), (parity_mask([1]),))
+        rebase(PhasePolySet([(1, parity_mask([2]))]), (parity_mask([1]),))
 
 
 def test_rebase_round_trip_random_bases():
@@ -288,34 +282,21 @@ def test_rebase_round_trip_random_bases():
                     acc ^= basis[i]
             terms.append((rng.randint(1, 7), acc))
         p = PhasePolySet(terms)
-        pm = rebase(p, basis, _dual_rows(basis))
-        # expand back: each column re-applied to the basis reproduces its term
-        expanded = PhasePolySet()
-        for col in pm.columns:
-            acc = CONST_BIT if col.bit else 0
-            for i in range(n):
-                if col.mask >> (i + 1) & 1:
-                    acc ^= basis[i]
-            expanded.add(col.coeff, acc)
-        assert expanded == p
+        pm = rebase(p, basis)
+        # each column re-applied to the basis reproduces its term
+        assert _expand(pm, basis) == p
 
 
-def _dual_rows(basis):
-    # dual row i holds x_v exactly when the expression of x_v over the basis
-    # uses row i, so dual[i] & basis[j] has odd parity exactly when i == j
-    n = len(basis)
-    combos = f2_solve(list(basis), [1 << v for v in range(1, n + 1)])
-    return tuple(
-        sum(1 << v for v, combo in zip(range(1, n + 1), combos) if combo >> i & 1) for i in range(1, n + 1)
-    )
-
-
-def _is_dual(dual, state):
-    return all(
-        ((d & row).bit_count() & 1) == (i == j) and not d & CONST_BIT
-        for i, d in enumerate(dual)
-        for j, row in enumerate(state)
-    )
+def _expand(pm, basis):
+    # each column's selected basis rows XORed, with its flip bit as the constant
+    out = PhasePolySet()
+    for col in pm.columns:
+        acc = CONST_BIT if col.bit else 0
+        for i, row in enumerate(basis, start=1):
+            if col.mask >> i & 1:
+                acc ^= row
+        out.add(col.coeff, acc)
+    return out
 
 
 def _random_extractions(seed, count):
@@ -324,32 +305,6 @@ def _random_extractions(seed, count):
     for _ in range(count):
         c = random_circuit(rng.randint(2, 9), rng.randint(0, 30), rng)
         yield c, extract_sliced(c)
-
-
-def test_dual_rows_invariant_at_every_record_and_at_the_end():
-    kinds = Counter()
-    for c, ext in _random_extractions(21, 300):
-        kinds.update(gt.kind for gt in c.gates)
-        for h in ext.records:
-            assert _is_dual(h.dual_in, h.q_in)
-            assert _is_dual(h.dual_out, h.q_out)
-        # one more H exposes the dual rows of the final state as its dual_in
-        end = extract_sliced(Circuit(c.num_qubits, c.gates + (Gate(GateKind.H, 1),)))
-        assert end.records[-1].q_in == ext.state
-        assert _is_dual(end.records[-1].dual_in, ext.state)
-    assert min(kinds[GateKind.X], kinds[GateKind.Y], kinds[GateKind.H], kinds[GateKind.CNOT]) > 300
-
-
-def test_dual_rows_ignored_by_record_equality():
-    # two gate histories reach the second H in one wire state, (x3, x2), whose
-    # dual rows differ on x1, a variable the first H took out of the state
-    h = Gate(GateKind.H, 1)
-    a = extract_sliced(Circuit(2, (h, h))).records[1]
-    b = extract_sliced(Circuit(2, (cnot(2, 1), h, h))).records[1]
-    assert a.q_in == b.q_in == (parity_mask([3]), parity_mask([2]))
-    assert a.dual_in == (parity_mask([3]), parity_mask([2]))
-    assert b.dual_in == (parity_mask([3]), parity_mask([1, 2]))
-    assert a == b
 
 
 def test_slice_maps_equal_f2_solve_of_slice_ends():
@@ -382,14 +337,18 @@ def _touching_slices(c):
     return touched
 
 
+def _slice_starts(c, ext):
+    return [identity_state(c.num_qubits)] + [h.q_out for h in ext.records]
+
+
 def test_slice_terms_partition_terms_by_first_appearance():
     moved = 0
     for c, ext in _random_extractions(29, 300):
         assert len(ext.slice_terms) == len(ext.records) + 1
         touched = _touching_slices(c)
         merged = PhasePolySet()
-        for k, terms in enumerate(ext.slice_terms):
-            for coeff, parity in terms.terms():
+        for k, (terms, start) in enumerate(zip(ext.slice_terms, _slice_starts(c, ext))):
+            for coeff, parity in _expand(ParityMatrix.from_terms(c.num_qubits, terms.terms()), start).terms():
                 assert touched[parity][0] == k
                 assert merged.coefficient(parity) == 0  # each parity in one slice only
                 merged.add(coeff, parity)
@@ -399,11 +358,43 @@ def test_slice_terms_partition_terms_by_first_appearance():
 
 
 def test_slice_terms_rebase_over_their_slice_start():
+    # each slice holds its share of the global first-appearance partition,
+    # rebased over the slice-start state
+    kept = 0
     for c, ext in _random_extractions(31, 300):
         n = c.num_qubits
-        starts = [(identity_state(n), identity_state(n))] + [(h.q_out, h.dual_out) for h in ext.records]
-        for terms, (basis, dual) in zip(ext.slice_terms, starts):
-            assert len(rebase(terms, basis, dual).columns) == len(terms)
+        touched = _touching_slices(c)
+        first = [PhasePolySet() for _ in ext.slice_terms]
+        for coeff, parity in ext.terms.terms():
+            first[touched[parity][0]].add(coeff, parity)
+        for terms, global_terms, start in zip(ext.slice_terms, first, _slice_starts(c, ext)):
+            assert ParityMatrix.from_terms(n, terms.terms()) == rebase(global_terms, start)
+            kept += len(terms)
+    assert kept > 300
+
+
+def _runs(c):
+    # the H-free gate runs between H gates
+    runs = [[]]
+    for gt in c.gates:
+        if gt.kind is GateKind.H:
+            runs.append([])
+        else:
+            runs[-1].append(gt)
+    return [Circuit(c.num_qubits, tuple(run)) for run in runs]
+
+
+def test_own_terms_and_slice_maps_are_extract_hfree_of_each_run():
+    terms = 0
+    for c, ext in _random_extractions(33, 300):
+        runs = _runs(c)
+        assert len(ext.own_terms) == len(ext.slice_maps) == len(runs)
+        for own, slice_map, run in zip(ext.own_terms, ext.slice_maps, runs):
+            want_terms, want_map = extract_hfree(run)
+            assert list(own.terms()) == list(want_terms.terms())  # order too
+            assert slice_map == want_map
+            terms += len(own)
+    assert terms > 300
 
 
 def test_term_touched_again_after_a_later_h_stays_in_its_first_slice():
@@ -424,22 +415,11 @@ def test_t_and_tdg_in_different_slices_emit_no_phase_gate():
     assert [gt.kind for gt in out.gates if gt.kind in PHASE_COEFF] == []
 
 
-def _reference_rebase(p, basis):
-    # rebase as one f2_solve over the basis
-    terms = p.terms()
-    combos = f2_solve(list(basis), [parity for _, parity in terms])
-    if None in combos:
-        raise ValueError("outside the span")
-    return ParityMatrix.from_terms(len(basis), [(coeff, combo) for (coeff, _), combo in zip(terms, combos)])
-
-
-def test_rebase_matches_f2_solve_reference():
+def test_rebase_matches_exhaustive_reference():
     rng = random.Random(25)
     inside = outside = flipped = 0
     for c, ext in _random_extractions(27, 200):
-        n = c.num_qubits
-        starts = [(identity_state(n), identity_state(n))] + [(h.q_out, h.dual_out) for h in ext.records]
-        for basis, dual in starts:
+        for basis in _slice_starts(c, ext):
             terms = []
             for _ in range(rng.randint(1, 6)):  # random XORs of the basis rows
                 acc = CONST_BIT if rng.random() < 0.5 else 0
@@ -448,20 +428,19 @@ def test_rebase_matches_f2_solve_reference():
                         acc ^= row
                 terms.append((rng.randint(1, 7), acc))
             p = PhasePolySet(terms)
-            pm = rebase(p, basis, dual)
-            assert pm == _reference_rebase(p, basis)
+            pm = rebase(p, basis)
+            # the empty XOR is a constant term, a global phase that the matrix drops
+            assert _expand(pm, basis) == PhasePolySet(t for t in p.terms() if t[1] & ~CONST_BIT)
             inside += len(pm.columns)
             flipped += sum(col.bit for col in pm.columns)
             # a random parity over every variable of the extraction, usually outside the span
             stray = PhasePolySet([(1, rng.getrandbits(ext.num_vars + 1))])
-            try:
-                expected = _reference_rebase(stray, basis)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    rebase(stray, basis, dual)
-                outside += 1
+            if _span_membership_oracle(stray.terms()[0][1], basis):
+                assert _expand(rebase(stray, basis), basis) == stray
             else:
-                assert rebase(stray, basis, dual) == expected
+                with pytest.raises(ValueError):
+                    rebase(stray, basis)
+                outside += 1
     assert min(inside, outside, flipped) > 100
 
 

@@ -94,7 +94,7 @@ def check_tree(tree, g: ConnectivityGraph, terminals, root):
         assert leaf in terminals
     for child, parent in tree.parent.items():
         assert g.has_edge(child, parent)
-        assert tree.layer[child] == tree.layer[parent] + 1
+        assert child in tree.children[parent]
     # parent map acyclicity: walking up always reaches the root
     for v in tree_nodes(tree):
         seen = set()
@@ -274,17 +274,17 @@ def _reference_root_tree(edges, root, terminals):
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     adj.setdefault(root, [])
-    parent, layer, children = {}, {root: 0}, {v: [] for v in adj}
+    parent, seen, children = {}, {root}, {v: [] for v in adj}
     queue = deque([root])
     while queue:
         x = queue.popleft()
         for w in sorted(adj[x]):
-            if w not in layer:
-                layer[w] = layer[x] + 1
+            if w not in seen:
+                seen.add(w)
                 parent[w] = x
                 children[x].append(w)
                 queue.append(w)
-    return SteinerTree(root, terminals, parent, {v: tuple(sorted(cs)) for v, cs in children.items()}, layer)
+    return SteinerTree(root, terminals, parent, {v: tuple(sorted(cs)) for v, cs in children.items()})
 
 
 def test_path_tree_matches_rooting_its_edges():
@@ -295,20 +295,18 @@ def test_path_tree_matches_rooting_its_edges():
         path = shortest_path(g, u, v)
         edges = {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
         got, want = path_tree(path), _reference_root_tree(edges, u, frozenset({u, v}))
-        assert (got.root, got.terminals, got.parent, got.children, got.layer) == (
+        assert (got.root, got.terminals, got.parent, got.children) == (
             want.root,
             want.terminals,
             want.parent,
             want.children,
-            want.layer,
         )
     single = path_tree([3])
-    assert (single.root, single.terminals, single.parent, single.children, single.layer) == (
+    assert (single.root, single.terminals, single.parent, single.children) == (
         3,
         frozenset({3}),
         {},
         {3: ()},
-        {3: 0},
     )
 
 
@@ -422,11 +420,10 @@ def test_steiner_tree_matches_pair_scan_reference():
                 seen["disconnected"] += 1
                 continue
             got = steiner_tree(g, terminals, root, active)
-            assert (got.root, got.parent, got.children, got.layer) == (
+            assert (got.root, got.parent, got.children) == (
                 want.root,
                 want.parent,
                 want.children,
-                want.layer,
             ), (sorted(g.edges), terminals, root, sorted(active))
             seen[kind] += 1
             seen["two"] += k == 2
