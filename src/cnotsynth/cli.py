@@ -75,7 +75,7 @@ def _load_matrix(path: str) -> AugmentedTransform:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _load_terms(path: str, n: int | None = None) -> ParityMatrix:
+def _load_terms(path: str) -> ParityMatrix:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -107,7 +107,7 @@ def _load_terms(path: str, n: int | None = None) -> ParityMatrix:
             if b:
                 parity |= 1 << (i + 1)
         terms.append((coeff % 8, parity))
-    return ParityMatrix.from_terms(n or width, terms)
+    return ParityMatrix.from_terms(terms)
 
 
 def _cmd_resynth(args) -> int:
@@ -153,7 +153,7 @@ def _cmd_synth_linear(args) -> int:
 
 def _cmd_synth_phase(args) -> int:
     graph = _load_graph(args.graph)
-    terms = _load_terms(args.terms, graph.num_vertices)
+    terms = _load_terms(args.terms)
     circ, _ = phase_nw_synth(terms, graph)
     sys.stdout.write(write_circuit(circ))
     return 0

@@ -172,42 +172,22 @@ def transform_of_circuit(c: Circuit) -> AugmentedTransform:
 
 
 @dataclass(frozen=True)
-class ParityColumn:
-    """One parity-network matrix column: variable mask, bit-flip bit, Z8 coefficient."""
-
-    mask: int  # variable bits only (bit i = x_i); constant bit excluded
-    bit: bool
-    coeff: int
-
-
-@dataclass(frozen=True)
 class ParityMatrix:
-    """Deduplicated parity columns over n wires, in first-appearance order.
+    """A phase network's input: (coefficient, parity int) terms in first-appearance order.
 
-    Construction merges equal (mask, bit) columns mod 8 and drops columns whose
-    coefficient vanishes or whose variable mask is zero (a pure global phase).
+    The terms are the pairs :meth:`~cnotsynth.phasepoly.PhasePolySet.terms`
+    yields: distinct parities, no zero coefficient (mod 8) and no zero variable
+    mask (a pure global phase). :meth:`from_terms` builds them from any input.
     """
 
-    n: int
-    columns: tuple[ParityColumn, ...]
+    columns: tuple[tuple[int, int], ...]
 
     @staticmethod
-    def from_terms(n: int, terms) -> "ParityMatrix":
-        """``terms`` is an iterable of (coeff, parity int)."""
-        merged: dict[tuple[int, bool], int] = {}
+    def from_terms(terms) -> "ParityMatrix":
+        """Merge (coeff, parity int) pairs mod 8 at each parity's first appearance; drop zeros and constants."""
+        merged: dict[int, int] = {}
         for coeff, parity in terms:
-            mask = parity & ~CONST_BIT
-            if mask >> (n + 1):
-                raise ValueError(f"parity {format_parity(parity)} uses variables beyond x{n}")
-            key = (mask, bool(parity & CONST_BIT))
-            merged[key] = (merged.get(key, 0) + coeff) % 8
-        cols = tuple(
-            ParityColumn(mask, bit, coeff)
-            for (mask, bit), coeff in merged.items()
-            if coeff and mask
+            merged[parity] = (merged.get(parity, 0) + coeff) % 8
+        return ParityMatrix(
+            tuple((coeff, parity) for parity, coeff in merged.items() if coeff and parity & ~CONST_BIT)
         )
-        return ParityMatrix(n, cols)
-
-    def terms(self) -> list[tuple[int, int]]:
-        """Back to (coeff, parity int) pairs."""
-        return [(c.coeff, c.mask | (CONST_BIT if c.bit else 0)) for c in self.columns]

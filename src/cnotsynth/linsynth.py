@@ -144,13 +144,13 @@ def row_op(matrix, tree: SteinerTree, alg: int) -> tuple[list[Gate], list[_SubTr
 
     ``matrix`` only needs a ``row_xor(dst, src)`` method; it is mutated in place.
     ``alg`` selects the traversal set: 1 skips the first bottom-up and second
-    top-down passes (upper-triangular phase), 2 and 3 run all four, and 4 runs
-    all four but applies a single ``row_xor(root, leaf)`` per (path) sub-tree.
+    top-down passes (upper-triangular phase), 2 runs all four, and 4 runs all
+    four but applies a single ``row_xor(root, leaf)`` per (path) sub-tree.
     The CNOT for edge (u, v) with u the parent is CNOT(control=u, target=v),
     which as a row operation adds row u into row v.
     """
-    if alg not in (1, 2, 3, 4):
-        raise ValueError(f"alg must be 1..4, got {alg}")
+    if alg not in (1, 2, 4):
+        raise ValueError(f"alg must be 1, 2 or 4, got {alg}")
     cut = _cut(tree, alg)
     cnots: list[Gate] = []
     for root, leaves, edges in reversed(cut):  # starting from the last sub-tree
@@ -164,12 +164,12 @@ def row_op(matrix, tree: SteinerTree, alg: int) -> tuple[list[Gate], list[_SubTr
 
 
 def _path_row_op(matrix, path: list[int]) -> tuple[list[Gate], _SubTree]:
-    """``row_op(matrix, path_tree(path), alg=3)`` without the tree: the path's four passes.
+    """``row_op(matrix, path_tree(path), alg=2)`` without the tree: the path's four passes.
 
     Row ``path[-1]`` gains row ``path[0]``; the interior rows come back as they
     were. Returns the CNOTs and the path's one (root, leaves, edges) record.
     """
-    edges = _path_passes(path, 3)
+    edges = _path_passes(path, 2)
     for u, v in edges:
         matrix.row_xor(v, u)
     return [cnot(u, v) for u, v in edges], (path[0], (path[-1],), edges)
@@ -231,7 +231,7 @@ def _eliminate_column(
     if reachable:
         cnots, subtrees = row_op(a, steiner_tree(g, reachable | {i}, i, active), alg)
     for t in sorted(terms - reachable):
-        # route through already-fixed vertices; alg=3 leaves interior rows intact
+        # route through already-fixed vertices; the four passes leave interior rows intact
         path_cnots, sub = _path_row_op(a, shortest_path(g, i, t, frozenset(g.vertices)))
         cnots += path_cnots
         subtrees.append(sub)

@@ -37,9 +37,6 @@ class PhasePolySet:
         """(coefficient, parity) pairs in first-appearance order."""
         return tuple((c, p) for p, c in self._terms.items())
 
-    def coefficient(self, parity: int) -> int:
-        return self._terms.get(parity, 0)
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -203,7 +200,7 @@ def rebase(p: PhasePolySet, basis: tuple[int, ...]) -> ParityMatrix:
     combos = f2_solve(list(basis), [parity for _, parity in terms])
     if None in combos:
         raise ValueError(f"parity {format_parity(terms[combos.index(None)][1])} is outside the basis span")
-    return ParityMatrix.from_terms(len(basis), [(coeff, combo) for (coeff, _), combo in zip(terms, combos)])
+    return ParityMatrix.from_terms([(coeff, combo) for (coeff, _), combo in zip(terms, combos)])
 
 
 def dump_phasepoly(p: PhasePolySet) -> str:

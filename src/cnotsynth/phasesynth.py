@@ -24,7 +24,7 @@ from functools import reduce
 from operator import and_
 
 from .circuit import Circuit, Gate, GateKind
-from .linalg import CONST_BIT, AugmentedTransform, ParityMatrix
+from .linalg import CONST_BIT, AugmentedTransform, ParityMatrix, format_parity
 from .linsynth import row_op
 from .topology import ConnectivityGraph, steiner_tree
 
@@ -101,9 +101,7 @@ class PhaseSynthesizer:
     def __init__(self, p: ParityMatrix, g: ConnectivityGraph, trace: Callable[..., None] | None = None):
         if g.num_vertices == 0:
             raise ValueError("connectivity graph is empty")
-        if p.n > g.num_vertices:
-            raise ValueError(f"parity width {p.n} exceeds graph size {g.num_vertices}")
-        self.n = p.n
+        self.n = g.num_vertices
         self.g = g
         self.wires = [1 << i for i in range(1, g.num_vertices + 1)]
         self.gates: list[Gate] = []
@@ -132,11 +130,14 @@ class PhaseSynthesizer:
     def _place_single_variable_terms(self, p: ParityMatrix) -> None:
         remaining = []
         singles: dict[tuple[int, bool], int] = {}  # (wire, bit) -> coefficient
-        for col in p.columns:
-            if col.mask.bit_count() == 1:
-                singles[(col.mask.bit_length() - 1, col.bit)] = col.coeff
+        for coeff, parity in p.columns:
+            mask, bit = parity & ~CONST_BIT, bool(parity & CONST_BIT)
+            if mask >> (self.n + 1):
+                raise ValueError(f"parity {format_parity(parity)} uses variables beyond x{self.n}")
+            if mask.bit_count() == 1:
+                singles[(mask.bit_length() - 1, bit)] = coeff
             else:
-                remaining.append(_Column(col.mask, col.bit, col.coeff))
+                remaining.append(_Column(mask, bit, coeff))
         # by wire, and on a wire the plain term before the X of its complement
         for i, bit in sorted(singles):
             self._place(i, bit, singles[(i, bit)])
@@ -221,7 +222,8 @@ def phase_nw_synth(
     Set-up costs O(terms) beyond the wire states: the single-variable terms are
     placed in sorted (wire, bit) order. The rest is the cofactor splits and
     Steiner-tree expansions of the multi-variable terms, so input without such
-    a term does no further work.
+    a term does no further work. A parity over variables past the graph's
+    size is a ValueError.
     ``trace``, when given, is called once per Steiner-tree expansion as
     ``trace("steiner", root=, terminals=, cnots=, placements=)``: the CNOTs it
     emitted and the X and phase gates placed right after them. The gates before

@@ -106,6 +106,11 @@ def _slice_loop(c: Circuit, g: ConnectivityGraph, partition) -> tuple[Circuit, R
     Each slice's terms are written over the wires at its start, and its restore
     target is the input circuit's own map of the slice over the same wires, so
     every per-slice linear transformation matches the original.
+
+    The terms enter the phase network as they are, unchecked, as
+    ``Circuit.trusted`` takes the program's own gates: each slice set is merged
+    mod 8 with no zero coefficient, and its parities are rows of the slice's
+    own invertible map, so none has a zero variable mask or reaches past x_n.
     """
     t0 = time.perf_counter()
     n = g.num_vertices
@@ -113,7 +118,7 @@ def _slice_loop(c: Circuit, g: ConnectivityGraph, partition) -> tuple[Circuit, R
     out: list[Gate] = []
     per_slice: list[int] = []
     for terms, target, h in zip(partition(ext), ext.slice_maps, ext.records + (None,)):
-        block = _rebuild(ParityMatrix.from_terms(n, terms.terms()), target, g)
+        block = _rebuild(ParityMatrix(terms.terms()), target, g)
         per_slice.append(cnot_count(block))
         out += block
         if h is not None:

@@ -133,4 +133,4 @@ def appendix_transform():
 
 @pytest.fixture()
 def appendix_parity_matrix():
-    return ParityMatrix.from_terms(6, APPENDIX_PHASE_TERMS)
+    return ParityMatrix.from_terms(APPENDIX_PHASE_TERMS)

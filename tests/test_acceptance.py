@@ -177,7 +177,7 @@ EXPECTED_PHASE_EVENTS = [
 
 def test_criterion_3_phase_network_golden(grid2x3):
     with criterion(3, "per-iteration phase network synthesis of the 8x7 instance"):
-        pm = ParityMatrix.from_terms(6, APPENDIX_PHASE_TERMS)
+        pm = ParityMatrix.from_terms(APPENDIX_PHASE_TERMS)
         t0 = time.perf_counter()
         (circ, _), events = traced(phase_nw_synth, pm, grid2x3)
         elapsed = time.perf_counter() - t0

@@ -201,6 +201,28 @@ def test_synth_phase(tmp_path, capsys):
     assert out.num_qubits == 2
 
 
+def test_synth_phase_parity_wider_than_graph_exit_2(tmp_path, capsys):
+    terms = tmp_path / "t.terms"
+    terms.write_text("1 0 1 0 0\n3 1 0 1 1\n")  # three variables, two wires
+    assert main(["synth-phase", "--terms", str(terms), "--graph", str(_graph_file(tmp_path))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: parity 1⊕x2⊕x3 uses variables beyond x2" in captured.err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["5 1 0 0\n", "1 0 1 1\n7 0 1 1\n", "4 0 1 0\n2 0 1 0\n2 0 1 0\n"],
+    ids=["zero-parity", "cancelling", "cancelling-mod-8"],
+)
+def test_synth_phase_constant_or_cancelled_terms_emit_no_gate(tmp_path, capsys, text):
+    terms = tmp_path / "t.terms"
+    terms.write_text(text)
+    assert main(["synth-phase", "--terms", str(terms), "--graph", str(_graph_file(tmp_path))]) == 0
+    out = parse_circuit(capsys.readouterr().out)
+    assert out.num_qubits == 2 and out.gates == ()
+
+
 def test_dump_phasepoly(tmp_path, capsys):
     c = tmp_path / "c.qct"
     c.write_text("qubits 2\nT 1\nCNOT 1 2\nS 2\n")

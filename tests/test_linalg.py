@@ -125,18 +125,18 @@ def test_parity_matrix_merges_and_drops():
         (4, parity_mask([2], const=True)),  # merges to 0, dropped
         (3, parity_mask([], const=True)),  # zero variable mask, dropped
     ]
-    pm = ParityMatrix.from_terms(3, terms)
-    assert len(pm.columns) == 1
-    assert pm.columns[0].coeff == 2
-    assert pm.columns[0].mask == parity_mask([1])
+    assert ParityMatrix.from_terms(terms).columns == ((2, parity_mask([1])),)
 
 
 def test_parity_matrix_idempotent():
-    pm = ParityMatrix.from_terms(
-        4, [(1, parity_mask([1, 3])), (6, parity_mask([2], const=True)), (2, parity_mask([4]))]
-    )
-    again = ParityMatrix.from_terms(4, pm.terms())
-    assert again == pm
+    pm = ParityMatrix.from_terms([(1, parity_mask([1, 3])), (6, parity_mask([2], const=True)), (2, parity_mask([4]))])
+    assert ParityMatrix.from_terms(pm.columns) == pm
+
+
+def test_parity_matrix_keeps_a_cancelled_term_in_its_first_place():
+    x1, x2 = parity_mask([1]), parity_mask([2])
+    pm = ParityMatrix.from_terms([(1, x1), (1, x2), (7, x1), (3, x1)])
+    assert pm.columns == ((3, x1), (1, x2))
 
 
 def test_f2_span_matches_enumeration():

@@ -117,8 +117,9 @@ def test_row_op_replay_matches_matrix(grid2x3, appendix_transform):
 
 def test_row_op_bad_alg(grid2x3, appendix_transform):
     tree = steiner_tree(grid2x3, {4, 5}, 4)
-    with pytest.raises(ValueError):
-        row_op(appendix_transform, tree, alg=0)
+    for alg in (0, 3, 5):
+        with pytest.raises(ValueError):
+            row_op(appendix_transform, tree, alg=alg)
 
 
 # -- reference: the sort-per-pass traversal, kept here as the specification ------
@@ -237,7 +238,7 @@ def test_row_op_matches_sort_per_pass_reference():
     seen = Counter()
     for g, tree in _row_op_cases(rng):
         start = random_invertible(rng, g.num_vertices)
-        for alg in (1, 2, 3, 4):
+        for alg in (1, 2, 4):
             got_matrix, want_matrix = start.copy(), start.copy()
             got_cnots, got_subs = row_op(got_matrix, tree, alg)
             want_cnots, want_subs = _reference_row_op(want_matrix, tree, alg)
@@ -259,7 +260,7 @@ def test_cut_of_a_two_terminal_tree_is_its_path():
     g = grid_graph(3, 3)
     path = shortest_path(g, 1, 9)
     tree = path_tree(path)
-    for alg in (1, 2, 3):
+    for alg in (1, 2):
         assert _cut(tree, alg) == [(1, (9,), _path_passes(path, alg))]
     assert _cut(tree, 4) == [(9, (1,), _path_passes(path[::-1], 4))]
     assert _cut(path_tree([5]), 1) == []
@@ -276,7 +277,7 @@ def test_path_row_op_is_row_op_on_the_path_tree():
         start = random_invertible(rng, g.num_vertices)
         got_matrix, want_matrix = start.copy(), start.copy()
         got_cnots, got_sub = _path_row_op(got_matrix, path)
-        want_cnots, want_subs = row_op(want_matrix, path_tree(path), alg=3)
+        want_cnots, want_subs = row_op(want_matrix, path_tree(path), alg=2)
         assert _pairs(got_cnots) == _pairs(want_cnots)
         assert [got_sub] == want_subs
         assert got_matrix == want_matrix

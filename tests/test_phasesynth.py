@@ -71,23 +71,21 @@ def test_pivot_exhaustive_against_oracle():
 
 
 def test_single_variable_term(grid2x3):
-    pm = ParityMatrix.from_terms(6, [(1, parity_mask([1]))])
+    pm = ParityMatrix.from_terms([(1, parity_mask([1]))])
     circ, tf = phase_nw_synth(pm, grid2x3)
     assert list(circ.gates) == [Gate(GateKind.T, 1)]
     assert tf.is_identity()
 
 
 def test_complemented_single_variable_term(grid2x3):
-    pm = ParityMatrix.from_terms(6, [(4, parity_mask([2], const=True))])
+    pm = ParityMatrix.from_terms([(4, parity_mask([2], const=True))])
     circ, tf = phase_nw_synth(pm, grid2x3)
     assert list(circ.gates) == [Gate(GateKind.X, 2), Gate(GateKind.Z, 2)]
     assert tf.rows[1] == parity_mask([2], const=True)  # the X persists
 
 
 def test_plain_and_complemented_on_same_wire(grid2x3):
-    pm = ParityMatrix.from_terms(
-        6, [(1, parity_mask([3])), (2, parity_mask([3], const=True))]
-    )
+    pm = ParityMatrix.from_terms([(1, parity_mask([3])), (2, parity_mask([3], const=True))])
     circ, _ = phase_nw_synth(pm, grid2x3)
     assert list(circ.gates) == [
         Gate(GateKind.T, 3),
@@ -97,7 +95,7 @@ def test_plain_and_complemented_on_same_wire(grid2x3):
 
 
 def test_empty_input(grid2x3):
-    pm = ParityMatrix.from_terms(6, [])
+    pm = ParityMatrix.from_terms([])
     circ, tf = phase_nw_synth(pm, grid2x3)
     assert circ.gates == ()
     assert tf.is_identity()
@@ -178,7 +176,7 @@ def _random_parity_matrix(rng, n, max_terms):
             mask = rng.getrandbits(n) << 1
         const = rng.random() < 0.4
         terms.append((rng.randint(1, 7), mask | (1 if const else 0)))
-    return ParityMatrix.from_terms(n, terms)
+    return ParityMatrix.from_terms(terms)
 
 
 def test_random_round_trip(grid2x3):
@@ -189,19 +187,17 @@ def test_random_round_trip(grid2x3):
         assert connectivity_violations(circ, grid2x3) == []
         terms, state = extract_hfree(circ)
         # soundness: exactly the input terms, no spurious phases
-        assert terms == PhasePolySet(pm.terms())
+        assert terms == PhasePolySet(pm.columns)
         # the reported residual action matches the real one
         assert list(state) == tf.rows
 
 
 def test_composite_coefficients(grid2x3):
     # coefficients 3 and 5 have no single gate; their decompositions must merge back
-    pm = ParityMatrix.from_terms(
-        6, [(3, parity_mask([1, 2])), (5, parity_mask([4, 5], const=True))]
-    )
+    pm = ParityMatrix.from_terms([(3, parity_mask([1, 2])), (5, parity_mask([4, 5], const=True))])
     circ, _ = phase_nw_synth(pm, grid2x3)
     terms, _ = extract_hfree(circ)
-    assert terms == PhasePolySet(pm.terms())
+    assert terms == PhasePolySet(pm.columns)
 
 
 def test_determinism(grid2x3, appendix_parity_matrix):
@@ -219,7 +215,7 @@ def test_other_presets():
             assert (circ, tf) == phase_nw_synth(pm, g)
             assert connectivity_violations(circ, g) == []
             terms, _ = extract_hfree(circ)
-            assert terms == PhasePolySet(pm.terms())
+            assert terms == PhasePolySet(pm.columns)
             # the Steiner expansions emit a suffix of the circuit; the gates
             # before it place single-variable terms and hold no CNOT
             suffix = [gt for ev in events for gt in ev.cnots + ev.placements]
@@ -230,6 +226,6 @@ def test_other_presets():
 
 def test_width_mismatch():
     g = preset_graph("appendix-2x3")
-    pm = ParityMatrix.from_terms(7, [(1, parity_mask([7]))])
-    with pytest.raises(ValueError):
+    pm = ParityMatrix.from_terms([(1, parity_mask([1])), (1, parity_mask([2, 7], const=True))])
+    with pytest.raises(ValueError, match="parity 1⊕x2⊕x7 uses variables beyond x6"):
         phase_nw_synth(pm, g)

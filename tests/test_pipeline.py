@@ -183,6 +183,23 @@ def test_emitted_circuits_pinned():
         assert hashlib.sha256(write_circuit(out).encode()).hexdigest() == digest, (graph, seed, algo)
 
 
+def test_slice_terms_need_no_from_terms():
+    # the slice loop builds each slice's ParityMatrix from its terms unchecked;
+    # merging them again changes nothing, and no parity reaches past the graph
+    terms_seen = 0
+    circuits = [(graph, random_circuit(*PINNED_SIZES.get(graph, (9, 20)), random.Random(seed)))
+                for graph, seed in dict.fromkeys((graph, seed) for graph, seed, _ in PINNED_OUTPUTS)]
+    circuits += [("16q-square", _long_slice_circuit(random.Random(seed), 16)) for seed in range(2)]
+    for graph, c in circuits:
+        n = 25 if graph == "grid-5x5" else preset_graph(graph).num_vertices
+        ext = extract_sliced(Circuit(n, c.gates))
+        for terms in ext.own_terms + ext.slice_terms:
+            assert ParityMatrix(terms.terms()) == ParityMatrix.from_terms(terms.terms()), graph
+            assert all(parity >> (n + 1) == 0 for _, parity in terms.terms()), graph
+            terms_seen += len(terms)
+    assert terms_seen > 1000
+
+
 def _long_slice_circuit(rng, n):
     """1,600 gates on n qubits, one H per 100; the other kinds drawn uniformly."""
     kinds = [k for k in GateKind if k is not GateKind.H]
@@ -263,7 +280,7 @@ def test_trusted_outputs_pass_the_public_check():
                 out, _ = resynthesize(c, g, algo)
                 assert _revalidated(out) == out, (name, algo)
             terms = [(rng.randint(1, 7), rng.getrandbits(n + 1) | 2) for _ in range(rng.randint(0, 8))]
-            phase, _ = phase_nw_synth(ParityMatrix.from_terms(n, terms), g)
+            phase, _ = phase_nw_synth(ParityMatrix.from_terms(terms), g)
             assert _revalidated(phase) == phase, name
             linear = linear_tf_synth(random_invertible(rng, n), g)
             assert _revalidated(linear) == linear, name
