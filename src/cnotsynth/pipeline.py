@@ -1,15 +1,26 @@
 """End-to-end re-synthesis: SWAP-template baseline and the two slice-and-build passes.
 
-Both optimizing passes cut the circuit at its H gates and share one slice loop:
-one extraction of the whole circuit, then per slice a phase network for its
-terms and a linear restore of the input circuit's own map of the slice, then
-the H. They differ only in which terms a slice synthesizes. The first takes
-the terms the slice's own phase gates make. The second takes the terms whose
-parity a phase gate first touches in the slice (a wire state there, so
-computable; the paper's CNOT-OPT-B waits for the last computable slice, where
-it seldom is one). The extraction writes every term and every slice map over
-the wires at the slice start, so each slice solves once, for the mapping
-transform of its linear restore.
+Both optimizing passes cut the circuit at its H gates and share one slice loop
+over one extraction of the whole circuit. Each H-free run has two candidates,
+and the loop emits the one with fewer CNOTs, the first on a tie:
+
+* the segmented run: the run's own gates with each CNOT routed alone, by
+  whichever of its Steiner-Gauss bridge and its SWAP chain is cheaper;
+* the paper's rebuild: a phase network for the run's terms, then a linear
+  restore of the input circuit's own map of the run.
+
+The segmented run's CNOTs are the rebuild's budget. A run with no CNOT is not
+rebuilt, and a rebuild stops as soon as it reaches the budget, before its
+restore when the phase network alone reaches it. So no run costs more than
+its SWAP routing. The extraction writes every term and every slice map over
+the wires at the slice start, so each rebuild solves once, for its restore.
+
+The two passes differ in which terms a slice takes. The first takes the terms
+the slice's own phase gates make, and its segmented run keeps every phase
+gate where it is. The second takes the terms whose parity a phase gate first
+touches in the slice (a wire state there, so computable; the paper's
+CNOT-OPT-B waits for the last computable slice, where it seldom is one), and
+its segmented run places each merged term at that first gate.
 """
 
 from __future__ import annotations
@@ -21,10 +32,10 @@ import time
 from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, GateKind, cnot, cnot_count
-from .linalg import AugmentedTransform, ParityMatrix, f2_solve
+from .linalg import CONST_BIT, AugmentedTransform, ParityMatrix, f2_solve
 from .linsynth import linear_tf_synth
-from .phasepoly import extract_sliced
-from .phasesynth import phase_nw_synth
+from .phasepoly import PhasePolySet, extract_sliced, identity_state
+from .phasesynth import COEFF_GATES, phase_nw_synth
 from .topology import ConnectivityGraph, shortest_path
 
 
@@ -60,26 +71,59 @@ def _pad(c: Circuit, n: int) -> Circuit:
     return Circuit.trusted(n, c.gates)
 
 
-def swap_template(c: Circuit, g: ConnectivityGraph) -> Circuit:
-    """Route each distant CNOT with SWAP chains along the shortest path.
+def _chain(path: list[int]) -> list[Gate]:
+    """CNOT(path[0], path[-1]) by SWAP chains along ``path``, a shortest path between them.
 
-    A CNOT at graph distance l costs 6(l-1)+1 CNOTs: l-1 SWAPs walk the control
+    At graph distance l it costs 6(l-1)+1 CNOTs: l-1 SWAPs walk the control
     next to the target, the CNOT fires, and the same SWAPs walk it back.
     """
+    swaps = list(zip(path, path[1:]))[:-1]  # move control along the path
+    out: list[Gate] = []
+    for a, b in swaps:
+        out += [cnot(a, b), cnot(b, a), cnot(a, b)]
+    out.append(cnot(path[-2], path[-1]))
+    for a, b in reversed(swaps):
+        out += [cnot(a, b), cnot(b, a), cnot(a, b)]
+    return out
+
+
+def swap_template(c: Circuit, g: ConnectivityGraph) -> Circuit:
+    """Route each distant CNOT by the SWAP chains of :func:`_chain` along the shortest path."""
     out: list[Gate] = []
     full = frozenset(g.vertices)
     for gt in _pad(c, g.num_vertices).gates:
         if gt.kind is not GateKind.CNOT or g.has_edge(gt.control, gt.target):
             out.append(gt)
-            continue
-        path = shortest_path(g, gt.control, gt.target, full)
-        swaps = list(zip(path, path[1:]))[:-1]  # move control along the path
-        for a, b in swaps:
-            out += [cnot(a, b), cnot(b, a), cnot(a, b)]
-        out.append(cnot(path[-2], gt.target))
-        for a, b in reversed(swaps):
-            out += [cnot(a, b), cnot(b, a), cnot(a, b)]
+        else:
+            out += _chain(shortest_path(g, gt.control, gt.target, full))
     return Circuit.trusted(g.num_vertices, tuple(out))
+
+
+def _route(g: ConnectivityGraph, control: int, target: int) -> tuple[Gate, ...]:
+    """The cheapest routing this module knows of one CNOT(control, target) on ``g``.
+
+    The CNOT itself on an edge; otherwise whichever has fewer CNOTs of the
+    bridge (``linear_tf_synth`` of the one-CNOT transform) and the SWAP chain,
+    the bridge on a tie. Either realizes exactly CNOT(control, target). Memoized
+    on ``g`` beside the BFS memo, one entry per ordered pair asked for, so at
+    most n(n-1); graph equality and hash ignore it.
+    """
+    memo = g.__dict__.get("_route")
+    if memo is None:
+        memo = {}
+        object.__setattr__(g, "_route", memo)
+    hit = memo.get((control, target))
+    if hit is None:
+        if g.has_edge(control, target):
+            hit = (cnot(control, target),)
+        else:
+            one = AugmentedTransform.identity(g.num_vertices)
+            one.row_xor(target, control)
+            bridge = linear_tf_synth(one, g).gates
+            chain = _chain(shortest_path(g, control, target))
+            hit = tuple(chain) if len(chain) < len(bridge) else bridge  # both are CNOTs only
+        memo[(control, target)] = hit
+    return hit
 
 
 def _mapping_transform(current: tuple[int, ...], target: tuple[int, ...]) -> AugmentedTransform:
@@ -90,23 +134,72 @@ def _mapping_transform(current: tuple[int, ...], target: tuple[int, ...]) -> Aug
     return AugmentedTransform(len(current), rows)
 
 
-def _rebuild(pm: ParityMatrix, target: tuple[int, ...], g: ConnectivityGraph) -> tuple[Gate, ...]:
+def _rebuild(
+    pm: ParityMatrix, target: tuple[int, ...], g: ConnectivityGraph, budget: float = math.inf
+) -> tuple[Gate, ...] | None:
     """Phase network for ``pm``, then the linear restore that leaves the wires in ``target``.
 
-    ``pm`` and ``target`` are both written over the wire states at the start of the slice.
+    ``pm`` and ``target`` are both written over the wire states at the start of
+    the slice. None, with no further work, as soon as the block's CNOTs reach
+    ``budget``: the restore is skipped when the phase network alone reaches it.
     """
     c_ph, a_ph = phase_nw_synth(pm, g)
+    spent = cnot_count(c_ph)
+    if spent >= budget:
+        return None
     c_lin = linear_tf_synth(_mapping_transform(tuple(a_ph.rows), target), g)
+    if spent + cnot_count(c_lin) >= budget:
+        return None
     return c_ph.gates + c_lin.gates
 
 
-def _slice_loop(c: Circuit, g: ConnectivityGraph, partition) -> tuple[Circuit, ResynthesisReport]:
-    """Rebuild every slice from its terms in ``partition(extraction)``, then emit its H.
+def _own_phases(run: list[Gate], terms: PhasePolySet, g: ConnectivityGraph) -> list[Gate]:
+    """opt-a's segmented run: ``run`` with each CNOT routed alone, every other gate kept."""
+    out: list[Gate] = []
+    for gt in run:
+        if gt.kind is GateKind.CNOT:
+            out += _route(g, gt.control, gt.target)
+        else:
+            out.append(gt)
+    return out
 
-    Each slice's terms are written over the wires at its start, and its restore
-    target is the input circuit's own map of the slice over the same wires, so
-    every per-slice linear transformation matches the original.
 
+def _first_phases(run: list[Gate], terms: PhasePolySet, g: ConnectivityGraph) -> list[Gate]:
+    """opt-b's segmented run: ``run`` with each CNOT routed alone and its phases merged.
+
+    ``terms`` are keyed over the wires at the start of the run, as
+    ``slice_terms`` holds them. At the first phase gate on a key of ``terms``
+    the wire holds exactly that key, constant bit included, so the key's merged
+    coefficient lands there by its ``COEFF_GATES``. Every other phase gate goes:
+    its coefficient is merged into a term placed here or in an earlier run. A Y
+    still flips its wire, as an X; its phase is in ``terms``.
+    """
+    local = list(identity_state(g.num_vertices))
+    coeffs = {parity: coeff for coeff, parity in terms.terms()}
+    out: list[Gate] = []
+    for gt in run:
+        kind, i = gt.kind, gt.target - 1
+        if kind is GateKind.CNOT:
+            local[i] ^= local[gt.control - 1]
+            out += _route(g, gt.control, gt.target)
+            continue
+        if kind is not GateKind.X:
+            coeff = coeffs.pop(local[i], None)
+            if coeff is not None:
+                out += [Gate(k, gt.target) for k in COEFF_GATES[coeff]]
+        if kind is GateKind.X or kind is GateKind.Y:
+            local[i] ^= CONST_BIT
+            out.append(Gate(GateKind.X, gt.target))
+    return out
+
+
+def _slice_loop(c: Circuit, g: ConnectivityGraph, partition, segment) -> tuple[Circuit, ResynthesisReport]:
+    """Emit each H-free run as the cheaper of its segmented run and its rebuild, then its H.
+
+    ``segment(run, terms, g)`` builds the segmented run from the run's gates
+    and its part of ``partition(extraction)``. The rebuild's terms are written over the wires at the run's start, and
+    its restore target is the input circuit's own map of the run over the
+    same wires, so every per-slice linear transformation matches the original.
     The terms enter the phase network as they are, unchecked, as
     ``Circuit.trusted`` takes the program's own gates: each slice set is merged
     mod 8 with no zero coefficient, and its parities are rows of the slice's
@@ -114,11 +207,23 @@ def _slice_loop(c: Circuit, g: ConnectivityGraph, partition) -> tuple[Circuit, R
     """
     t0 = time.perf_counter()
     n = g.num_vertices
-    ext = extract_sliced(_pad(c, n))
+    padded = _pad(c, n)
+    ext = extract_sliced(padded)
+    runs: list[list[Gate]] = [[]]
+    for gt in padded.gates:
+        if gt.kind is GateKind.H:
+            runs.append([])
+        else:
+            runs[-1].append(gt)
     out: list[Gate] = []
     per_slice: list[int] = []
-    for terms, target, h in zip(partition(ext), ext.slice_maps, ext.records + (None,)):
-        block = _rebuild(ParityMatrix(terms.terms()), target, g)
+    for terms, target, run, h in zip(partition(ext), ext.slice_maps, runs, ext.records + (None,)):
+        block = segment(run, terms, g)
+        budget = cnot_count(block)
+        if budget:
+            rebuilt = _rebuild(ParityMatrix(terms.terms()), target, g, budget)
+            if rebuilt is not None:
+                block = rebuilt
         per_slice.append(cnot_count(block))
         out += block
         if h is not None:
@@ -131,17 +236,24 @@ def _slice_loop(c: Circuit, g: ConnectivityGraph, partition) -> tuple[Circuit, R
 
 
 def cnot_opt_a(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisReport]:
-    """Slice at H gates and re-synthesize each slice from its own (P, Q) summary."""
-    return _slice_loop(c, g, lambda ext: ext.own_terms)
+    """Slice at H gates; emit each run as routed or as rebuilt from its own terms, the cheaper.
+
+    The routed run keeps every phase gate where it is and replaces each CNOT
+    by :func:`_route`; the rebuild is the paper's phase network and linear
+    restore for the run's own (P, Q) summary.
+    """
+    return _slice_loop(c, g, lambda ext: ext.own_terms, _own_phases)
 
 
 def cnot_opt_b(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisReport]:
     """Partition the whole circuit's phase polynomial across its H gates.
 
-    Each slice synthesizes the terms whose parity first appears in it, then
-    restores the input circuit's qubit states at its end.
+    Each slice takes the terms whose parity first appears in it. It emits the
+    cheaper of two blocks: its gates with each CNOT routed alone and each term
+    placed at the first phase gate on its parity, or the phase network for its
+    terms followed by the restore of the input circuit's qubit states at its end.
     """
-    return _slice_loop(c, g, lambda ext: ext.slice_terms)
+    return _slice_loop(c, g, lambda ext: ext.slice_terms, _first_phases)
 
 
 def resynthesize(c: Circuit, g: ConnectivityGraph, algo: str) -> tuple[Circuit, ResynthesisReport]:

@@ -220,6 +220,7 @@ def equivalence_suite():
                 "violations": len(connectivity_violations(out, g)),
                 "equivalent": unitaries_equal_up_to_phase(u_in, circuit_unitary(out)),
                 "overhead": report.overhead_pct,
+                "cnots": report.output_cnots,
             }
         results.append(row)
     return results, time.perf_counter() - t0
@@ -233,6 +234,9 @@ def test_criterion_4_equivalence_suite(equivalence_suite):
             for algo in ("swap", "opt-a", "opt-b"):
                 assert row[algo]["violations"] == 0, row
                 assert row[algo]["equivalent"], row
+            # each run is emitted at no more CNOTs than its SWAP routing
+            for algo in ("opt-a", "opt-b"):
+                assert row[algo]["cnots"] <= row["swap"]["cnots"], row
         assert elapsed < 600.0
 
 

@@ -17,12 +17,15 @@ from cnotsynth.circuit import (
     parse_circuit,
     write_circuit,
 )
-from cnotsynth import linsynth, phasesynth
-from cnotsynth.linalg import ParityMatrix
+from cnotsynth import linsynth, phasesynth, pipeline
+from cnotsynth.linalg import AugmentedTransform, ParityMatrix, transform_of_circuit
 from cnotsynth.linsynth import linear_tf_synth, row_op
 from cnotsynth.pipeline import (
     BENCH_COLUMNS,
     ResynthesisReport,
+    _chain,
+    _rebuild,
+    _route,
     bench_random,
     bench_tsv,
     cnot_opt_a,
@@ -31,9 +34,17 @@ from cnotsynth.pipeline import (
     resynthesize,
     swap_template,
 )
-from cnotsynth.phasepoly import extract_sliced
+from cnotsynth.phasepoly import extract_hfree, extract_sliced
 from cnotsynth.phasesynth import phase_nw_synth
-from cnotsynth.topology import PRESET_NAMES, ConnectivityGraph, _searches, grid_graph, preset_graph, steiner_tree
+from cnotsynth.topology import (
+    PRESET_NAMES,
+    ConnectivityGraph,
+    _searches,
+    grid_graph,
+    preset_graph,
+    shortest_path,
+    steiner_tree,
+)
 from cnotsynth.verify import equivalent_up_to_phase
 from tests.conftest import random_invertible
 from tests.test_linsynth import _reference_row_op
@@ -154,22 +165,22 @@ def test_opt_b_per_slice_linear_actions_match():
 # sha256 of write_circuit(output) for fixed seeds. A refactor must keep every
 # digest; a change that means to alter the emitted circuits updates them.
 PINNED_OUTPUTS = {
-    ("9q-square", 1, "opt-a"): "d15ab95327f24ba095ce74aa176a6525b13d30e0d84cdf2801609c3beb63b1d8",
-    ("9q-square", 1, "opt-b"): "fe7ea14544d443f17a368ad68913e3c1bb68f2d02b7497f6d1ca3fccb9eaaf4a",
-    ("9q-square", 2, "opt-a"): "7ffbe313f1ad21995a67005ed18e622e752c07ef625d0f2ca6be2d9935c1c7a0",
-    ("9q-square", 2, "opt-b"): "416d29e5aa8a928f505bb023f47d5798874ab735972d5173ef9b932b4f467aa0",
-    ("ibm-q20-tokyo", 1, "opt-a"): "d383174ce263073917da524957d6f081a8c4283d1953f0b273845b9b257ab4a5",
-    ("ibm-q20-tokyo", 1, "opt-b"): "87f21732babd245cb04999ec457bd7857b4b6c73d98ef463ce1f7c3f050b5f52",
-    ("ibm-q20-tokyo", 2, "opt-a"): "2182024a5cd5cf5ea75d15344254e731e41d47103e90d0eb0d9c13a15ee9a43f",
-    ("ibm-q20-tokyo", 2, "opt-b"): "4c764c95def03a6f20f9aecdab4bf593c9058a14ee5caee86047ce7ea99fdc9f",
-    ("grid-5x5", 0, "opt-a"): "c96cacc95572993cc49bfa71a9ab72abce2ab13a78c51926645050a62e6d33a5",
-    ("grid-5x5", 0, "opt-b"): "0689c65ddb488247ae3af7db6eee767293101c899a9f7af8fe175bbf4b18f135",
-    ("16q-square", 1, "opt-a"): "52ebece0e00aa7308fea75e9d2f0f52a73118239a33ae76a50573fb29d4945dd",
-    ("16q-square", 1, "opt-b"): "62a992f6b89d9a30b4d2b20359d1625bcd9007c59b66c208593627809db6f1b2",
-    ("rigetti-16q-aspen", 1, "opt-a"): "d35c52d1874947ae99db466cede89ea010ddf2d29d2a28dc22d35c3a06506657",
-    ("rigetti-16q-aspen", 1, "opt-b"): "e049b60e8d952d696f51e2d672b1035d41c6bb65016ca42bc24b0ed7eda6faba",
-    ("ibm-qx5", 1, "opt-a"): "c224fd9bb264147adfe1b06e5e34869956e8313140336a3da4be774d8df71060",
-    ("ibm-qx5", 1, "opt-b"): "8ab2826e4fab082fdce2d36f90dbd1548a4dbb1e9650f99d416ef780c23dfb63",
+    ("9q-square", 1, "opt-a"): "960d98b40b577ba1319a9eba664ea632d5209d3e3e2afc9a23f4163db4ab5c62",
+    ("9q-square", 1, "opt-b"): "2fb3ca2647582ff5e776d520123e313b5834e57da52e46530c9d997f1906e4e7",
+    ("9q-square", 2, "opt-a"): "d05f411a52371b44dceabd2587c5498cb8e8613c35bfdb87d306a09312dc8c96",
+    ("9q-square", 2, "opt-b"): "a671ef8d59598b03024b184397f72b44301d83f3abb8900280385bf37c3d8ad0",
+    ("ibm-q20-tokyo", 1, "opt-a"): "99e10c1b1d47728f0bc6250fc6ac89845f024815ab58218bfea8e3d2bd02071e",
+    ("ibm-q20-tokyo", 1, "opt-b"): "ac373974431b88a63a9a5e9ae1eac87bfb7036d2ae70234c6fd3d710085721a5",
+    ("ibm-q20-tokyo", 2, "opt-a"): "2699b0c1ef1de497bbadfd9c29999dc89f0d9ba18c4cb7b742a7a2ea4db6be47",
+    ("ibm-q20-tokyo", 2, "opt-b"): "cd14c521edc616da481d5cda7374b24be16c12f7be2f0ae5cbbefab26a6b0f9f",
+    ("grid-5x5", 0, "opt-a"): "9a92450644e585a65b1a1315e9423086ca317223e45530b8bfc8e8302ec89e94",
+    ("grid-5x5", 0, "opt-b"): "e4354a2b66e64cd9ed3a5f238e42981dc95e8faf70152e07ddc85488886d580a",
+    ("16q-square", 1, "opt-a"): "90c6a97eec4114fd1a3eec89cb2dbc756d38f9c26d8e48a87581b9a761a16725",
+    ("16q-square", 1, "opt-b"): "1d049b6f1d30f9db535229f08845ad8d37ed7e32b11e040f5ac1f4811d7e85de",
+    ("rigetti-16q-aspen", 1, "opt-a"): "b8c60561d0a34627fbfd8876f4e4c7885bef36f6fba540be0c9f38a317bf645f",
+    ("rigetti-16q-aspen", 1, "opt-b"): "7c88a5ebb30ae9b022645b286105da952930ea507554d781826a41cfd158d2ba",
+    ("ibm-qx5", 1, "opt-a"): "a96f7772e96fcf17b6b7751cd42de45b9e8ba996f7f101d883b66e02faa8244e",
+    ("ibm-qx5", 1, "opt-b"): "de6f46c94a38618bcd238e82faaeb2b0e51a040b69958a1bd4ad0c60f15b6e97",
 }
 # (qubits, CNOTs) of each graph's random circuit; 9-qubit circuits with 20 CNOTs elsewhere
 PINNED_SIZES = {"grid-5x5": (25, 40), "16q-square": (16, 30), "rigetti-16q-aspen": (16, 30), "ibm-qx5": (16, 30)}
@@ -181,6 +192,125 @@ def test_emitted_circuits_pinned():
         g = grid_graph(5, 5) if graph == "grid-5x5" else preset_graph(graph)
         out, _ = resynthesize(c, g, algo)
         assert hashlib.sha256(write_circuit(out).encode()).hexdigest() == digest, (graph, seed, algo)
+
+
+# -- one CNOT routed alone, and the choice of candidate per run ----------------------
+
+
+def _one_qubit(kind):
+    return lambda q: Gate(kind, q)
+
+
+def _bridge(g, control, target):
+    one = AugmentedTransform.identity(g.num_vertices)
+    one.row_xor(target, control)
+    return linear_tf_synth(one, g).gates
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_route_is_the_cheaper_of_bridge_and_chain(name):
+    g = preset_graph(name)
+    n = g.num_vertices
+    chain_wins = 0
+    for control in g.vertices:
+        for target in g.vertices:
+            if control == target:
+                continue
+            route = _route(g, control, target)
+            if g.has_edge(control, target):
+                assert route == (cnot(control, target),)
+                continue
+            bridge = _bridge(g, control, target)
+            chain = tuple(_chain(shortest_path(g, control, target)))
+            assert route == (chain if len(chain) < len(bridge) else bridge), (control, target)
+            chain_wins += route == chain
+            # exactly CNOT(control, target), every CNOT on an edge
+            routed = Circuit(n, route)
+            assert connectivity_violations(routed, g) == []
+            assert transform_of_circuit(routed) == transform_of_circuit(Circuit(n, (cnot(control, target),)))
+            assert _route(g, control, target) is route  # memoized
+    assert len(g.__dict__["_route"]) == n * (n - 1)
+    assert chain_wins == {"rigetti-16q-aspen": 42, "ibm-q20-tokyo": 11}.get(name, 0)
+
+
+def test_cnot_free_run_is_not_rebuilt(monkeypatch):
+    calls = []
+
+    def counting(pm, g):
+        calls.append(pm)
+        return phase_nw_synth(pm, g)
+
+    monkeypatch.setattr(pipeline, "phase_nw_synth", counting)
+    g = preset_graph("9q-square")
+    h, t = _one_qubit(GateKind.H), _one_qubit(GateKind.T)
+    c = Circuit(9, (t(1), cnot(2, 9), h(1), t(2), Gate(GateKind.Y, 3), h(2), cnot(1, 2), cnot(5, 9), h(5), t(5)))
+    for algo in ("opt-a", "opt-b"):
+        calls.clear()
+        out, _ = resynthesize(c, g, algo)
+        assert len(calls) == 2, algo  # the first and third runs hold a CNOT
+        assert equivalent_up_to_phase(c, out)
+    calls.clear()
+    assert cnot_opt_a(Circuit(9, (t(1), h(1), Gate(GateKind.S, 4))), g)[0].gates == (t(1), h(1), Gate(GateKind.S, 4))
+    assert calls == []
+
+
+@pytest.mark.parametrize("algo", ["opt-a", "opt-b"])
+def test_run_is_rebuilt_when_the_rebuild_is_cheaper(algo):
+    # the two bridges cost 12 CNOTs each; the run's map is the identity
+    g = preset_graph("9q-square")
+    assert len(_route(g, 1, 9)) == 12
+    out, report = resynthesize(Circuit(9, (cnot(1, 9), cnot(1, 9), Gate(GateKind.H, 9))), g, algo)
+    assert out.gates == (Gate(GateKind.H, 9),) and report.per_slice_cnots == (0, 0)
+
+
+@pytest.mark.parametrize("algo", ["opt-a", "opt-b"])
+def test_tie_emits_the_segmented_run(algo):
+    g = preset_graph("appendix-2x3")
+    gates = (cnot(4, 3), Gate(GateKind.T, 4), Gate(GateKind.T, 5))
+    terms, state = extract_hfree(Circuit(6, gates))
+    rebuilt = _rebuild(ParityMatrix(terms.terms()), state, g)
+    assert cnot_count(rebuilt) == 1 and rebuilt != gates  # an equal-cost rebuild exists
+    out, _ = resynthesize(Circuit(6, gates), g, algo)
+    assert out.gates == gates
+
+
+def test_opt_b_places_each_merged_term_once():
+    g = preset_graph("appendix-2x3")
+    t, tdg, h = _one_qubit(GateKind.T), _one_qubit(GateKind.TDG), _one_qubit(GateKind.H)
+    # x1 is a wire state in both slices; its terms cancel across them
+    out, _ = cnot_opt_b(Circuit(6, (t(1), h(2), tdg(1))), g)
+    assert out.gates == (h(2),)
+    # two T on one parity in one run: one S at the first of them
+    out, _ = cnot_opt_b(Circuit(6, (t(1), Gate(GateKind.Z, 2), t(1))), g)
+    assert out.gates == (Gate(GateKind.S, 1), Gate(GateKind.Z, 2))
+    # a Y keeps its phase in the term and flips its wire as an X
+    c = Circuit(6, (Gate(GateKind.Y, 1), t(1), Gate(GateKind.Z, 1), cnot(1, 2), t(2)))
+    out, _ = cnot_opt_b(c, g)
+    assert out.gates == (Gate(GateKind.Z, 1), Gate(GateKind.X, 1), Gate(GateKind.Z, 1), Gate(GateKind.T, 1), cnot(1, 2), t(2))
+    assert equivalent_up_to_phase(c, out)
+
+
+def test_rebuild_realizes_its_terms_and_target(monkeypatch):
+    g = preset_graph("ibm-q20-tokyo")
+    n = g.num_vertices
+    rng = random.Random("rebuild")
+    restores = []
+    monkeypatch.setattr(pipeline, "linear_tf_synth", lambda a, g: restores.append(a) or linear_tf_synth(a, g))
+    for _ in range(10):
+        c = Circuit(n, _long_slice_circuit(rng, n).gates[:99])  # H-free
+        terms, state = extract_hfree(c)
+        pm = ParityMatrix(terms.terms())
+        block = _rebuild(pm, state, g)
+        assert connectivity_violations(Circuit(n, block), g) == []
+        assert extract_hfree(Circuit(n, block)) == (terms, state)
+        # a budget the block reaches abandons it; the restore is skipped when
+        # the phase network alone reaches it
+        spent = cnot_count(block)
+        assert _rebuild(pm, state, g, spent + 1) == block
+        assert _rebuild(pm, state, g, spent) is None
+        restores.clear()
+        assert _rebuild(pm, state, g, cnot_count(phase_nw_synth(pm, g)[0])) is None
+        assert restores == []
 
 
 def test_slice_terms_need_no_from_terms():
@@ -301,6 +431,7 @@ def test_bfs_memo_bounded_and_unchanged_by_callers():
     entries = sum(len(table) for table in memo.values())
     # the whole graph and the suffix sets {i..n} of linear synthesis, one BFS per source
     assert n < entries <= (n + 1) * n
+    assert n < len(g.__dict__["_route"]) <= n * (n - 1)  # one routing per ordered qubit pair
     fresh = ConnectivityGraph.from_edges(n, g.edges)
     assert "_bfs" not in fresh.__dict__
     assert g == fresh and hash(g) == hash(fresh)  # the memo is not part of the graph's value
