@@ -15,7 +15,6 @@ from .circuit import (
 from .linalg import AugmentedTransform, ParityMatrix, SingularTransformError, transform_of_circuit
 from .linsynth import linear_tf_synth, row_op
 from .phasepoly import (
-    HSliceRecord,
     PhasePolySet,
     extract_hfree,
     extract_sliced,
@@ -51,7 +50,6 @@ __all__ = [
     "DisconnectedTerminalsError",
     "Gate",
     "GateKind",
-    "HSliceRecord",
     "NoPathError",
     "ParityMatrix",
     "PhasePolySet",

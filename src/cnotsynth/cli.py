@@ -176,7 +176,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    params = dict(kv.split("=", 1) for kv in args.random if "=" in kv)
+    params: dict[str, str] = {}
+    for key, eq, value in (kv.partition("=") for kv in args.random):
+        if not eq or key not in ("n", "cnots", "trials") or key in params:
+            raise CliError(f"--random takes each of n=<n> cnots=<k,...> trials=<t> once: {key + eq + value!r}")
+        params[key] = value
     try:
         n = int(params["n"])
         counts = [int(x) for x in params["cnots"].split(",")]

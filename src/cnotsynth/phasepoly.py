@@ -3,18 +3,18 @@
 Wire states and parity terms are parity ints (see :mod:`cnotsynth.linalg`):
 bit i is path variable x_i, bit 0 the affine constant. For H-free circuits the
 state lives over x_1..x_n; every H gate replaces its wire's state with a fresh
-variable x_{n+j} and records the states immediately before and after, which is
-what the slice-and-build pipelines slice on. The sliced extraction also folds
-each slice's own map from the identity, so it writes every phase term over the
-wires at the start of its slice as it goes, and no term needs an F2 reduction
-to be placed or rebased.
+variable x_{n+j}. The sliced extraction cuts the circuit at its H gates into
+the runs the slice-and-build pipelines rebuild, and folds each run's own map
+from the identity, so it writes every phase term over the wires at the start
+of its run as it goes, and no term needs an F2 reduction to be placed or
+rebased.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import PHASE_COEFF, Circuit, GateKind
+from .circuit import PHASE_COEFF, Circuit, Gate, GateKind
 from .linalg import CONST_BIT, ParityMatrix, f2_solve, format_parity
 
 
@@ -82,65 +82,58 @@ def extract_hfree(c: Circuit) -> tuple[PhasePolySet, tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
-class HSliceRecord:
-    """Qubit states around one H gate: before (q_in) and after (q_out).
+class Slice:
+    """One H-free run of a circuit and what :func:`extract_sliced` folds over it.
 
-    q_out differs from q_in only at ``pos``, where a fresh path variable sits.
-    The rows of q_in are linearly independent: :func:`extract_sliced` starts
-    from the identity, a CNOT adds one row into another and an H swaps a row
-    for a fresh variable.
+    ``gates`` is the run, a slice of the input's gates, and ``h`` the wire of
+    the H that ends it (None for the last run). The rest is written over the
+    wires at the run's start: ``map`` is the state at its end, as f2_solve
+    would return it; ``own_terms`` are the terms its own phase gates make, as
+    extract_hfree of ``gates`` gives them; ``first_terms`` are the terms whose
+    parity a phase gate first touches in this run. The ``first_terms`` of all
+    runs together are exactly the circuit's terms.
     """
 
-    pos: int
-    q_in: tuple[int, ...]
-    q_out: tuple[int, ...]
+    gates: tuple[Gate, ...]
+    h: int | None
+    map: tuple[int, ...]
+    own_terms: PhasePolySet
+    first_terms: PhasePolySet
 
 
 @dataclass(frozen=True)
 class SlicedExtraction:
     terms: PhasePolySet
     state: tuple[int, ...]
-    records: tuple[HSliceRecord, ...]
-    num_vars: int  # n + number of H gates
-    # slice_maps[k]: the state at the end of slice k (before H k, or the final
-    # state) written over the state at its start, as f2_solve would return it
-    slice_maps: tuple[tuple[int, ...], ...]
-    # own_terms[k]: the terms that slice k's own phase gates make, as
-    # extract_hfree of the slice's gates gives them
-    own_terms: tuple[PhasePolySet, ...]
-    # slice_terms[k]: the terms whose parity a phase gate first touches in
-    # slice k; together they are exactly ``terms``
-    slice_terms: tuple[PhasePolySet, ...]
+    slices: tuple[Slice, ...]
 
 
 def extract_sliced(c: Circuit) -> SlicedExtraction:
     """Full-circuit extraction where each H gate introduces a fresh path variable.
 
-    Beside the wire states it folds each slice's own map, restarted from the
-    identity at the slice start, so every phase gate's parity is also known
-    over the wires at the start of its slice. Both slice partitions hold their
-    terms in that frame.
+    Beside the wire states it folds each run's own map, restarted from the
+    identity at the run's start, so every phase gate's parity is also known
+    over the wires at the start of its run. Both term partitions of a
+    :class:`Slice` hold their terms in that frame.
 
-    Each parity belongs to the slice where a phase gate first touches it, and
-    every later coefficient on it is added into that slice's term, even after
-    they cancel to 0. Within one slice a parity and its expression over the
-    slice-start wires determine each other, because the start state's rows
-    are independent.
+    Each parity belongs to the run where a phase gate first touches it, and
+    every later coefficient on it is added into that run's term, even after
+    they cancel to 0. Within one run a parity and its expression over the
+    start wires determine each other, because the start state's rows are
+    independent: the fold starts from the identity, a CNOT adds one row into
+    another and an H swaps a row for a fresh variable.
     """
     n = c.num_qubits
+    gates = c.gates
     identity = identity_state(n)
     terms = PhasePolySet()
     state = list(identity)
     local = list(identity)
-    records: list[HSliceRecord] = []
-    maps: list[tuple[int, ...]] = []
-    own = PhasePolySet()
-    first = PhasePolySet()
-    own_terms = [own]
-    slice_terms = [first]
-    owner: dict[int, tuple[PhasePolySet, int]] = {}  # parity -> (its slice's terms, its key there)
-    fresh = n
-    for g in c.gates:
+    slices: list[Slice] = []
+    own, first = PhasePolySet(), PhasePolySet()
+    owner: dict[int, tuple[PhasePolySet, int]] = {}  # parity -> (its run's terms, its key there)
+    fresh, start = n, 0
+    for k, g in enumerate(gates):
         kind = g.kind
         i = g.target - 1
         if kind is GateKind.CNOT:
@@ -148,15 +141,12 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
             local[i] ^= local[g.control - 1]
             continue
         if kind is GateKind.H:
+            slices.append(Slice(gates[start:k], g.target, tuple(local), own, first))
             fresh += 1
-            before = tuple(state)
             state[i] = 1 << fresh
-            records.append(HSliceRecord(g.target, before, tuple(state)))
-            maps.append(tuple(local))
+            start = k + 1
             local = list(identity)
             own, first = PhasePolySet(), PhasePolySet()
-            own_terms.append(own)
-            slice_terms.append(first)
             continue
         if kind is not GateKind.X:
             coeff = PHASE_COEFF[kind]
@@ -168,23 +158,22 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
         if kind is GateKind.X or kind is GateKind.Y:
             state[i] ^= CONST_BIT
             local[i] ^= CONST_BIT
-    maps.append(tuple(local))
-    return SlicedExtraction(
-        terms, tuple(state), tuple(records), fresh, tuple(maps), tuple(own_terms), tuple(slice_terms)
-    )
+    slices.append(Slice(gates[start:], None, tuple(local), own, first))
+    return SlicedExtraction(terms, tuple(state), tuple(slices))
 
 
-def uncomputable_terms(p: PhasePolySet, h: HSliceRecord) -> PhasePolySet:
-    """Terms expressible over q_in but not over q_out: the paper's CNOT-OPT-B rule.
+def uncomputable_terms(p: PhasePolySet, q_in: tuple[int, ...], q_out: tuple[int, ...]) -> PhasePolySet:
+    """Terms expressible over the states before (q_in) but not after (q_out) an H.
 
-    No pipeline calls it: :func:`~cnotsynth.pipeline.cnot_opt_b` places each
-    term in the slice where it first appears (``SlicedExtraction.slice_terms``).
+    The paper's CNOT-OPT-B rule. No pipeline calls it:
+    :func:`~cnotsynth.pipeline.cnot_opt_b` places each term in the run where it
+    first appears (``Slice.first_terms``).
     The affine constant never blocks realizability (an X gate supplies it).
     """
     terms = p.terms()
     parities = [parity for _, parity in terms]
-    before = f2_solve(list(h.q_in), parities)
-    after = f2_solve(list(h.q_out), parities)
+    before = f2_solve(list(q_in), parities)
+    after = f2_solve(list(q_out), parities)
     return PhasePolySet(t for t, b, a in zip(terms, before, after) if b is not None and a is None)
 
 

@@ -5,15 +5,15 @@ over one extraction of the whole circuit. Each H-free run has two candidates,
 and the loop emits the one with fewer CNOTs, the first on a tie:
 
 * the segmented run: the run's own gates with each CNOT routed alone, by
-  whichever of its Steiner-Gauss bridge and its SWAP chain is cheaper;
+  ROW-OP on its two-terminal Steiner tree, the shortest path;
 * the paper's rebuild: a phase network for the run's terms, then a linear
   restore of the input circuit's own map of the run.
 
 The segmented run's CNOTs are the rebuild's budget. A run with no CNOT is not
 rebuilt, and a rebuild stops as soon as it reaches the budget, before its
 restore when the phase network alone reaches it. So no run costs more than
-its SWAP routing. The extraction writes every term and every slice map over
-the wires at the slice start, so each rebuild solves once, for its restore.
+its SWAP routing. The extraction writes every term and every run's map over
+the wires at the run's start, so each rebuild solves once, for its restore.
 
 The two passes differ in which terms a slice takes. The first takes the terms
 the slice's own phase gates make, and its segmented run keeps every phase
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, GateKind, cnot, cnot_count
 from .linalg import CONST_BIT, AugmentedTransform, ParityMatrix, f2_solve
-from .linsynth import linear_tf_synth
-from .phasepoly import PhasePolySet, extract_sliced, identity_state
+from .linsynth import _path_passes, linear_tf_synth
+from .phasepoly import PhasePolySet, Slice, extract_sliced, identity_state
 from .phasesynth import COEFF_GATES, phase_nw_synth
 from .topology import ConnectivityGraph, shortest_path
 
@@ -100,13 +100,12 @@ def swap_template(c: Circuit, g: ConnectivityGraph) -> Circuit:
 
 
 def _route(g: ConnectivityGraph, control: int, target: int) -> tuple[Gate, ...]:
-    """The cheapest routing this module knows of one CNOT(control, target) on ``g``.
+    """CNOT(control, target) on ``g``: ROW-OP on the two-terminal tree, the shortest path.
 
-    The CNOT itself on an edge; otherwise whichever has fewer CNOTs of the
-    bridge (``linear_tf_synth`` of the one-CNOT transform) and the SWAP chain,
-    the bridge on a tie. Either realizes exactly CNOT(control, target). Memoized
-    on ``g`` beside the BFS memo, one entry per ordered pair asked for, so at
-    most n(n-1); graph equality and hash ignore it.
+    The path's alg-2 passes: the CNOT itself on an edge, else 4(d-1) CNOTs at
+    distance d, never more than the SWAP chain's 6(d-1)+1. Memoized on ``g``
+    beside the BFS memo, one entry per ordered pair asked for, so at most
+    n(n-1); graph equality and hash ignore it.
     """
     memo = g.__dict__.get("_route")
     if memo is None:
@@ -114,15 +113,8 @@ def _route(g: ConnectivityGraph, control: int, target: int) -> tuple[Gate, ...]:
         object.__setattr__(g, "_route", memo)
     hit = memo.get((control, target))
     if hit is None:
-        if g.has_edge(control, target):
-            hit = (cnot(control, target),)
-        else:
-            one = AugmentedTransform.identity(g.num_vertices)
-            one.row_xor(target, control)
-            bridge = linear_tf_synth(one, g).gates
-            chain = _chain(shortest_path(g, control, target))
-            hit = tuple(chain) if len(chain) < len(bridge) else bridge  # both are CNOTs only
-        memo[(control, target)] = hit
+        path = [control, target] if g.has_edge(control, target) else shortest_path(g, control, target)
+        hit = memo[(control, target)] = tuple(cnot(u, v) for u, v in _path_passes(path, 2))
     return hit
 
 
@@ -153,31 +145,31 @@ def _rebuild(
     return c_ph.gates + c_lin.gates
 
 
-def _own_phases(run: list[Gate], terms: PhasePolySet, g: ConnectivityGraph) -> list[Gate]:
-    """opt-a's segmented run: ``run`` with each CNOT routed alone, every other gate kept."""
+def _own_phases(s: Slice, g: ConnectivityGraph) -> tuple[PhasePolySet, list[Gate]]:
+    """opt-a's terms and segmented run: the run with each CNOT routed alone, every other gate kept."""
     out: list[Gate] = []
-    for gt in run:
+    for gt in s.gates:
         if gt.kind is GateKind.CNOT:
             out += _route(g, gt.control, gt.target)
         else:
             out.append(gt)
-    return out
+    return s.own_terms, out
 
 
-def _first_phases(run: list[Gate], terms: PhasePolySet, g: ConnectivityGraph) -> list[Gate]:
-    """opt-b's segmented run: ``run`` with each CNOT routed alone and its phases merged.
+def _first_phases(s: Slice, g: ConnectivityGraph) -> tuple[PhasePolySet, list[Gate]]:
+    """opt-b's terms and segmented run: the run with each CNOT routed alone and its phases merged.
 
-    ``terms`` are keyed over the wires at the start of the run, as
-    ``slice_terms`` holds them. At the first phase gate on a key of ``terms``
-    the wire holds exactly that key, constant bit included, so the key's merged
-    coefficient lands there by its ``COEFF_GATES``. Every other phase gate goes:
-    its coefficient is merged into a term placed here or in an earlier run. A Y
-    still flips its wire, as an X; its phase is in ``terms``.
+    ``s.first_terms`` are keyed over the wires at the start of the run. At the
+    first phase gate on one of its keys the wire holds exactly that key,
+    constant bit included, so the key's merged coefficient lands there by its
+    ``COEFF_GATES``. Every other phase gate goes: its coefficient is merged
+    into a term placed here or in an earlier run. A Y still flips its wire, as
+    an X; its phase is in the terms.
     """
     local = list(identity_state(g.num_vertices))
-    coeffs = {parity: coeff for coeff, parity in terms.terms()}
+    coeffs = {parity: coeff for coeff, parity in s.first_terms.terms()}
     out: list[Gate] = []
-    for gt in run:
+    for gt in s.gates:
         kind, i = gt.kind, gt.target - 1
         if kind is GateKind.CNOT:
             local[i] ^= local[gt.control - 1]
@@ -190,44 +182,37 @@ def _first_phases(run: list[Gate], terms: PhasePolySet, g: ConnectivityGraph) ->
         if kind is GateKind.X or kind is GateKind.Y:
             local[i] ^= CONST_BIT
             out.append(Gate(GateKind.X, gt.target))
-    return out
+    return s.first_terms, out
 
 
-def _slice_loop(c: Circuit, g: ConnectivityGraph, partition, segment) -> tuple[Circuit, ResynthesisReport]:
+def _slice_loop(c: Circuit, g: ConnectivityGraph, segment) -> tuple[Circuit, ResynthesisReport]:
     """Emit each H-free run as the cheaper of its segmented run and its rebuild, then its H.
 
-    ``segment(run, terms, g)`` builds the segmented run from the run's gates
-    and its part of ``partition(extraction)``. The rebuild's terms are written over the wires at the run's start, and
-    its restore target is the input circuit's own map of the run over the
-    same wires, so every per-slice linear transformation matches the original.
-    The terms enter the phase network as they are, unchecked, as
-    ``Circuit.trusted`` takes the program's own gates: each slice set is merged
-    mod 8 with no zero coefficient, and its parities are rows of the slice's
-    own invertible map, so none has a zero variable mask or reaches past x_n.
+    ``segment(s, g)`` returns the terms of the run's :class:`Slice` that the
+    pipeline takes and its segmented run. The rebuild's terms are written over
+    the wires at the run's start, and its restore target is the input
+    circuit's own map of the run over the same wires, so every per-run linear
+    transformation matches the original. The terms enter the phase network as
+    they are, unchecked, as ``Circuit.trusted`` takes the program's own gates:
+    each run's set is merged mod 8 with no zero coefficient, and its parities
+    are rows of the run's own invertible map, so none has a zero variable mask
+    or reaches past x_n.
     """
     t0 = time.perf_counter()
     n = g.num_vertices
-    padded = _pad(c, n)
-    ext = extract_sliced(padded)
-    runs: list[list[Gate]] = [[]]
-    for gt in padded.gates:
-        if gt.kind is GateKind.H:
-            runs.append([])
-        else:
-            runs[-1].append(gt)
     out: list[Gate] = []
     per_slice: list[int] = []
-    for terms, target, run, h in zip(partition(ext), ext.slice_maps, runs, ext.records + (None,)):
-        block = segment(run, terms, g)
+    for s in extract_sliced(_pad(c, n)).slices:
+        terms, block = segment(s, g)
         budget = cnot_count(block)
         if budget:
-            rebuilt = _rebuild(ParityMatrix(terms.terms()), target, g, budget)
+            rebuilt = _rebuild(ParityMatrix(terms.terms()), s.map, g, budget)
             if rebuilt is not None:
                 block = rebuilt
         per_slice.append(cnot_count(block))
         out += block
-        if h is not None:
-            out.append(Gate(GateKind.H, h.pos))
+        if s.h is not None:
+            out.append(Gate(GateKind.H, s.h))
     result = Circuit.trusted(n, tuple(out))
     report = ResynthesisReport.build(
         cnot_count(c), cnot_count(result), per_slice, time.perf_counter() - t0
@@ -242,7 +227,7 @@ def cnot_opt_a(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisRe
     by :func:`_route`; the rebuild is the paper's phase network and linear
     restore for the run's own (P, Q) summary.
     """
-    return _slice_loop(c, g, lambda ext: ext.own_terms, _own_phases)
+    return _slice_loop(c, g, _own_phases)
 
 
 def cnot_opt_b(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisReport]:
@@ -253,7 +238,7 @@ def cnot_opt_b(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisRe
     placed at the first phase gate on its parity, or the phase network for its
     terms followed by the restore of the input circuit's qubit states at its end.
     """
-    return _slice_loop(c, g, lambda ext: ext.slice_terms, _first_phases)
+    return _slice_loop(c, g, _first_phases)
 
 
 def resynthesize(c: Circuit, g: ConnectivityGraph, algo: str) -> tuple[Circuit, ResynthesisReport]:

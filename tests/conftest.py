@@ -3,7 +3,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cnotsynth.circuit import PHASE_COEFF, GateKind
 from cnotsynth.linalg import CONST_BIT, AugmentedTransform, ParityMatrix, f2_row_reduce, parity_mask
+from cnotsynth.phasepoly import identity_state
 from cnotsynth.topology import ConnectivityGraph, SteinerTree, distances, preset_graph
 
 # 6x6 linear transformation of the worked linear-synthesis example (flip column zero).
@@ -109,6 +111,31 @@ def random_connected_graph(rng, n) -> ConnectivityGraph:
         g = ConnectivityGraph.from_edges(n, edges)
         if is_connected(g):
             return g
+
+
+def reference_fold(c):
+    """Sum-over-paths fold of ``c``, written apart from the library's extraction.
+
+    Returns ``touched``, which maps each parity to the indices of the H-free
+    runs whose phase gates touch it, in gate order, and ``hs``, which holds
+    (wire, states before, states after) for each H; the H takes fresh variable
+    x_{n+1}, x_{n+2}, ... in turn.
+    """
+    state = list(identity_state(c.num_qubits))
+    fresh, touched, hs = c.num_qubits, {}, []
+    for gt in c.gates:
+        i = gt.target - 1
+        if gt.kind in PHASE_COEFF:
+            touched.setdefault(state[i], []).append(len(hs))
+        if gt.kind is GateKind.CNOT:
+            state[i] ^= state[gt.control - 1]
+        elif gt.kind in (GateKind.X, GateKind.Y):
+            state[i] ^= CONST_BIT
+        elif gt.kind is GateKind.H:
+            before, fresh = tuple(state), fresh + 1
+            state[i] = 1 << fresh
+            hs.append((gt.target, before, tuple(state)))
+    return touched, hs
 
 
 def traced(synth, *args):

@@ -281,6 +281,12 @@ def test_bench_deterministic(capsys):
 
 def test_bench_bad_params(capsys):
     assert main(["bench", "--random", "n=6", "--graph", "appendix-2x3"]) == 2
+    # a token without "=", an unknown key or a repeated key is rejected, not ignored
+    for extra in (["junk"], ["trial=9"], ["n=5"], ["=3"]):
+        params = ["n=4", "cnots=3", "trials=1", *extra]
+        assert main(["bench", "--random", *params, "--graph", "appendix-2x3"]) == 2, extra
+        captured = capsys.readouterr()
+        assert "--random takes" in captured.err and not captured.out, extra
 
 
 def test_bench_rejects_nonpositive_workers(capsys):

@@ -6,7 +6,6 @@ import pytest
 from cnotsynth.circuit import PHASE_COEFF, Circuit, Gate, GateKind, cnot
 from cnotsynth.linalg import CONST_BIT, ParityMatrix, f2_solve, parity_mask, transform_of_circuit
 from cnotsynth.phasepoly import (
-    HSliceRecord,
     PhasePolySet,
     dump_phasepoly,
     extract_hfree,
@@ -17,7 +16,7 @@ from cnotsynth.phasepoly import (
 )
 from cnotsynth.pipeline import cnot_opt_b, random_circuit
 from cnotsynth.topology import ConnectivityGraph
-from tests.conftest import APPENDIX_PHASE_TERMS, f2_rank
+from tests.conftest import APPENDIX_PHASE_TERMS, f2_rank, reference_fold
 
 
 def test_single_t():
@@ -142,45 +141,61 @@ def test_sliced_consistent_with_hfree():
     c = _random_hfree(rng, 4, 15)
     ext = extract_sliced(c)
     terms, q = extract_hfree(c)
-    assert ext.records == ()
+    [only] = ext.slices
+    assert only.gates == c.gates and only.h is None
     assert ext.terms == terms and ext.state == q
 
 
 def test_single_h():
-    ext = extract_sliced(Circuit(1, (Gate(GateKind.H, 1),)))
+    c = Circuit(1, (Gate(GateKind.H, 1),))
+    ext = extract_sliced(c)
     assert len(ext.terms) == 0
-    assert ext.records == (HSliceRecord(1, (parity_mask([1]),), (parity_mask([2]),)),)
-    assert ext.num_vars == 2
+    assert [(s.gates, s.h) for s in ext.slices] == [((), 1), ((), None)]
+    assert ext.state == (parity_mask([2]),)  # x_{n + the H count}
+    assert reference_fold(c)[1] == [(1, (parity_mask([1]),), (parity_mask([2]),))]
 
 
 def test_t_h_t():
     c = Circuit(1, (Gate(GateKind.T, 1), Gate(GateKind.H, 1), Gate(GateKind.T, 1)))
     ext = extract_sliced(c)
     assert ext.terms == PhasePolySet([(1, parity_mask([1])), (1, parity_mask([2]))])
-    assert len(ext.records) == 1
-    assert ext.records[0].q_in == (parity_mask([1]),)
-    assert ext.records[0].q_out == (parity_mask([2]),)
+    assert [s.h for s in ext.slices] == [1, None]
+    [(wire, q_in, q_out)] = reference_fold(c)[1]
+    assert q_in == (parity_mask([1]),) and q_out == (parity_mask([2]),)
 
 
 def test_fresh_variable_numbering():
     c = Circuit(2, (Gate(GateKind.H, 2), Gate(GateKind.H, 2), Gate(GateKind.H, 1)))
-    ext = extract_sliced(c)
-    assert [r.q_out[r.pos - 1] for r in ext.records] == [1 << 3, 1 << 4, 1 << 5]
-    assert ext.num_vars == 5
+    assert [q_out[wire - 1] for wire, _, q_out in reference_fold(c)[1]] == [1 << 3, 1 << 4, 1 << 5]
+    assert extract_sliced(c).state == (1 << 5, 1 << 4)  # the last of n + the H count variables
+
+
+def test_slice_gates_and_hs_rebuild_the_input():
+    hs = 0
+    for c, ext in _random_extractions(35, 300):
+        joined = []
+        for s in ext.slices:
+            joined += s.gates
+            if s.h is not None:
+                joined.append(Gate(GateKind.H, s.h))
+        assert tuple(joined) == c.gates
+        assert [s.h for s in ext.slices[:-1]] == [wire for wire, _, _ in reference_fold(c)[1]]
+        assert ext.slices[-1].h is None
+        hs += len(ext.slices) - 1
+    assert hs > 300
 
 
 # -- spans and rebasing -----------------------------------------------------------
 
 
 def test_uncomputable_empty():
-    h = HSliceRecord(1, identity_state(2), (parity_mask([3]), parity_mask([2])))
-    assert len(uncomputable_terms(PhasePolySet(), h)) == 0
+    q_out = (parity_mask([3]), parity_mask([2]))
+    assert len(uncomputable_terms(PhasePolySet(), identity_state(2), q_out)) == 0
 
 
 def test_uncomputable_single_qubit():
-    h = HSliceRecord(1, (parity_mask([1]),), (parity_mask([2]),))
     p = PhasePolySet([(3, parity_mask([1]))])
-    out = uncomputable_terms(p, h)
+    out = uncomputable_terms(p, (parity_mask([1]),), (parity_mask([2]),))
     assert out == p
 
 
@@ -188,31 +203,30 @@ def test_uncomputable_keeps_surviving_terms():
     # x1 survives the H on qubit 2; x2 does not
     q_in = (parity_mask([1]), parity_mask([2]))
     q_out = (parity_mask([1]), parity_mask([3]))
-    h = HSliceRecord(2, q_in, q_out)
     p = PhasePolySet([(1, parity_mask([1])), (1, parity_mask([2])), (1, parity_mask([1, 2]))])
-    out = uncomputable_terms(p, h)
+    out = uncomputable_terms(p, q_in, q_out)
     assert out == PhasePolySet([(1, parity_mask([2])), (1, parity_mask([1, 2]))])
 
 
 def test_uncomputable_matches_two_solve_definition():
     # in the span of q_in but not of q_out, decided by exhaustive subset XOR
     rng = random.Random(11)
-    records = 0
+    hs = 0
     for _ in range(300):
         n = rng.randint(2, 6)
-        ext = extract_sliced(random_circuit(n, rng.randint(1, 30), rng))
-        remaining = PhasePolySet(ext.terms.terms())
-        for h in ext.records:
-            assert f2_rank(list(h.q_in)) == n
+        c = random_circuit(n, rng.randint(1, 30), rng)
+        remaining = PhasePolySet(extract_sliced(c).terms.terms())
+        for _, q_in, q_out in reference_fold(c)[1]:
+            assert f2_rank(list(q_in)) == n
             terms = remaining.terms()
-            before, after = _span(h.q_in), _span(h.q_out)
+            before, after = _span(q_in), _span(q_out)
             expected = [t for t in terms if t[1] & ~CONST_BIT in before and t[1] & ~CONST_BIT not in after]
-            unc = uncomputable_terms(remaining, h)
+            unc = uncomputable_terms(remaining, q_in, q_out)
             assert list(unc.terms()) == expected
             # the paper's CNOT-OPT-B rule: a term leaves once it is uncomputable
             remaining = PhasePolySet(t for t in terms if t not in expected)
-            records += 1
-    assert records > 300
+            hs += 1
+    assert hs > 300
 
 
 def _span(state):
@@ -307,44 +321,27 @@ def _random_extractions(seed, count):
 def test_slice_maps_equal_f2_solve_of_slice_ends():
     flips = 0
     for c, ext in _random_extractions(23, 300):
-        starts = [identity_state(c.num_qubits)] + [h.q_out for h in ext.records]
-        ends = [h.q_in for h in ext.records] + [ext.state]
-        assert len(ext.slice_maps) == len(starts)
-        for start, end, slice_map in zip(starts, ends, ext.slice_maps):
-            assert slice_map == tuple(f2_solve(list(start), list(end)))
-            flips += sum(row & CONST_BIT for row in slice_map)
+        hs = reference_fold(c)[1]
+        ends = [q_in for _, q_in, _ in hs] + [ext.state]
+        assert len(ext.slices) == len(ends)
+        for start, end, s in zip(_slice_starts(c), ends, ext.slices):
+            assert s.map == tuple(f2_solve(list(start), list(end)))
+            flips += sum(row & CONST_BIT for row in s.map)
     assert flips > 100
 
 
-def _touching_slices(c):
-    # reference fold: parity -> indices of the slices whose phase gates touch it, in gate order
-    state = list(identity_state(c.num_qubits))
-    fresh, k, touched = c.num_qubits, 0, {}
-    for gt in c.gates:
-        i = gt.target - 1
-        if gt.kind in PHASE_COEFF:
-            touched.setdefault(state[i], []).append(k)
-        if gt.kind is GateKind.CNOT:
-            state[i] ^= state[gt.control - 1]
-        elif gt.kind in (GateKind.X, GateKind.Y):
-            state[i] ^= CONST_BIT
-        elif gt.kind is GateKind.H:
-            fresh, k = fresh + 1, k + 1
-            state[i] = 1 << fresh
-    return touched
-
-
-def _slice_starts(c, ext):
-    return [identity_state(c.num_qubits)] + [h.q_out for h in ext.records]
+def _slice_starts(c):
+    return [identity_state(c.num_qubits)] + [q_out for _, _, q_out in reference_fold(c)[1]]
 
 
 def test_slice_terms_partition_terms_by_first_appearance():
     moved = 0
     for c, ext in _random_extractions(29, 300):
-        assert len(ext.slice_terms) == len(ext.records) + 1
-        touched = _touching_slices(c)
+        touched, hs = reference_fold(c)
+        assert len(ext.slices) == len(hs) + 1
         merged = PhasePolySet()
-        for k, (terms, start) in enumerate(zip(ext.slice_terms, _slice_starts(c, ext))):
+        for k, (s, start) in enumerate(zip(ext.slices, _slice_starts(c))):
+            terms = s.first_terms
             for coeff, parity in _expand(ParityMatrix.from_terms(terms.terms()), start).terms():
                 assert touched[parity][0] == k
                 assert parity not in {p: k for k, p in merged.terms()}  # each parity in one slice only
@@ -359,13 +356,13 @@ def test_slice_terms_rebase_over_their_slice_start():
     # rebased over the slice-start state
     kept = 0
     for c, ext in _random_extractions(31, 300):
-        touched = _touching_slices(c)
-        first = [PhasePolySet() for _ in ext.slice_terms]
+        touched = reference_fold(c)[0]
+        first = [PhasePolySet() for _ in ext.slices]
         for coeff, parity in ext.terms.terms():
             first[touched[parity][0]].add(coeff, parity)
-        for terms, global_terms, start in zip(ext.slice_terms, first, _slice_starts(c, ext)):
-            assert ParityMatrix.from_terms(terms.terms()) == rebase(global_terms, start)
-            kept += len(terms)
+        for s, global_terms, start in zip(ext.slices, first, _slice_starts(c)):
+            assert ParityMatrix.from_terms(s.first_terms.terms()) == rebase(global_terms, start)
+            kept += len(s.first_terms)
     assert kept > 300
 
 
@@ -384,29 +381,29 @@ def test_own_terms_and_slice_maps_are_extract_hfree_of_each_run():
     terms = 0
     for c, ext in _random_extractions(33, 300):
         runs = _runs(c)
-        assert len(ext.own_terms) == len(ext.slice_maps) == len(runs)
-        for own, slice_map, run in zip(ext.own_terms, ext.slice_maps, runs):
+        assert len(ext.slices) == len(runs)
+        for s, run in zip(ext.slices, runs):
             want_terms, want_map = extract_hfree(run)
-            assert list(own.terms()) == list(want_terms.terms())  # order too
-            assert slice_map == want_map
-            terms += len(own)
+            assert list(s.own_terms.terms()) == list(want_terms.terms())  # order too
+            assert s.map == want_map
+            terms += len(s.own_terms)
     assert terms > 300
 
 
 def test_term_touched_again_after_a_later_h_stays_in_its_first_slice():
     t, tdg, h2 = Gate(GateKind.T, 1), Gate(GateKind.TDG, 1), Gate(GateKind.H, 2)
     ext = extract_sliced(Circuit(2, (t, h2, t)))
-    assert ext.slice_terms == (PhasePolySet([(2, parity_mask([1]))]), PhasePolySet())
+    assert [s.first_terms for s in ext.slices] == [PhasePolySet([(2, parity_mask([1]))]), PhasePolySet()]
     # cancelled to 0 in its slice, then touched again: it goes back to that slice
     ext = extract_sliced(Circuit(2, (t, tdg, h2, t)))
-    assert ext.slice_terms == (PhasePolySet([(1, parity_mask([1]))]), PhasePolySet())
+    assert [s.first_terms for s in ext.slices] == [PhasePolySet([(1, parity_mask([1]))]), PhasePolySet()]
 
 
 def test_t_and_tdg_in_different_slices_emit_no_phase_gate():
     g = ConnectivityGraph.from_edges(2, [(1, 2)])
     c = Circuit(2, (Gate(GateKind.T, 1), Gate(GateKind.H, 2), cnot(2, 1), cnot(2, 1), Gate(GateKind.TDG, 1)))
     ext = extract_sliced(c)
-    assert len(ext.terms) == 0 and not any(ext.slice_terms)
+    assert len(ext.terms) == 0 and not any(s.first_terms for s in ext.slices)
     out, _ = cnot_opt_b(c, g)
     assert [gt.kind for gt in out.gates if gt.kind in PHASE_COEFF] == []
 
@@ -415,7 +412,7 @@ def test_rebase_matches_exhaustive_reference():
     rng = random.Random(25)
     inside = outside = flipped = 0
     for c, ext in _random_extractions(27, 200):
-        for basis in _slice_starts(c, ext):
+        for basis in _slice_starts(c):
             terms = []
             for _ in range(rng.randint(1, 6)):  # random XORs of the basis rows
                 acc = CONST_BIT if rng.random() < 0.5 else 0
@@ -430,7 +427,8 @@ def test_rebase_matches_exhaustive_reference():
             inside += len(pm.columns)
             flipped += sum(parity & CONST_BIT for _, parity in pm.columns)
             # a random parity over every variable of the extraction, usually outside the span
-            stray = PhasePolySet([(1, rng.getrandbits(ext.num_vars + 1))])
+            num_vars = c.num_qubits + sum(gt.kind is GateKind.H for gt in c.gates)
+            stray = PhasePolySet([(1, rng.getrandbits(num_vars + 1))])
             if _span_membership_oracle(stray.terms()[0][1], basis):
                 assert _expand(rebase(stray, basis), basis) == stray
             else:
