@@ -61,10 +61,11 @@ def _load_matrix(path: str) -> AugmentedTransform:
         raise CliError(f"cannot read matrix {path}: {exc}") from exc
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("n "):
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "n":
         raise CliError(f"{path}: expected header 'n <k>'")
     try:
-        n = int(lines[0].split()[1])
+        n = int(header[1])
         if n < 1:
             raise ValueError("matrix size must be positive")
         bits = [[int(t) for t in ln.split()] for ln in lines[1:]]

@@ -91,7 +91,9 @@ class Slice:
     would return it; ``own_terms`` are the terms its own phase gates make, as
     extract_hfree of ``gates`` gives them; ``first_terms`` are the terms whose
     parity a phase gate first touches in this run. The ``first_terms`` of all
-    runs together are exactly the circuit's terms.
+    runs together are exactly the circuit's terms. ``first_at`` maps each key
+    a phase gate of the run touches, cancelled ones included, to the index in
+    ``gates`` of the first such gate, where the wire holds exactly that key.
     """
 
     gates: tuple[Gate, ...]
@@ -99,6 +101,7 @@ class Slice:
     map: tuple[int, ...]
     own_terms: PhasePolySet
     first_terms: PhasePolySet
+    first_at: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,7 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
     state = list(identity)
     local = list(identity)
     slices: list[Slice] = []
-    own, first = PhasePolySet(), PhasePolySet()
+    own, first, first_at = PhasePolySet(), PhasePolySet(), {}
     owner: dict[int, tuple[PhasePolySet, int]] = {}  # parity -> (its run's terms, its key there)
     fresh, start = n, 0
     for k, g in enumerate(gates):
@@ -141,24 +144,25 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
             local[i] ^= local[g.control - 1]
             continue
         if kind is GateKind.H:
-            slices.append(Slice(gates[start:k], g.target, tuple(local), own, first))
+            slices.append(Slice(gates[start:k], g.target, tuple(local), own, first, first_at))
             fresh += 1
             state[i] = 1 << fresh
             start = k + 1
             local = list(identity)
-            own, first = PhasePolySet(), PhasePolySet()
+            own, first, first_at = PhasePolySet(), PhasePolySet(), {}
             continue
         if kind is not GateKind.X:
             coeff = PHASE_COEFF[kind]
             parity, key = state[i], local[i]
             terms.add(coeff, parity)
             own.add(coeff, key)
+            first_at.setdefault(key, k - start)
             home, home_key = owner.setdefault(parity, (first, key))
             home.add(coeff, home_key)
         if kind is GateKind.X or kind is GateKind.Y:
             state[i] ^= CONST_BIT
             local[i] ^= CONST_BIT
-    slices.append(Slice(gates[start:], None, tuple(local), own, first))
+    slices.append(Slice(gates[start:], None, tuple(local), own, first, first_at))
     return SlicedExtraction(terms, tuple(state), tuple(slices))
 
 

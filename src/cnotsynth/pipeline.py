@@ -15,12 +15,12 @@ restore when the phase network alone reaches it. So no run costs more than
 its SWAP routing. The extraction writes every term and every run's map over
 the wires at the run's start, so each rebuild solves once, for its restore.
 
-The two passes differ in which terms a slice takes. The first takes the terms
-the slice's own phase gates make, and its segmented run keeps every phase
-gate where it is. The second takes the terms whose parity a phase gate first
-touches in the slice (a wire state there, so computable; the paper's
-CNOT-OPT-B waits for the last computable slice, where it seldom is one), and
-its segmented run places each merged term at that first gate.
+The two passes differ only in which terms a slice takes. The first takes the
+terms the slice's own phase gates make. The second takes the terms whose
+parity a phase gate first touches in the slice (a wire state there, so
+computable; the paper's CNOT-OPT-B waits for the last computable slice, where
+it seldom is one). Either way, the segmented run places each merged term at
+the first phase gate on its parity in the slice, as phase folding does.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .circuit import Circuit, Gate, GateKind, cnot, cnot_count
-from .linalg import CONST_BIT, AugmentedTransform, ParityMatrix, f2_solve
+from .linalg import AugmentedTransform, ParityMatrix, f2_solve
 from .linsynth import _path_passes, linear_tf_synth
-from .phasepoly import PhasePolySet, Slice, extract_sliced, identity_state
+from .phasepoly import PhasePolySet, Slice, extract_sliced
 from .phasesynth import COEFF_GATES, phase_nw_synth
 from .topology import ConnectivityGraph, shortest_path
 
@@ -145,65 +146,56 @@ def _rebuild(
     return c_ph.gates + c_lin.gates
 
 
-def _own_phases(s: Slice, g: ConnectivityGraph) -> tuple[PhasePolySet, list[Gate]]:
-    """opt-a's terms and segmented run: the run with each CNOT routed alone, every other gate kept."""
-    out: list[Gate] = []
-    for gt in s.gates:
-        if gt.kind is GateKind.CNOT:
-            out += _route(g, gt.control, gt.target)
-        else:
-            out.append(gt)
-    return s.own_terms, out
+@cache
+def _placed(wire: int, coeff: int, flip: bool) -> tuple[Gate, ...]:
+    """``COEFF_GATES[coeff]`` on ``wire`` (none for 0), then an X if ``flip``; cached, as :func:`cnot` is."""
+    gates = tuple(Gate(kind, wire) for kind in COEFF_GATES.get(coeff, ()))
+    return gates + (Gate(GateKind.X, wire),) if flip else gates
 
 
-def _first_phases(s: Slice, g: ConnectivityGraph) -> tuple[PhasePolySet, list[Gate]]:
-    """opt-b's terms and segmented run: the run with each CNOT routed alone and its phases merged.
+def _segmented(s: Slice, terms: PhasePolySet, g: ConnectivityGraph) -> list[Gate]:
+    """The run with each CNOT routed alone and each of ``terms`` placed at its first phase gate.
 
-    ``s.first_terms`` are keyed over the wires at the start of the run. At the
-    first phase gate on one of its keys the wire holds exactly that key,
-    constant bit included, so the key's merged coefficient lands there by its
-    ``COEFF_GATES``. Every other phase gate goes: its coefficient is merged
-    into a term placed here or in an earlier run. A Y still flips its wire, as
-    an X; its phase is in the terms.
+    Each key of ``terms`` is first touched in this run, and at ``s.first_at[key]``
+    its wire holds exactly that key, so its merged coefficient lands there by
+    ``COEFF_GATES``. Every other phase gate goes, its coefficient merged into a
+    term placed here or in an earlier run; a Y still flips its wire, as an X.
     """
-    local = list(identity_state(g.num_vertices))
-    coeffs = {parity: coeff for coeff, parity in s.first_terms.terms()}
+    at = {s.first_at[key]: coeff for coeff, key in terms.terms()}
+    cx, x, y = GateKind.CNOT, GateKind.X, GateKind.Y  # bound once: each GateKind.<name> costs a lookup
     out: list[Gate] = []
-    for gt in s.gates:
-        kind, i = gt.kind, gt.target - 1
-        if kind is GateKind.CNOT:
-            local[i] ^= local[gt.control - 1]
+    for j, gt in enumerate(s.gates):
+        kind = gt.kind
+        if kind is cx:
             out += _route(g, gt.control, gt.target)
-            continue
-        if kind is not GateKind.X:
-            coeff = coeffs.pop(local[i], None)
-            if coeff is not None:
-                out += [Gate(k, gt.target) for k in COEFF_GATES[coeff]]
-        if kind is GateKind.X or kind is GateKind.Y:
-            local[i] ^= CONST_BIT
-            out.append(Gate(GateKind.X, gt.target))
-    return s.first_terms, out
+        elif kind is x:
+            out.append(gt)
+        else:
+            out += _placed(gt.target, at.get(j, 0), kind is y)
+    return out
 
 
-def _slice_loop(c: Circuit, g: ConnectivityGraph, segment) -> tuple[Circuit, ResynthesisReport]:
+def _slice_loop(c: Circuit, g: ConnectivityGraph, partition: str) -> tuple[Circuit, ResynthesisReport]:
     """Emit each H-free run as the cheaper of its segmented run and its rebuild, then its H.
 
-    ``segment(s, g)`` returns the terms of the run's :class:`Slice` that the
-    pipeline takes and its segmented run. The rebuild's terms are written over
-    the wires at the run's start, and its restore target is the input
-    circuit's own map of the run over the same wires, so every per-run linear
-    transformation matches the original. The terms enter the phase network as
-    they are, unchecked, as ``Circuit.trusted`` takes the program's own gates:
-    each run's set is merged mod 8 with no zero coefficient, and its parities
-    are rows of the run's own invertible map, so none has a zero variable mask
-    or reaches past x_n.
+    ``partition`` names the terms of each run's :class:`Slice` that the
+    pipeline takes, ``own_terms`` or ``first_terms``; both candidates realize
+    them, the segmented run by :func:`_segmented`. The rebuild's terms are
+    written over the wires at the run's start, and its restore target is the
+    input circuit's own map of the run over the same wires, so every per-run
+    linear transformation matches the original. The terms enter the phase
+    network as they are, unchecked, as ``Circuit.trusted`` takes the program's
+    own gates: each run's set is merged mod 8 with no zero coefficient, and its
+    parities are rows of the run's own invertible map, so none has a zero
+    variable mask or reaches past x_n.
     """
     t0 = time.perf_counter()
     n = g.num_vertices
     out: list[Gate] = []
     per_slice: list[int] = []
     for s in extract_sliced(_pad(c, n)).slices:
-        terms, block = segment(s, g)
+        terms = getattr(s, partition)
+        block = _segmented(s, terms, g)
         budget = cnot_count(block)
         if budget:
             rebuilt = _rebuild(ParityMatrix(terms.terms()), s.map, g, budget)
@@ -223,11 +215,11 @@ def _slice_loop(c: Circuit, g: ConnectivityGraph, segment) -> tuple[Circuit, Res
 def cnot_opt_a(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisReport]:
     """Slice at H gates; emit each run as routed or as rebuilt from its own terms, the cheaper.
 
-    The routed run keeps every phase gate where it is and replaces each CNOT
-    by :func:`_route`; the rebuild is the paper's phase network and linear
-    restore for the run's own (P, Q) summary.
+    The routed run replaces each CNOT by :func:`_route` and places each merged
+    term at its first phase gate; the rebuild is the paper's phase network and
+    linear restore for the run's own (P, Q) summary.
     """
-    return _slice_loop(c, g, _own_phases)
+    return _slice_loop(c, g, "own_terms")
 
 
 def cnot_opt_b(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisReport]:
@@ -238,7 +230,7 @@ def cnot_opt_b(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisRe
     placed at the first phase gate on its parity, or the phase network for its
     terms followed by the restore of the input circuit's qubit states at its end.
     """
-    return _slice_loop(c, g, _first_phases)
+    return _slice_loop(c, g, "first_terms")
 
 
 def resynthesize(c: Circuit, g: ConnectivityGraph, algo: str) -> tuple[Circuit, ResynthesisReport]:

@@ -202,6 +202,10 @@ def test_criterion_3_phase_network_golden(grid2x3):
 # -- criteria 4 and 5: equivalence suite and overhead ordering ---------------------------
 
 
+def _t_count(c) -> int:
+    return sum(1 for gt in c.gates if gt.kind in (GateKind.T, GateKind.TDG))
+
+
 @pytest.fixture(scope="module")
 def equivalence_suite():
     g = preset_graph("9q-square")
@@ -213,7 +217,7 @@ def equivalence_suite():
         count = counts[i % len(counts)]
         circ = random_circuit(9, count, rng)
         u_in = circuit_unitary(circ)
-        row = {"count": count}
+        row = {"count": count, "t": _t_count(circ)}
         for algo in ("swap", "opt-a", "opt-b"):
             out, report = resynthesize(circ, g, algo)
             row[algo] = {
@@ -221,6 +225,7 @@ def equivalence_suite():
                 "equivalent": unitaries_equal_up_to_phase(u_in, circuit_unitary(out)),
                 "overhead": report.overhead_pct,
                 "cnots": report.output_cnots,
+                "t": _t_count(out),
             }
         results.append(row)
     return results, time.perf_counter() - t0
@@ -237,6 +242,10 @@ def test_criterion_4_equivalence_suite(equivalence_suite):
             # each run is emitted at no more CNOTs than its SWAP routing
             for algo in ("opt-a", "opt-b"):
                 assert row[algo]["cnots"] <= row["swap"]["cnots"], row
+            # each merged term with an odd coefficient takes one T or TDG, and
+            # needs at least one of the input's
+            for algo in ("swap", "opt-a", "opt-b"):
+                assert row[algo]["t"] <= row["t"], row
         assert elapsed < 600.0
 
 

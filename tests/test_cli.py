@@ -180,12 +180,14 @@ def test_malformed_graph_file_exit_2(tmp_path, capsys, text, line, message):
         ("synth-phase", "1 0 2 0 0 0 0 0\n"),
         ("synth-phase", "1 5 1 0 0 0 0 0\n"),
         ("synth-linear", "n 0\n"),
+        ("synth-linear", "n 3 junk\n1 0 0 0\n0 1 0 0\n0 0 1 0\n"),
     ],
-    ids=["matrix-entry-2", "parity-entry-2", "bitflip-5", "matrix-size-0"],
+    ids=["matrix-entry-2", "parity-entry-2", "bitflip-5", "matrix-size-0", "matrix-header-extra-token"],
 )
 def test_non_binary_entries_exit_2(tmp_path, capsys, sub, text):
     # coefficients are free integers mod 8, but bit-flips and parity/matrix entries are 0/1;
-    # a matrix needs a row, as a circuit needs a qubit and a graph a vertex
+    # a matrix needs a row, as a circuit needs a qubit and a graph a vertex; its header is
+    # exactly 'n <k>', as a circuit's is 'qubits <n>'
     path = tmp_path / "input.txt"
     path.write_text(text)
     flag = "--matrix" if sub == "synth-linear" else "--terms"

@@ -378,7 +378,7 @@ def _runs(c):
 
 
 def test_own_terms_and_slice_maps_are_extract_hfree_of_each_run():
-    terms = 0
+    terms = cancelled = 0
     for c, ext in _random_extractions(33, 300):
         runs = _runs(c)
         assert len(ext.slices) == len(runs)
@@ -387,7 +387,16 @@ def test_own_terms_and_slice_maps_are_extract_hfree_of_each_run():
             assert list(s.own_terms.terms()) == list(want_terms.terms())  # order too
             assert s.map == want_map
             terms += len(s.own_terms)
+            # first_at: every key a phase gate of the run touches, to the first such gate
+            at: dict[int, int] = {}
+            for i, gt in enumerate(s.gates):
+                if gt.kind in PHASE_COEFF:
+                    at.setdefault(extract_hfree(Circuit(c.num_qubits, s.gates[:i]))[1][gt.target - 1], i)
+            assert s.first_at == at
+            assert {key for _, key in s.first_terms.terms()} <= at.keys()
+            cancelled += len(at.keys() - {key for _, key in s.own_terms.terms()})
     assert terms > 300
+    assert cancelled > 0
 
 
 def test_term_touched_again_after_a_later_h_stays_in_its_first_slice():
