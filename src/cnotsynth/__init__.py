@@ -12,7 +12,7 @@ from .circuit import (
     parse_circuit,
     write_circuit,
 )
-from .linalg import AugmentedTransform, ParityMatrix, SingularTransformError, transform_of_circuit
+from .linalg import AugmentedTransform, OverBudget, ParityMatrix, SingularTransformError, transform_of_circuit
 from .linsynth import linear_tf_synth, row_op
 from .phasepoly import (
     PhasePolySet,
@@ -51,6 +51,7 @@ __all__ = [
     "Gate",
     "GateKind",
     "NoPathError",
+    "OverBudget",
     "ParityMatrix",
     "PhasePolySet",
     "PRESET_NAMES",

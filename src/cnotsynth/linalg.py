@@ -18,6 +18,10 @@ class SingularTransformError(ValueError):
     """The linear block of a transform is not invertible over F2."""
 
 
+class OverBudget(Exception):
+    """A synthesizer's CNOTs reached the ``budget`` it was given; its circuit is dropped."""
+
+
 def parity_mask(variables: tuple[int, ...] | list[int], const: bool = False) -> int:
     """Build a parity int from 1-indexed variable numbers."""
     p = CONST_BIT if const else 0

@@ -22,11 +22,12 @@ shortest path by applying the path's passes, with no tree at all.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Callable
 
 from .circuit import Circuit, Gate, GateKind, cnot
-from .linalg import CONST_BIT, AugmentedTransform, SingularTransformError
+from .linalg import CONST_BIT, AugmentedTransform, OverBudget, SingularTransformError
 from .topology import (
     ConnectivityGraph,
     NoPathError,
@@ -272,6 +273,7 @@ def linear_tf_synth(
     a: AugmentedTransform,
     g: ConnectivityGraph,
     trace: Callable[..., None] | None = None,
+    budget: float = math.inf,
 ) -> Circuit:
     """Synthesize a {CNOT, X} circuit realizing ``a`` with every CNOT on an edge of ``g``.
 
@@ -291,9 +293,18 @@ def linear_tf_synth(
     the CNOTs of the diagonal fix, of the Steiner-tree pass and of the
     corrections (phase 2 only), empty for a column without work, and a copy of
     the matrix after the column.
+
+    :class:`~cnotsynth.linalg.OverBudget` is raised, in place of the column's
+    trace event and all later work, after the first column that brings the
+    CNOTs of both phases to ``budget`` (at once when ``budget`` is at most 0):
+    exactly when the call without a budget returns at least ``budget`` CNOTs.
+    Below that the result and the trace events are the same. A singular ``a``
+    may raise OverBudget before it reaches its column with no pivot.
     """
     if a.n > g.num_vertices:
         raise ValueError(f"transform needs {a.n} qubits but graph has {g.num_vertices}")
+    if budget <= 0:
+        raise OverBudget(f"restore budget {budget} is not positive")
     work = a.padded(g.num_vertices)
     n = work.n
 
@@ -304,6 +315,7 @@ def linear_tf_synth(
     # phase 1 (alg 1) reaches upper-triangular form; phase 2 (alg 2) reduces
     # the transpose of that to the identity
     y: dict[int, list[Gate]] = {1: [], 2: []}
+    left = budget  # CNOTs still to emit before the budget is reached
     for phase in (1, 2):
         if phase == 2:
             work = work.transposed_linear()
@@ -341,6 +353,9 @@ def linear_tf_synth(
                 for t in targets:
                     pending |= rows[t - 1] & ((1 << t) - 1) | 1 << t
             y[phase] += diag + cnots + corr
+            left -= len(diag) + len(cnots) + len(corr)
+            if left <= 0:
+                raise OverBudget("restore reached its CNOT budget")
             if trace:
                 trace("column", phase=phase, column=i, diag=diag, tree=cnots, corrections=corr, matrix=work.copy())
 

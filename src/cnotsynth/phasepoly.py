@@ -57,27 +57,24 @@ def identity_state(n: int) -> tuple[int, ...]:
     return tuple(1 << i for i in range(1, n + 1))
 
 
-def _fold_gate(state: list[int], terms: PhasePolySet, g) -> None:
-    kind = g.kind
-    if kind is GateKind.CNOT:
-        state[g.target - 1] ^= state[g.control - 1]
-    elif kind is GateKind.X:
-        state[g.target - 1] ^= CONST_BIT
-    elif kind is GateKind.Y:
-        terms.add(PHASE_COEFF[kind], state[g.target - 1])
-        state[g.target - 1] ^= CONST_BIT
-    elif kind in PHASE_COEFF:
-        terms.add(PHASE_COEFF[kind], state[g.target - 1])
-    else:
-        raise ValueError("H gate not allowed in an H-free extraction")
-
-
 def extract_hfree(c: Circuit) -> tuple[PhasePolySet, tuple[int, ...]]:
     """Phase-polynomial set and final qubit state of an H-free circuit."""
     terms = PhasePolySet()
     state = list(identity_state(c.num_qubits))
+    cx, x, y = GateKind.CNOT, GateKind.X, GateKind.Y  # bound once: each GateKind.<name> costs a lookup
     for g in c.gates:
-        _fold_gate(state, terms, g)
+        kind = g.kind
+        i = g.target - 1
+        if kind is cx:
+            state[i] ^= state[g.control - 1]
+        elif kind is x:
+            state[i] ^= CONST_BIT
+        elif kind in PHASE_COEFF:
+            terms.add(PHASE_COEFF[kind], state[i])
+            if kind is y:  # Y = iXZ: the phase of Z on the wire, then its flip
+                state[i] ^= CONST_BIT
+        else:
+            raise ValueError("H gate not allowed in an H-free extraction")
     return terms, tuple(state)
 
 
@@ -136,14 +133,15 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
     own, first, first_at = PhasePolySet(), PhasePolySet(), {}
     owner: dict[int, tuple[PhasePolySet, int]] = {}  # parity -> (its run's terms, its key there)
     fresh, start = n, 0
+    cx, h, x, y = GateKind.CNOT, GateKind.H, GateKind.X, GateKind.Y  # bound once, as in extract_hfree
     for k, g in enumerate(gates):
         kind = g.kind
         i = g.target - 1
-        if kind is GateKind.CNOT:
+        if kind is cx:
             state[i] ^= state[g.control - 1]
             local[i] ^= local[g.control - 1]
             continue
-        if kind is GateKind.H:
+        if kind is h:
             slices.append(Slice(gates[start:k], g.target, tuple(local), own, first, first_at))
             fresh += 1
             state[i] = 1 << fresh
@@ -151,7 +149,7 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
             local = list(identity)
             own, first, first_at = PhasePolySet(), PhasePolySet(), {}
             continue
-        if kind is not GateKind.X:
+        if kind is not x:
             coeff = PHASE_COEFF[kind]
             parity, key = state[i], local[i]
             terms.add(coeff, parity)
@@ -159,7 +157,7 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
             first_at.setdefault(key, k - start)
             home, home_key = owner.setdefault(parity, (first, key))
             home.add(coeff, home_key)
-        if kind is GateKind.X or kind is GateKind.Y:
+        if kind is x or kind is y:
             state[i] ^= CONST_BIT
             local[i] ^= CONST_BIT
     slices.append(Slice(gates[start:], None, tuple(local), own, first, first_at))

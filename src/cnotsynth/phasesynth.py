@@ -18,13 +18,14 @@ net effect of the four traversals it emits.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
 from .circuit import Circuit, Gate, GateKind
-from .linalg import CONST_BIT, AugmentedTransform, ParityMatrix, format_parity
+from .linalg import CONST_BIT, AugmentedTransform, OverBudget, ParityMatrix, format_parity
 from .linsynth import row_op
 from .topology import ConnectivityGraph, steiner_tree
 
@@ -98,7 +99,13 @@ def select_pivot(masks: list[int], candidates: frozenset[int]) -> int:
 class PhaseSynthesizer:
     """Stateful driver of the cofactor stack; see the module docstring for the scheme."""
 
-    def __init__(self, p: ParityMatrix, g: ConnectivityGraph, trace: Callable[..., None] | None = None):
+    def __init__(
+        self,
+        p: ParityMatrix,
+        g: ConnectivityGraph,
+        trace: Callable[..., None] | None = None,
+        budget: float = math.inf,
+    ):
         if g.num_vertices == 0:
             raise ValueError("connectivity graph is empty")
         self.n = g.num_vertices
@@ -107,24 +114,19 @@ class PhaseSynthesizer:
         self.gates: list[Gate] = []
         self.stack: list[_Frame] = []
         self.trace = trace
+        self.left = budget  # CNOTs still to emit before the budget is reached
         self._place_single_variable_terms(p)
+        if self.left <= 0:
+            raise OverBudget(f"phase network budget {budget} is not positive")
 
     # -- placement helpers -------------------------------------------------
 
-    def _emit(self, gate: Gate) -> None:
-        self.gates.append(gate)
-        if gate.kind is GateKind.CNOT:
-            self.wires[gate.target - 1] ^= self.wires[gate.control - 1]
-        elif gate.kind is GateKind.X:
-            self.wires[gate.target - 1] ^= CONST_BIT
-
     def _place(self, wire: int, bit: bool, coeff: int) -> list[Gate]:
-        placed = []
+        placed = [Gate(kind, wire) for kind in COEFF_GATES[coeff]]
         if bool(self.wires[wire - 1] & CONST_BIT) != bit:
-            placed.append(Gate(GateKind.X, wire))
-        placed += [Gate(kind, wire) for kind in COEFF_GATES[coeff]]
-        for gate in placed:
-            self._emit(gate)
+            self.wires[wire - 1] ^= CONST_BIT
+            placed.insert(0, Gate(GateKind.X, wire))
+        self.gates += placed
         return placed
 
     def _place_single_variable_terms(self, p: ParityMatrix) -> None:
@@ -171,8 +173,13 @@ class PhaseSynthesizer:
         tree = steiner_tree(self.g, terminals, root)  # always on the full graph
         matrix = _ColumnMatrix([frame] + self.stack)
         cnots, _ = row_op(matrix, tree, alg=4)
-        for gate in cnots:
-            self._emit(gate)
+        self.left -= len(cnots)
+        if self.left <= 0:
+            raise OverBudget("phase network reached its CNOT budget")
+        wires = self.wires
+        for gate in cnots:  # every gate of a row op is a CNOT
+            wires[gate.target - 1] ^= wires[gate.control - 1]
+        self.gates += cnots
         placements = self._scan_realized(frame)
         if self.trace:
             self.trace("steiner", root=root, terminals=tree.terminals, cnots=cnots, placements=placements)
@@ -212,6 +219,7 @@ def phase_nw_synth(
     p: ParityMatrix,
     g: ConnectivityGraph,
     trace: Callable[..., None] | None = None,
+    budget: float = math.inf,
 ) -> tuple[Circuit, AugmentedTransform]:
     """Synthesize a connectivity-valid phase polynomial network for ``p``.
 
@@ -228,7 +236,12 @@ def phase_nw_synth(
     ``trace("steiner", root=, terminals=, cnots=, placements=)``: the CNOTs it
     emitted and the X and phase gates placed right after them. The gates before
     the first expansion place the single-variable terms and hold no CNOT.
+    :class:`~cnotsynth.linalg.OverBudget` is raised, in place of the
+    expansion's trace event and all later work, by the first expansion whose
+    CNOTs bring the circuit's count to ``budget`` (at once when ``budget`` is
+    at most 0): exactly when the call without a budget returns at least
+    ``budget`` CNOTs. Below that the result and the trace events are the same.
     """
-    synth = PhaseSynthesizer(p, g, trace)
+    synth = PhaseSynthesizer(p, g, trace, budget)
     synth.run()
     return Circuit.trusted(g.num_vertices, tuple(synth.gates)), AugmentedTransform(g.num_vertices, list(synth.wires))

@@ -10,10 +10,11 @@ and the loop emits the one with fewer CNOTs, the first on a tie:
   restore of the input circuit's own map of the run.
 
 The segmented run's CNOTs are the rebuild's budget. A run with no CNOT is not
-rebuilt, and a rebuild stops as soon as it reaches the budget, before its
-restore when the phase network alone reaches it. So no run costs more than
-its SWAP routing. The extraction writes every term and every run's map over
-the wires at the run's start, so each rebuild solves once, for its restore.
+rebuilt, and a rebuild stops at the Steiner expansion of its phase network or
+the column of its restore that reaches the budget, before its restore when the
+phase network alone reaches it. So no run costs more than its SWAP routing.
+The extraction writes every term and every run's map over the wires at the
+run's start, so each rebuild solves once, for its restore.
 
 The two passes differ only in which terms a slice takes. The first takes the
 terms the slice's own phase gates make. The second takes the terms whose
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .circuit import Circuit, Gate, GateKind, cnot, cnot_count
-from .linalg import AugmentedTransform, ParityMatrix, f2_solve
+from .linalg import AugmentedTransform, OverBudget, ParityMatrix, f2_solve
 from .linsynth import _path_passes, linear_tf_synth
 from .phasepoly import PhasePolySet, Slice, extract_sliced
 from .phasesynth import COEFF_GATES, phase_nw_synth
@@ -92,8 +93,9 @@ def swap_template(c: Circuit, g: ConnectivityGraph) -> Circuit:
     """Route each distant CNOT by the SWAP chains of :func:`_chain` along the shortest path."""
     out: list[Gate] = []
     full = frozenset(g.vertices)
+    cx = GateKind.CNOT  # bound once: each GateKind.<name> costs a lookup
     for gt in _pad(c, g.num_vertices).gates:
-        if gt.kind is not GateKind.CNOT or g.has_edge(gt.control, gt.target):
+        if gt.kind is not cx or g.has_edge(gt.control, gt.target):
             out.append(gt)
         else:
             out += _chain(shortest_path(g, gt.control, gt.target, full))
@@ -133,15 +135,16 @@ def _rebuild(
     """Phase network for ``pm``, then the linear restore that leaves the wires in ``target``.
 
     ``pm`` and ``target`` are both written over the wire states at the start of
-    the slice. None, with no further work, as soon as the block's CNOTs reach
-    ``budget``: the restore is skipped when the phase network alone reaches it.
+    the slice. None as soon as the block's CNOTs reach ``budget``: the phase
+    network stops at the Steiner expansion that reaches it, and the restore,
+    given what the network left of it, at the column that does. So the restore
+    is never entered when the phase network alone reaches the budget.
     """
-    c_ph, a_ph = phase_nw_synth(pm, g)
-    spent = cnot_count(c_ph)
-    if spent >= budget:
-        return None
-    c_lin = linear_tf_synth(_mapping_transform(tuple(a_ph.rows), target), g)
-    if spent + cnot_count(c_lin) >= budget:
+    try:
+        c_ph, a_ph = phase_nw_synth(pm, g, budget=budget)
+        restore = _mapping_transform(tuple(a_ph.rows), target)
+        c_lin = linear_tf_synth(restore, g, budget=budget - cnot_count(c_ph))
+    except OverBudget:
         return None
     return c_ph.gates + c_lin.gates
 

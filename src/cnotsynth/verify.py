@@ -96,10 +96,11 @@ def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
     pending_h = 0
     y_count = 0
     run: list = []
+    h, y = GateKind.H, GateKind.Y  # bound once: each GateKind.<name> costs a lookup
     for g in (*c.gates, None):
-        if g is not None and g.kind is not GateKind.H:
+        if g is not None and g.kind is not h:
             run.append(g)
-            if g.kind is GateKind.Y:
+            if g.kind is y:
                 y_count += 1
             continue
         if run:

@@ -1,10 +1,11 @@
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from cnotsynth.circuit import PHASE_COEFF, GateKind
-from cnotsynth.linalg import CONST_BIT, AugmentedTransform, ParityMatrix, f2_row_reduce, parity_mask
+from cnotsynth.linalg import CONST_BIT, AugmentedTransform, OverBudget, ParityMatrix, f2_row_reduce, parity_mask
 from cnotsynth.phasepoly import identity_state
 from cnotsynth.topology import ConnectivityGraph, SteinerTree, distances, preset_graph
 
@@ -146,6 +147,21 @@ def traced(synth, *args):
     events = []
     result = synth(*args, trace=lambda kind, **fields: events.append(SimpleNamespace(kind=kind, **fields)))
     return result, events
+
+
+def assert_budget_contract(synth, args, cnots) -> None:
+    """Check ``synth(*args, budget=b)`` for every b from 0 to the unbudgeted CNOT count + 1.
+
+    ``cnots(result)`` counts a result's CNOTs. Every budget up to that count
+    raises OverBudget; one more returns the unbudgeted result, with the same
+    trace events.
+    """
+    want, want_events = traced(synth, *args)
+    count = cnots(want)
+    for budget in range(count + 1):
+        with pytest.raises(OverBudget):
+            synth(*args, budget=budget)
+    assert traced(partial(synth, budget=count + 1), *args) == (want, want_events)
 
 
 @pytest.fixture(scope="session")

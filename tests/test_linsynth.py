@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnotsynth import linsynth
 from cnotsynth.circuit import GateKind, cnot, cnot_count, connectivity_violations, write_circuit
@@ -28,6 +29,7 @@ from cnotsynth.topology import (
 )
 from tests.conftest import (
     APPENDIX_A_BITS,
+    assert_budget_contract,
     entry,
     is_invertible,
     random_connected_graph,
@@ -587,3 +589,12 @@ def test_singular_input_rejected_by_elimination():
                 linear_tf_synth(a, g)
             rejected += 1
     assert rejected >= 1000
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["appendix-2x3", "9q-square", "ibm-qx5"]), st.integers(min_value=0))
+def test_budget_is_reached_exactly_when_the_unbudgeted_restore_reaches_it(name, seed):
+    g = preset_graph(name)
+    rng = random.Random(seed)  # a seed, not st.randoms: drawing invertible transforms rejects many
+    a = random_invertible(rng, rng.randint(1, g.num_vertices))
+    assert_budget_contract(linear_tf_synth, (a, g), cnot_count)

@@ -2,13 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnotsynth.circuit import Gate, GateKind, cnot_count, connectivity_violations
 from cnotsynth.linalg import ParityMatrix, parity_mask
 from cnotsynth.phasepoly import PhasePolySet, extract_hfree
 from cnotsynth.phasesynth import phase_nw_synth, select_pivot
 from cnotsynth.topology import grid_graph, preset_graph
-from tests.conftest import APPENDIX_PHASE_TERMS, traced
+from tests.conftest import APPENDIX_PHASE_TERMS, assert_budget_contract, traced
 
 
 # -- pivot selection ----------------------------------------------------------
@@ -229,3 +230,13 @@ def test_width_mismatch():
     pm = ParityMatrix.from_terms([(1, parity_mask([1])), (1, parity_mask([2, 7], const=True))])
     with pytest.raises(ValueError, match="parity 1⊕x2⊕x7 uses variables beyond x6"):
         phase_nw_synth(pm, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["appendix-2x3", "9q-square", "ibm-qx5"]), st.integers(min_value=0))
+def test_budget_is_reached_exactly_when_the_unbudgeted_network_reaches_it(name, seed):
+    g = preset_graph(name)
+    rng = random.Random(seed)
+    n = g.num_vertices
+    terms = [(rng.randint(1, 7), rng.getrandbits(n + 1)) for _ in range(rng.randint(0, 12))]
+    assert_budget_contract(phase_nw_synth, (ParityMatrix.from_terms(terms), g), lambda result: cnot_count(result[0]))

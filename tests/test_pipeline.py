@@ -245,9 +245,9 @@ def test_route_is_row_op_on_the_shortest_path(name):
 def test_cnot_free_run_is_not_rebuilt(monkeypatch):
     calls = []
 
-    def counting(pm, g):
+    def counting(pm, g, **budget):
         calls.append(pm)
-        return phase_nw_synth(pm, g)
+        return phase_nw_synth(pm, g, **budget)
 
     monkeypatch.setattr(pipeline, "phase_nw_synth", counting)
     g = preset_graph("9q-square")
@@ -305,7 +305,9 @@ def test_rebuild_realizes_its_terms_and_target(monkeypatch):
     n = g.num_vertices
     rng = random.Random("rebuild")
     restores = []
-    monkeypatch.setattr(pipeline, "linear_tf_synth", lambda a, g: restores.append(a) or linear_tf_synth(a, g))
+    monkeypatch.setattr(
+        pipeline, "linear_tf_synth", lambda a, g, **budget: restores.append(a) or linear_tf_synth(a, g, **budget)
+    )
     for _ in range(10):
         c = Circuit(n, _long_slice_circuit(rng, n).gates[:99])  # H-free
         terms, state = extract_hfree(c)
@@ -319,8 +321,13 @@ def test_rebuild_realizes_its_terms_and_target(monkeypatch):
         assert _rebuild(pm, state, g, spent + 1) == block
         assert _rebuild(pm, state, g, spent) is None
         restores.clear()
-        assert _rebuild(pm, state, g, cnot_count(phase_nw_synth(pm, g)[0])) is None
+        network = cnot_count(phase_nw_synth(pm, g)[0])
+        assert _rebuild(pm, state, g, network) is None
         assert restores == []
+        # a budget inside the restore: the restore is entered, and stops there
+        assert network < spent
+        assert _rebuild(pm, state, g, network + 1) is None
+        assert len(restores) == 1
 
 
 def test_slice_terms_need_no_from_terms():
@@ -380,10 +387,11 @@ def test_pipeline_trees_match_the_references(monkeypatch):
 
     def sample(items, tree_of, size):
         # of the trees with three or more terminals: the half of the sample
-        # with the most terminals, and a seeded draw from the rest
+        # with the most terminals, and a seeded draw from the rest (all of them if fewer)
         items = [item for item in items if len(tree_of(item).terminals) > 2]
         items.sort(key=lambda item: -len(tree_of(item).terminals))
-        return items[: size // 2] + rng.sample(items[size // 2 :], size - size // 2)
+        rest = items[size // 2 :]
+        return items[: size // 2] + rng.sample(rest, min(size - size // 2, len(rest)))
 
     seen = Counter()
     for g, active, tree in sample(trees, lambda item: item[2], 60):
@@ -391,13 +399,16 @@ def test_pipeline_trees_match_the_references(monkeypatch):
         assert (tree.parent, tree.children) == (want.parent, want.children)
         seen["max terminals"] = max(seen["max terminals"], len(tree.terminals))
         seen["interior terminal"] += any(tree.children[t] for t in tree.terminals - {tree.root})
-    for n, tree, alg in sample(ops, lambda item: item[1], 120):
-        start = random_invertible(rng, n)
-        got_matrix, want_matrix = start.copy(), start.copy()
-        got_cnots, got_subs = row_op(got_matrix, tree, alg)
-        want_cnots, want_subs = _reference_row_op(want_matrix, tree, alg)
-        assert got_cnots == want_cnots and got_subs == want_subs and got_matrix == want_matrix
-        seen[f"alg {alg}"] += 1
+    # drawn per alg: most rebuilds stop at their budget before the restore's
+    # second phase, so alg-2 row ops are few among the rest
+    for alg in (1, 2, 4):
+        for n, tree, _ in sample([op for op in ops if op[2] == alg], lambda item: item[1], 40):
+            start = random_invertible(rng, n)
+            got_matrix, want_matrix = start.copy(), start.copy()
+            got_cnots, got_subs = row_op(got_matrix, tree, alg)
+            want_cnots, want_subs = _reference_row_op(want_matrix, tree, alg)
+            assert got_cnots == want_cnots and got_subs == want_subs and got_matrix == want_matrix
+            seen[f"alg {alg}"] += 1
     assert seen["max terminals"] >= 8 and seen["interior terminal"] > 30, seen
     assert min(seen[f"alg {alg}"] for alg in (1, 2, 4)) > 5, seen
 
