@@ -13,6 +13,8 @@ The segmented run's CNOTs are the rebuild's budget. A run with no CNOT is not
 rebuilt, and a rebuild stops at the Steiner expansion of its phase network or
 the column of its restore that reaches the budget, before its restore when the
 phase network alone reaches it. So no run costs more than its SWAP routing.
+Whether a one-CNOT run's rebuild reaches its budget is decided once per graph,
+qubit pair and presence of a two-variable term (see :func:`_slice_loop`).
 The extraction writes every term and every run's map over the wires at the
 run's start, so each rebuild solves once, for its restore.
 
@@ -110,10 +112,7 @@ def _route(g: ConnectivityGraph, control: int, target: int) -> tuple[Gate, ...]:
     beside the BFS memo, one entry per ordered pair asked for, so at most
     n(n-1); graph equality and hash ignore it.
     """
-    memo = g.__dict__.get("_route")
-    if memo is None:
-        memo = {}
-        object.__setattr__(g, "_route", memo)
+    memo = g.__dict__.setdefault("_route", {})
     hit = memo.get((control, target))
     if hit is None:
         path = [control, target] if g.has_edge(control, target) else shortest_path(g, control, target)
@@ -131,22 +130,24 @@ def _mapping_transform(current: tuple[int, ...], target: tuple[int, ...]) -> Aug
 
 def _rebuild(
     pm: ParityMatrix, target: tuple[int, ...], g: ConnectivityGraph, budget: float = math.inf
-) -> tuple[Gate, ...] | None:
+) -> tuple[tuple[Gate, ...], int] | None:
     """Phase network for ``pm``, then the linear restore that leaves the wires in ``target``.
 
-    ``pm`` and ``target`` are both written over the wire states at the start of
-    the slice. None as soon as the block's CNOTs reach ``budget``: the phase
-    network stops at the Steiner expansion that reaches it, and the restore,
-    given what the network left of it, at the column that does. So the restore
-    is never entered when the phase network alone reaches the budget.
+    Returns the block and its CNOTs. ``pm`` and ``target`` are both written
+    over the wire states at the start of the slice. None as soon as the block's
+    CNOTs reach ``budget``: the phase network stops at the Steiner expansion
+    that reaches it, and the restore, given what the network left of it, at the
+    column that does. So the restore is never entered when the phase network
+    alone reaches the budget.
     """
     try:
         c_ph, a_ph = phase_nw_synth(pm, g, budget=budget)
+        spent = cnot_count(c_ph)
         restore = _mapping_transform(tuple(a_ph.rows), target)
-        c_lin = linear_tf_synth(restore, g, budget=budget - cnot_count(c_ph))
+        c_lin = linear_tf_synth(restore, g, budget=budget - spent)
     except OverBudget:
         return None
-    return c_ph.gates + c_lin.gates
+    return c_ph.gates + c_lin.gates, spent + cnot_count(c_lin)
 
 
 @cache
@@ -156,26 +157,31 @@ def _placed(wire: int, coeff: int, flip: bool) -> tuple[Gate, ...]:
     return gates + (Gate(GateKind.X, wire),) if flip else gates
 
 
-def _segmented(s: Slice, terms: PhasePolySet, g: ConnectivityGraph) -> list[Gate]:
+def _segmented(s: Slice, terms: PhasePolySet, g: ConnectivityGraph) -> tuple[list[Gate], int, Gate | None]:
     """The run with each CNOT routed alone and each of ``terms`` placed at its first phase gate.
 
     Each key of ``terms`` is first touched in this run, and at ``s.first_at[key]``
     its wire holds exactly that key, so its merged coefficient lands there by
     ``COEFF_GATES``. Every other phase gate goes, its coefficient merged into a
     term placed here or in an earlier run; a Y still flips its wire, as an X.
+    Returns the gates, their CNOTs, and the run's CNOT when it is its only one.
     """
     at = {s.first_at[key]: coeff for coeff, key in terms.terms()}
     cx, x, y = GateKind.CNOT, GateKind.X, GateKind.Y  # bound once: each GateKind.<name> costs a lookup
     out: list[Gate] = []
+    cost, lone = 0, None
     for j, gt in enumerate(s.gates):
         kind = gt.kind
         if kind is cx:
-            out += _route(g, gt.control, gt.target)
+            lone = None if cost else gt  # every route holds a CNOT
+            route = _route(g, gt.control, gt.target)
+            out += route
+            cost += len(route)
         elif kind is x:
             out.append(gt)
         else:
             out += _placed(gt.target, at.get(j, 0), kind is y)
-    return out
+    return out, cost, lone
 
 
 def _slice_loop(c: Circuit, g: ConnectivityGraph, partition: str) -> tuple[Circuit, ResynthesisReport]:
@@ -191,28 +197,40 @@ def _slice_loop(c: Circuit, g: ConnectivityGraph, partition: str) -> tuple[Circu
     own gates: each run's set is merged mod 8 with no zero coefficient, and its
     parities are rows of the run's own invertible map, so none has a zero
     variable mask or reaches past x_n.
+
+    Whether the rebuild of a run with one CNOT(c, t) reaches its budget is
+    memoized on ``g`` beside the route memo, keyed by (c, t, whether the terms
+    hold a two-variable parity): at most 2n(n-1) verdicts, and graph equality
+    and hash ignore them. The key decides the verdict. The run's map is
+    I + e_t e_c^T up to constant bits, so x_c + x_t (with either constant) is
+    its only parity over two variables; constants and one-variable terms cost
+    X and phase gates, never a CNOT, in either synthesizer; and the budget is
+    ``len(_route(g, c, t))``. A losing verdict skips the rebuild. A winning
+    one still rebuilds, as the X and phase gates follow the coefficients.
     """
     t0 = time.perf_counter()
     n = g.num_vertices
+    loses = g.__dict__.setdefault("_lone_loses", {})
     out: list[Gate] = []
     per_slice: list[int] = []
     for s in extract_sliced(_pad(c, n)).slices:
         terms = getattr(s, partition)
-        block = _segmented(s, terms, g)
-        budget = cnot_count(block)
-        if budget:
-            rebuilt = _rebuild(ParityMatrix(terms.terms()), s.map, g, budget)
+        block, cost, lone = _segmented(s, terms, g)
+        key = None
+        if lone is not None:  # is any term's parity over two variables?
+            key = (lone.control, lone.target, any((p >> 1).bit_count() > 1 for _, p in terms.terms()))
+        if cost and not loses.get(key):
+            rebuilt = _rebuild(ParityMatrix(terms.terms()), s.map, g, cost)
+            if key:
+                loses[key] = rebuilt is None
             if rebuilt is not None:
-                block = rebuilt
-        per_slice.append(cnot_count(block))
+                block, cost = rebuilt
+        per_slice.append(cost)
         out += block
         if s.h is not None:
             out.append(Gate(GateKind.H, s.h))
-    result = Circuit.trusted(n, tuple(out))
-    report = ResynthesisReport.build(
-        cnot_count(c), cnot_count(result), per_slice, time.perf_counter() - t0
-    )
-    return result, report
+    report = ResynthesisReport.build(cnot_count(c), sum(per_slice), per_slice, time.perf_counter() - t0)
+    return Circuit.trusted(n, tuple(out)), report
 
 
 def cnot_opt_a(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisReport]:

@@ -212,10 +212,7 @@ def _searches(g: ConnectivityGraph, active: frozenset[int]) -> _Search:
     tree. Results are memoized on ``g`` per (active set, source) and shared
     between callers, so neither dict may be mutated.
     """
-    memo = g.__dict__.get("_bfs")
-    if memo is None:
-        memo = {}
-        object.__setattr__(g, "_bfs", memo)
+    memo = g.__dict__.setdefault("_bfs", {})
     table = memo.get(active)
     if table is None:
         table = memo[active] = {}

@@ -250,14 +250,18 @@ def test_cnot_free_run_is_not_rebuilt(monkeypatch):
         return phase_nw_synth(pm, g, **budget)
 
     monkeypatch.setattr(pipeline, "phase_nw_synth", counting)
-    g = preset_graph("9q-square")
     h, t = _one_qubit(GateKind.H), _one_qubit(GateKind.T)
     c = Circuit(9, (t(1), cnot(2, 9), h(1), t(2), Gate(GateKind.Y, 3), h(2), cnot(1, 2), cnot(5, 9), h(5), t(5)))
     for algo in ("opt-a", "opt-b"):
+        g = preset_graph("9q-square")
         calls.clear()
         out, _ = resynthesize(c, g, algo)
         assert len(calls) == 2, algo  # the first and third runs hold a CNOT
         assert equivalent_up_to_phase(c, out)
+        # on the same graph again, the first run's lone CNOT is known to lose
+        calls.clear()
+        assert resynthesize(c, g, algo)[0] == out
+        assert len(calls) == 1, algo
     calls.clear()
     assert cnot_opt_a(Circuit(9, (t(1), h(1), Gate(GateKind.S, 4))), g)[0].gates == (t(1), h(1), Gate(GateKind.S, 4))
     assert calls == []
@@ -277,10 +281,69 @@ def test_tie_emits_the_segmented_run(algo):
     g = preset_graph("appendix-2x3")
     gates = (cnot(4, 3), Gate(GateKind.T, 4), Gate(GateKind.T, 5))
     terms, state = extract_hfree(Circuit(6, gates))
-    rebuilt = _rebuild(ParityMatrix(terms.terms()), state, g)
-    assert cnot_count(rebuilt) == 1 and rebuilt != gates  # an equal-cost rebuild exists
+    rebuilt, spent = _rebuild(ParityMatrix(terms.terms()), state, g)
+    assert spent == cnot_count(rebuilt) == 1 and rebuilt != gates  # an equal-cost rebuild exists
     out, _ = resynthesize(Circuit(6, gates), g, algo)
     assert out.gates == gates
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_lone_cnot_rebuild_cost_depends_only_on_the_memo_key(name):
+    # the run's map is I + e_t e_c^T up to constants, so x_c + x_t, with either
+    # constant, is its only two-variable parity; constants cost no CNOT
+    g = preset_graph(name)
+    n = g.num_vertices
+    x, t, s = _one_qubit(GateKind.X), _one_qubit(GateKind.T), _one_qubit(GateKind.S)
+    for control in g.vertices:
+        for target in g.vertices:
+            if control == target:
+                continue
+            base = (x(control), cnot(control, target))
+            spent = []
+            # no term; the term 1 + x_c + x_t; and the terms 1 + x_c + x_t and x_c + x_t
+            for run in (base, base + (t(target),), base + (t(target), x(target), s(target))):
+                terms, state = extract_hfree(Circuit(n, run))
+                spent.append(_rebuild(ParityMatrix(terms.terms()), state, g)[1])
+            assert min(spent) >= len(_route(g, control, target)), (control, target)
+            assert spent[1] == spent[2], (control, target)
+
+
+def test_warm_verdict_memo_changes_no_output():
+    rng = random.Random("warm")
+    for name in PRESET_NAMES:
+        warm = preset_graph(name)
+        circuits = [random_circuit(min(9, warm.num_vertices), 12, rng) for _ in range(10)]
+        for algo in ("opt-a", "opt-b"):
+            for c in circuits:
+                resynthesize(c, warm, algo)
+        assert warm.__dict__["_lone_loses"], name
+        for algo in ("opt-a", "opt-b"):
+            fresh = ConnectivityGraph.from_edges(warm.num_vertices, warm.edges)
+            for c in circuits:
+                out, report = resynthesize(c, warm, algo)
+                cold, cold_report = resynthesize(c, fresh, algo)
+                assert out == cold and report.per_slice_cnots == cold_report.per_slice_cnots, (name, algo)
+
+
+def test_winning_lone_rebuild_is_redone_on_every_run(monkeypatch):
+    calls = []
+
+    def stand_in(pm, target, g, budget):
+        # wins with no CNOT: a T on the wire numbered by each term's coefficient
+        calls.append(pm)
+        return tuple(Gate(GateKind.T, coeff) for coeff, _ in pm.columns), 0
+
+    monkeypatch.setattr(pipeline, "_rebuild", stand_in)
+    g = preset_graph("9q-square")
+    t, s, h = _one_qubit(GateKind.T), _one_qubit(GateKind.S), _one_qubit(GateKind.H)
+    # two runs with CNOT(1, 9) alone and one term on x1: coefficient 1, then 2
+    c = Circuit(9, (cnot(1, 9), t(1), h(1), cnot(1, 9), s(1)))
+    for algo in ("opt-a", "opt-b"):
+        calls.clear()
+        out, report = resynthesize(c, g, algo)
+        assert out.gates == (t(1), h(1), t(2)) and report.per_slice_cnots == (0, 0), algo
+        assert len(calls) == 2, algo
+    assert g.__dict__["_lone_loses"] == {(1, 9, False): False}
 
 
 @pytest.mark.parametrize("algo", ["opt-a", "opt-b"])
@@ -312,13 +375,13 @@ def test_rebuild_realizes_its_terms_and_target(monkeypatch):
         c = Circuit(n, _long_slice_circuit(rng, n).gates[:99])  # H-free
         terms, state = extract_hfree(c)
         pm = ParityMatrix(terms.terms())
-        block = _rebuild(pm, state, g)
+        block, spent = _rebuild(pm, state, g)
         assert connectivity_violations(Circuit(n, block), g) == []
         assert extract_hfree(Circuit(n, block)) == (terms, state)
+        assert spent == cnot_count(block)
         # a budget the block reaches abandons it; the restore is skipped when
         # the phase network alone reaches it
-        spent = cnot_count(block)
-        assert _rebuild(pm, state, g, spent + 1) == block
+        assert _rebuild(pm, state, g, spent + 1) == (block, spent)
         assert _rebuild(pm, state, g, spent) is None
         restores.clear()
         network = cnot_count(phase_nw_synth(pm, g)[0])
@@ -453,8 +516,12 @@ def test_bfs_memo_bounded_and_unchanged_by_callers():
     # the whole graph and the suffix sets {i..n} of linear synthesis, one BFS per source
     assert n < entries <= (n + 1) * n
     assert n < len(g.__dict__["_route"]) <= n * (n - 1)  # one routing per ordered qubit pair
+    # one verdict per ordered pair and presence of a two-variable term; no gates
+    loses = g.__dict__["_lone_loses"]
+    assert 0 < len(loses) <= 2 * n * (n - 1)
+    assert all(type(verdict) is bool for verdict in loses.values())
     fresh = ConnectivityGraph.from_edges(n, g.edges)
-    assert "_bfs" not in fresh.__dict__
+    assert "_bfs" not in fresh.__dict__ and "_lone_loses" not in fresh.__dict__
     assert g == fresh and hash(g) == hash(fresh)  # the memo is not part of the graph's value
     for active, table in memo.items():
         for source, (dist, parent) in table.items():
