@@ -191,7 +191,7 @@ def parse_circuit(text: str) -> Circuit:
             raise CircuitSyntaxError(line_no, str(exc)) from None
     if num_qubits is None:
         raise CircuitSyntaxError(1, "missing 'qubits <n>' header")
-    return Circuit(num_qubits, tuple(gates))
+    return Circuit.trusted(num_qubits, tuple(gates))  # the loop checked every qubit
 
 
 def write_circuit(c: Circuit) -> str:

@@ -32,7 +32,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cache
 
 from .circuit import Circuit, Gate, GateKind, cnot, cnot_count
@@ -300,25 +300,25 @@ class BenchRow:
     optb_seconds: float
 
 
-BENCH_COLUMNS = (
-    "architecture",
-    "qubits",
-    "initial-cnots",
-    "swap-overhead%",
-    "opt-a-overhead%",
-    "opt-a-time-s",
-    "opt-b-overhead%",
-    "opt-b-time-s",
+#: (header, format spec) of each TSV column, in BenchRow field order
+_BENCH_TABLE = (
+    ("architecture", ""),
+    ("qubits", ""),
+    ("initial-cnots", ""),
+    ("swap-overhead%", ".2f"),
+    ("opt-a-overhead%", ".2f"),
+    ("opt-a-time-s", ".3f"),
+    ("opt-b-overhead%", ".2f"),
+    ("opt-b-time-s", ".3f"),
 )
+BENCH_COLUMNS = tuple(header for header, _ in _BENCH_TABLE)
 
 
-def _bench_one(job: tuple[ConnectivityGraph, Circuit]) -> dict:
+def _bench_one(job: tuple[ConnectivityGraph, Circuit]) -> tuple[float, ...]:
+    """One circuit's numeric BenchRow fields: swap's overhead, then opt-a's and opt-b's overhead and seconds."""
     g, circ = job
-    out = {}
-    for algo in ("swap", "opt-a", "opt-b"):
-        _, report = resynthesize(circ, g, algo)
-        out[algo] = (report.overhead_pct, report.seconds)
-    return out
+    (_, swap), (_, a), (_, b) = (resynthesize(circ, g, algo) for algo in ("swap", "opt-a", "opt-b"))
+    return swap.overhead_pct, a.overhead_pct, a.seconds, b.overhead_pct, b.seconds
 
 
 def bench_random(
@@ -334,22 +334,19 @@ def bench_random(
     Overheads and times are means over ``trials`` seeded circuits. Circuits are
     generated up front from the seed, so fanning the per-circuit work over a
     bounded process pool (``workers`` > 1, at most one per CPU) changes timings
-    but nothing else.
+    but nothing else. Every count is at least 1, so every overhead is a number.
     """
     for name, value, least in (("num_qubits", num_qubits, 2), ("trials", trials, 1), ("workers", workers, 1)):
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
     if any(count < 1 for count in counts):
         raise ValueError(f"CNOT counts must be at least 1, got {counts}")
-    cells = []
-    for name, g in graphs.items():
-        for count in counts:
-            # str seeds hash via sha512, stable across processes (tuple seeds are not)
-            rng = random.Random(f"{seed}:{name}:{count}")
-            circuits = [random_circuit(num_qubits, count, rng) for _ in range(trials)]
-            cells.append((name, g, count, circuits))
-
-    jobs = [(g, circ) for _, g, _, circuits in cells for circ in circuits]
+    cells = [(name, count) for name in graphs for count in counts]
+    jobs = []
+    for name, count in cells:
+        # str seeds hash via sha512, stable across processes (tuple seeds are not)
+        rng = random.Random(f"{seed}:{name}:{count}")
+        jobs += [(graphs[name], random_circuit(num_qubits, count, rng)) for _ in range(trials)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -357,47 +354,13 @@ def bench_random(
             outcomes = list(pool.map(_bench_one, jobs))
     else:
         outcomes = [_bench_one(job) for job in jobs]
-
-    rows = []
-    cursor = 0
-    for name, g, count, circuits in cells:
-        chunk = outcomes[cursor : cursor + len(circuits)]
-        cursor += len(circuits)
-        rows.append(
-            BenchRow(
-                architecture=name,
-                num_qubits=num_qubits,
-                initial_count=count,
-                swap_overhead=_mean([r["swap"][0] for r in chunk]),
-                opta_overhead=_mean([r["opt-a"][0] for r in chunk]),
-                opta_seconds=_mean([r["opt-a"][1] for r in chunk]),
-                optb_overhead=_mean([r["opt-b"][0] for r in chunk]),
-                optb_seconds=_mean([r["opt-b"][1] for r in chunk]),
-            )
-        )
-    return rows
-
-
-def _mean(values) -> float:
-    values = [v for v in values if v is not None]
-    return math.nan if not values else sum(values) / len(values)
+    chunks = (outcomes[k * trials : (k + 1) * trials] for k in range(len(cells)))
+    return [
+        BenchRow(name, num_qubits, count, *(sum(col) / len(col) for col in zip(*chunk)))
+        for (name, count), chunk in zip(cells, chunks)
+    ]
 
 
 def bench_tsv(rows: list[BenchRow]) -> str:
-    lines = ["\t".join(BENCH_COLUMNS)]
-    for r in rows:
-        lines.append(
-            "\t".join(
-                [
-                    r.architecture,
-                    str(r.num_qubits),
-                    str(r.initial_count),
-                    f"{r.swap_overhead:.2f}",
-                    f"{r.opta_overhead:.2f}",
-                    f"{r.opta_seconds:.3f}",
-                    f"{r.optb_overhead:.2f}",
-                    f"{r.optb_seconds:.3f}",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    lines = [BENCH_COLUMNS] + [[format(v, spec) for v, (_, spec) in zip(astuple(r), _BENCH_TABLE)] for r in rows]
+    return "".join("\t".join(line) + "\n" for line in lines)

@@ -11,12 +11,16 @@ An H is an unnormalised in-place butterfly. The 1/sqrt(2) per H and the i per Y
 are one scalar applied at the end. :func:`equivalent_up_to_phase` applies the
 second circuit's inverse to the first circuit's unitary and tests the product
 against e^{i theta} I, so a check holds one 2^n x 2^n array and the gather
-buffer. On the verify-10q benchmark workload (9-10 qubits, 20 H per circuit) a
-pair takes about 49 ms, down from 180 ms with two unitaries built gate by gate
-(medians of 10 seeds, 2-CPU shared x86 host).
+buffer, which a thread keeps for its next check of up to 10 qubits. On the
+verify-10q benchmark workload (9-10 qubits, 20 H per circuit) a pair takes
+about 49 ms, down from 180 ms with two unitaries built gate by gate (medians of
+10 seeds, 2-CPU shared x86 host).
 """
 
 from __future__ import annotations
+
+import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,6 +51,16 @@ _CHECK_BLOCK = 1 << 16
 def _check_size(n: int) -> None:
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense simulation capped at {MAX_DENSE_QUBITS} qubits, got {n}")
+
+
+@lru_cache(maxsize=1)
+def _check_arrays(dim: int, thread: int) -> tuple[np.ndarray, np.ndarray]:
+    """A check's two complex dim x dim arrays, kept for ``thread``'s next check of that size.
+
+    Allocated and freed per check, how much of them malloc left resident varied with
+    other small allocations in between, and so did peak memory, by up to 12 MB at 9-10 qubits.
+    """
+    return np.empty((dim, dim), dtype=complex), np.empty((dim, dim), dtype=complex)
 
 
 def _parity_values(p: int, n: int, rows: np.ndarray) -> np.ndarray:
@@ -88,11 +102,13 @@ def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
     the Y gates' global phase are one scale at the end. A complex C-contiguous
     input is consumed; use the returned array.
     """
-    n = c.num_qubits
-    _check_size(n)
-    shape = np.shape(state)
-    psi = np.ascontiguousarray(state, dtype=complex).reshape(2**n, -1)
-    spare = None
+    _check_size(c.num_qubits)
+    psi = _apply(c, np.ascontiguousarray(state, dtype=complex).reshape(2**c.num_qubits, -1), None)
+    return psi.reshape(np.shape(state))
+
+
+def _apply(c: Circuit, psi: np.ndarray, spare: np.ndarray | None) -> np.ndarray:
+    """:func:`apply_circuit` on rows ``psi`` of shape (2^n, batch), with ``spare`` as in :func:`_apply_hfree`."""
     pending_h = 0
     y_count = 0
     run: list = []
@@ -104,7 +120,7 @@ def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
                 y_count += 1
             continue
         if run:
-            psi, spare = _apply_hfree(Circuit(n, tuple(run)), psi, spare)
+            psi, spare = _apply_hfree(Circuit.trusted(c.num_qubits, tuple(run)), psi, spare)
             run = []
         if g is not None:
             v = psi.reshape(2 ** (g.target - 1), 2, -1)
@@ -119,43 +135,43 @@ def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
     scale = (1, 1j, -1, -1j)[y_count % 4] * 2.0 ** (-pending_h / 2)
     if scale != 1:
         psi *= scale
-    return psi.reshape(shape)
+    return psi
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:
     """Full 2^n x 2^n unitary, built by applying the circuit to every basis state."""
-    n = c.num_qubits
-    _check_size(n)
-    dim = 2**n
-    u = np.eye(dim, dtype=complex).reshape([2] * n + [dim])
-    u = apply_circuit(c, u)
-    return u.reshape(dim, dim)
+    _check_size(c.num_qubits)
+    return _apply(c, np.eye(2**c.num_qubits, dtype=complex), None)
 
 
 def _inverse(c: Circuit) -> Circuit:
     """The gates reversed, with T <-> TDG and S <-> SDG; every other gate is its own inverse."""
     gates = (Gate(_INVERSE[g.kind], g.target) if g.kind in _INVERSE else g for g in reversed(c.gates))
-    return Circuit(c.num_qubits, tuple(gates))
+    return Circuit.trusted(c.num_qubits, tuple(gates))
 
 
 def equivalent_up_to_phase(c1: Circuit, c2: Circuit, tol: float = 1e-7) -> bool:
     """Dense check that U(c2)^-1 U(c1) = e^{i theta} I within ``tol`` per entry (n <= 12).
 
-    One 2^n x 2^n array and the row-gather buffer hold the whole check: ``c1``'s
-    unitary, then ``c2``'s inverse applied to it in place. A pair of 9-10 qubit
-    circuits with 20 H gates each takes about 50 ms (see the module docstring).
+    One 2^n x 2^n array and the row-gather buffer (:func:`_check_arrays`) hold
+    the whole check: the identity, then ``c1``'s gates and ``c2``'s inverse
+    applied to it in one pass. A pair of 9-10 qubit circuits with 20 H gates each takes about 50 ms
+    (see the module docstring).
     """
     if c1.num_qubits != c2.num_qubits:
         raise ValueError("circuits must have the same qubit count")
     n = c1.num_qubits
     _check_size(n)
     dim = 2**n
-    w = apply_circuit(_inverse(c2), circuit_unitary(c1).reshape([2] * n + [dim])).reshape(dim, dim)
+    # above 10 qubits (2 x 64 MB and more) the arrays are freed after the check
+    w, spare = _check_arrays(dim, threading.get_ident()) if n <= 10 else (np.empty((dim, dim), dtype=complex), None)
+    w.fill(0)
+    w.flat[:: dim + 1] = 1
+    w = _apply(Circuit.trusted(n, c1.gates + _inverse(c2).gates), w, spare)
     phase = w[0, 0]
     if abs(phase) < tol:
         return False
-    diag = np.arange(dim)
-    w[diag, diag] -= phase / abs(phase)
+    w.flat[:: dim + 1] -= phase / abs(phase)
     step = max(1, _CHECK_BLOCK // dim)
     return all(np.abs(w[i : i + step]).max() <= tol for i in range(0, dim, step))
 

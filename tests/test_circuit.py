@@ -42,6 +42,9 @@ def test_comments_and_blanks():
         ("qubits 2\nCNOT 1", "argument"),
         ("qubits 2\nCNOT 1 1", "differ"),
         ("qubits you", "bad qubit count"),
+        ("qubits 0", "qubit count must be positive"),
+        ("qubits 2\nT a", "bad qubit index"),
+        ("# no header\n", "missing 'qubits <n>' header"),
     ],
 )
 def test_parse_errors(text, fragment):

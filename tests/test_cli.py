@@ -4,7 +4,7 @@ import pytest
 
 from cnotsynth.cli import main
 from cnotsynth.circuit import parse_circuit, cnot_count
-from cnotsynth.topology import parse_graph
+from cnotsynth.topology import PRESET_NAMES, parse_graph, preset_graph
 
 
 @pytest.fixture()
@@ -83,6 +83,13 @@ def test_unreadable_graph_exit_2(circuit_file, tmp_path, capsys):
     assert captured.err.startswith("error: bad graph file") and not captured.out
 
 
+def test_unreadable_circuit_exit_2(tmp_path, capsys):
+    code = main(["resynth", "--algo", "swap", "--circuit", str(tmp_path), "--graph", "9q-square"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot read circuit {tmp_path}: ") and not captured.out
+
+
 def test_unwritable_output_exit_2(circuit_file, tmp_path, capsys):
     args = ["resynth", "--algo", "swap", "--circuit", str(circuit_file), "--graph", "9q-square"]
     code = main(args + ["--output", str(tmp_path)])
@@ -105,6 +112,21 @@ def test_verify_modes(tmp_path, capsys):
     assert main(["verify", "--a", str(a), "--b", str(b), "--mode", "phasepoly"]) == 0
     b.write_text("qubits 1\nSDG 1\n")
     assert main(["verify", "--a", str(a), "--b", str(b)]) == 1
+
+
+@pytest.mark.parametrize("mode", ["unitary", "phasepoly", "linear"])
+def test_verify_width_mismatch_exit_2(tmp_path, capsys, mode):
+    # circuits of different widths are an input error in every mode, not a verdict
+    a = tmp_path / "a.qct"
+    b = tmp_path / "b.qct"
+    a.write_text("qubits 2\nCNOT 1 2\n")
+    b.write_text("qubits 3\nCNOT 1 2\n")
+    assert main(["verify", "--a", str(a), "--b", str(b), "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: circuits must have the same qubit count\n" and not captured.out
+    b.write_text("qubits 2\nCNOT 2 1\n")  # same width, different circuit
+    assert main(["verify", "--a", str(a), "--b", str(b), "--mode", mode]) == 1
+    assert capsys.readouterr().out == "NOT equivalent\n"
 
 
 def test_verify_linear_mode(tmp_path):
@@ -160,8 +182,20 @@ def test_disconnected_graph_exit_2(tmp_path, capsys, command):
         ("vertices 4\nedge 3 3\n", 2, "self-loop"),
         ("vertices 4\nedge 1 2\n\nedge 4 5\n", 4, "outside vertex range"),
         ("\n", 1, "missing 'vertices <n>' header"),
+        ("nodes 4\n", 1, "expected header 'vertices <n>'"),
+        ("vertices 3\nlink 1 2\n", 2, "expected 'edge <u> <v>'"),
     ],
-    ids=["negative-count", "zero-count", "count-not-int", "endpoint-not-int", "self-loop", "out-of-range", "empty"],
+    ids=[
+        "negative-count",
+        "zero-count",
+        "count-not-int",
+        "endpoint-not-int",
+        "self-loop",
+        "out-of-range",
+        "empty",
+        "bad-header",
+        "bad-edge-line",
+    ],
 )
 def test_malformed_graph_file_exit_2(tmp_path, capsys, text, line, message):
     graph = tmp_path / "bad.graph"
@@ -169,8 +203,9 @@ def test_malformed_graph_file_exit_2(tmp_path, capsys, text, line, message):
     circuit = tmp_path / "c.qct"
     circuit.write_text("qubits 2\nCNOT 1 2\n")
     assert main(["resynth", "--algo", "swap", "--circuit", str(circuit), "--graph", str(graph)]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err and f"line {line}: " in err and message in err
+    captured = capsys.readouterr()
+    err = captured.err
+    assert "error:" in err and f"line {line}: " in err and message in err and not captured.out
 
 
 @pytest.mark.parametrize(
@@ -193,6 +228,38 @@ def test_non_binary_entries_exit_2(tmp_path, capsys, sub, text):
     flag = "--matrix" if sub == "synth-linear" else "--terms"
     assert main([sub, flag, str(path), "--graph", "9q-square"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--terms", "1 0 x 1\n", " line 1: invalid literal for int()"),
+        ("--terms", "1 0\n", " line 1: expected '<c> <bitflip> <parity bits>'"),
+        ("--terms", "# comments only\n\n", ": no terms"),
+        ("--terms", "1 0 1 0\n1 0 1\n", ": inconsistent parity widths"),
+        ("--matrix", "n 3\n1 0 0 0\n0 1 0 0\n", ": expected 3 rows, got 2"),
+        ("--circuit", "qubits 0\n", ": line 1: qubit count must be positive"),
+        ("--circuit", "qubits 2\nT a\n", ": line 2: bad qubit index in 'T a'"),
+        ("--circuit", "# no header\n", ": line 1: missing 'qubits <n>' header"),
+    ],
+    ids=[
+        "terms-not-int",
+        "terms-short-line",
+        "terms-none",
+        "terms-mixed-widths",
+        "matrix-few-rows",
+        "circuit-zero-qubits",
+        "circuit-qubit-not-int",
+        "circuit-no-header",
+    ],
+)
+def test_malformed_input_file_exit_2(tmp_path, capsys, flag, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    sub = {"--terms": ["synth-phase"], "--matrix": ["synth-linear"], "--circuit": ["resynth", "--algo", "swap"]}
+    assert main([*sub[flag], flag, str(path), "--graph", "9q-square"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}{message}") and not captured.out
 
 
 def test_synth_phase(tmp_path, capsys):
@@ -248,6 +315,16 @@ def test_presets_dump(tmp_path):
     assert g.num_vertices == 20
 
 
+def test_presets_to_stdout(capsys):
+    # with no --outdir each preset's graph file follows a '# <name>' line
+    assert main(["presets"]) == 0
+    sections = capsys.readouterr().out.split("# ")
+    assert sections[0] == "" and len(sections) == 1 + len(PRESET_NAMES)
+    for name, section in zip(PRESET_NAMES, sections[1:]):
+        head, body = section.split("\n", 1)
+        assert head == name and parse_graph(body) == preset_graph(name)
+
+
 def test_presets_outdir_is_a_file_exit_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("")
@@ -301,6 +378,7 @@ def test_bench_rejects_nonpositive_workers(capsys):
         (["n=6", "cnots=3", "trials=0"], "trials"),
         (["n=6", "cnots=3,-3", "trials=2"], "CNOT counts"),
         (["n=6", "cnots=0", "trials=2"], "CNOT counts"),
+        (["n=7", "cnots=3", "trials=2"], "error: n=7 exceeds appendix-2x3 (6 qubits)"),
     ]:
         assert main(["bench", "--random", *params, "--graph", "appendix-2x3"]) == 2, params
         captured = capsys.readouterr()

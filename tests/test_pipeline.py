@@ -22,6 +22,7 @@ from cnotsynth.linalg import AugmentedTransform, ParityMatrix, transform_of_circ
 from cnotsynth.linsynth import _path_passes, linear_tf_synth, row_op
 from cnotsynth.pipeline import (
     BENCH_COLUMNS,
+    BenchRow,
     ResynthesisReport,
     _chain,
     _rebuild,
@@ -589,6 +590,20 @@ def test_bench_grid_shape():
     assert len(lines) == 5
     for line in lines[1:]:
         assert len(line.split("\t")) == len(BENCH_COLUMNS)
+
+
+def test_bench_tsv_bytes():
+    # columns in BenchRow field order; overheads to 2 places, seconds to 3; one newline per line
+    rows = [
+        BenchRow("9q-square", 9, 10, 123.456, 33.3333, 0.0126, 0.0, 1.5),
+        BenchRow("ibm-qx5", 6, 1, 300.0, -12.5, 2.0, 7.049, 0.0004),
+    ]
+    assert bench_tsv(rows) == (
+        "architecture\tqubits\tinitial-cnots\tswap-overhead%\topt-a-overhead%\topt-a-time-s\topt-b-overhead%\topt-b-time-s\n"
+        "9q-square\t9\t10\t123.46\t33.33\t0.013\t0.00\t1.500\n"
+        "ibm-qx5\t6\t1\t300.00\t-12.50\t2.000\t7.05\t0.000\n"
+    )
+    assert bench_tsv([]) == "\t".join(BENCH_COLUMNS) + "\n"
 
 
 def test_bench_deterministic_modulo_time():

@@ -1,4 +1,6 @@
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -239,6 +241,26 @@ def test_equivalence_matches_two_unitary_definition():
             pairs += 1
     assert pairs >= 300
     assert verdicts == {"self": {True}, "deletion": {False}, "phase": {True}, "t-swap": {False}}
+
+
+def test_concurrent_checks_keep_their_verdicts():
+    # each thread reuses its own pair of check arrays, so concurrent checks of one size do not mix
+    rng = random.Random(909)
+    pairs = []
+    for _ in range(8):
+        a = _random_circuit(rng, 7, 60)
+        at = rng.randrange(len(a.gates))
+        pairs += [(a, a), (a, Circuit(7, a.gates[:at] + a.gates[at + 1 :]))]
+    want = [equivalent_up_to_phase(a, b) for a, b in pairs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = [pool.submit(lambda: [equivalent_up_to_phase(a, b) for a, b in pairs]) for _ in range(8)]
+            assert all(run.result(timeout=60) == want for run in runs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert want == [True, False] * 8
 
 
 def test_size_cap():
