@@ -18,7 +18,7 @@ from .circuit import (
     parse_circuit,
     write_circuit,
 )
-from .linalg import AugmentedTransform, ParityMatrix, transform_of_circuit
+from .linalg import AugmentedTransform, ParityMatrix, parity_mask, transform_of_circuit
 from .linsynth import linear_tf_synth
 from .phasepoly import dump_phasepoly, extract_hfree
 from .phasesynth import phase_nw_synth
@@ -103,11 +103,7 @@ def _load_terms(path: str) -> ParityMatrix:
         if len(tokens) - 2 != width:
             raise CliError(f"{path}: inconsistent parity widths")
         coeff, bit, bits = tokens[0], tokens[1], tokens[2:]
-        parity = (1 if bit else 0)
-        for i, b in enumerate(bits):
-            if b:
-                parity |= 1 << (i + 1)
-        terms.append((coeff % 8, parity))
+        terms.append((coeff % 8, parity_mask([i for i, b in enumerate(bits, 1) if b], const=bool(bit))))
     return ParityMatrix.from_terms(terms)
 
 

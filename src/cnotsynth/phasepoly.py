@@ -57,27 +57,6 @@ def identity_state(n: int) -> tuple[int, ...]:
     return tuple(1 << i for i in range(1, n + 1))
 
 
-def extract_hfree(c: Circuit) -> tuple[PhasePolySet, tuple[int, ...]]:
-    """Phase-polynomial set and final qubit state of an H-free circuit."""
-    terms = PhasePolySet()
-    state = list(identity_state(c.num_qubits))
-    cx, x, y = GateKind.CNOT, GateKind.X, GateKind.Y  # bound once: each GateKind.<name> costs a lookup
-    for g in c.gates:
-        kind = g.kind
-        i = g.target - 1
-        if kind is cx:
-            state[i] ^= state[g.control - 1]
-        elif kind is x:
-            state[i] ^= CONST_BIT
-        elif kind in PHASE_COEFF:
-            terms.add(PHASE_COEFF[kind], state[i])
-            if kind is y:  # Y = iXZ: the phase of Z on the wire, then its flip
-                state[i] ^= CONST_BIT
-        else:
-            raise ValueError("H gate not allowed in an H-free extraction")
-    return terms, tuple(state)
-
-
 @dataclass(frozen=True)
 class Slice:
     """One H-free run of a circuit and what :func:`extract_sliced` folds over it.
@@ -85,8 +64,8 @@ class Slice:
     ``gates`` is the run, a slice of the input's gates, and ``h`` the wire of
     the H that ends it (None for the last run). The rest is written over the
     wires at the run's start: ``map`` is the state at its end, as f2_solve
-    would return it; ``own_terms`` are the terms its own phase gates make, as
-    extract_hfree of ``gates`` gives them; ``first_terms`` are the terms whose
+    would return it; ``own_terms`` are the terms its own phase gates make, each
+    at the key its wire then holds; ``first_terms`` are the terms whose
     parity a phase gate first touches in this run. The ``first_terms`` of all
     runs together are exactly the circuit's terms. ``first_at`` maps each key
     a phase gate of the run touches, cancelled ones included, to the index in
@@ -103,6 +82,11 @@ class Slice:
 
 @dataclass(frozen=True)
 class SlicedExtraction:
+    """The whole circuit's phase polynomial ``terms`` and final ``state``, and its H-free runs.
+
+    :func:`extract_hfree` returns ``terms`` and ``state`` of a one-run circuit.
+    """
+
     terms: PhasePolySet
     state: tuple[int, ...]
     slices: tuple[Slice, ...]
@@ -133,7 +117,7 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
     own, first, first_at = PhasePolySet(), PhasePolySet(), {}
     owner: dict[int, tuple[PhasePolySet, int]] = {}  # parity -> (its run's terms, its key there)
     fresh, start = n, 0
-    cx, h, x, y = GateKind.CNOT, GateKind.H, GateKind.X, GateKind.Y  # bound once, as in extract_hfree
+    cx, h, x, y = GateKind.CNOT, GateKind.H, GateKind.X, GateKind.Y  # bound once: each GateKind.<name> costs a lookup
     for k, g in enumerate(gates):
         kind = g.kind
         i = g.target - 1
@@ -162,6 +146,14 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
             local[i] ^= CONST_BIT
     slices.append(Slice(gates[start:], None, tuple(local), own, first, first_at))
     return SlicedExtraction(terms, tuple(state), tuple(slices))
+
+
+def extract_hfree(c: Circuit) -> tuple[PhasePolySet, tuple[int, ...]]:
+    """Phase-polynomial set and final qubit state of an H-free circuit, its one :func:`extract_sliced` run."""
+    ex = extract_sliced(c)
+    if len(ex.slices) > 1:
+        raise ValueError("H gate not allowed in an H-free extraction")
+    return ex.terms, ex.state
 
 
 def uncomputable_terms(p: PhasePolySet, q_in: tuple[int, ...], q_out: tuple[int, ...]) -> PhasePolySet:

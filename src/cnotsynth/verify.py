@@ -4,10 +4,11 @@ The dense simulator uses the convention |x1 x2 ... xn> with qubit 1 on the most
 significant axis, T = diag(1, e^{i pi/4}), and CNOT|c,t> = |c, c XOR t>.
 
 It works on one array of 2^n rows (times any batch axes) in the sum-over-paths
-form. A maximal H-free run maps |x> to i^{#Y} omega^{f(x)} |Q(x)>, with the phase
-polynomial f and the affine map Q from :func:`extract_hfree`; it costs one
-phase-vector multiply and one row gather, each skipped when it is the identity.
-An H is an unnormalised in-place butterfly. The 1/sqrt(2) per H and the i per Y
+form. Each run of :func:`~cnotsynth.phasepoly.extract_sliced` maps |x> to
+i^{#Y} omega^{f(x)} |Q(x)>, with f its own terms and Q its map, both over the
+wires at the run's start; it costs one phase-vector multiply and one row
+gather, each skipped when it is the identity. The H that ends a run is an
+unnormalised in-place butterfly. The 1/sqrt(2) per H and the i per Y
 are one scalar applied at the end. :func:`equivalent_up_to_phase` applies the
 second circuit's inverse to the first circuit's unitary and tests the product
 against e^{i theta} I, so a check holds one 2^n x 2^n array and the gather
@@ -24,9 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, Gate, GateKind, count_gates
 from .linalg import CONST_BIT
-from .phasepoly import extract_hfree, identity_state
+from .phasepoly import extract_hfree, extract_sliced, identity_state
 
 MAX_DENSE_QUBITS = 12
 
@@ -69,31 +70,6 @@ def _parity_values(p: int, n: int, rows: np.ndarray) -> np.ndarray:
     return _PARITY[rows & mask] ^ (p & CONST_BIT)
 
 
-def _apply_hfree(c: Circuit, psi: np.ndarray, spare: np.ndarray | None):
-    """Apply an H-free circuit to rows ``psi`` as |x> -> omega^f(x) |Q(x)>; return (psi, spare).
-
-    f and Q are its :func:`extract_hfree` summary; the global phase i per Y gate
-    that the summary drops is left to the caller. ``spare`` is a buffer of
-    ``psi``'s shape for the row gather, allocated on first use.
-    """
-    n = c.num_qubits
-    terms, state = extract_hfree(c)
-    rows = np.arange(2**n)
-    if terms:
-        exponent = sum(coeff * _parity_values(p, n, rows) for coeff, p in terms.terms())
-        psi *= _OMEGA_POWERS[exponent % 8][:, None]
-    if state != identity_state(n):
-        dest = sum(_parity_values(p, n, rows) << (n - q) for q, p in enumerate(state, 1))
-        src = np.empty_like(rows)
-        src[dest] = rows
-        if spare is None:
-            spare = np.empty_like(psi)
-        # src is a permutation, so "clip" changes no index; unlike "raise" it writes out unbuffered
-        np.take(psi, src, axis=0, out=spare, mode="clip")
-        psi, spare = spare, psi
-    return psi, spare
-
-
 def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
     """Apply a circuit to a state array of shape (2,)*n (+ optional batch axes).
 
@@ -108,22 +84,29 @@ def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
 
 
 def _apply(c: Circuit, psi: np.ndarray, spare: np.ndarray | None) -> np.ndarray:
-    """:func:`apply_circuit` on rows ``psi`` of shape (2^n, batch), with ``spare`` as in :func:`_apply_hfree`."""
+    """:func:`apply_circuit` on rows ``psi`` of shape (2^n, batch).
+
+    ``spare`` is a buffer of ``psi``'s shape for the row gather, allocated on first use.
+    """
+    n = c.num_qubits
+    rows = np.arange(2**n)
+    identity = identity_state(n)
     pending_h = 0
-    y_count = 0
-    run: list = []
-    h, y = GateKind.H, GateKind.Y  # bound once: each GateKind.<name> costs a lookup
-    for g in (*c.gates, None):
-        if g is not None and g.kind is not h:
-            run.append(g)
-            if g.kind is y:
-                y_count += 1
-            continue
-        if run:
-            psi, spare = _apply_hfree(Circuit.trusted(c.num_qubits, tuple(run)), psi, spare)
-            run = []
-        if g is not None:
-            v = psi.reshape(2 ** (g.target - 1), 2, -1)
+    for s in extract_sliced(c).slices:
+        if s.own_terms:
+            exponent = sum(coeff * _parity_values(p, n, rows) for coeff, p in s.own_terms.terms())
+            psi *= _OMEGA_POWERS[exponent % 8][:, None]
+        if s.map != identity:
+            dest = sum(_parity_values(p, n, rows) << (n - q) for q, p in enumerate(s.map, 1))
+            src = np.empty_like(rows)
+            src[dest] = rows
+            if spare is None:
+                spare = np.empty_like(psi)
+            # src is a permutation, so "clip" changes no index; unlike "raise" it writes out unbuffered
+            np.take(psi, src, axis=0, out=spare, mode="clip")
+            psi, spare = spare, psi
+        if s.h is not None:
+            v = psi.reshape(2 ** (s.h - 1), 2, -1)
             a, b = v[:, 0], v[:, 1]
             a += b
             b *= -2
@@ -132,7 +115,7 @@ def _apply(c: Circuit, psi: np.ndarray, spare: np.ndarray | None) -> np.ndarray:
             if pending_h == _MAX_DEFERRED_H:
                 psi *= 2.0 ** (-_MAX_DEFERRED_H / 2)
                 pending_h = 0
-    scale = (1, 1j, -1, -1j)[y_count % 4] * 2.0 ** (-pending_h / 2)
+    scale = (1, 1j, -1, -1j)[count_gates(c, GateKind.Y) % 4] * 2.0 ** (-pending_h / 2)
     if scale != 1:
         psi *= scale
     return psi

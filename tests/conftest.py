@@ -6,7 +6,7 @@ import pytest
 
 from cnotsynth.circuit import PHASE_COEFF, GateKind
 from cnotsynth.linalg import CONST_BIT, AugmentedTransform, OverBudget, ParityMatrix, f2_row_reduce, parity_mask
-from cnotsynth.phasepoly import identity_state
+from cnotsynth.phasepoly import PhasePolySet, identity_state
 from cnotsynth.topology import ConnectivityGraph, SteinerTree, distances, preset_graph
 
 # 6x6 linear transformation of the worked linear-synthesis example (flip column zero).
@@ -137,6 +137,26 @@ def reference_fold(c):
             state[i] = 1 << fresh
             hs.append((gt.target, before, tuple(state)))
     return touched, hs
+
+
+def hfree_fold(gates, state, terms=None):
+    """Fold H-free ``gates`` from wire ``state``, written apart from the library's extraction.
+
+    Each phase gate adds its coefficient on its wire's parity to ``terms`` (a
+    new PhasePolySet when None). Returns the terms and the final wire state.
+    """
+    terms = PhasePolySet() if terms is None else terms
+    state = list(state)
+    for gt in gates:
+        assert gt.kind is not GateKind.H
+        i = gt.target - 1
+        if gt.kind in PHASE_COEFF:
+            terms.add(PHASE_COEFF[gt.kind], state[i])
+        if gt.kind is GateKind.CNOT:
+            state[i] ^= state[gt.control - 1]
+        elif gt.kind in (GateKind.X, GateKind.Y):
+            state[i] ^= CONST_BIT
+    return terms, tuple(state)
 
 
 def traced(synth, *args):

@@ -114,6 +114,16 @@ def test_verify_modes(tmp_path, capsys):
     assert main(["verify", "--a", str(a), "--b", str(b)]) == 1
 
 
+def test_verify_phasepoly_rejects_h_exit_2(tmp_path, capsys):
+    a = tmp_path / "a.qct"
+    b = tmp_path / "b.qct"
+    a.write_text("qubits 2\nT 1\nH 2\nCNOT 1 2\n")
+    b.write_text("qubits 2\nT 1\nCNOT 1 2\n")
+    assert main(["verify", "--a", str(a), "--b", str(b), "--mode", "phasepoly"]) == 2
+    captured = capsys.readouterr()
+    assert "H gate not allowed" in captured.err and not captured.out
+
+
 @pytest.mark.parametrize("mode", ["unitary", "phasepoly", "linear"])
 def test_verify_width_mismatch_exit_2(tmp_path, capsys, mode):
     # circuits of different widths are an input error in every mode, not a verdict

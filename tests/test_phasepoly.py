@@ -16,7 +16,7 @@ from cnotsynth.phasepoly import (
 )
 from cnotsynth.pipeline import cnot_opt_b, random_circuit
 from cnotsynth.topology import ConnectivityGraph
-from tests.conftest import APPENDIX_PHASE_TERMS, f2_rank, reference_fold
+from tests.conftest import APPENDIX_PHASE_TERMS, f2_rank, hfree_fold, reference_fold
 
 
 def test_single_t():
@@ -85,20 +85,8 @@ def test_compositionality():
         whole_terms, whole_q = extract_hfree(Circuit(4, c1.gates + c2.gates))
         # fold c2's rules starting from c1's final state
         terms, q = extract_hfree(c1)
-        state = list(q)
-        for g in c2.gates:
-            if g.kind is GateKind.CNOT:
-                state[g.target - 1] ^= state[g.control - 1]
-            elif g.kind is GateKind.X:
-                state[g.target - 1] ^= CONST_BIT
-            elif g.kind is GateKind.Y:
-                terms.add(4, state[g.target - 1])
-                state[g.target - 1] ^= CONST_BIT
-            else:
-                from cnotsynth.circuit import PHASE_COEFF
-
-                terms.add(PHASE_COEFF[g.kind], state[g.target - 1])
-        assert terms == whole_terms and tuple(state) == whole_q
+        terms, q = hfree_fold(c2.gates, q, terms)
+        assert terms == whole_terms and q == whole_q
 
 
 def test_state_agrees_with_transform_replay():
@@ -140,7 +128,7 @@ def test_sliced_consistent_with_hfree():
     rng = random.Random(5)
     c = _random_hfree(rng, 4, 15)
     ext = extract_sliced(c)
-    terms, q = extract_hfree(c)
+    terms, q = hfree_fold(c.gates, identity_state(4))
     [only] = ext.slices
     assert only.gates == c.gates and only.h is None
     assert ext.terms == terms and ext.state == q
@@ -383,7 +371,7 @@ def test_own_terms_and_slice_maps_are_extract_hfree_of_each_run():
         runs = _runs(c)
         assert len(ext.slices) == len(runs)
         for s, run in zip(ext.slices, runs):
-            want_terms, want_map = extract_hfree(run)
+            want_terms, want_map = hfree_fold(run.gates, identity_state(c.num_qubits))
             assert list(s.own_terms.terms()) == list(want_terms.terms())  # order too
             assert s.map == want_map
             terms += len(s.own_terms)
@@ -391,7 +379,7 @@ def test_own_terms_and_slice_maps_are_extract_hfree_of_each_run():
             at: dict[int, int] = {}
             for i, gt in enumerate(s.gates):
                 if gt.kind in PHASE_COEFF:
-                    at.setdefault(extract_hfree(Circuit(c.num_qubits, s.gates[:i]))[1][gt.target - 1], i)
+                    at.setdefault(hfree_fold(s.gates[:i], identity_state(c.num_qubits))[1][gt.target - 1], i)
             assert s.first_at == at
             assert {key for _, key in s.first_terms.terms()} <= at.keys()
             cancelled += len(at.keys() - {key for _, key in s.own_terms.terms()})
