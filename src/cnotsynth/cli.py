@@ -27,10 +27,8 @@ from .topology import PRESET_NAMES, parse_graph, preset_graph, write_graph
 from .verify import equivalent_up_to_phase, phase_poly_equal
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """Bad input or an unusable file: exit code 2, like any other ValueError."""
 
 
 def _load_graph(spec: str):
@@ -268,10 +266,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
+    except ValueError as exc:  # CliError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,9 @@ sub-tree a vertex is a leaf exactly when it is a terminal. Path sub-trees
 passes straight from the path order, with no BFS. Every leaf of a tree is a
 terminal, so a two-terminal tree is the path between them and is its own
 single sub-tree. The routing fallbacks and the corrections clear a row along a
-shortest path by applying the path's passes, with no tree at all.
+shortest path by applying the path's passes, with no tree at all. The phase
+network (:mod:`cnotsynth.phasesynth`) takes the cut in its path-per-leaf mode,
+``_cut(tree, 4)``, and applies each path's net effect itself.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ def _cut(tree: SteinerTree, alg: int) -> list[_SubTree]:
     terminals seed later sub-trees (processed FIFO). Each sub-tree's terminals
     are its root and the terminals it reached, which are exactly its leaves
     (listed in ascending order), so a vertex inside a sub-tree is a leaf exactly
-    when it is a terminal. For ``alg == 4`` every sub-tree is further split into
-    one path per leaf, in the order the BFS reached them, with root and leaf
-    exchanged. Each record carries the (parent, child) edges of its ``alg``
-    passes, in order.
+    when it is a terminal. For ``alg == 4`` (the phase network's path-per-leaf
+    mode) every sub-tree is further split into one path per leaf, in the order
+    the BFS reached them, with root and leaf exchanged. Each record carries the
+    (parent, child) edges of its ``alg`` passes, in order.
     """
     terminals = tree.terminals
     if len(terminals) == 2:  # the tree is the path between them
@@ -145,22 +147,18 @@ def row_op(matrix, tree: SteinerTree, alg: int) -> tuple[list[Gate], list[_SubTr
 
     ``matrix`` only needs a ``row_xor(dst, src)`` method; it is mutated in place.
     ``alg`` selects the traversal set: 1 skips the first bottom-up and second
-    top-down passes (upper-triangular phase), 2 runs all four, and 4 runs all
-    four but applies a single ``row_xor(root, leaf)`` per (path) sub-tree.
+    top-down passes (upper-triangular phase) and 2 runs all four.
     The CNOT for edge (u, v) with u the parent is CNOT(control=u, target=v),
     which as a row operation adds row u into row v.
     """
-    if alg not in (1, 2, 4):
-        raise ValueError(f"alg must be 1, 2 or 4, got {alg}")
+    if alg not in (1, 2):
+        raise ValueError(f"alg must be 1 or 2, got {alg}")
     cut = _cut(tree, alg)
     cnots: list[Gate] = []
-    for root, leaves, edges in reversed(cut):  # starting from the last sub-tree
+    for _, _, edges in reversed(cut):  # starting from the last sub-tree
         cnots += [cnot(u, v) for u, v in edges]
-        if alg == 4:
-            matrix.row_xor(root, leaves[0])
-        else:
-            for u, v in edges:
-                matrix.row_xor(v, u)
+        for u, v in edges:
+            matrix.row_xor(v, u)
     return cnots, cut
 
 

@@ -12,8 +12,10 @@ column is deleted wherever it lives in the stack.
 
 Column bookkeeping is dual to the wire updates: a column expresses its parity
 over the *current* wire states, so CNOT(c, t) on the wires rewrites columns by
-adding row t into row c. ROW-OP's single per-path update implements exactly the
-net effect of the four traversals it emits.
+adding row t into row c. An expansion cuts its tree into one path per leaf and
+emits each path's four traversals, which restore every interior wire: the
+path's net effect is that its top wire gains its leaf wire, so the wires and
+the columns take that one update per path, not one per CNOT.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, Gate, GateKind, cnot
 from .linalg import CONST_BIT, AugmentedTransform, OverBudget, ParityMatrix, format_parity
-from .linsynth import row_op
+from .linsynth import _cut
 from .topology import ConnectivityGraph, steiner_tree
 
 #: Phase gates realizing each nonzero Z8 coefficient (applied left to right).
@@ -53,19 +55,6 @@ class _Frame:
     cols: list[_Column]
     candidates: frozenset[int]  # rows not yet used as pivot on this branch
     target: int | None  # epsilon until the branch enters a 1-cofactor
-
-
-class _ColumnMatrix:
-    """Row-operation view over every live column in the synthesis."""
-
-    def __init__(self, frames: list[_Frame]):
-        self.frames = frames
-
-    def row_xor(self, dst: int, src: int) -> None:
-        for frame in self.frames:
-            for col in frame.cols:
-                if col.mask >> src & 1:
-                    col.mask ^= 1 << dst
 
 
 def select_pivot(masks: list[int], candidates: frozenset[int]) -> int:
@@ -146,18 +135,6 @@ class PhaseSynthesizer:
         if remaining:
             self.stack.append(_Frame(remaining, frozenset(range(1, self.n + 1)), None))
 
-    # -- realization -------------------------------------------------------
-
-    def _scan_realized(self, current: _Frame) -> list[Gate]:
-        placements = []
-        for frame in [current] + self.stack:
-            for col in list(frame.cols):
-                if col.mask.bit_count() == 1:
-                    wire = col.mask.bit_length() - 1
-                    placements += self._place(wire, col.bit, col.coeff)
-                    frame.cols.remove(col)
-        return placements
-
     # -- main loop ---------------------------------------------------------
 
     def fix_columns(self, frame: _Frame) -> None:
@@ -171,16 +148,27 @@ class PhaseSynthesizer:
 
     def _expand(self, frame: _Frame, root: int, terminals: set[int]) -> None:
         tree = steiner_tree(self.g, terminals, root)  # always on the full graph
-        matrix = _ColumnMatrix([frame] + self.stack)
-        cnots, _ = row_op(matrix, tree, alg=4)
+        paths = _cut(tree, 4)[::-1]  # ROW-OP's path per leaf, from the last path
+        cnots = [cnot(u, v) for _, _, edges in paths for u, v in edges]
         self.left -= len(cnots)
         if self.left <= 0:
             raise OverBudget("phase network reached its CNOT budget")
-        wires = self.wires
-        for gate in cnots:  # every gate of a row op is a CNOT
-            wires[gate.target - 1] ^= wires[gate.control - 1]
         self.gates += cnots
-        placements = self._scan_realized(frame)
+        frames = (frame, *self.stack)
+        cols = [col for f in frames for col in f.cols]
+        wires = self.wires
+        for leaf, (top,), _ in paths:  # the passes restore the interior: top gains leaf
+            wires[top - 1] ^= wires[leaf - 1]
+            for col in cols:
+                if col.mask >> top & 1:
+                    col.mask ^= 1 << leaf
+        placements = []
+        for col in cols:
+            if col.mask.bit_count() == 1:
+                placements += self._place(col.mask.bit_length() - 1, col.bit, col.coeff)
+        if placements:
+            for f in frames:
+                f.cols = [col for col in f.cols if col.mask.bit_count() != 1]
         if self.trace:
             self.trace("steiner", root=root, terminals=tree.terminals, cnots=cnots, placements=placements)
 

@@ -47,6 +47,8 @@ _INVERSE = {
 }
 # the final check scans the product in slices of this many entries, so np.abs makes no full-size temporary
 _CHECK_BLOCK = 1 << 16
+# the largest entry of U(c2)^-1 U(c1) - e^{i theta} I that still counts as equal
+_TOL = 1e-7
 
 
 def _check_size(n: int) -> None:
@@ -133,8 +135,8 @@ def _inverse(c: Circuit) -> Circuit:
     return Circuit.trusted(c.num_qubits, tuple(gates))
 
 
-def equivalent_up_to_phase(c1: Circuit, c2: Circuit, tol: float = 1e-7) -> bool:
-    """Dense check that U(c2)^-1 U(c1) = e^{i theta} I within ``tol`` per entry (n <= 12).
+def equivalent_up_to_phase(c1: Circuit, c2: Circuit) -> bool:
+    """Dense check that U(c2)^-1 U(c1) = e^{i theta} I within ``_TOL`` per entry (n <= 12).
 
     One 2^n x 2^n array and the row-gather buffer (:func:`_check_arrays`) hold
     the whole check: the identity, then ``c1``'s gates and ``c2``'s inverse
@@ -152,11 +154,11 @@ def equivalent_up_to_phase(c1: Circuit, c2: Circuit, tol: float = 1e-7) -> bool:
     w.flat[:: dim + 1] = 1
     w = _apply(Circuit.trusted(n, c1.gates + _inverse(c2).gates), w, spare)
     phase = w[0, 0]
-    if abs(phase) < tol:
+    if abs(phase) < _TOL:
         return False
     w.flat[:: dim + 1] -= phase / abs(phase)
     step = max(1, _CHECK_BLOCK // dim)
-    return all(np.abs(w[i : i + step]).max() <= tol for i in range(0, dim, step))
+    return all(np.abs(w[i : i + step]).max() <= _TOL for i in range(0, dim, step))
 
 
 def phase_poly_equal(c1: Circuit, c2: Circuit) -> bool:

@@ -119,7 +119,7 @@ def test_row_op_replay_matches_matrix(grid2x3, appendix_transform):
 
 def test_row_op_bad_alg(grid2x3, appendix_transform):
     tree = steiner_tree(grid2x3, {4, 5}, 4)
-    for alg in (0, 3, 5):
+    for alg in (0, 3, 4, 5):  # the phase network's alg 4 takes _cut's records alone
         with pytest.raises(ValueError):
             row_op(appendix_transform, tree, alg=alg)
 
@@ -193,7 +193,10 @@ def _reference_traversal_edges(sub, which):
 
 
 def _reference_row_op(matrix, tree, alg):
-    """The CNOTs and a (root, leaves, pass edges) record per sub-tree, in cut order."""
+    """The CNOTs and a (root, leaves, pass edges) record per sub-tree, in cut order.
+
+    ``matrix`` takes every CNOT as a row operation.
+    """
     passes = ["top-down-1", "bottom-up-2"]
     if alg != 1:
         passes = ["bottom-up-1"] + passes + ["top-down-2"]
@@ -202,14 +205,16 @@ def _reference_row_op(matrix, tree, alg):
         for sub in _reference_separate(tree, alg)
     ]
     cnots = []
-    for root, leaves, edges in reversed(records):
+    for _, _, edges in reversed(records):
         for u, v in edges:
             cnots.append(cnot(u, v))
-            if alg != 4:
-                matrix.row_xor(v, u)
-        if alg == 4:
-            matrix.row_xor(root, leaves[0])
+            matrix.row_xor(v, u)
     return cnots, records
+
+
+def _cut_cnots(records):
+    """The CNOTs of ``_cut`` records, from the last record to the first, as ROW-OP emits them."""
+    return [cnot(u, v) for _, _, edges in reversed(records) for u, v in edges]
 
 
 def _row_op_cases(rng):
@@ -240,7 +245,7 @@ def test_row_op_matches_sort_per_pass_reference():
     seen = Counter()
     for g, tree in _row_op_cases(rng):
         start = random_invertible(rng, g.num_vertices)
-        for alg in (1, 2, 4):
+        for alg in (1, 2):
             got_matrix, want_matrix = start.copy(), start.copy()
             got_cnots, got_subs = row_op(got_matrix, tree, alg)
             want_cnots, want_subs = _reference_row_op(want_matrix, tree, alg)
@@ -248,11 +253,49 @@ def test_row_op_matches_sort_per_pass_reference():
             assert _pairs(got_cnots) == _pairs(want_cnots), case
             assert got_subs == want_subs, case
             assert got_matrix == want_matrix, case
+        # the phase network's path-per-leaf mode: the cut and its CNOTs
+        got_subs = _cut(tree, 4)
+        want_cnots, want_subs = _reference_row_op(start.copy(), tree, 4)
+        case = (sorted(g.edges), sorted(tree.terminals), tree.root, 4)
+        assert _pairs(_cut_cnots(got_subs)) == _pairs(want_cnots), case
+        assert got_subs == want_subs, case
         seen["terminals-%d" % min(len(tree.terminals), 3)] += 1
         seen["interior terminal"] += any(tree.children[t] for t in tree.terminals - {tree.root})
         seen["branching"] += any(len(cs) > 1 for cs in tree.children.values())
     # single terminals, paths (two terminals), trees that cut into several sub-trees
     assert min(seen.values()) > 100, seen
+
+
+def test_each_leaf_path_nets_one_row_xor():
+    # the phase network applies a path-per-leaf record (leaf, (top,), edges) as
+    # one update: the edges' CNOTs restore every interior row, so row top gains
+    # row leaf; a column over the rows keeps its parity when, where it has bit
+    # top, bit leaf flips
+    rng = random.Random(4343)
+    seen = Counter()
+    for g, tree in _row_op_cases(rng):
+        n = g.num_vertices
+        for leaf, (top,), edges in _cut(tree, 4):
+            start = random_invertible(rng, n)
+            replay, want = start.copy(), start.copy()
+            for u, v in edges:
+                replay.apply_gate(cnot(u, v))
+            want.row_xor(top, leaf)
+            assert replay == want, (sorted(g.edges), leaf, top)
+            mask = rng.getrandbits(n) << 1
+            moved = mask ^ 1 << leaf if mask >> top & 1 else mask
+            assert _parity_over(start, mask) == _parity_over(replay, moved)
+            seen["interior" if len(edges) > 1 else "one edge"] += 1
+    assert min(seen.values()) > 500, seen
+
+
+def _parity_over(a, mask):
+    """The XOR of the rows of ``a`` whose bits ``mask`` holds (bit i is row i)."""
+    out = 0
+    for i in range(1, a.n + 1):
+        if mask >> i & 1:
+            out ^= a.rows[i - 1]
+    return out
 
 
 def test_cut_of_a_two_terminal_tree_is_its_path():

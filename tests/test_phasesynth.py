@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnotsynth.circuit import Gate, GateKind, cnot_count, connectivity_violations
-from cnotsynth.linalg import ParityMatrix, parity_mask
+from cnotsynth.circuit import Circuit, Gate, GateKind, cnot_count, connectivity_violations
+from cnotsynth.linalg import CONST_BIT, ParityMatrix, parity_mask
 from cnotsynth.phasepoly import PhasePolySet, extract_hfree
-from cnotsynth.phasesynth import phase_nw_synth, select_pivot
+from cnotsynth.phasesynth import PhaseSynthesizer, _Column, _Frame, phase_nw_synth, select_pivot
 from cnotsynth.topology import grid_graph, preset_graph
 from tests.conftest import APPENDIX_PHASE_TERMS, assert_budget_contract, traced
 
@@ -223,6 +223,34 @@ def test_other_presets():
             prefix = circ.gates[: len(circ.gates) - len(suffix)]
             assert list(circ.gates[len(prefix):]) == suffix
             assert all(gt.kind is not GateKind.CNOT for gt in prefix)
+
+
+def test_forced_realization_places_every_column(grid2x3):
+    # a frame that has run out of pivot rows with columns over several wires;
+    # the splits never leave one, so it is built by hand, with a second frame
+    # on the stack whose columns the forced expansions rewrite too
+    forced = [
+        (1, parity_mask([1, 2])),  # the target wire 4 is off its support: rooted at wire 1
+        (3, parity_mask([2, 4, 6], const=True)),  # rooted at the target wire
+        (6, parity_mask([3, 5])),
+        (5, parity_mask([1, 3, 5, 6], const=True)),
+    ]
+    stacked = [(2, parity_mask([1, 6])), (7, parity_mask([2, 3, 4], const=True))]
+
+    def frame(terms, candidates, target):
+        return _Frame([_Column(p & ~CONST_BIT, bool(p & CONST_BIT), c) for c, p in terms], candidates, target)
+
+    synth = PhaseSynthesizer(ParityMatrix.from_terms([]), grid2x3)
+    synth.stack.append(frame(stacked, frozenset(range(1, 7)), None))
+    lone = frame(forced, frozenset(), 4)
+    synth._force_realize(lone)
+    assert lone.cols == []
+    synth.run()
+    circ = Circuit(6, tuple(synth.gates))
+    assert connectivity_violations(circ, grid2x3) == []
+    terms, state = extract_hfree(circ)
+    assert terms == PhasePolySet(forced + stacked)
+    assert list(state) == synth.wires
 
 
 def test_width_mismatch():

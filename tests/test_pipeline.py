@@ -19,7 +19,7 @@ from cnotsynth.circuit import (
 )
 from cnotsynth import linsynth, phasesynth, pipeline
 from cnotsynth.linalg import AugmentedTransform, ParityMatrix, transform_of_circuit
-from cnotsynth.linsynth import _path_passes, linear_tf_synth, row_op
+from cnotsynth.linsynth import _cut, _path_passes, linear_tf_synth, row_op
 from cnotsynth.pipeline import (
     BENCH_COLUMNS,
     BenchRow,
@@ -48,7 +48,7 @@ from cnotsynth.topology import (
 )
 from cnotsynth.verify import equivalent_up_to_phase
 from tests.conftest import random_invertible
-from tests.test_linsynth import _reference_row_op
+from tests.test_linsynth import _cut_cnots, _reference_row_op
 from tests.test_topology import _reference_steiner_tree
 
 
@@ -438,9 +438,14 @@ def test_pipeline_trees_match_the_references(monkeypatch):
         ops.append((g.num_vertices, tree, alg))  # g: the graph being compiled for
         return row_op(matrix, tree, alg)
 
+    def cut_spy(tree, alg):  # the phase network cuts its trees itself, path per leaf
+        ops.append((g.num_vertices, tree, alg))
+        return _cut(tree, alg)
+
     for module in (linsynth, phasesynth):
         monkeypatch.setattr(module, "steiner_tree", tree_spy)
-        monkeypatch.setattr(module, "row_op", op_spy)
+    monkeypatch.setattr(linsynth, "row_op", op_spy)
+    monkeypatch.setattr(phasesynth, "_cut", cut_spy)
     rng = random.Random("pipeline-trees")
     for name in ("16q-square", "ibm-q20-tokyo"):
         g = preset_graph(name)
@@ -469,9 +474,14 @@ def test_pipeline_trees_match_the_references(monkeypatch):
         for n, tree, _ in sample([op for op in ops if op[2] == alg], lambda item: item[1], 40):
             start = random_invertible(rng, n)
             got_matrix, want_matrix = start.copy(), start.copy()
-            got_cnots, got_subs = row_op(got_matrix, tree, alg)
             want_cnots, want_subs = _reference_row_op(want_matrix, tree, alg)
-            assert got_cnots == want_cnots and got_subs == want_subs and got_matrix == want_matrix
+            if alg == 4:
+                got_subs = _cut(tree, alg)
+                got_cnots = _cut_cnots(got_subs)
+            else:
+                got_cnots, got_subs = row_op(got_matrix, tree, alg)
+                assert got_matrix == want_matrix
+            assert got_cnots == want_cnots and got_subs == want_subs
             seen[f"alg {alg}"] += 1
     assert seen["max terminals"] >= 8 and seen["interior terminal"] > 30, seen
     assert min(seen[f"alg {alg}"] for alg in (1, 2, 4)) > 5, seen
