@@ -180,11 +180,18 @@ class ParityMatrix:
     """A phase network's input: (coefficient, parity int) terms in first-appearance order.
 
     The terms are the pairs :meth:`~cnotsynth.phasepoly.PhasePolySet.terms`
-    yields: distinct parities, no zero coefficient (mod 8) and no zero variable
-    mask (a pure global phase). :meth:`from_terms` builds them from any input.
+    yields, as the constructor checks: distinct parities, no zero coefficient
+    (mod 8) and no constant-only parity. :meth:`from_terms` builds them from any input.
     """
 
     columns: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        seen: set[int] = set()
+        for coeff, parity in self.columns:
+            if not coeff % 8 or not parity & ~CONST_BIT or parity in seen:
+                raise ValueError(f"phase term ({coeff}, {format_parity(parity)}) is zero, constant or repeated")
+            seen.add(parity)
 
     @staticmethod
     def from_terms(terms) -> "ParityMatrix":

@@ -4,18 +4,17 @@ The dense simulator uses the convention |x1 x2 ... xn> with qubit 1 on the most
 significant axis, T = diag(1, e^{i pi/4}), and CNOT|c,t> = |c, c XOR t>.
 
 It works on one array of 2^n rows (times any batch axes) in the sum-over-paths
-form. Each run of :func:`~cnotsynth.phasepoly.extract_sliced` maps |x> to
-i^{#Y} omega^{f(x)} |Q(x)>, with f its own terms and Q its map, both over the
-wires at the run's start; it costs one phase-vector multiply and one row
-gather, each skipped when it is the identity. The H that ends a run is an
-unnormalised in-place butterfly. The 1/sqrt(2) per H and the i per Y
-are one scalar applied at the end. :func:`equivalent_up_to_phase` applies the
-second circuit's inverse to the first circuit's unitary and tests the product
-against e^{i theta} I, so a check holds one 2^n x 2^n array and the gather
-buffer, which a thread keeps for its next check of up to 10 qubits. On the
-verify-10q benchmark workload (9-10 qubits, 20 H per circuit) a pair takes
-about 49 ms, down from 180 ms with two unitaries built gate by gate (medians of
-10 seeds, 2-CPU shared x86 host).
+form. Each run of :func:`~cnotsynth.phasepoly.extract_sliced` maps |x> to i^{#Y}
+omega^{f(x)} |Q(x)>, with f its own terms and Q its map, both over the wires at
+the run's start; it costs one phase-vector multiply and one row gather, each
+skipped when it is the identity. The H that ends a run is an unnormalised
+in-place butterfly. The 1/sqrt(2) per H and the i per Y are one scalar applied
+at the end. :func:`equivalent_up_to_phase` applies the second circuit's inverse
+to the first circuit's unitary and tests the product against e^{i theta} I in
+one 2^n x 2^n array. The runs both circuits share at either end only conjugate
+the rest, so they drop out first: on verify-10q (9-10 qubits, 20 H per circuit)
+57 of 3,357 H are left at seed 1, and a pair takes about 0.9 ms, not 39 ms
+(medians of 10 seeds, 2-CPU shared x86 host).
 """
 
 from __future__ import annotations
@@ -129,30 +128,54 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     return _apply(c, np.eye(2**c.num_qubits, dtype=complex), None)
 
 
-def _inverse(c: Circuit) -> Circuit:
+def _inverse(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
     """The gates reversed, with T <-> TDG and S <-> SDG; every other gate is its own inverse."""
-    gates = (Gate(_INVERSE[g.kind], g.target) if g.kind in _INVERSE else g for g in reversed(c.gates))
-    return Circuit.trusted(c.num_qubits, tuple(gates))
+    return tuple(Gate(_INVERSE[g.kind], g.target) if g.kind in _INVERSE else g for g in reversed(gates))
+
+
+def _unshared_middles(c1: Circuit, c2: Circuit) -> tuple[tuple[Gate, ...], tuple[Gate, ...]] | None:
+    """The gates of ``c1`` and ``c2`` left once their shared end runs are cut; None if every run is shared.
+
+    From the front, (run, H) pairs go while both runs have equal ``own_terms``
+    and ``map`` and the H is on the same wire; from the back, (H, run) pairs
+    alike. Each end stops at its first mismatch; at most min(H1, H2) H gates go.
+    """
+    k1, k2 = ([(s.h, s.own_terms, s.map) for s in extract_sliced(c).slices] for c in (c1, c2))
+    if k1 == k2:
+        return None
+    cap, lead, trail = min(len(k1), len(k2)) - 1, 0, 0
+    while lead < cap and k1[lead] == k2[lead]:
+        lead += 1
+    while lead + trail < cap and k1[-1 - trail][1:] == k2[-1 - trail][1:] and k1[-2 - trail][0] == k2[-2 - trail][0]:
+        trail += 1
+    cuts = [[-1, *(k for k, g in enumerate(c.gates) if g.kind is GateKind.H), len(c.gates)] for c in (c1, c2)]
+    return tuple(c.gates[h[lead] + 1 : h[-1 - trail]] for c, h in zip((c1, c2), cuts))
 
 
 def equivalent_up_to_phase(c1: Circuit, c2: Circuit) -> bool:
     """Dense check that U(c2)^-1 U(c1) = e^{i theta} I within ``_TOL`` per entry (n <= 12).
 
-    One 2^n x 2^n array and the row-gather buffer (:func:`_check_arrays`) hold
-    the whole check: the identity, then ``c1``'s gates and ``c2``'s inverse
-    applied to it in one pass. A pair of 9-10 qubit circuits with 20 H gates each takes about 50 ms
-    (see the module docstring).
+    A run acts as i^{#Y} omega^{f(x)} |Q(x)>, f its ``own_terms`` and Q its
+    ``map`` over its own start wires, so runs with equal fields are one unitary
+    up to a phase. With c1 = P M1 S and c2 = P' M2 S' in time order, P, P' and
+    S, S' equal run by run and H by H (:func:`_unshared_middles`),
+    U(c2)^-1 U(c1) = e^{i phi} U(P)^-1 [U(M2)^-1 U(M1)] U(P) is e^{i theta} I
+    exactly when the bracket is. So one 2^n x 2^n array and the gather buffer
+    (:func:`_check_arrays`) take the identity, then M1 and M2's inverse, in one
+    pass; none is touched when every run and H matches.
     """
     if c1.num_qubits != c2.num_qubits:
         raise ValueError("circuits must have the same qubit count")
     n = c1.num_qubits
     _check_size(n)
+    if (middles := _unshared_middles(c1, c2)) is None:
+        return True
     dim = 2**n
     # above 10 qubits (2 x 64 MB and more) the arrays are freed after the check
     w, spare = _check_arrays(dim, threading.get_ident()) if n <= 10 else (np.empty((dim, dim), dtype=complex), None)
     w.fill(0)
     w.flat[:: dim + 1] = 1
-    w = _apply(Circuit.trusted(n, c1.gates + _inverse(c2).gates), w, spare)
+    w = _apply(Circuit.trusted(n, middles[0] + _inverse(middles[1])), w, spare)
     phase = w[0, 0]
     if abs(phase) < _TOL:
         return False

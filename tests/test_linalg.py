@@ -133,6 +133,22 @@ def test_parity_matrix_idempotent():
     assert ParityMatrix.from_terms(pm.columns) == pm
 
 
+def test_parity_matrix_rejects_what_from_terms_drops():
+    # from_terms drops a constant-only term; the phase network has no wire to place one on
+    with pytest.raises(ValueError, match=r"\(1, 1\)"):
+        ParityMatrix(((1, CONST_BIT), (1, parity_mask([1, 2]))))
+    x1 = parity_mask([1])
+    for columns, named in [
+        (((0, x1),), r"\(0, x1\)"),
+        (((8, x1),), r"\(8, x1\)"),
+        (((3, parity_mask([2])), (1, x1), (5, x1)), r"\(5, x1\)"),
+    ]:
+        with pytest.raises(ValueError, match=named):
+            ParityMatrix(columns)
+    # x1 and 1⊕x1 are distinct parities
+    assert ParityMatrix(((1, x1), (2, x1 | CONST_BIT))).columns == ((1, x1), (2, x1 | CONST_BIT))
+
+
 def test_parity_matrix_keeps_a_cancelled_term_in_its_first_place():
     x1, x2 = parity_mask([1]), parity_mask([2])
     pm = ParityMatrix.from_terms([(1, x1), (1, x2), (7, x1), (3, x1)])

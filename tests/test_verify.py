@@ -5,8 +5,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from cnotsynth import verify
 from cnotsynth.circuit import Circuit, Gate, GateKind, cnot
 from cnotsynth.linalg import CONST_BIT, transform_of_circuit
+from cnotsynth.phasepoly import extract_sliced
 from cnotsynth.verify import (
     apply_circuit,
     circuit_unitary,
@@ -243,15 +245,41 @@ def test_equivalence_matches_two_unitary_definition():
     assert verdicts == {"self": {True}, "deletion": {False}, "phase": {True}, "t-swap": {False}}
 
 
-def test_concurrent_checks_keep_their_verdicts():
-    # each thread reuses its own pair of check arrays, so concurrent checks of one size do not mix
+def _h_count(gates) -> int:
+    return sum(g.kind is GateKind.H for g in gates)
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """The gates of every circuit the check hands to ``verify._apply``."""
+    calls = []
+
+    def spy(c, psi, spare):
+        calls.append(c.gates)
+        return apply(c, psi, spare)
+
+    apply = verify._apply
+    monkeypatch.setattr(verify, "_apply", spy)
+    return calls
+
+
+def test_concurrent_checks_keep_their_verdicts(dense_calls):
+    # each thread reuses its own pair of check arrays, so concurrent checks of one size do not mix;
+    # HXH = Z, so the gadgets around b are the identity, and no run of a matches their runs
+    front = (Gate(GateKind.H, 1), Gate(GateKind.X, 1), Gate(GateKind.H, 1), Gate(GateKind.Z, 1))
+    back = (Gate(GateKind.Z, 1), Gate(GateKind.H, 1), Gate(GateKind.X, 1), Gate(GateKind.H, 1))
     rng = random.Random(909)
     pairs = []
-    for _ in range(8):
+    while len(pairs) < 16:
         a = _random_circuit(rng, 7, 60)
         at = rng.randrange(len(a.gates))
-        pairs += [(a, a), (a, Circuit(7, a.gates[:at] + a.gates[at + 1 :]))]
+        if Gate(GateKind.H, 1) in (a.gates[0], a.gates[-1]):
+            continue  # a would share its empty first or last run with the gadgets
+        for b in (a.gates, a.gates[:at] + a.gates[at + 1 :]):
+            pairs.append((a, Circuit(7, front + b + back)))
     want = [equivalent_up_to_phase(a, b) for a, b in pairs]
+    # every pair reaches the dense path with all of its H gates
+    assert [_h_count(gates) for gates in dense_calls] == [_h_count(a.gates + b.gates) for a, b in pairs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -261,6 +289,83 @@ def test_concurrent_checks_keep_their_verdicts():
     finally:
         sys.setswitchinterval(interval)
     assert want == [True, False] * 8
+
+
+def _sandwich_cases(rng, n):
+    """(label, m1, m2) middles for P + m1 + S against P + m2 + S on ``n`` qubits."""
+    m1 = list(_random_circuit(rng, n, rng.randint(0, 12)).gates)
+    q = rng.randint(1, n)
+    at = rng.randint(0, len(m1))
+    cases = [
+        ("equal", m1, m1),
+        ("unequal", m1, list(_random_circuit(rng, n, rng.randint(1, 12)).gates) + [Gate(GateKind.T, q)]),
+        # one more H pair: the same unitary but a different run structure
+        ("more H", m1, m1[:at] + [Gate(GateKind.H, q)] * 2 + m1[at:]),
+    ]
+    if n >= 2:
+        # the same run, ended by H gates on two wires
+        cases.append(("other H", m1 + [Gate(GateKind.H, q)], m1 + [Gate(GateKind.H, q % n + 1)]))
+        # own terms {4 x1, 4 x2, 4 (x1 + x2)} and the identity map, yet the unitary is I
+        zzz = [Gate(GateKind.Z, 1), Gate(GateKind.Z, 2), cnot(1, 2), Gate(GateKind.Z, 2), cnot(1, 2)]
+        cases.append(("Z gadget", m1, m1[:at] + zzz + m1[at:]))
+    return cases
+
+
+def test_cut_of_shared_runs_keeps_the_verdict(dense_calls):
+    rng = random.Random(2424)
+    verdicts = {}
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        p = list(_random_circuit(rng, n, rng.randint(0, 20)).gates) + [Gate(GateKind.H, rng.randint(1, n))]
+        s = [Gate(GateKind.H, rng.randint(1, n))] + list(_random_circuit(rng, n, rng.randint(0, 20)).gates)
+        unitary = kron_unitary if n <= 6 else circuit_unitary
+        for label, m1, m2 in _sandwich_cases(rng, n):
+            c1, c2 = Circuit(n, tuple(p + m1 + s)), Circuit(n, tuple(p + m2 + s))
+            want = unitaries_equal_up_to_phase(unitary(c1), unitary(c2))
+            dense_calls.clear()
+            assert equivalent_up_to_phase(c1, c2) == want, (label, c1, c2)
+            # P ends and S starts with an H, so all of their runs are cut; equal middles leave nothing
+            assert len(dense_calls) == (label != "equal")
+            assert all(_h_count(gates) <= _h_count(m1 + m2) for gates in dense_calls)
+            verdicts.setdefault(label, set()).add(want)
+    assert verdicts == {
+        "equal": {True},
+        "unequal": {False},
+        "more H": {True},
+        "other H": {False},
+        "Z gadget": {True},
+    }
+
+
+def test_shared_runs_never_reach_the_arrays(dense_calls, monkeypatch):
+    def no_arrays(dim, thread):
+        raise AssertionError("arrays allocated for a pair whose runs all match")
+
+    monkeypatch.setattr(verify, "_check_arrays", no_arrays)
+    # S = T T and Y = i X Z: other gates, but the same runs and H gates
+    rewrite = {GateKind.S: (GateKind.T, GateKind.T), GateKind.Y: (GateKind.Z, GateKind.X)}
+    rng = random.Random(77)
+    for _ in range(10):
+        a = _random_circuit(rng, 8, 80)
+        gates = []
+        for g in a.gates:
+            gates += [Gate(k, g.target) for k in rewrite[g.kind]] if g.kind in rewrite else [g]
+        b = Circuit(8, tuple(gates))
+        assert b != a
+        assert equivalent_up_to_phase(a, a) and equivalent_up_to_phase(a, b) and equivalent_up_to_phase(b, a)
+    assert dense_calls == []
+
+
+def test_one_gate_deletion_applies_only_its_run(dense_calls):
+    rng = random.Random(78)
+    for _ in range(20):
+        a = _random_circuit(rng, 6, 60)
+        at = rng.choice([k for k, g in enumerate(a.gates) if g.kind is not GateKind.H])
+        b = Circuit(6, a.gates[:at] + a.gates[at + 1 :])
+        run = _h_count(a.gates[:at])
+        dense_calls.clear()
+        assert not equivalent_up_to_phase(a, b)
+        assert dense_calls == [extract_sliced(a).slices[run].gates + verify._inverse(extract_sliced(b).slices[run].gates)]
 
 
 def test_size_cap():
