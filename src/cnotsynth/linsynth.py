@@ -13,13 +13,15 @@ tree: it records each sub-tree's vertices layer by layer and returns a (root,
 leaves, edges) record whose edges, its passes, are read from one top-down
 ordering (layer, child) and one bottom-up ordering (-layer, child); inside a
 sub-tree a vertex is a leaf exactly when it is a terminal. Path sub-trees
-(every path-per-leaf sub-tree, and every tree with two terminals) take their
-passes straight from the path order, with no BFS. Every leaf of a tree is a
-terminal, so a two-terminal tree is the path between them and is its own
-single sub-tree. The routing fallbacks and the corrections clear a row along a
-shortest path by applying the path's passes, with no tree at all. The phase
-network (:mod:`cnotsynth.phasesynth`) takes the cut in its path-per-leaf mode,
-``_cut(tree, 4)``, and applies each path's net effect itself.
+(every path-per-leaf sub-tree, and every tree with two terminals that ROW-OP
+cuts) take their passes straight from the path order, with no BFS. Every leaf
+of a tree is a terminal, so a two-terminal tree is the path between them and
+is its own single sub-tree. The routing fallbacks and the corrections clear a
+row along a shortest path by applying the path's passes, with no tree at all.
+The phase network (:mod:`cnotsynth.phasesynth`) takes the cut of its trees of
+three or more terminals in its path-per-leaf mode, ``_cut(tree, 4)``, and
+applies each path's net effect itself; it takes a two-terminal expansion's one
+path straight from :func:`~cnotsynth.topology.merge_path`.
 """
 
 from __future__ import annotations
@@ -58,13 +60,11 @@ def _cut(tree: SteinerTree, alg: int) -> list[_SubTree]:
     (parent, child) edges of its ``alg`` passes, in order.
     """
     terminals = tree.terminals
-    if len(terminals) == 2:  # the tree is the path between them
+    if len(terminals) == 2 and alg != 4:  # the tree is the path between them
         (end,) = terminals - {tree.root}
         path = [end]
         while path[-1] != tree.root:
             path.append(tree.parent[path[-1]])
-        if alg == 4:  # the leaf end becomes the root
-            return [(end, (tree.root,), _path_passes(path, alg))]
         return [(tree.root, (end,), _path_passes(path[::-1], alg))]
     parent, children = tree.parent, tree.children
     pending = deque([tree.root])

@@ -10,26 +10,32 @@ the phase gate selected by their coefficient (with a leading X when the wire's
 current flip bit disagrees with the term's) lands on the realizing wire, and the
 column is deleted wherever it lives in the stack.
 
-Column bookkeeping is dual to the wire updates: a column expresses its parity
-over the *current* wire states, so CNOT(c, t) on the wires rewrites columns by
-adding row t into row c. An expansion cuts its tree into one path per leaf and
-emits each path's four traversals, which restore every interior wire: the
-path's net effect is that its top wire gains its leaf wire, so the wires and
-the columns take that one update per path, not one per CNOT.
+The parity matrix is kept by rows. The multi-variable terms are numbered in
+input order, and ``rows[j]`` is the bitset of the terms whose parity, over the
+*current* wire states, holds wire j; a frame's columns are one bitset, and each
+term's flip bit and coefficient sit in two lists. CNOT(c, t) on the wires
+rewrites the terms by adding row t into row c. An expansion cuts its tree into
+one path per leaf and emits each path's four traversals, which restore every
+interior wire: the path's net effect is that its top wire gains its leaf wire,
+so the wires and the rows take that one update per path (``rows[leaf] ^=
+rows[top]``), not one per CNOT. Two bit-sliced accumulators over the rows then
+give the columns left with a single 1. Pivot counts, common rows and splits are
+ANDs and popcounts of a row with a frame's bitset. A two-terminal tree is the
+merge path of :func:`~cnotsynth.topology.merge_path`, its own single leaf path,
+so such an expansion builds no tree.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
+from functools import cache
 
 from .circuit import Circuit, Gate, GateKind, cnot
 from .linalg import CONST_BIT, AugmentedTransform, OverBudget, ParityMatrix, format_parity
-from .linsynth import _cut
-from .topology import ConnectivityGraph, steiner_tree
+from .linsynth import _cut, _path_passes
+from .topology import ConnectivityGraph, merge_path, steiner_tree
 
 #: Phase gates realizing each nonzero Z8 coefficient (applied left to right).
 COEFF_GATES = {
@@ -43,18 +49,39 @@ COEFF_GATES = {
 }
 
 
-@dataclass
-class _Column:
-    mask: int  # wire mask over the current wire basis (bits 1..n)
-    bit: bool  # bit-flip of the term, fixed
-    coeff: int  # Z8 coefficient, fixed
+@cache
+def phase_gates(wire: int, coeff: int) -> tuple[Gate, tuple[Gate, ...]]:
+    """The X gate on ``wire`` and the gates of ``COEFF_GATES[coeff]`` on it (none for 0), built once and shared.
+
+    The phase network puts the X before the phase gates, a segmented run of the pipelines after them.
+    """
+    return Gate(GateKind.X, wire), tuple(Gate(kind, wire) for kind in COEFF_GATES.get(coeff, ()))
 
 
 @dataclass
 class _Frame:
-    cols: list[_Column]
+    cols: int  # bitset of the frame's terms
     candidates: frozenset[int]  # rows not yet used as pivot on this branch
     target: int | None  # epsilon until the branch enters a 1-cofactor
+
+
+def _pivot(rows: list[int] | dict[int, int], cols: int, candidates: frozenset[int]) -> int:
+    """The pivot rule of :func:`select_pivot` for the columns in bitset ``cols``; ``rows[j]`` holds row j's columns."""
+    total = cols.bit_count()
+    best: tuple[int, int] | None = None
+    fallback_one = None
+    for j in sorted(candidates):
+        ones = (rows[j] & cols).bit_count()
+        if 0 < ones < total:
+            if best is None or ones > best[0]:
+                best = (ones, j)
+        elif ones == total and fallback_one is None:
+            fallback_one = j
+    if best is not None:
+        return best[1]
+    if fallback_one is not None:
+        return fallback_one
+    return min(candidates)
 
 
 def select_pivot(masks: list[int], candidates: frozenset[int]) -> int:
@@ -69,20 +96,16 @@ def select_pivot(masks: list[int], candidates: frozenset[int]) -> int:
     """
     if not masks or not candidates:
         raise ValueError("select_pivot needs columns and candidate rows")
-    best: tuple[int, int] | None = None
-    fallback_one = None
-    for j in sorted(candidates):
-        ones = sum(1 for m in masks if m >> j & 1)
-        if 0 < ones < len(masks):
-            if best is None or ones > best[0]:
-                best = (ones, j)
-        elif ones == len(masks) and fallback_one is None:
-            fallback_one = j
-    if best is not None:
-        return best[1]
-    if fallback_one is not None:
-        return fallback_one
-    return min(candidates)
+    rows = {j: sum(1 << k for k, m in enumerate(masks) if m >> j & 1) for j in candidates}
+    return _pivot(rows, (1 << len(masks)) - 1, candidates)
+
+
+def _bits(x: int) -> Iterator[int]:
+    """The set bits of ``x``, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 class PhaseSynthesizer:
@@ -100,6 +123,9 @@ class PhaseSynthesizer:
         self.n = g.num_vertices
         self.g = g
         self.wires = [1 << i for i in range(1, g.num_vertices + 1)]
+        self.rows = [0] * (g.num_vertices + 1)  # rows[j]: the terms whose parity holds wire j; rows[0] unused
+        self.flips: list[bool] = []  # each term's flip bit
+        self.coeffs: list[int] = []  # each term's Z8 coefficient
         self.gates: list[Gate] = []
         self.stack: list[_Frame] = []
         self.trace = trace
@@ -110,13 +136,26 @@ class PhaseSynthesizer:
 
     # -- placement helpers -------------------------------------------------
 
-    def _place(self, wire: int, bit: bool, coeff: int) -> list[Gate]:
-        placed = [Gate(kind, wire) for kind in COEFF_GATES[coeff]]
+    def _place(self, wire: int, bit: bool, coeff: int) -> tuple[Gate, ...]:
+        x, placed = phase_gates(wire, coeff)
         if bool(self.wires[wire - 1] & CONST_BIT) != bit:
             self.wires[wire - 1] ^= CONST_BIT
-            placed.insert(0, Gate(GateKind.X, wire))
+            placed = (x, *placed)
         self.gates += placed
         return placed
+
+    def _add_terms(self, terms: list[tuple[int, int]]) -> int:
+        """Number (coeff, parity) terms after the existing ones, enter them in the rows and return their bitset.
+
+        The parities are over the current wire states; the caller puts the bitset in a frame.
+        """
+        rows, first = self.rows, len(self.coeffs)
+        for k, (coeff, parity) in enumerate(terms, first):
+            for j in _bits(parity & ~CONST_BIT):
+                rows[j] |= 1 << k
+            self.flips.append(bool(parity & CONST_BIT))
+            self.coeffs.append(coeff)
+        return (1 << len(self.coeffs)) - (1 << first)
 
     def _place_single_variable_terms(self, p: ParityMatrix) -> None:
         remaining = []
@@ -128,75 +167,82 @@ class PhaseSynthesizer:
             if mask.bit_count() == 1:
                 singles[(mask.bit_length() - 1, bit)] = coeff
             else:
-                remaining.append(_Column(mask, bit, coeff))
+                remaining.append((coeff, parity))
         # by wire, and on a wire the plain term before the X of its complement
         for i, bit in sorted(singles):
             self._place(i, bit, singles[(i, bit)])
         if remaining:
-            self.stack.append(_Frame(remaining, frozenset(range(1, self.n + 1)), None))
+            self.stack.append(_Frame(self._add_terms(remaining), frozenset(range(1, self.n + 1)), None))
 
     # -- main loop ---------------------------------------------------------
 
     def fix_columns(self, frame: _Frame) -> None:
         """Collect the frame's all-ones rows onto its target wire, then realize columns."""
-        if frame.target is None or not frame.cols:
+        cols, target = frame.cols, frame.target
+        if target is None or not cols:
             return
-        common = reduce(and_, (col.mask for col in frame.cols))
-        s_prime = {k for k in range(1, self.n + 1) if k != frame.target and common >> k & 1}
+        rows = self.rows
+        s_prime = {k for k in range(1, self.n + 1) if k != target and rows[k] & cols == cols}
         if s_prime:
-            self._expand(frame, frame.target, s_prime | {frame.target})
+            self._expand(frame, target, s_prime | {target})
 
     def _expand(self, frame: _Frame, root: int, terminals: set[int]) -> None:
-        tree = steiner_tree(self.g, terminals, root)  # always on the full graph
-        paths = _cut(tree, 4)[::-1]  # ROW-OP's path per leaf, from the last path
+        if len(terminals) == 2:  # the tree is the merge path: one leaf path, from the other end up to the root
+            (leaf,) = terminals - {root}
+            paths = [(leaf, (root,), _path_passes(merge_path(self.g, leaf, root), 4))]
+        else:
+            paths = _cut(steiner_tree(self.g, terminals, root), 4)[::-1]  # ROW-OP's path per leaf, from the last path
         cnots = [cnot(u, v) for _, _, edges in paths for u, v in edges]
         self.left -= len(cnots)
         if self.left <= 0:
             raise OverBudget("phase network reached its CNOT budget")
         self.gates += cnots
-        frames = (frame, *self.stack)
-        cols = [col for f in frames for col in f.cols]
-        wires = self.wires
+        wires, rows = self.wires, self.rows
         for leaf, (top,), _ in paths:  # the passes restore the interior: top gains leaf
             wires[top - 1] ^= wires[leaf - 1]
-            for col in cols:
-                if col.mask >> top & 1:
-                    col.mask ^= 1 << leaf
-        placements = []
-        for col in cols:
-            if col.mask.bit_count() == 1:
-                placements += self._place(col.mask.bit_length() - 1, col.bit, col.coeff)
-        if placements:
-            for f in frames:
-                f.cols = [col for col in f.cols if col.mask.bit_count() != 1]
+            rows[leaf] ^= rows[top]
+        ones = twos = 0  # the columns with at least one, at least two 1s
+        for r in rows:
+            twos |= ones & r
+            ones |= r
+        single = ones & ~twos
+        placements: list[Gate] = []
+        if single:
+            for f in (frame, *self.stack):
+                for k in _bits(f.cols & single):
+                    wire = next(j for j, r in enumerate(rows) if r >> k & 1)
+                    placements += self._place(wire, self.flips[k], self.coeffs[k])
+                f.cols &= ~single
+            rows[:] = [r & ~single for r in rows]
         if self.trace:
-            self.trace("steiner", root=root, terminals=tree.terminals, cnots=cnots, placements=placements)
+            self.trace("steiner", root=root, terminals=frozenset(terminals), cnots=cnots, placements=placements)
 
     def _force_realize(self, frame: _Frame) -> None:
         # A frame ran out of pivot rows with live columns: realize them one by
         # one on a support wire. Unreachable through normal splitting on inputs
         # produced by extraction, but keeps arbitrary inputs safe.
         while frame.cols:
-            col = frame.cols[0]
-            support = {i for i in range(1, self.n + 1) if col.mask >> i & 1}
+            col = frame.cols & -frame.cols
+            support = {j for j, r in enumerate(self.rows) if r & col}
             root = frame.target if frame.target in support else min(support)
             self._expand(frame, root, support)
-            if col in frame.cols:
+            if frame.cols & col:
                 raise AssertionError("forced realization failed to fix a column")
 
     def run(self) -> None:
+        rows = self.rows
         while self.stack:
             frame = self.stack.pop()
             self.fix_columns(frame)
-            if not frame.cols:
+            cols = frame.cols
+            if not cols:
                 continue
             if not frame.candidates:
                 self._force_realize(frame)
                 continue
-            j = select_pivot([c.mask for c in frame.cols], frame.candidates)
+            j = _pivot(rows, cols, frame.candidates)
             rest = frame.candidates - {j}
-            ones = [c for c in frame.cols if c.mask >> j & 1]
-            zeros = [c for c in frame.cols if not c.mask >> j & 1]
+            ones, zeros = cols & rows[j], cols & ~rows[j]
             if ones:
                 self.stack.append(_Frame(ones, rest, j if frame.target is None else frame.target))
             if zeros:

@@ -33,13 +33,12 @@ import os
 import random
 import time
 from dataclasses import astuple, dataclass
-from functools import cache
 
 from .circuit import Circuit, Gate, GateKind, cnot, cnot_count
 from .linalg import AugmentedTransform, OverBudget, ParityMatrix, f2_solve
 from .linsynth import _path_passes, linear_tf_synth
 from .phasepoly import PhasePolySet, Slice, extract_sliced
-from .phasesynth import COEFF_GATES, phase_nw_synth
+from .phasesynth import phase_gates, phase_nw_synth
 from .topology import ConnectivityGraph, shortest_path
 
 
@@ -150,20 +149,14 @@ def _rebuild(
     return c_ph.gates + c_lin.gates, spent + cnot_count(c_lin)
 
 
-@cache
-def _placed(wire: int, coeff: int, flip: bool) -> tuple[Gate, ...]:
-    """``COEFF_GATES[coeff]`` on ``wire`` (none for 0), then an X if ``flip``; cached, as :func:`cnot` is."""
-    gates = tuple(Gate(kind, wire) for kind in COEFF_GATES.get(coeff, ()))
-    return gates + (Gate(GateKind.X, wire),) if flip else gates
-
-
 def _segmented(s: Slice, terms: PhasePolySet, g: ConnectivityGraph) -> tuple[list[Gate], int, Gate | None]:
     """The run with each CNOT routed alone and each of ``terms`` placed at its first phase gate.
 
     Each key of ``terms`` is first touched in this run, and at ``s.first_at[key]``
     its wire holds exactly that key, so its merged coefficient lands there by
-    ``COEFF_GATES``. Every other phase gate goes, its coefficient merged into a
-    term placed here or in an earlier run; a Y still flips its wire, as an X.
+    :func:`~cnotsynth.phasesynth.phase_gates`. Every other phase gate goes, its
+    coefficient merged into a term placed here or in an earlier run; a Y still
+    flips its wire, as an X after them.
     Returns the gates, their CNOTs, and the run's CNOT when it is its only one.
     """
     at = {s.first_at[key]: coeff for coeff, key in terms.terms()}
@@ -180,7 +173,10 @@ def _segmented(s: Slice, terms: PhasePolySet, g: ConnectivityGraph) -> tuple[lis
         elif kind is x:
             out.append(gt)
         else:
-            out += _placed(gt.target, at.get(j, 0), kind is y)
+            x_gate, placed = phase_gates(gt.target, at.get(j, 0))
+            out += placed
+            if kind is y:
+                out.append(x_gate)
     return out, cost, lone
 
 

@@ -283,6 +283,19 @@ def _merge_path(search: _Search, u: int, v: int) -> list[int]:
     return path if path[0] == u else path[::-1]
 
 
+def merge_path(g: ConnectivityGraph, u: int, v: int, active: frozenset[int] | None = None) -> list[int]:
+    """The path from ``u`` to ``v`` that :func:`steiner_tree` joins the two terminals by.
+
+    Only vertices in ``active`` may be used; raises :class:`DisconnectedTerminalsError`
+    if ``v`` is not reachable from ``u`` through them.
+    """
+    search = _searches(g, frozenset(g.vertices) if active is None else active)
+    a, b = (u, v) if u < v else (v, u)
+    if b not in search(a)[0]:
+        raise _disconnected([a, b])
+    return _merge_path(search, u, v)
+
+
 @dataclass(frozen=True)
 class SteinerTree:
     """A rooted tree over graph edges spanning a terminal set.
@@ -330,14 +343,12 @@ def steiner_tree(
         raise ValueError("terminals must lie inside the active vertex set")
     if len(term_set) == 1:
         return path_tree([root])
+    if len(term_set) == 2:
+        # one merge joins the pair along a path, which is the tree
+        (other,) = term_set - {root}
+        return path_tree(merge_path(g, root, other, active))
     order = sorted(term_set)
     search = _searches(g, active)
-    if len(order) == 2:
-        # one merge joins the pair along a path, which is the tree
-        if order[1] not in search(order[0])[0]:
-            raise _disconnected(order)
-        (other,) = term_set - {root}
-        return path_tree(_merge_path(search, root, other))
 
     # Forest of subgraphs keyed by creation order: id -> vertices. The subgraphs
     # share no vertex, so one adjacency map holds all their edges. closest[i, j]

@@ -1,13 +1,14 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnotsynth.circuit import Circuit, Gate, GateKind, cnot_count, connectivity_violations
+from cnotsynth.circuit import Circuit, Gate, GateKind, cnot_count, connectivity_violations, write_circuit
 from cnotsynth.linalg import CONST_BIT, ParityMatrix, parity_mask
 from cnotsynth.phasepoly import PhasePolySet, extract_hfree
-from cnotsynth.phasesynth import PhaseSynthesizer, _Column, _Frame, phase_nw_synth, select_pivot
+from cnotsynth.phasesynth import PhaseSynthesizer, _Frame, phase_nw_synth, select_pivot
 from cnotsynth.topology import grid_graph, preset_graph
 from tests.conftest import APPENDIX_PHASE_TERMS, assert_budget_contract, traced
 
@@ -236,21 +237,66 @@ def test_forced_realization_places_every_column(grid2x3):
         (5, parity_mask([1, 3, 5, 6], const=True)),
     ]
     stacked = [(2, parity_mask([1, 6])), (7, parity_mask([2, 3, 4], const=True))]
+    events = []
+    synth = PhaseSynthesizer(ParityMatrix.from_terms([]), grid2x3, lambda kind, **fields: events.append(fields))
 
-    def frame(terms, candidates, target):
-        return _Frame([_Column(p & ~CONST_BIT, bool(p & CONST_BIT), c) for c, p in terms], candidates, target)
+    def masks(cols):  # each term's parity over the current wires, from the rows
+        return [sum(1 << j for j, r in enumerate(synth.rows) if r >> k & 1) for k in range(cols.bit_length()) if cols >> k & 1]
 
-    synth = PhaseSynthesizer(ParityMatrix.from_terms([]), grid2x3)
-    synth.stack.append(frame(stacked, frozenset(range(1, 7)), None))
-    lone = frame(forced, frozenset(), 4)
+    synth.stack.append(_Frame(synth._add_terms(stacked), frozenset(range(1, 7)), None))
+    lone = _Frame(synth._add_terms(forced), frozenset(), 4)
+    assert masks(lone.cols) == [p & ~CONST_BIT for _, p in forced]
+    before = masks(synth.stack[0].cols)
     synth._force_realize(lone)
-    assert lone.cols == []
+    assert lone.cols == 0
+    assert {e["root"] for e in events} >= {1, 4}
+    assert masks(synth.stack[0].cols) != before
     synth.run()
     circ = Circuit(6, tuple(synth.gates))
     assert connectivity_violations(circ, grid2x3) == []
     terms, state = extract_hfree(circ)
     assert terms == PhasePolySet(forced + stacked)
     assert list(state) == synth.wires
+
+
+def _pin_phase_inputs(rng, n):
+    """Eight parity matrices of 20 to 80 multi-variable terms: half sparse (2-4 wires a term), half mixed."""
+    inputs = []
+    for k in range(8):
+        terms = []
+        for _ in range(rng.randint(20, 80)):
+            if k % 2 == 0 or rng.random() < 0.5:
+                mask = sum(1 << w for w in rng.sample(range(1, n + 1), rng.randint(2, 4)))
+            else:
+                mask = 0
+                while mask.bit_count() < 2:
+                    mask = rng.getrandbits(n) << 1
+            terms.append((rng.randint(1, 7), mask | (rng.random() < 0.4)))
+        inputs.append(ParityMatrix.from_terms(terms))
+    return inputs
+
+
+# sha256 over every output circuit, every traced expansion (root, sorted terminals,
+# CNOT pairs, placed gates) and the residual rows of _pin_phase_inputs(random.Random(name), n)
+PINNED_PHASE = {
+    "16q-square": "8e98d2e7acc6292e361772d452b05fb9824bd16657a1bcb06705396b5539facf",
+    "ibm-q20-tokyo": "e9de2bd3dd405f69c50fecc1c81c4e5e7d6c714744ac68e9ce7a9a8d1f1f8f20",
+    "grid-5x5": "40edb465fec639f919de23045f89b6d20ee66a8552f731ba1b83eec921f2ea1f",
+}
+
+
+def test_phase_network_pinned():
+    for name in PINNED_PHASE:
+        g = grid_graph(5, 5) if name == "grid-5x5" else preset_graph(name)
+        digest = hashlib.sha256()
+        for pm in _pin_phase_inputs(random.Random(name), g.num_vertices):
+            (circ, tf), events = traced(phase_nw_synth, pm, g)
+            digest.update(write_circuit(circ).encode())
+            for e in events:
+                placed = [(gt.kind.value, gt.target) for gt in e.placements]
+                digest.update(repr((e.root, sorted(e.terminals), _pairs(e.cnots), placed)).encode())
+            digest.update(repr(tf.rows).encode())
+        assert digest.hexdigest() == PINNED_PHASE[name], name
 
 
 def test_width_mismatch():
@@ -261,10 +307,12 @@ def test_width_mismatch():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["appendix-2x3", "9q-square", "ibm-qx5"]), st.integers(min_value=0))
-def test_budget_is_reached_exactly_when_the_unbudgeted_network_reaches_it(name, seed):
+@given(st.sampled_from([("appendix-2x3", 12), ("9q-square", 12), ("ibm-qx5", 12), ("16q-square", 60), ("ibm-q20-tokyo", 60)]), st.integers(min_value=0))
+def test_budget_is_reached_exactly_when_the_unbudgeted_network_reaches_it(graph, seed):
+    # up to 60 terms on two graphs, so that budgets run out deep in the stack
+    name, max_terms = graph
     g = preset_graph(name)
     rng = random.Random(seed)
     n = g.num_vertices
-    terms = [(rng.randint(1, 7), rng.getrandbits(n + 1)) for _ in range(rng.randint(0, 12))]
+    terms = [(rng.randint(1, 7), rng.getrandbits(n + 1)) for _ in range(rng.randint(0, max_terms))]
     assert_budget_contract(phase_nw_synth, (ParityMatrix.from_terms(terms), g), lambda result: cnot_count(result[0]))
