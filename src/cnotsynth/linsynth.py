@@ -8,20 +8,21 @@ column). Steiner trees route each column's row operations; trees are cut into
 sub-trees whose roots and leaves are terminals, and each sub-tree is traversed
 in up to four passes that cancel terminal rows while restoring Steiner rows.
 
-A tree walk costs one pass over its edges. The cut is a BFS that builds no
-tree: it records each sub-tree's vertices layer by layer and returns a (root,
-leaves, edges) record whose edges, its passes, are read from one top-down
-ordering (layer, child) and one bottom-up ordering (-layer, child); inside a
-sub-tree a vertex is a leaf exactly when it is a terminal. Path sub-trees
-(every path-per-leaf sub-tree, and every tree with two terminals that ROW-OP
-cuts) take their passes straight from the path order, with no BFS. Every leaf
-of a tree is a terminal, so a two-terminal tree is the path between them and
-is its own single sub-tree. The routing fallbacks and the corrections clear a
-row along a shortest path by applying the path's passes, with no tree at all.
-The phase network (:mod:`cnotsynth.phasesynth`) takes the cut of its trees of
-three or more terminals in its path-per-leaf mode, ``_cut(tree, 4)``, and
-applies each path's net effect itself; it takes a two-terminal expansion's one
-path straight from :func:`~cnotsynth.topology.merge_path`.
+A tree walk costs one pass over its edges. ROW-OP's records come from one
+function, :func:`_subtrees`, the one place that tells two terminals from more:
+two terminals are joined by their merge path
+(:func:`~cnotsynth.topology.merge_path`), which is the whole tree and its own
+single sub-tree, so no tree is built; more are cut from their Steiner tree.
+The cut is a BFS that builds no tree: it records each sub-tree's vertices
+layer by layer and returns a (root, leaves, edges) record whose edges, its
+passes, are read from one top-down ordering (layer, child) and one bottom-up
+ordering (-layer, child); inside a sub-tree a vertex is a leaf exactly when it
+is a terminal. Path records take their passes straight from the path order.
+One loop, :func:`_apply`, applies records to a matrix: a column's row
+operation, and the routing fallbacks and the corrections, which clear a row
+along a shortest path with no tree at all. The phase network
+(:mod:`cnotsynth.phasesynth`) takes its path-per-leaf records (alg 4) from
+:func:`_subtrees` too, and applies each path's net effect itself.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .topology import (
     NoPathError,
     SteinerTree,
     distances,
+    merge_path,
     shortest_path,
     steiner_tree,
 )
@@ -45,6 +47,22 @@ from .topology import (
 _Edge = tuple[int, int]
 # one piece of a cut tree: (root, leaves, the (parent, child) edges of its passes)
 _SubTree = tuple[int, tuple[int, ...], list[_Edge]]
+
+
+def _subtrees(
+    g: ConnectivityGraph, terminals: set[int], root: int, alg: int, active: frozenset[int] | None = None
+) -> list[_SubTree]:
+    """ROW-OP's (root, leaves, edges) records for ``terminals`` around ``root``, inside ``active``.
+
+    Two terminals are joined by their merge path, which is the whole tree and
+    its own single sub-tree, so no tree is built; more are :func:`_cut` from
+    their Steiner tree. For ``alg == 4`` the path's other end roots its record.
+    """
+    if len(terminals) == 2:
+        (end,) = terminals - {root}
+        path = merge_path(g, root, end, active)
+        return [_path_record(path[::-1], 4) if alg == 4 else _path_record(path, alg)]
+    return _cut(steiner_tree(g, terminals, root, active), alg)
 
 
 def _cut(tree: SteinerTree, alg: int) -> list[_SubTree]:
@@ -60,12 +78,6 @@ def _cut(tree: SteinerTree, alg: int) -> list[_SubTree]:
     (parent, child) edges of its ``alg`` passes, in order.
     """
     terminals = tree.terminals
-    if len(terminals) == 2 and alg != 4:  # the tree is the path between them
-        (end,) = terminals - {tree.root}
-        path = [end]
-        while path[-1] != tree.root:
-            path.append(tree.parent[path[-1]])
-        return [(tree.root, (end,), _path_passes(path[::-1], alg))]
     parent, children = tree.parent, tree.children
     pending = deque([tree.root])
     remaining = len(terminals) - 1
@@ -96,11 +108,16 @@ def _cut(tree: SteinerTree, alg: int) -> list[_SubTree]:
                 path = [leaf]
                 while path[-1] != root:
                     path.append(parent[path[-1]])
-                out.append((leaf, (root,), _path_passes(path, alg)))
+                out.append(_path_record(path, alg))
         else:
             leaves.sort()
             out.append((root, tuple(leaves), _tree_passes(tree, root, levels, alg)))
     return out
+
+
+def _path_record(path: list[int], alg: int) -> _SubTree:
+    """The record of the path rooted at ``path[0]``: its one leaf ``path[-1]`` and its passes."""
+    return path[0], (path[-1],), _path_passes(path, alg)
 
 
 def _path_passes(path: list[int], alg: int) -> list[_Edge]:
@@ -143,35 +160,29 @@ def row_op(matrix, tree: SteinerTree, alg: int) -> tuple[list[Gate], list[_SubTr
 
     The terminals are ``tree.terminals`` and the pivot is ``tree.root``.
     Returns the CNOTs and the (root, leaves, edges) records :func:`_cut` cut
-    ``tree`` into.
-
-    ``matrix`` only needs a ``row_xor(dst, src)`` method; it is mutated in place.
-    ``alg`` selects the traversal set: 1 skips the first bottom-up and second
-    top-down passes (upper-triangular phase) and 2 runs all four.
-    The CNOT for edge (u, v) with u the parent is CNOT(control=u, target=v),
-    which as a row operation adds row u into row v.
+    ``tree`` into, applied by :func:`_apply`. ``alg`` selects the traversal
+    set: 1 skips the first bottom-up and second top-down passes
+    (upper-triangular phase) and 2 runs all four.
     """
     if alg not in (1, 2):
         raise ValueError(f"alg must be 1 or 2, got {alg}")
     cut = _cut(tree, alg)
+    return _apply(matrix, cut), cut
+
+
+def _apply(matrix, subtrees: list[_SubTree]) -> list[Gate]:
+    """Apply the records' edges to ``matrix``, starting from the last sub-tree, and return their CNOTs.
+
+    ``matrix`` only needs a ``row_xor(dst, src)`` method; it is mutated in place.
+    The CNOT for edge (u, v) with u the parent is CNOT(control=u, target=v),
+    which as a row operation adds row u into row v.
+    """
     cnots: list[Gate] = []
-    for _, _, edges in reversed(cut):  # starting from the last sub-tree
+    for _, _, edges in reversed(subtrees):
         cnots += [cnot(u, v) for u, v in edges]
         for u, v in edges:
             matrix.row_xor(v, u)
-    return cnots, cut
-
-
-def _path_row_op(matrix, path: list[int]) -> tuple[list[Gate], _SubTree]:
-    """``row_op(matrix, path_tree(path), alg=2)`` without the tree: the path's four passes.
-
-    Row ``path[-1]`` gains row ``path[0]``; the interior rows come back as they
-    were. Returns the CNOTs and the path's one (root, leaves, edges) record.
-    """
-    edges = _path_passes(path, 2)
-    for u, v in edges:
-        matrix.row_xor(v, u)
-    return [cnot(u, v) for u, v in edges], (path[0], (path[-1],), edges)
+    return cnots
 
 
 def _ones_below(a: AugmentedTransform, i: int, rows: set[int]) -> set[int]:
@@ -207,8 +218,7 @@ def _fix_diagonal(
         if not candidates <= dist.keys():
             raise NoPathError(f"a pivot candidate for column {i} is unreachable from {i}")
         best = min(candidates, key=lambda j: (dist[j], j))
-        path = shortest_path(g, best, i, full)
-        gates += _path_row_op(a, path)[0]
+        gates += _apply(a, [_path_record(shortest_path(g, best, i, full), 2)])
     return gates
 
 
@@ -228,11 +238,12 @@ def _eliminate_column(
     dist = distances(g, i, active)
     reachable = {t for t in terms if t in dist}
     if reachable:
-        cnots, subtrees = row_op(a, steiner_tree(g, reachable | {i}, i, active), alg)
+        subtrees = _subtrees(g, reachable | {i}, i, alg, active)
+        cnots = _apply(a, subtrees)
     for t in sorted(terms - reachable):
         # route through already-fixed vertices; the four passes leave interior rows intact
-        path_cnots, sub = _path_row_op(a, shortest_path(g, i, t, frozenset(g.vertices)))
-        cnots += path_cnots
+        sub = _path_record(shortest_path(g, i, t, frozenset(g.vertices)), 2)
+        cnots += _apply(a, [sub])
         subtrees.append(sub)
     return cnots, subtrees
 
@@ -261,7 +272,7 @@ def _corrections(
                     path = shortest_path(g, r, leaf, active)
                 except NoPathError:
                     path = shortest_path(g, r, leaf, full)
-                gates += _path_row_op(a, path)[0]
+                gates += _apply(a, [_path_record(path, 2)])
                 partner[leaf] = partner[r]
                 r = partner[r]
     return gates

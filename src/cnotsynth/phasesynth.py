@@ -20,9 +20,9 @@ interior wire: the path's net effect is that its top wire gains its leaf wire,
 so the wires and the rows take that one update per path (``rows[leaf] ^=
 rows[top]``), not one per CNOT. Two bit-sliced accumulators over the rows then
 give the columns left with a single 1. Pivot counts, common rows and splits are
-ANDs and popcounts of a row with a frame's bitset. A two-terminal tree is the
-merge path of :func:`~cnotsynth.topology.merge_path`, its own single leaf path,
-so such an expansion builds no tree.
+ANDs and popcounts of a row with a frame's bitset. The paths come from
+:func:`~cnotsynth.linsynth._subtrees`, ROW-OP's one entry in both
+synthesizers, which joins two terminals by their merge path with no tree.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from functools import cache
 
 from .circuit import Circuit, Gate, GateKind, cnot
 from .linalg import CONST_BIT, AugmentedTransform, OverBudget, ParityMatrix, format_parity
-from .linsynth import _cut, _path_passes
-from .topology import ConnectivityGraph, merge_path, steiner_tree
+from .linsynth import _subtrees
+from .topology import ConnectivityGraph
 
 #: Phase gates realizing each nonzero Z8 coefficient (applied left to right).
 COEFF_GATES = {
@@ -187,11 +187,7 @@ class PhaseSynthesizer:
             self._expand(frame, target, s_prime | {target})
 
     def _expand(self, frame: _Frame, root: int, terminals: set[int]) -> None:
-        if len(terminals) == 2:  # the tree is the merge path: one leaf path, from the other end up to the root
-            (leaf,) = terminals - {root}
-            paths = [(leaf, (root,), _path_passes(merge_path(self.g, leaf, root), 4))]
-        else:
-            paths = _cut(steiner_tree(self.g, terminals, root), 4)[::-1]  # ROW-OP's path per leaf, from the last path
+        paths = _subtrees(self.g, terminals, root, 4)[::-1]  # ROW-OP's path per leaf, from the last path
         cnots = [cnot(u, v) for _, _, edges in paths for u, v in edges]
         self.left -= len(cnots)
         if self.left <= 0:

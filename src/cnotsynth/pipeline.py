@@ -5,7 +5,7 @@ over one extraction of the whole circuit. Each H-free run has two candidates,
 and the loop emits the one with fewer CNOTs, the first on a tie:
 
 * the segmented run: the run's own gates with each CNOT routed alone, by
-  ROW-OP on its two-terminal Steiner tree, the shortest path;
+  ROW-OP's passes along the lexicographically smallest shortest path;
 * the paper's rebuild: a phase network for the run's terms, then a linear
   restore of the input circuit's own map of the run.
 
@@ -104,12 +104,13 @@ def swap_template(c: Circuit, g: ConnectivityGraph) -> Circuit:
 
 
 def _route(g: ConnectivityGraph, control: int, target: int) -> tuple[Gate, ...]:
-    """CNOT(control, target) on ``g``: ROW-OP on the two-terminal tree, the shortest path.
+    """CNOT(control, target) on ``g``: ROW-OP along :func:`~cnotsynth.topology.shortest_path`'s path.
 
-    The path's alg-2 passes: the CNOT itself on an edge, else 4(d-1) CNOTs at
-    distance d, never more than the SWAP chain's 6(d-1)+1. Memoized on ``g``
-    beside the BFS memo, one entry per ordered pair asked for, so at most
-    n(n-1); graph equality and hash ignore it.
+    That lexicographically smallest shortest path is not always the
+    synthesizers' merge path. Its alg-2 passes: the CNOT itself on an edge,
+    else 4(d-1) CNOTs at distance d, never more than the SWAP chain's
+    6(d-1)+1. Memoized on ``g`` beside the BFS memo, one entry per ordered
+    pair asked for, so at most n(n-1); graph equality and hash ignore it.
     """
     memo = g.__dict__.setdefault("_route", {})
     hit = memo.get((control, target))
@@ -189,10 +190,10 @@ def _slice_loop(c: Circuit, g: ConnectivityGraph, partition: str) -> tuple[Circu
     written over the wires at the run's start, and its restore target is the
     input circuit's own map of the run over the same wires, so every per-run
     linear transformation matches the original. The terms enter the phase
-    network as they are, unchecked, as ``Circuit.trusted`` takes the program's
-    own gates: each run's set is merged mod 8 with no zero coefficient, and its
-    parities are rows of the run's own invertible map, so none has a zero
-    variable mask or reaches past x_n.
+    network as they are, and pass its checks: each run's set is merged mod 8
+    with no zero coefficient, as :class:`ParityMatrix` checks, and its parities
+    are rows of the run's own invertible map, so none has a zero variable mask
+    or reaches past x_n.
 
     Whether the rebuild of a run with one CNOT(c, t) reaches its budget is
     memoized on ``g`` beside the route memo, keyed by (c, t, whether the terms

@@ -22,7 +22,7 @@ subgraphs is kept in a table of comparable tuples; after a merge only the new
 path vertices are scanned against the other subgraphs, and a candidate pair is
 built only when it is no farther than the best one. The merges write their
 edges into one adjacency map, which one BFS from the root turns into the tree.
-Two terminals are joined by their merge path alone, which is the tree.
+Two terminals take one merge, so their tree is their :func:`merge_path`.
 """
 
 from __future__ import annotations
@@ -314,14 +314,6 @@ class SteinerTree:
         return len(self.parent)
 
 
-def path_tree(path: list[int]) -> SteinerTree:
-    """The tree of a path: rooted at ``path[0]``, its two ends the terminals."""
-    parent = {b: a for a, b in zip(path, path[1:])}
-    children = {a: (b,) for a, b in zip(path, path[1:])}
-    children[path[-1]] = ()
-    return SteinerTree(path[0], frozenset({path[0], path[-1]}), parent, children)
-
-
 def steiner_tree(
     g: ConnectivityGraph,
     terminals: Iterable[int],
@@ -341,12 +333,6 @@ def steiner_tree(
         raise ValueError(f"root {root} must be a terminal")
     if not term_set <= active:
         raise ValueError("terminals must lie inside the active vertex set")
-    if len(term_set) == 1:
-        return path_tree([root])
-    if len(term_set) == 2:
-        # one merge joins the pair along a path, which is the tree
-        (other,) = term_set - {root}
-        return path_tree(merge_path(g, root, other, active))
     order = sorted(term_set)
     search = _searches(g, active)
 

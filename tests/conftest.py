@@ -105,6 +105,14 @@ def tree_depths(tree: SteinerTree) -> dict[int, int]:
     return depth
 
 
+def path_tree(path: list[int]) -> SteinerTree:
+    """The tree of a path: rooted at ``path[0]``, its two ends the terminals."""
+    parent = {b: a for a, b in zip(path, path[1:])}
+    children = {a: (b,) for a, b in zip(path, path[1:])}
+    children[path[-1]] = ()
+    return SteinerTree(path[0], frozenset({path[0], path[-1]}), parent, children)
+
+
 def random_connected_graph(rng, n) -> ConnectivityGraph:
     """A connected graph on n vertices, each possible edge kept with probability 0.4."""
     while True:

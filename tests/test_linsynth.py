@@ -10,9 +10,11 @@ from cnotsynth import linsynth
 from cnotsynth.circuit import GateKind, cnot, cnot_count, connectivity_violations, write_circuit
 from cnotsynth.linalg import CONST_BIT, AugmentedTransform, SingularTransformError, transform_of_circuit
 from cnotsynth.linsynth import (
+    _apply,
     _cut,
     _path_passes,
-    _path_row_op,
+    _path_record,
+    _subtrees,
     linear_tf_synth,
     row_op,
 )
@@ -22,7 +24,7 @@ from cnotsynth.topology import (
     DisconnectedTerminalsError,
     SteinerTree,
     grid_graph,
-    path_tree,
+    merge_path,
     preset_graph,
     shortest_path,
     steiner_tree,
@@ -32,6 +34,7 @@ from tests.conftest import (
     assert_budget_contract,
     entry,
     is_invertible,
+    path_tree,
     random_connected_graph,
     random_invertible,
     traced,
@@ -119,7 +122,7 @@ def test_row_op_replay_matches_matrix(grid2x3, appendix_transform):
 
 def test_row_op_bad_alg(grid2x3, appendix_transform):
     tree = steiner_tree(grid2x3, {4, 5}, 4)
-    for alg in (0, 3, 4, 5):  # the phase network's alg 4 takes _cut's records alone
+    for alg in (0, 3, 4, 5):  # the phase network's alg 4 takes _subtrees' records alone
         with pytest.raises(ValueError):
             row_op(appendix_transform, tree, alg=alg)
 
@@ -312,6 +315,7 @@ def test_cut_of_a_two_terminal_tree_is_its_path():
 
 
 def test_path_row_op_is_row_op_on_the_path_tree():
+    # a path's record, applied by the loop every row op shares, is row_op on the path's tree
     rng = random.Random(3131)
     checked = 0
     for g, tree in _row_op_cases(rng):
@@ -321,13 +325,42 @@ def test_path_row_op_is_row_op_on_the_path_tree():
         path = shortest_path(g, tree.root, end)
         start = random_invertible(rng, g.num_vertices)
         got_matrix, want_matrix = start.copy(), start.copy()
-        got_cnots, got_sub = _path_row_op(got_matrix, path)
+        got_sub = _path_record(path, 2)
+        got_cnots = _apply(got_matrix, [got_sub])
         want_cnots, want_subs = row_op(want_matrix, path_tree(path), alg=2)
         assert _pairs(got_cnots) == _pairs(want_cnots)
         assert [got_sub] == want_subs
         assert got_matrix == want_matrix
         checked += 1
     assert checked > 200
+
+
+def test_two_terminal_subtrees_are_the_cut_of_the_merge_path():
+    # ROW-OP joins two terminals by their merge path and builds no tree; that
+    # is the cut of the Steiner tree the general merge loop builds for them
+    # (every suffix subgraph of a preset is connected)
+    seen = Counter()
+    for name in PRESET_NAMES:
+        g = preset_graph(name)
+        n = g.num_vertices
+        for u in g.vertices:
+            for v in g.vertices:
+                if u == v:
+                    continue
+                for active in (frozenset(g.vertices), frozenset(range(min(u, v), n + 1))):
+                    case = (name, u, v, sorted(active))
+                    tree = steiner_tree(g, {u, v}, u, active)
+                    want = path_tree(merge_path(g, u, v, active))
+                    assert (tree.root, tree.terminals, tree.parent, tree.children) == (
+                        want.root,
+                        want.terminals,
+                        want.parent,
+                        want.children,
+                    ), case
+                    for alg in (1, 2, 4):
+                        assert _subtrees(g, {u, v}, u, alg, active) == _cut(tree, alg), case
+                    seen["suffix" if len(active) < n else "full"] += 1
+    assert min(seen.values()) > 50, seen
 
 
 # -- LINEAR-TF-SYNTH -------------------------------------------------------------
@@ -536,16 +569,17 @@ PINNED_LINEAR = {
 
 
 def test_linear_synthesis_pinned(monkeypatch):
-    # path row ops run only in the full-graph routing fallbacks and in
-    # _corrections; count which of them ran
+    # path records are built for two-terminal row ops, for the cut's leaf
+    # paths, and for the full-graph routing fallbacks and _corrections; count
+    # which callers built them
     fallbacks = Counter()
 
     def spy(*args, **kwargs):
         fallbacks[sys._getframe(1).f_code.co_name] += 1
-        return path_row_op(*args, **kwargs)
+        return path_record(*args, **kwargs)
 
-    path_row_op = linsynth._path_row_op
-    monkeypatch.setattr(linsynth, "_path_row_op", spy)
+    path_record = linsynth._path_record
+    monkeypatch.setattr(linsynth, "_path_record", spy)
     for name, g in _pin_graphs().items():
         digest = hashlib.sha256()
         for a in _pin_inputs(random.Random(name), g.num_vertices):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnotsynth.circuit import Circuit, Gate, GateKind, cnot_count, connectivity_violations, write_circuit
+from cnotsynth.circuit import Circuit, Gate, GateKind, cnot, cnot_count, connectivity_violations, write_circuit
 from cnotsynth.linalg import CONST_BIT, ParityMatrix, parity_mask
 from cnotsynth.phasepoly import PhasePolySet, extract_hfree
 from cnotsynth.phasesynth import PhaseSynthesizer, _Frame, phase_nw_synth, select_pivot
@@ -257,6 +257,19 @@ def test_forced_realization_places_every_column(grid2x3):
     terms, state = extract_hfree(circ)
     assert terms == PhasePolySet(forced + stacked)
     assert list(state) == synth.wires
+
+
+def test_expansion_places_the_current_frame_before_the_stacked_ones(grid2x3):
+    # one expansion realizes a column of the popped frame and one of a frame
+    # still on the stack, on the same wire: the popped frame's comes first, so
+    # its S needs no X, and the stacked term then takes the X it carries
+    synth = PhaseSynthesizer(ParityMatrix.from_terms([]), grid2x3)
+    synth.stack.append(_Frame(synth._add_terms([(1, parity_mask([1, 2], const=True))]), frozenset(range(1, 7)), None))
+    frame = _Frame(synth._add_terms([(2, parity_mask([1, 2])), (3, parity_mask([1, 2, 3]))]), frozenset(range(2, 7)), 1)
+    synth.fix_columns(frame)
+    assert synth.gates == [cnot(2, 1), Gate(GateKind.S, 1), Gate(GateKind.X, 1), Gate(GateKind.T, 1)]
+    assert synth.stack[0].cols == 0
+    assert frame.cols == 0b100  # x1⊕x3 is left for a later split
 
 
 def _pin_phase_inputs(rng, n):

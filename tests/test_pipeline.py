@@ -17,7 +17,7 @@ from cnotsynth.circuit import (
     parse_circuit,
     write_circuit,
 )
-from cnotsynth import linsynth, phasesynth, pipeline
+from cnotsynth import linsynth, pipeline
 from cnotsynth.linalg import AugmentedTransform, ParityMatrix, transform_of_circuit
 from cnotsynth.linsynth import _cut, _path_passes, linear_tf_synth, row_op
 from cnotsynth.pipeline import (
@@ -434,18 +434,12 @@ def test_pipeline_trees_match_the_references(monkeypatch):
         trees.append((g, active or frozenset(g.vertices), tree))
         return tree
 
-    def op_spy(matrix, tree, alg):
+    def cut_spy(tree, alg):  # both synthesizers cut their trees of three or more terminals here
         ops.append((g.num_vertices, tree, alg))  # g: the graph being compiled for
-        return row_op(matrix, tree, alg)
-
-    def cut_spy(tree, alg):  # the phase network cuts its trees itself, path per leaf
-        ops.append((g.num_vertices, tree, alg))
         return _cut(tree, alg)
 
-    for module in (linsynth, phasesynth):
-        monkeypatch.setattr(module, "steiner_tree", tree_spy)
-    monkeypatch.setattr(linsynth, "row_op", op_spy)
-    monkeypatch.setattr(phasesynth, "_cut", cut_spy)
+    monkeypatch.setattr(linsynth, "steiner_tree", tree_spy)
+    monkeypatch.setattr(linsynth, "_cut", cut_spy)
     rng = random.Random("pipeline-trees")
     for name in ("16q-square", "ibm-q20-tokyo"):
         g = preset_graph(name)

@@ -13,7 +13,6 @@ from cnotsynth.topology import (
     UnknownPresetError,
     distances,
     parse_graph,
-    path_tree,
     preset_graph,
     SteinerTree,
     shortest_path,
@@ -21,7 +20,7 @@ from cnotsynth.topology import (
     write_graph,
 )
 from cnotsynth.topology import _merge_path, _searches
-from tests.conftest import is_connected, random_connected_graph, tree_leaves, tree_nodes
+from tests.conftest import is_connected, path_tree, random_connected_graph, tree_leaves, tree_nodes
 
 
 # -- independent oracles ----------------------------------------------------
