@@ -21,7 +21,7 @@ from .phasepoly import (
     rebase,
     uncomputable_terms,
 )
-from .phasesynth import phase_nw_synth, select_pivot
+from .phasesynth import phase_nw_synth
 from .pipeline import (
     ResynthesisReport,
     cnot_opt_a,
@@ -76,7 +76,6 @@ __all__ = [
     "rebase",
     "resynthesize",
     "row_op",
-    "select_pivot",
     "shortest_path",
     "steiner_tree",
     "swap_template",

@@ -66,7 +66,15 @@ class _Frame:
 
 
 def _pivot(rows: list[int] | dict[int, int], cols: int, candidates: frozenset[int]) -> int:
-    """The pivot rule of :func:`select_pivot` for the columns in bitset ``cols``; ``rows[j]`` holds row j's columns."""
+    """Pivot row for splitting the cofactor of the columns in bitset ``cols``; ``rows[j]`` holds row j's columns.
+
+    Among rows that split the columns properly (both cofactors nonempty), the one
+    with the most ones wins, ties to the smaller row: the 1-cofactor is where
+    CNOT work is shared, so it is the side worth growing. If every row is
+    constant across the columns, the smallest all-ones row is preferred (its
+    1-cofactor keeps the whole set and assigns a target); failing that, the
+    smallest candidate row.
+    """
     total = cols.bit_count()
     best: tuple[int, int] | None = None
     fallback_one = None
@@ -82,22 +90,6 @@ def _pivot(rows: list[int] | dict[int, int], cols: int, candidates: frozenset[in
     if fallback_one is not None:
         return fallback_one
     return min(candidates)
-
-
-def select_pivot(masks: list[int], candidates: frozenset[int]) -> int:
-    """Pivot row for splitting a cofactor.
-
-    Among rows that split the columns properly (both cofactors nonempty), the one
-    with the most ones wins, ties to the smaller row: the 1-cofactor is where
-    CNOT work is shared, so it is the side worth growing. If every row is
-    constant across the columns, the smallest all-ones row is preferred (its
-    1-cofactor keeps the whole set and assigns a target); failing that, the
-    smallest candidate row.
-    """
-    if not masks or not candidates:
-        raise ValueError("select_pivot needs columns and candidate rows")
-    rows = {j: sum(1 << k for k, m in enumerate(masks) if m >> j & 1) for j in candidates}
-    return _pivot(rows, (1 << len(masks)) - 1, candidates)
 
 
 def _bits(x: int) -> Iterator[int]:

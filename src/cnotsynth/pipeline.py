@@ -5,7 +5,8 @@ over one extraction of the whole circuit. Each H-free run has two candidates,
 and the loop emits the one with fewer CNOTs, the first on a tie:
 
 * the segmented run: the run's own gates with each CNOT routed alone, by
-  ROW-OP's passes along the lexicographically smallest shortest path;
+  ROW-OP's passes along the merge path that the synthesizers join two
+  terminals by;
 * the paper's rebuild: a phase network for the run's terms, then a linear
   restore of the input circuit's own map of the run.
 
@@ -36,10 +37,10 @@ from dataclasses import astuple, dataclass
 
 from .circuit import Circuit, Gate, GateKind, cnot, cnot_count
 from .linalg import AugmentedTransform, OverBudget, ParityMatrix, f2_solve
-from .linsynth import _path_passes, linear_tf_synth
+from .linsynth import _subtrees, linear_tf_synth
 from .phasepoly import PhasePolySet, Slice, extract_sliced
 from .phasesynth import phase_gates, phase_nw_synth
-from .topology import ConnectivityGraph, shortest_path
+from .topology import ConnectivityGraph, merge_path
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ def _chain(path: list[int]) -> list[Gate]:
 
 
 def swap_template(c: Circuit, g: ConnectivityGraph) -> Circuit:
-    """Route each distant CNOT by the SWAP chains of :func:`_chain` along the shortest path."""
+    """Route each distant CNOT by the SWAP chains of :func:`_chain` along its merge path."""
     out: list[Gate] = []
     full = frozenset(g.vertices)
     cx = GateKind.CNOT  # bound once: each GateKind.<name> costs a lookup
@@ -99,24 +100,23 @@ def swap_template(c: Circuit, g: ConnectivityGraph) -> Circuit:
         if gt.kind is not cx or g.has_edge(gt.control, gt.target):
             out.append(gt)
         else:
-            out += _chain(shortest_path(g, gt.control, gt.target, full))
+            out += _chain(merge_path(g, gt.control, gt.target, full))
     return Circuit.trusted(g.num_vertices, tuple(out))
 
 
 def _route(g: ConnectivityGraph, control: int, target: int) -> tuple[Gate, ...]:
-    """CNOT(control, target) on ``g``: ROW-OP along :func:`~cnotsynth.topology.shortest_path`'s path.
+    """CNOT(control, target) on ``g``: the one ROW-OP record of :func:`~cnotsynth.linsynth._subtrees`.
 
-    That lexicographically smallest shortest path is not always the
-    synthesizers' merge path. Its alg-2 passes: the CNOT itself on an edge,
-    else 4(d-1) CNOTs at distance d, never more than the SWAP chain's
+    Its alg-2 passes along the two terminals' merge path: the CNOT itself on
+    an edge, else 4(d-1) CNOTs at distance d, never more than the SWAP chain's
     6(d-1)+1. Memoized on ``g`` beside the BFS memo, one entry per ordered
     pair asked for, so at most n(n-1); graph equality and hash ignore it.
     """
     memo = g.__dict__.setdefault("_route", {})
     hit = memo.get((control, target))
     if hit is None:
-        path = [control, target] if g.has_edge(control, target) else shortest_path(g, control, target)
-        hit = memo[(control, target)] = tuple(cnot(u, v) for u, v in _path_passes(path, 2))
+        ((_, _, edges),) = _subtrees(g, {control, target}, control, 2)
+        hit = memo[(control, target)] = tuple(cnot(u, v) for u, v in edges)
     return hit
 
 
@@ -157,7 +157,8 @@ def _segmented(s: Slice, terms: PhasePolySet, g: ConnectivityGraph) -> tuple[lis
     its wire holds exactly that key, so its merged coefficient lands there by
     :func:`~cnotsynth.phasesynth.phase_gates`. Every other phase gate goes, its
     coefficient merged into a term placed here or in an earlier run; a Y still
-    flips its wire, as an X after them.
+    flips its wire, as an X after them, or stays itself (Z then X, up to a
+    global phase) when the coefficient placed at it is 4.
     Returns the gates, their CNOTs, and the run's CNOT when it is its only one.
     """
     at = {s.first_at[key]: coeff for coeff, key in terms.terms()}
@@ -171,7 +172,7 @@ def _segmented(s: Slice, terms: PhasePolySet, g: ConnectivityGraph) -> tuple[lis
             route = _route(g, gt.control, gt.target)
             out += route
             cost += len(route)
-        elif kind is x:
+        elif kind is x or (kind is y and at.get(j) == 4):
             out.append(gt)
         else:
             x_gate, placed = phase_gates(gt.target, at.get(j, 0))

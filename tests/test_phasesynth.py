@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cnotsynth.circuit import Circuit, Gate, GateKind, cnot, cnot_count, connectivity_violations, write_circuit
 from cnotsynth.linalg import CONST_BIT, ParityMatrix, parity_mask
 from cnotsynth.phasepoly import PhasePolySet, extract_hfree
-from cnotsynth.phasesynth import PhaseSynthesizer, _Frame, phase_nw_synth, select_pivot
+from cnotsynth.phasesynth import PhaseSynthesizer, _Frame, _pivot, phase_nw_synth
 from cnotsynth.topology import grid_graph, preset_graph
 from tests.conftest import APPENDIX_PHASE_TERMS, assert_budget_contract, traced
 
@@ -32,6 +32,12 @@ def _pivot_oracle(masks, candidates):
     return min(all_ones) if all_ones else min(candidates)
 
 
+def _pivot_of_masks(masks, candidates):
+    """The pivot :func:`_pivot` picks for the columns ``masks``, their rows built from the masks."""
+    rows = {j: sum(1 << k for k, m in enumerate(masks) if m >> j & 1) for j in candidates}
+    return _pivot(rows, (1 << len(masks)) - 1, candidates)
+
+
 def _columns_to_masks(columns, rows):
     # columns given as 0/1 row-major grids
     return [
@@ -42,20 +48,20 @@ def _columns_to_masks(columns, rows):
 def test_pivot_appendix_iteration1():
     # all seven input columns: row 2 has the largest cofactor (5 of 7)
     masks = [m for _, m in [(c, p & ~1) for c, p in APPENDIX_PHASE_TERMS]]
-    assert select_pivot(masks, frozenset(range(1, 7))) == 2
+    assert _pivot_of_masks(masks, frozenset(range(1, 7))) == 2
 
 
 def test_pivot_prefers_proper_split():
     # {p1, p3} of the worked example: rows 4 and 5 agree everywhere, so the
     # balanced rows 1 and 6 are the only usable pivots; 1 wins the tie
     masks = [parity_mask([1, 4, 5]), parity_mask([4, 5, 6])]
-    assert select_pivot(masks, frozenset({1, 3, 4, 5, 6})) == 1
+    assert _pivot_of_masks(masks, frozenset({1, 3, 4, 5, 6})) == 1
 
 
 def test_pivot_single_column_prefers_one_row():
     # a lone column: no row splits it, so take its smallest support row
     masks = [parity_mask([4, 5, 6])]
-    assert select_pivot(masks, frozenset({3, 4, 5, 6})) == 4
+    assert _pivot_of_masks(masks, frozenset({3, 4, 5, 6})) == 4
 
 
 def test_pivot_exhaustive_against_oracle():
@@ -66,7 +72,7 @@ def test_pivot_exhaustive_against_oracle():
             masks = _columns_to_masks(cols, rows)
             if not all(masks):
                 continue  # zero columns never reach the pivot step
-            assert select_pivot(masks, candidates) == _pivot_oracle(masks, candidates)
+            assert _pivot_of_masks(masks, candidates) == _pivot_oracle(masks, candidates)
 
 
 # -- upfront single-variable handling ------------------------------------------

@@ -42,6 +42,7 @@ from cnotsynth.topology import (
     ConnectivityGraph,
     _searches,
     grid_graph,
+    merge_path,
     preset_graph,
     shortest_path,
     steiner_tree,
@@ -73,12 +74,24 @@ def test_swap_adjacent_untouched():
 
 
 def test_swap_count_formula():
+    # every distant ordered pair of every preset: the SWAP chain along the merge path
+    for name in PRESET_NAMES:
+        g = preset_graph(name)
+        n = g.num_vertices
+        for control in g.vertices:
+            for target in g.vertices:
+                if control == target or g.has_edge(control, target):
+                    continue
+                lone = Circuit(n, (cnot(control, target),))
+                out = swap_template(lone, g)
+                assert out.gates == tuple(_chain(merge_path(g, control, target))), (name, control, target)
+                dist = _bfs_dist(g, control, target)
+                assert cnot_count(out) == 6 * (dist - 1) + 1, (name, control, target)
+                assert connectivity_violations(out, g) == []
+                assert transform_of_circuit(out) == transform_of_circuit(lone), (name, control, target)
     g = preset_graph("9q-square")
-    out = swap_template(Circuit(9, (cnot(1, 9),)), g)
-    dist = _bfs_dist(g, 1, 9)  # oracle: 4 hops on the grid
-    assert dist == 4
-    assert cnot_count(out) == 6 * (dist - 1) + 1 == 19
-    assert connectivity_violations(out, g) == []
+    assert _bfs_dist(g, 1, 9) == 4  # oracle: 4 hops on the grid
+    assert cnot_count(swap_template(Circuit(9, (cnot(1, 9),)), g)) == 19
 
 
 def test_swap_equivalence_random():
@@ -167,35 +180,37 @@ def test_opt_b_per_slice_linear_actions_match():
         assert ends[0] == ends[1]
 
 
-# sha256 of write_circuit(output) for fixed seeds. A refactor must keep every
-# digest; a change that means to alter the emitted circuits updates them.
+# (sha256 of write_circuit(output), output CNOTs) for fixed seeds. A refactor
+# must keep every digest; a change that means to alter the emitted circuits
+# updates the digests, and any CNOT change it makes shows in the counts.
 PINNED_OUTPUTS = {
-    ("9q-square", 1, "opt-a"): "97b1fbf33d5612320e6004c49a659afcb10eab028ea1502a068e48f1734f3274",
-    ("9q-square", 1, "opt-b"): "d2590c065ac3484c9b232f6e970fccdaaf1f604725fd629ad079f6dacee055a9",
-    ("9q-square", 2, "opt-a"): "8187aa9647227524e3de9ac58163f4c192eb1769dc85ee0af6083fbf9771933a",
-    ("9q-square", 2, "opt-b"): "8ddd663dd7e4a968dd47b39990bef316a75d3b27d4cb25f7d72b82bccd2cd8e5",
-    ("ibm-q20-tokyo", 1, "opt-a"): "96523a7440f8fcd8ea6baebeffc4929f4450e11ee263d74ed78a83ee5e463868",
-    ("ibm-q20-tokyo", 1, "opt-b"): "2de4ebccff55cde462b9a05c7744dfca7f40eb958cddd6aebe364c4b2fb72afe",
-    ("ibm-q20-tokyo", 2, "opt-a"): "da6866586e47dd3f11dbf553140eab815763f9c727f9b0559f3763eea21abf24",
-    ("ibm-q20-tokyo", 2, "opt-b"): "7f70d82d56b7840c865d70ad120ebd461962763e6e16055521ad5f625cd0c7c8",
-    ("grid-5x5", 0, "opt-a"): "0a6863b34de7f9bd67b124928a89fd02c76e207511a6b0f6480e8edde81ddf84",
-    ("grid-5x5", 0, "opt-b"): "50fd5bdbce68da27732a3df123d33dddfe7afc558c64d75f1012e98fa7966c70",
-    ("16q-square", 1, "opt-a"): "732ec2e18e34889d0f02e45174d59779f7ba167d91596fe98512b8fc27339791",
-    ("16q-square", 1, "opt-b"): "45fa4402d557db1bf0f390337432079a5893c379570b7a51eb92c6d1f2a862ce",
-    ("rigetti-16q-aspen", 1, "opt-a"): "00acf7b5fff9145b29665dc202520a8730159339dbccb6c12857458e89057a7e",
-    ("rigetti-16q-aspen", 1, "opt-b"): "9ab8b46ad1389cdab8587957522a47a85c0b748a2d9ebb5eef4d896c994acaa7",
-    ("ibm-qx5", 1, "opt-a"): "2c1df5f337f213bc0926d5215957b99b017106f00a4396e3bfe8fa7a105927a6",
-    ("ibm-qx5", 1, "opt-b"): "12f9b6c952e8d0ab7e45b963a8bb1cac8222367a36101aa095b007f3e015a32d",
+    ("9q-square", 1, "opt-a"): ("1bcfd2e00737ed237bf799cc5a5f25835925d923a42beafa6a66bffa1386aded", 78),
+    ("9q-square", 1, "opt-b"): ("0217ea05a4452f5c2e6f759be4f5d442f2c8a32eb1f008078a74bf820fc4b3ad", 78),
+    ("9q-square", 2, "opt-a"): ("9b8fa6a5e0fc9aa90d9ad66f12892713a0e2abe973e419a8e1b58f4a8ccde50f", 93),
+    ("9q-square", 2, "opt-b"): ("abda7529839f5dc38d0def553aafa97203f311ac12176efeb8dbe8ebf8ea74b5", 93),
+    ("ibm-q20-tokyo", 1, "opt-a"): ("2bb6fb65dab768268f7e21115a5cbb16eddd5a248220b19a9f56b7b1bfd40112", 95),
+    ("ibm-q20-tokyo", 1, "opt-b"): ("8e9ac7b3d8c2e0398649f29ec9390e458ba77078234b3920ca905188aec2b933", 95),
+    ("ibm-q20-tokyo", 2, "opt-a"): ("84f6d07e1e3f5488010b8cb73fb0533873052e428d893b4afa8632778e6aa9be", 77),
+    ("ibm-q20-tokyo", 2, "opt-b"): ("cba164ff5d46198b69121c81be72152b47d1344a2d9702c4aed7f8b2c28fa294", 77),
+    ("grid-5x5", 0, "opt-a"): ("73c6b0685afa361972bdbe50b18c2a084348237787515a57a7ccdb1ad7bf5475", 364),
+    ("grid-5x5", 0, "opt-b"): ("f9d7439170289899201d9efcea4e88b78621cfa3690f57d676e1f3bb44f66146", 364),
+    ("16q-square", 1, "opt-a"): ("1dfaba29fa06adea3a7b0a4db1be3538ae1f749d5c7d81adc07d0dd62e42c369", 194),
+    ("16q-square", 1, "opt-b"): ("0b9eb75cc4c6a2dbb9571becdbb9903f9684408fe1a2da3040ae69e3f70f3ba8", 194),
+    ("rigetti-16q-aspen", 1, "opt-a"): ("3f3ba35d74e21673e31a7576f9a67bea314a714e207349419fe3cf9fb052dcf7", 260),
+    ("rigetti-16q-aspen", 1, "opt-b"): ("70f3573d982fe138a1796c7c9e98ff8c5c076a57e2f095001b7482d48e13f2bf", 260),
+    ("ibm-qx5", 1, "opt-a"): ("49364f5421bc7727e1a23d707332ce43242e99a9b3791c1132c7a035b1022b65", 232),
+    ("ibm-qx5", 1, "opt-b"): ("3be480c6c8597d142868ed2b9b72ec378f2df02d9a64d5e3793f9b42ee82b0d6", 232),
 }
 # (qubits, CNOTs) of each graph's random circuit; 9-qubit circuits with 20 CNOTs elsewhere
 PINNED_SIZES = {"grid-5x5": (25, 40), "16q-square": (16, 30), "rigetti-16q-aspen": (16, 30), "ibm-qx5": (16, 30)}
 
 
 def test_emitted_circuits_pinned():
-    for (graph, seed, algo), digest in PINNED_OUTPUTS.items():
+    for (graph, seed, algo), (digest, cnots) in PINNED_OUTPUTS.items():
         c = random_circuit(*PINNED_SIZES.get(graph, (9, 20)), random.Random(seed))
         g = grid_graph(5, 5) if graph == "grid-5x5" else preset_graph(graph)
-        out, _ = resynthesize(c, g, algo)
+        out, report = resynthesize(c, g, algo)
+        assert cnot_count(out) == report.output_cnots == cnots, (graph, seed, algo)
         assert hashlib.sha256(write_circuit(out).encode()).hexdigest() == digest, (graph, seed, algo)
 
 
@@ -217,7 +232,7 @@ def _bridge_or_chain(g, control, target):
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_route_is_row_op_on_the_shortest_path(name):
+def test_route_is_row_op_on_the_merge_path(name):
     g = preset_graph(name)
     n = g.num_vertices
     shorter = 0
@@ -226,7 +241,7 @@ def test_route_is_row_op_on_the_shortest_path(name):
             if control == target:
                 continue
             route = _route(g, control, target)
-            path = shortest_path(g, control, target)
+            path = merge_path(g, control, target)
             assert route == tuple(cnot(u, v) for u, v in _path_passes(path, 2))
             # exactly CNOT(control, target), every CNOT on an edge
             routed = Circuit(n, route)
@@ -354,10 +369,15 @@ def test_segmented_run_places_each_merged_term_once(algo):
     # two T on one parity in one run: one S at the first of them
     out, _ = resynthesize(Circuit(6, (t(1), Gate(GateKind.Z, 2), t(1))), g, algo)
     assert out.gates == (Gate(GateKind.S, 1), Gate(GateKind.Z, 2))
-    # a Y keeps its phase in the term and flips its wire as an X
+    # a Y whose merged term is a Z stays a Y (Z then X, up to a global phase)
     c = Circuit(6, (Gate(GateKind.Y, 1), t(1), Gate(GateKind.Z, 1), cnot(1, 2), t(2)))
     out, _ = resynthesize(c, g, algo)
-    assert out.gates == (Gate(GateKind.Z, 1), Gate(GateKind.X, 1), Gate(GateKind.Z, 1), Gate(GateKind.T, 1), cnot(1, 2), t(2))
+    assert out.gates == (Gate(GateKind.Y, 1), Gate(GateKind.Z, 1), Gate(GateKind.T, 1), cnot(1, 2), t(2))
+    assert equivalent_up_to_phase(c, out)
+    # any other merged term keeps its phase gates at the Y, which flips its wire as an X after them
+    c = Circuit(6, (Gate(GateKind.Y, 1), Gate(GateKind.X, 1), t(1)))
+    out, _ = resynthesize(c, g, algo)
+    assert out.gates == (Gate(GateKind.Z, 1), t(1), Gate(GateKind.X, 1), Gate(GateKind.X, 1))
     assert equivalent_up_to_phase(c, out)
     # x1 is a wire state in both slices: only opt-b merges its terms across the H, where they cancel
     out, _ = resynthesize(Circuit(6, (t(1), h(2), tdg(1))), g, algo)
