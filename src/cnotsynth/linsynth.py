@@ -19,8 +19,11 @@ passes, are read from one top-down ordering (layer, child) and one bottom-up
 ordering (-layer, child); inside a sub-tree a vertex is a leaf exactly when it
 is a terminal. Path records take their passes straight from the path order.
 One loop, :func:`_apply`, applies records to a matrix: a column's row
-operation, and the routing fallbacks and the corrections, which clear a row
-along a shortest path with no tree at all. The phase network
+operation, the diagonal fix's chain, and the routing fallbacks and the
+corrections, which clear a row along a shortest path with no tree at all.
+The corrections walk inside the shrunken graph; only a term bridged through
+fixed vertices and a pivot candidate unreachable inside it cross them, by the
+routing fallbacks. The phase network
 (:mod:`cnotsynth.phasesynth`) takes its path-per-leaf records (alg 4) from
 :func:`_subtrees` too, and applies each path's net effect itself.
 """
@@ -200,26 +203,21 @@ def _fix_diagonal(
     """Propagate a 1 from ``candidates``, the rows below A[i, i] with a 1 in column i, up into A[i, i]."""
     if not candidates:
         raise SingularTransformError(f"no pivot available for column {i}")
-    gates: list[Gate] = []
     dist = distances(g, i, active)
     reachable = [j for j in candidates if j in dist]
     if reachable:
         best = min(reachable, key=lambda j: (dist[j], j))
-        path = shortest_path(g, i, best, active)
         # chain from the leaf end so the 1 walks up to the pivot row
-        for child, parent in zip(path[::-1], path[::-1][1:]):
-            gates.append(cnot(child, parent))
-            a.row_xor(parent, child)
-    else:
-        # no candidate reachable inside the shrunken graph: route through fixed
-        # vertices with a full interior-restoring path (leaf gains the root row)
-        full = frozenset(g.vertices)
-        dist = distances(g, i, full)
-        if not candidates <= dist.keys():
-            raise NoPathError(f"a pivot candidate for column {i} is unreachable from {i}")
-        best = min(candidates, key=lambda j: (dist[j], j))
-        gates += _apply(a, [_path_record(shortest_path(g, best, i, full), 2)])
-    return gates
+        path = shortest_path(g, i, best, active)[::-1]
+        return _apply(a, [(best, (i,), list(zip(path, path[1:])))])
+    # no candidate reachable inside the shrunken graph: route through fixed
+    # vertices with a full interior-restoring path (leaf gains the root row)
+    full = frozenset(g.vertices)
+    dist = distances(g, i, full)
+    if not candidates <= dist.keys():
+        raise NoPathError(f"a pivot candidate for column {i} is unreachable from {i}")
+    best = min(candidates, key=lambda j: (dist[j], j))
+    return _apply(a, [_path_record(shortest_path(g, best, i, full), 2)])
 
 
 def _eliminate_column(
@@ -230,22 +228,15 @@ def _eliminate_column(
     terms: set[int],
     alg: int,
 ) -> tuple[list[Gate], list[_SubTree]]:
-    """Clear the 1s of column i in rows ``terms``; returns the CNOTs and every row op's sub-tree records."""
-    cnots: list[Gate] = []
-    subtrees: list[_SubTree] = []
-    if not terms:
-        return cnots, subtrees
+    """Clear the 1s of column i in rows ``terms``; returns the CNOTs and the records of the cut inside ``active``."""
     dist = distances(g, i, active)
     reachable = {t for t in terms if t in dist}
-    if reachable:
-        subtrees = _subtrees(g, reachable | {i}, i, alg, active)
-        cnots = _apply(a, subtrees)
+    cut = _subtrees(g, reachable | {i}, i, alg, active) if reachable else []
+    cnots = _apply(a, cut)
     for t in sorted(terms - reachable):
         # route through already-fixed vertices; the four passes leave interior rows intact
-        sub = _path_record(shortest_path(g, i, t, frozenset(g.vertices)), 2)
-        cnots += _apply(a, [sub])
-        subtrees.append(sub)
-    return cnots, subtrees
+        cnots += _apply(a, [_path_record(shortest_path(g, i, t, frozenset(g.vertices)), 2)])
+    return cnots, cut
 
 
 def _corrections(
@@ -260,19 +251,15 @@ def _corrections(
     root index exceeds the leaf index this would leave a 1 above the diagonal,
     so the leaf is chased down the chain of earlier roots until its partner has
     a smaller index. ``partner`` maps each leaf to its current pairing row.
+    Each walk joins two vertices of the cut, which is connected inside ``active``.
     """
     partner = {leaf: root for root, leaves, _ in subtrees for leaf in leaves}
     gates: list[Gate] = []
-    full = frozenset(g.vertices)
     for root, leaves, _ in subtrees:
         for leaf in leaves:
             r = root
             while r > leaf:
-                try:
-                    path = shortest_path(g, r, leaf, active)
-                except NoPathError:
-                    path = shortest_path(g, r, leaf, full)
-                gates += _apply(a, [_path_record(path, 2)])
+                gates += _apply(a, [_path_record(shortest_path(g, r, leaf, active), 2)])
                 partner[leaf] = partner[r]
                 r = partner[r]
     return gates

@@ -57,10 +57,10 @@ def _check_size(n: int) -> None:
 
 @lru_cache(maxsize=1)
 def _check_arrays(dim: int, thread: int) -> tuple[np.ndarray, np.ndarray]:
-    """A check's two complex dim x dim arrays, kept for ``thread``'s next check of that size.
+    """A check's two complex dim x dim arrays: the process keeps one pair, for the last size and thread to ask.
 
-    Allocated and freed per check, how much of them malloc left resident varied with
-    other small allocations in between, and so did peak memory, by up to 12 MB at 9-10 qubits.
+    A check of another size or on another thread replaces it. Allocated and freed per check, how much of them
+    malloc left resident varied with other small allocations, and so did peak memory, by up to 12 MB at 9-10 qubits.
     """
     return np.empty((dim, dim), dtype=complex), np.empty((dim, dim), dtype=complex)
 

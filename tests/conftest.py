@@ -1,3 +1,4 @@
+import random
 from functools import partial
 from types import SimpleNamespace
 
@@ -167,28 +168,53 @@ def hfree_fold(gates, state, terms=None):
     return terms, tuple(state)
 
 
-def traced(synth, *args):
+def traced(synth, *args, events=None):
     """Call ``synth(*args)`` with a trace sink; return its result and the events it received.
 
-    Each event is a namespace holding ``kind`` and the fields passed with it.
+    Each event is a namespace holding ``kind`` and the fields passed with it,
+    appended to ``events`` (a new list when None) as it arrives, so a call that
+    raises still leaves the events it emitted there.
     """
-    events = []
+    events = [] if events is None else events
     result = synth(*args, trace=lambda kind, **fields: events.append(SimpleNamespace(kind=kind, **fields)))
     return result, events
 
 
-def assert_budget_contract(synth, args, cnots) -> None:
-    """Check ``synth(*args, budget=b)`` for every b from 0 to the unbudgeted CNOT count + 1.
+def _step_cnots(event) -> int:
+    """The CNOTs a trace event reports: a ``"steiner"`` expansion's, or a ``"column"``'s three parts."""
+    if event.kind == "steiner":
+        return len(event.cnots)
+    return len(event.diag) + len(event.tree) + len(event.corrections)
 
-    ``cnots(result)`` counts a result's CNOTs. Every budget up to that count
-    raises OverBudget; one more returns the unbudgeted result, with the same
-    trace events.
+
+def assert_budget_contract(synth, args, cnots) -> None:
+    """Check ``synth(*args, budget=b)`` at and beside every step of the unbudgeted run.
+
+    ``cnots(result)`` counts a result's CNOTs. A step is a trace event that
+    reports CNOTs; with c(k) the count after step k, every budget from
+    c(k - 1) + 1 to c(k) raises OverBudget after emitting exactly the events
+    before step k. The raise can move only at a step, so budgets c(k - 1) + 1,
+    c(k) and one seeded budget between them stand for that range. Budget 0
+    raises before any event, and one more than the count returns the
+    unbudgeted result, with the same trace events.
     """
     want, want_events = traced(synth, *args)
     count = cnots(want)
-    for budget in range(count + 1):
+    rng = random.Random(count)
+    emitted = {0: 0}  # budget -> the events emitted before it raises
+    total = 0
+    for k, event in enumerate(want_events):
+        if step := _step_cnots(event):
+            low, total = total + 1, total + step
+            emitted[low] = emitted[total] = k
+            if total - low > 1:
+                emitted[rng.randint(low + 1, total - 1)] = k
+    assert total == count
+    for budget, k in emitted.items():
+        events = []
         with pytest.raises(OverBudget):
-            synth(*args, budget=budget)
+            traced(partial(synth, budget=budget), *args, events=events)
+        assert events == want_events[:k], budget
     assert traced(partial(synth, budget=count + 1), *args) == (want, want_events)
 
 

@@ -505,6 +505,60 @@ def test_disconnected_removal_fallback():
         assert connectivity_violations(circ, g) == []
 
 
+def test_corrections_walk_inside_the_shrunken_graph(monkeypatch):
+    # every leaf _corrections chases belongs to the column's cut, which is
+    # connected inside active; a term bridged through fixed vertices is rooted
+    # at the column, below all its leaves, so no correction starts from it
+    column = {"active": None, "bridged": False}
+    walks = []
+    bridged_and_corrected = 0
+
+    def path_spy(g, u, v, active=None):
+        path = shortest_path(g, u, v, active)
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "_corrections":
+            walks.append(active == column["active"] and set(path) <= active)
+        elif caller == "_eliminate_column":
+            column["bridged"] = True
+        return path
+
+    def eliminate_spy(a, g, i, active, terms, alg):
+        column.update(active=active, bridged=False)
+        return eliminate_column(a, g, i, active, terms, alg)
+
+    def corrections_spy(a, g, subtrees, active):
+        nonlocal bridged_and_corrected
+        gates = corrections(a, g, subtrees, active)
+        bridged_and_corrected += bool(gates) and column["bridged"]
+        return gates
+
+    eliminate_column, corrections = linsynth._eliminate_column, linsynth._corrections
+    monkeypatch.setattr(linsynth, "shortest_path", path_spy)
+    monkeypatch.setattr(linsynth, "_eliminate_column", eliminate_spy)
+    monkeypatch.setattr(linsynth, "_corrections", corrections_spy)
+
+    def synth(a, g):
+        circ = linear_tf_synth(a, g)
+        assert transform_of_circuit(circ) == a.padded(g.num_vertices)
+        assert connectivity_violations(circ, g) == []
+
+    # CNOT 2 3, CNOT 2 5, CNOT 5 2: phase 2 bridges a term and corrects in one column
+    a = AugmentedTransform.identity(5)
+    for dst, src in ((3, 2), (5, 2), (2, 5)):
+        a.row_xor(dst, src)
+    synth(a, ConnectivityGraph.from_edges(5, [(1, 2), (1, 4), (1, 5), (2, 4), (3, 4)]))
+    assert bridged_and_corrected == 1
+    rng = random.Random("corrections-local")
+    graphs = [random_connected_graph(rng, rng.randint(4, 12)) for _ in range(60)]
+    graphs += [ConnectivityGraph.from_edges(n, [(1, v) for v in range(2, n + 1)]) for n in range(3, 10)]
+    graphs += [preset_graph(name) for name in PRESET_NAMES]
+    for g in graphs:
+        for _ in range(4):
+            synth(random_invertible(rng, g.num_vertices), g)
+    assert walks and all(walks)
+    assert bridged_and_corrected > 1
+
+
 def test_x_gates_realize_flip_column(grid2x3):
     bits = [
         [1, 0, 0, 0, 0, 0, 1],
@@ -591,6 +645,7 @@ def test_linear_synthesis_pinned(monkeypatch):
         assert digest.hexdigest() == PINNED_LINEAR[name], name
     assert fallbacks["_eliminate_column"] > 0  # a term unreachable inside the shrunken graph
     assert fallbacks["_fix_diagonal"] > 0  # a pivot candidate unreachable likewise
+    assert fallbacks["_corrections"] > 0  # a phase-2 leaf below its sub-tree's root
 
 
 def test_traced_and_untraced_linear_synthesis_agree(monkeypatch):
