@@ -40,13 +40,10 @@ class PhasePolySet:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PhasePolySet):
             return NotImplemented
-        return dict(self._terms) == dict(other._terms)
+        return self._terms == other._terms
 
     def __repr__(self) -> str:
         inner = ", ".join(f"({c}, {format_parity(p)})" for c, p in self.terms())

@@ -8,7 +8,15 @@ its columns agree with a 1 are collected onto that wire along a Steiner tree
 (ROW-OP in its path-per-leaf mode). Columns reduced to a single 1 are realized:
 the phase gate selected by their coefficient (with a leading X when the wire's
 current flip bit disagrees with the term's) lands on the realizing wire, and the
-column is deleted wherever it lives in the stack.
+column leaves the popped frame.
+
+Only the popped frame's columns ever become single, and a popped frame with
+live columns always has a candidate row left, because the zero-cofactor is
+pushed last and so popped next. A frame without a target is then popped before
+any expansion, its columns 0 on every row split on. A one-cofactor waits only
+through its zero sibling's expansions, whose trees join its target t and its
+candidates K, so its rows change inside K alone and each of its columns keeps
+two 1s: t and the split row, or t and a part in K.
 
 The parity matrix is kept by rows. The multi-variable terms are numbered in
 input order, and ``rows[j]`` is the bitset of the terms whose parity, over the
@@ -73,7 +81,8 @@ def _pivot(rows: list[int] | dict[int, int], cols: int, candidates: frozenset[in
     CNOT work is shared, so it is the side worth growing. If every row is
     constant across the columns, the smallest all-ones row is preferred (its
     1-cofactor keeps the whole set and assigns a target); failing that, the
-    smallest candidate row.
+    smallest candidate row. :meth:`PhaseSynthesizer.run` never reaches that last
+    case, but it keeps the rule total over arbitrary columns, as its tests use it.
     """
     total = cols.bit_count()
     best: tuple[int, int] | None = None
@@ -136,21 +145,8 @@ class PhaseSynthesizer:
         self.gates += placed
         return placed
 
-    def _add_terms(self, terms: list[tuple[int, int]]) -> int:
-        """Number (coeff, parity) terms after the existing ones, enter them in the rows and return their bitset.
-
-        The parities are over the current wire states; the caller puts the bitset in a frame.
-        """
-        rows, first = self.rows, len(self.coeffs)
-        for k, (coeff, parity) in enumerate(terms, first):
-            for j in _bits(parity & ~CONST_BIT):
-                rows[j] |= 1 << k
-            self.flips.append(bool(parity & CONST_BIT))
-            self.coeffs.append(coeff)
-        return (1 << len(self.coeffs)) - (1 << first)
-
     def _place_single_variable_terms(self, p: ParityMatrix) -> None:
-        remaining = []
+        """Place the single-variable terms; number the others from 0, enter them in the rows and stack their frame."""
         singles: dict[tuple[int, bool], int] = {}  # (wire, bit) -> coefficient
         for coeff, parity in p.columns:
             mask, bit = parity & ~CONST_BIT, bool(parity & CONST_BIT)
@@ -159,12 +155,15 @@ class PhaseSynthesizer:
             if mask.bit_count() == 1:
                 singles[(mask.bit_length() - 1, bit)] = coeff
             else:
-                remaining.append((coeff, parity))
+                for j in _bits(mask):
+                    self.rows[j] |= 1 << len(self.coeffs)
+                self.flips.append(bit)
+                self.coeffs.append(coeff)
         # by wire, and on a wire the plain term before the X of its complement
         for i, bit in sorted(singles):
             self._place(i, bit, singles[(i, bit)])
-        if remaining:
-            self.stack.append(_Frame(self._add_terms(remaining), frozenset(range(1, self.n + 1)), None))
+        if self.coeffs:
+            self.stack.append(_Frame((1 << len(self.coeffs)) - 1, frozenset(range(1, self.n + 1)), None))
 
     # -- main loop ---------------------------------------------------------
 
@@ -195,29 +194,21 @@ class PhaseSynthesizer:
             ones |= r
         single = ones & ~twos
         placements: list[Gate] = []
-        if single:
-            for f in (frame, *self.stack):
-                for k in _bits(f.cols & single):
-                    wire = next(j for j, r in enumerate(rows) if r >> k & 1)
-                    placements += self._place(wire, self.flips[k], self.coeffs[k])
-                f.cols &= ~single
+        if single:  # the popped frame's columns only: a stacked column keeps two 1s (module docstring)
+            for k in _bits(single):
+                wire = next(j for j, r in enumerate(rows) if r >> k & 1)
+                placements += self._place(wire, self.flips[k], self.coeffs[k])
+            frame.cols &= ~single
             rows[:] = [r & ~single for r in rows]
         if self.trace:
             self.trace("steiner", root=root, terminals=frozenset(terminals), cnots=cnots, placements=placements)
 
-    def _force_realize(self, frame: _Frame) -> None:
-        # A frame ran out of pivot rows with live columns: realize them one by
-        # one on a support wire. Unreachable through normal splitting on inputs
-        # produced by extraction, but keeps arbitrary inputs safe.
-        while frame.cols:
-            col = frame.cols & -frame.cols
-            support = {j for j, r in enumerate(self.rows) if r & col}
-            root = frame.target if frame.target in support else min(support)
-            self._expand(frame, root, support)
-            if frame.cols & col:
-                raise AssertionError("forced realization failed to fix a column")
-
     def run(self) -> None:
+        """Pop, collect and split frames until every column is realized.
+
+        The zero-cofactor is pushed last, so it is popped next: the invariant of the module docstring, which rests
+        on that order, leaves a candidate row for every frame popped with live columns.
+        """
         rows = self.rows
         while self.stack:
             frame = self.stack.pop()
@@ -226,8 +217,7 @@ class PhaseSynthesizer:
             if not cols:
                 continue
             if not frame.candidates:
-                self._force_realize(frame)
-                continue
+                raise AssertionError("cofactor invariant broken: a popped frame has live columns and no candidate row")
             j = _pivot(rows, cols, frame.candidates)
             rest = frame.candidates - {j}
             ones, zeros = cols & rows[j], cols & ~rows[j]

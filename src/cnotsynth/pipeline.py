@@ -120,14 +120,6 @@ def _route(g: ConnectivityGraph, control: int, target: int) -> tuple[Gate, ...]:
     return hit
 
 
-def _mapping_transform(current: tuple[int, ...], target: tuple[int, ...]) -> AugmentedTransform:
-    """The transform that a trailing circuit must realize to turn ``current`` into ``target``."""
-    rows = f2_solve(list(current), list(target))
-    if None in rows:
-        raise ValueError("target state is outside the span of the current state")
-    return AugmentedTransform(len(current), rows)
-
-
 def _rebuild(
     pm: ParityMatrix, target: tuple[int, ...], g: ConnectivityGraph, budget: float = math.inf
 ) -> tuple[tuple[Gate, ...], int] | None:
@@ -143,7 +135,8 @@ def _rebuild(
     try:
         c_ph, a_ph = phase_nw_synth(pm, g, budget=budget)
         spent = cnot_count(c_ph)
-        restore = _mapping_transform(tuple(a_ph.rows), target)
+        # the network's wires stay invertible (each path's top gains its leaf), so every target solves
+        restore = AugmentedTransform(g.num_vertices, f2_solve(a_ph.rows, list(target)))
         c_lin = linear_tf_synth(restore, g, budget=budget - spent)
     except OverBudget:
         return None

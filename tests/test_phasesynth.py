@@ -5,12 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnotsynth.circuit import Circuit, Gate, GateKind, cnot, cnot_count, connectivity_violations, write_circuit
+from cnotsynth.circuit import Circuit, Gate, GateKind, cnot_count, connectivity_violations, write_circuit
 from cnotsynth.linalg import CONST_BIT, ParityMatrix, parity_mask
 from cnotsynth.phasepoly import PhasePolySet, extract_hfree
-from cnotsynth.phasesynth import PhaseSynthesizer, _Frame, _pivot, phase_nw_synth
-from cnotsynth.topology import grid_graph, preset_graph
-from tests.conftest import APPENDIX_PHASE_TERMS, assert_budget_contract, traced
+from cnotsynth.phasesynth import PhaseSynthesizer, _pivot, phase_nw_synth
+from cnotsynth.topology import PRESET_NAMES, grid_graph, preset_graph
+from tests.conftest import APPENDIX_PHASE_TERMS, assert_budget_contract, random_connected_graph, traced
 
 
 # -- pivot selection ----------------------------------------------------------
@@ -232,50 +232,79 @@ def test_other_presets():
             assert all(gt.kind is not GateKind.CNOT for gt in prefix)
 
 
-def test_forced_realization_places_every_column(grid2x3):
-    # a frame that has run out of pivot rows with columns over several wires;
-    # the splits never leave one, so it is built by hand, with a second frame
-    # on the stack whose columns the forced expansions rewrite too
-    forced = [
-        (1, parity_mask([1, 2])),  # the target wire 4 is off its support: rooted at wire 1
-        (3, parity_mask([2, 4, 6], const=True)),  # rooted at the target wire
-        (6, parity_mask([3, 5])),
-        (5, parity_mask([1, 3, 5, 6], const=True)),
-    ]
-    stacked = [(2, parity_mask([1, 6])), (7, parity_mask([2, 3, 4], const=True))]
-    events = []
-    synth = PhaseSynthesizer(ParityMatrix.from_terms([]), grid2x3, lambda kind, **fields: events.append(fields))
-
-    def masks(cols):  # each term's parity over the current wires, from the rows
-        return [sum(1 << j for j, r in enumerate(synth.rows) if r >> k & 1) for k in range(cols.bit_length()) if cols >> k & 1]
-
-    synth.stack.append(_Frame(synth._add_terms(stacked), frozenset(range(1, 7)), None))
-    lone = _Frame(synth._add_terms(forced), frozenset(), 4)
-    assert masks(lone.cols) == [p & ~CONST_BIT for _, p in forced]
-    before = masks(synth.stack[0].cols)
-    synth._force_realize(lone)
-    assert lone.cols == 0
-    assert {e["root"] for e in events} >= {1, 4}
-    assert masks(synth.stack[0].cols) != before
-    synth.run()
-    circ = Circuit(6, tuple(synth.gates))
-    assert connectivity_violations(circ, grid2x3) == []
-    terms, state = extract_hfree(circ)
-    assert terms == PhasePolySet(forced + stacked)
-    assert list(state) == synth.wires
+def _invariant_inputs(rng, n, count):
+    """``count`` parity matrices over n wires, cycling through four families of terms."""
+    all_wires = (1 << (n + 1)) - 2
+    inputs = []
+    for k in range(count):
+        terms = []
+        if k % 4 == 0:  # sparse: each term on 2-4 wires
+            for _ in range(rng.randint(1, 12)):
+                mask = sum(1 << w for w in rng.sample(range(1, n + 1), rng.randint(2, min(4, n))))
+                terms.append((rng.randint(1, 7), mask | (rng.random() < 0.4)))
+        elif k % 4 == 1:  # dense random masks
+            terms = [(rng.randint(1, 7), rng.getrandbits(n + 1)) for _ in range(rng.randint(1, 16))]
+        elif k % 4 == 2:  # a few masks, each with both flip bits
+            for _ in range(rng.randint(1, 4)):
+                mask = rng.getrandbits(n) << 1
+                terms += [(rng.randint(1, 7), mask), (rng.randint(1, 7), mask | CONST_BIT)]
+        else:  # all ones, or all ones but one or two wires
+            for _ in range(rng.randint(1, 6)):
+                mask = all_wires & ~sum(1 << w for w in rng.sample(range(1, n + 1), rng.randint(0, min(2, n - 2))))
+                terms.append((rng.randint(1, 7), mask | (rng.random() < 0.5)))
+        inputs.append(ParityMatrix.from_terms(terms))
+    return inputs
 
 
-def test_expansion_places_the_current_frame_before_the_stacked_ones(grid2x3):
-    # one expansion realizes a column of the popped frame and one of a frame
-    # still on the stack, on the same wire: the popped frame's comes first, so
-    # its S needs no X, and the stacked term then takes the X it carries
-    synth = PhaseSynthesizer(ParityMatrix.from_terms([]), grid2x3)
-    synth.stack.append(_Frame(synth._add_terms([(1, parity_mask([1, 2], const=True))]), frozenset(range(1, 7)), None))
-    frame = _Frame(synth._add_terms([(2, parity_mask([1, 2])), (3, parity_mask([1, 2, 3]))]), frozenset(range(2, 7)), 1)
-    synth.fix_columns(frame)
-    assert synth.gates == [cnot(2, 1), Gate(GateKind.S, 1), Gate(GateKind.X, 1), Gate(GateKind.T, 1)]
-    assert synth.stack[0].cols == 0
-    assert frame.cols == 0b100  # x1⊕x3 is left for a later split
+def test_cofactor_invariant_holds_at_every_pop_and_expansion():
+    # the module docstring's invariant on real runs: a frame without a target is
+    # popped before any expansion; after a pop's collection the rows that held
+    # every popped column, the target's aside, hold none, the columns left are
+    # 1 at the target, 0 outside it and the candidates and nonzero on the
+    # candidates; no expansion changes or leaves single a stacked frame's columns
+    rng = random.Random(29)
+    graphs = [preset_graph(name) for name in PRESET_NAMES] + [grid_graph(3, 4), grid_graph(2, 5)]
+    graphs += [random_connected_graph(rng, rng.randint(3, 10)) for _ in range(17)]
+    expansions = stacked = 0  # expansions, and those made with columns waiting on the stack
+    for g in graphs:
+        n = g.num_vertices
+        for pm in _invariant_inputs(rng, n, 40):
+            synth, first = PhaseSynthesizer(pm, g), expansions
+            rows, fix_columns, expand = synth.rows, synth.fix_columns, synth._expand
+
+            def checked_fix(frame):
+                cols, target, candidates = frame.cols, frame.target, frame.candidates
+                assert target is not None or expansions == first
+                full = [j for j in range(1, n + 1) if j != target and rows[j] & cols == cols]
+                fix_columns(frame)
+                cols, on_candidates = frame.cols, 0
+                for j in candidates:
+                    on_candidates |= rows[j]
+                assert cols & ~on_candidates == 0
+                assert all(rows[j] & cols == 0 for j in range(1, n + 1) if j not in candidates and j != target)
+                if target is not None:
+                    assert rows[target] & cols == cols
+                    assert all(rows[j] & cols == 0 for j in full)
+
+            def checked_expand(frame, root, terminals):
+                nonlocal expansions, stacked
+                before = [f.cols for f in synth.stack]
+                expansions, stacked = expansions + 1, stacked + any(before)
+                expand(frame, root, terminals)
+                assert [f.cols for f in synth.stack] == before
+                ones = twos = 0
+                for r in rows:
+                    twos |= ones & r
+                    ones |= r
+                for cols in before:
+                    assert cols & ~twos == 0
+
+            synth.fix_columns, synth._expand = checked_fix, checked_expand
+            synth.run()
+            terms, state = extract_hfree(Circuit(n, tuple(synth.gates)))
+            assert terms == PhasePolySet(pm.columns)
+            assert list(state) == synth.wires
+    assert expansions > stacked > 1000
 
 
 def _pin_phase_inputs(rng, n):
