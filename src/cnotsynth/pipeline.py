@@ -10,12 +10,11 @@ and the loop emits the one with fewer CNOTs, the first on a tie:
 * the paper's rebuild: a phase network for the run's terms, then a linear
   restore of the input circuit's own map of the run.
 
-The segmented run's CNOTs are the rebuild's budget. A run with no CNOT is not
-rebuilt, and a rebuild stops at the Steiner expansion of its phase network or
-the column of its restore that reaches the budget, before its restore when the
-phase network alone reaches it. So no run costs more than its SWAP routing.
-Whether a one-CNOT run's rebuild reaches its budget is decided once per graph,
-qubit pair and presence of a two-variable term (see :func:`_slice_loop`).
+The segmented run's CNOTs are the rebuild's budget. A run with fewer than two
+CNOTs is not rebuilt (see :func:`_slice_loop`), and a rebuild stops at the
+Steiner expansion of its phase network or the column of its restore that
+reaches the budget, before its restore when the phase network alone reaches
+it. So no run costs more than its SWAP routing.
 The extraction writes every term and every run's map over the wires at the
 run's start, so each rebuild solves once, for its restore.
 
@@ -143,7 +142,7 @@ def _rebuild(
     return c_ph.gates + c_lin.gates, spent + cnot_count(c_lin)
 
 
-def _segmented(s: Slice, terms: PhasePolySet, g: ConnectivityGraph) -> tuple[list[Gate], int, Gate | None]:
+def _segmented(s: Slice, terms: PhasePolySet, g: ConnectivityGraph) -> tuple[list[Gate], int, int]:
     """The run with each CNOT routed alone and each of ``terms`` placed at its first phase gate.
 
     Each key of ``terms`` is first touched in this run, and at ``s.first_at[key]``
@@ -152,16 +151,16 @@ def _segmented(s: Slice, terms: PhasePolySet, g: ConnectivityGraph) -> tuple[lis
     coefficient merged into a term placed here or in an earlier run; a Y still
     flips its wire, as an X after them, or stays itself (Z then X, up to a
     global phase) when the coefficient placed at it is 4.
-    Returns the gates, their CNOTs, and the run's CNOT when it is its only one.
+    Returns the gates, their CNOTs, and how many CNOTs the run itself holds.
     """
     at = {s.first_at[key]: coeff for coeff, key in terms.terms()}
     cx, x, y = GateKind.CNOT, GateKind.X, GateKind.Y  # bound once: each GateKind.<name> costs a lookup
     out: list[Gate] = []
-    cost, lone = 0, None
+    cost = cnots = 0
     for j, gt in enumerate(s.gates):
         kind = gt.kind
         if kind is cx:
-            lone = None if cost else gt  # every route holds a CNOT
+            cnots += 1
             route = _route(g, gt.control, gt.target)
             out += route
             cost += len(route)
@@ -172,7 +171,7 @@ def _segmented(s: Slice, terms: PhasePolySet, g: ConnectivityGraph) -> tuple[lis
             out += placed
             if kind is y:
                 out.append(x_gate)
-    return out, cost, lone
+    return out, cost, cnots
 
 
 def _slice_loop(c: Circuit, g: ConnectivityGraph, partition: str) -> tuple[Circuit, ResynthesisReport]:
@@ -189,33 +188,19 @@ def _slice_loop(c: Circuit, g: ConnectivityGraph, partition: str) -> tuple[Circu
     are rows of the run's own invertible map, so none has a zero variable mask
     or reaches past x_n.
 
-    Whether the rebuild of a run with one CNOT(c, t) reaches its budget is
-    memoized on ``g`` beside the route memo, keyed by (c, t, whether the terms
-    hold a two-variable parity): at most 2n(n-1) verdicts, and graph equality
-    and hash ignore them. The key decides the verdict. The run's map is
-    I + e_t e_c^T up to constant bits, so x_c + x_t (with either constant) is
-    its only parity over two variables; constants and one-variable terms cost
-    X and phase gates, never a CNOT, in either synthesizer; and the budget is
-    ``len(_route(g, c, t))``. A losing verdict skips the rebuild. A winning
-    one still rebuilds, as the X and phase gates follow the coefficients.
+    A run with fewer than two CNOTs is emitted segmented: no rebuild of a lone
+    CNOT beats its route, proven in two of three cases and searched in the third
+    (README). Correctness does not rest on it; a segmented run is always valid.
     """
     t0 = time.perf_counter()
     n = g.num_vertices
-    loses = g.__dict__.setdefault("_lone_loses", {})
     out: list[Gate] = []
     per_slice: list[int] = []
     for s in extract_sliced(_pad(c, n)).slices:
         terms = getattr(s, partition)
-        block, cost, lone = _segmented(s, terms, g)
-        key = None
-        if lone is not None:  # is any term's parity over two variables?
-            key = (lone.control, lone.target, any((p >> 1).bit_count() > 1 for _, p in terms.terms()))
-        if cost and not loses.get(key):
-            rebuilt = _rebuild(ParityMatrix(terms.terms()), s.map, g, cost)
-            if key:
-                loses[key] = rebuilt is None
-            if rebuilt is not None:
-                block, cost = rebuilt
+        block, cost, cnots = _segmented(s, terms, g)
+        if cnots > 1 and (rebuilt := _rebuild(ParityMatrix(terms.terms()), s.map, g, cost)) is not None:
+            block, cost = rebuilt
         per_slice.append(cost)
         out += block
         if s.h is not None:

@@ -71,21 +71,8 @@ def _parity_values(p: int, n: int, rows: np.ndarray) -> np.ndarray:
     return _PARITY[rows & mask] ^ (p & CONST_BIT)
 
 
-def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
-    """Apply a circuit to a state array of shape (2,)*n (+ optional batch axes).
-
-    Each maximal H-free run is one affine row permutation and one phase vector;
-    each H is an unnormalised in-place butterfly, and the 1/sqrt(2) factors and
-    the Y gates' global phase are one scale at the end. A complex C-contiguous
-    input is consumed; use the returned array.
-    """
-    _check_size(c.num_qubits)
-    psi = _apply(c, np.ascontiguousarray(state, dtype=complex).reshape(2**c.num_qubits, -1), None)
-    return psi.reshape(np.shape(state))
-
-
 def _apply(c: Circuit, psi: np.ndarray, spare: np.ndarray | None) -> np.ndarray:
-    """:func:`apply_circuit` on rows ``psi`` of shape (2^n, batch).
+    """Apply ``c`` to rows ``psi`` of shape (2^n, batch), in place where it can; use the returned array.
 
     ``spare`` is a buffer of ``psi``'s shape for the row gather, allocated on first use.
     """

@@ -272,9 +272,9 @@ def test_cnot_free_run_is_not_rebuilt(monkeypatch):
         g = preset_graph("9q-square")
         calls.clear()
         out, _ = resynthesize(c, g, algo)
-        assert len(calls) == 2, algo  # the first and third runs hold a CNOT
+        assert len(calls) == 1, algo  # only the third run holds two CNOTs
         assert equivalent_up_to_phase(c, out)
-        # on the same graph again, the first run's lone CNOT is known to lose
+        # on the same graph again, with warm memos
         calls.clear()
         assert resynthesize(c, g, algo)[0] == out
         assert len(calls) == 1, algo
@@ -303,28 +303,64 @@ def test_tie_emits_the_segmented_run(algo):
     assert out.gates == gates
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_lone_cnot_rebuild_cost_depends_only_on_the_memo_key(name):
+def _sparse_connected_graph(rng, n):
+    """A random spanning tree on n shuffled vertices plus up to three random edges.
+
+    ``random_connected_graph``'s edge probability 0.4 leaves few pairs at distance
+    above 2; a tree keeps long paths, and the shuffle keeps labels off its shape.
+    """
+    order = rng.sample(range(1, n + 1), n)
+    edges = [(v, order[rng.randrange(i)]) for i, v in enumerate(order) if i]
+    edges += [rng.sample(range(1, n + 1), 2) for _ in range(rng.randint(0, 3))]
+    return ConnectivityGraph.from_edges(n, edges)
+
+
+def _relabelled(g, rng):
+    perm = rng.sample(g.vertices, g.num_vertices)
+    return ConnectivityGraph.from_edges(g.num_vertices, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])
+
+
+def _one_cnot_graphs(family):
+    if family in PRESET_NAMES:
+        return [preset_graph(family)]
+    rng = random.Random(family)
+    if family == "sparse":
+        return [_sparse_connected_graph(rng, n) for n in range(8, 21, 3)]
+    return [_relabelled(grid_graph(rows, cols), rng) for rows, cols in ((3, 4), (4, 4))]
+
+
+@pytest.mark.parametrize("family", [*PRESET_NAMES, "sparse", "relabelled-grids"])
+def test_one_cnot_rebuild_never_beats_its_route(family):
     # the run's map is I + e_t e_c^T up to constants, so x_c + x_t, with either
     # constant, is its only two-variable parity; constants cost no CNOT
-    g = preset_graph(name)
-    n = g.num_vertices
     x, t, s = _one_qubit(GateKind.X), _one_qubit(GateKind.T), _one_qubit(GateKind.S)
-    for control in g.vertices:
-        for target in g.vertices:
-            if control == target:
-                continue
-            base = (x(control), cnot(control, target))
-            spent = []
-            # no term; the term 1 + x_c + x_t; and the terms 1 + x_c + x_t and x_c + x_t
-            for run in (base, base + (t(target),), base + (t(target), x(target), s(target))):
-                terms, state = extract_hfree(Circuit(n, run))
-                spent.append(_rebuild(ParityMatrix(terms.terms()), state, g)[1])
-            assert min(spent) >= len(_route(g, control, target)), (control, target)
-            assert spent[1] == spent[2], (control, target)
+    z, y, tdg = _one_qubit(GateKind.Z), _one_qubit(GateKind.Y), _one_qubit(GateKind.TDG)
+    for g in _one_cnot_graphs(family):
+        n = g.num_vertices
+        for control in g.vertices:
+            for target in g.vertices:
+                if control == target:
+                    continue
+                route = len(_route(g, control, target))
+                base = (x(control), cnot(control, target))
+                spent = []
+                # no term; the term 1 + x_c + x_t; and the terms 1 + x_c + x_t and x_c + x_t
+                for run in (base, base + (t(target),), base + (t(target), x(target), s(target))):
+                    terms, state = extract_hfree(Circuit(n, run))
+                    spent.append(_rebuild(ParityMatrix(terms.terms()), state, g)[1])
+                assert min(spent) >= route, (control, target)
+                assert spent[1] == spent[2], (control, target)
+                # a T on the control, the CNOT, then each tail on the target; the
+                # budgeted rebuild is None exactly when it would cost the route or more
+                head = (t(control), cnot(control, target))
+                tails = [(), (t(target),), (s(target),), (z(target),), (y(target),)]
+                tails += [(t(control), t(target)), (x(target), tdg(target))]
+                for tail in tails:
+                    terms, state = extract_hfree(Circuit(n, head + tail))
+                    assert _rebuild(ParityMatrix(terms.terms()), state, g, route) is None, (control, target, tail)
 
 
-def test_warm_verdict_memo_changes_no_output():
+def test_warm_graph_changes_no_output():
     rng = random.Random("warm")
     for name in PRESET_NAMES:
         warm = preset_graph(name)
@@ -332,7 +368,7 @@ def test_warm_verdict_memo_changes_no_output():
         for algo in ("opt-a", "opt-b"):
             for c in circuits:
                 resynthesize(c, warm, algo)
-        assert warm.__dict__["_lone_loses"], name
+        assert warm.__dict__["_route"] and warm.__dict__["_bfs"], name
         for algo in ("opt-a", "opt-b"):
             fresh = ConnectivityGraph.from_edges(warm.num_vertices, warm.edges)
             for c in circuits:
@@ -341,25 +377,26 @@ def test_warm_verdict_memo_changes_no_output():
                 assert out == cold and report.per_slice_cnots == cold_report.per_slice_cnots, (name, algo)
 
 
-def test_winning_lone_rebuild_is_redone_on_every_run(monkeypatch):
-    calls = []
+def test_one_cnot_run_is_never_rebuilt(monkeypatch):
+    budgets = []
 
     def stand_in(pm, target, g, budget):
-        # wins with no CNOT: a T on the wire numbered by each term's coefficient
-        calls.append(pm)
-        return tuple(Gate(GateKind.T, coeff) for coeff, _ in pm.columns), 0
+        # always wins: one Z and no CNOT
+        budgets.append(budget)
+        return (Gate(GateKind.Z, 9),), 0
 
     monkeypatch.setattr(pipeline, "_rebuild", stand_in)
     g = preset_graph("9q-square")
-    t, s, h = _one_qubit(GateKind.T), _one_qubit(GateKind.S), _one_qubit(GateKind.H)
-    # two runs with CNOT(1, 9) alone and one term on x1: coefficient 1, then 2
-    c = Circuit(9, (cnot(1, 9), t(1), h(1), cnot(1, 9), s(1)))
+    t, s, h, z = _one_qubit(GateKind.T), _one_qubit(GateKind.S), _one_qubit(GateKind.H), _one_qubit(GateKind.Z)
+    # two runs with CNOT(1, 9) alone, then a run with two CNOTs
+    c = Circuit(9, (cnot(1, 9), t(1), h(1), cnot(1, 9), s(1), h(1), cnot(1, 9), cnot(2, 8), t(2)))
+    route = _route(g, 1, 9)
     for algo in ("opt-a", "opt-b"):
-        calls.clear()
+        budgets.clear()
         out, report = resynthesize(c, g, algo)
-        assert out.gates == (t(1), h(1), t(2)) and report.per_slice_cnots == (0, 0), algo
-        assert len(calls) == 2, algo
-    assert g.__dict__["_lone_loses"] == {(1, 9, False): False}
+        assert out.gates == route + (t(1), h(1)) + route + (s(1), h(1), z(9)), algo
+        assert report.per_slice_cnots == (12, 12, 0), algo
+        assert budgets == [len(route) + len(_route(g, 2, 8))], algo
 
 
 @pytest.mark.parametrize("algo", ["opt-a", "opt-b"])
@@ -541,12 +578,9 @@ def test_bfs_memo_bounded_and_unchanged_by_callers():
     # the whole graph and the suffix sets {i..n} of linear synthesis, one BFS per source
     assert n < entries <= (n + 1) * n
     assert n < len(g.__dict__["_route"]) <= n * (n - 1)  # one routing per ordered qubit pair
-    # one verdict per ordered pair and presence of a two-variable term; no gates
-    loses = g.__dict__["_lone_loses"]
-    assert 0 < len(loses) <= 2 * n * (n - 1)
-    assert all(type(verdict) is bool for verdict in loses.values())
     fresh = ConnectivityGraph.from_edges(n, g.edges)
-    assert "_bfs" not in fresh.__dict__ and "_lone_loses" not in fresh.__dict__
+    # the pipelines add only the adjacency, BFS and route memos to the graph
+    assert set(g.__dict__) - set(fresh.__dict__) == {"_adj", "_bfs", "_route"}
     assert g == fresh and hash(g) == hash(fresh)  # the memo is not part of the graph's value
     for active, table in memo.items():
         for source, (dist, parent) in table.items():
