@@ -53,28 +53,22 @@ def f2_row_reduce(rows: list[int]) -> tuple[list[int], list[int]]:
 
     Returns (basis, combos): ``basis[k]`` is a reduced row and ``combos[k]`` the
     parity over the *input* rows producing it: bit i+1 set when input row i is
-    used, bit 0 the XOR of the used rows' constants.
+    used, bit 0 the XOR of the used rows' constants. Each row's pivot bits are
+    cleared top first; every nonzero span element's top bit is a pivot, so the
+    residual and combo are unique.
     """
     pivots: dict[int, tuple[int, int]] = {}  # pivot bit_length -> (basis row, combo), in basis order
     pmask = 0
     for i, row in enumerate(rows):
-        cur, combo = _reduce_against(row & ~CONST_BIT, (1 << (i + 1)) | (row & CONST_BIT), pivots, pmask)
+        cur, combo = row & ~CONST_BIT, (1 << (i + 1)) | (row & CONST_BIT)
+        while m := cur & pmask:
+            b, c = pivots[m.bit_length()]
+            cur ^= b
+            combo ^= c
         if cur:
             pivots[cur.bit_length()] = (cur, combo)
             pmask |= 1 << (cur.bit_length() - 1)
     return [b for b, _ in pivots.values()], [c for _, c in pivots.values()]
-
-
-def _reduce_against(cur: int, combo: int, pivots: dict[int, tuple[int, int]], pmask: int) -> tuple[int, int]:
-    """Clear ``cur``'s pivot bits (``pmask``), top first, with ``pivots``: bit_length -> (row, combo).
-
-    Every nonzero span element's top bit is a pivot, so the residual and combo are unique.
-    """
-    while m := cur & pmask:
-        b, c = pivots[m.bit_length()]
-        cur ^= b
-        combo ^= c
-    return cur, combo
 
 
 def f2_solve(rows: list[int], targets: list[int]) -> list[int | None]:
@@ -89,7 +83,11 @@ def f2_solve(rows: list[int], targets: list[int]) -> list[int | None]:
     pmask = sum(1 << (b.bit_length() - 1) for b in basis)  # pivots are distinct
     out: list[int | None] = []
     for t in targets:
-        cur, combo = _reduce_against(t & ~CONST_BIT, t & CONST_BIT, pivots, pmask)
+        cur, combo = t & ~CONST_BIT, t & CONST_BIT
+        while m := cur & pmask:
+            b, c = pivots[m.bit_length()]
+            cur ^= b
+            combo ^= c
         out.append(None if cur else combo)
     return out
 

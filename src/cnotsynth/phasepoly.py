@@ -7,7 +7,9 @@ variable x_{n+j}. The sliced extraction cuts the circuit at its H gates into
 the runs the slice-and-build pipelines rebuild, and folds each run's own map
 from the identity, so it writes every phase term over the wires at the start
 of its run as it goes, and no term needs an F2 reduction to be placed or
-rebased.
+rebased. It folds each phase gate into the one term partition its caller
+reads: a run's own terms, or the terms whose parity a phase gate first touches
+in it. Nothing in the library reads the whole circuit's terms.
 """
 
 from __future__ import annotations
@@ -61,58 +63,57 @@ class Slice:
     ``gates`` is the run, a slice of the input's gates, and ``h`` the wire of
     the H that ends it (None for the last run). The rest is written over the
     wires at the run's start: ``map`` is the state at its end, as f2_solve
-    would return it; ``own_terms`` are the terms its own phase gates make, each
-    at the key its wire then holds; ``first_terms`` are the terms whose
-    parity a phase gate first touches in this run. The ``first_terms`` of all
-    runs together are exactly the circuit's terms. ``first_at`` maps each key
-    a phase gate of the run touches, cancelled ones included, to the index in
-    ``gates`` of the first such gate, where the wire holds exactly that key.
+    would return it, and ``terms`` the run's share of the partition the
+    extraction was asked for. Under ``"own"`` they are the terms its own phase
+    gates make, each at the key its wire then holds; under ``"first"`` the
+    terms whose parity a phase gate first touches in this run, and those of
+    all runs together are exactly the circuit's terms. ``first_at`` maps each
+    key a phase gate of the run touches, cancelled ones included, to the index
+    in ``gates`` of the first such gate, where the wire holds exactly that key.
     """
 
     gates: tuple[Gate, ...]
     h: int | None
     map: tuple[int, ...]
-    own_terms: PhasePolySet
-    first_terms: PhasePolySet
+    terms: PhasePolySet
     first_at: dict[int, int]
 
 
 @dataclass(frozen=True)
 class SlicedExtraction:
-    """The whole circuit's phase polynomial ``terms`` and final ``state``, and its H-free runs.
+    """The circuit's final wire ``state`` and its H-free runs."""
 
-    :func:`extract_hfree` returns ``terms`` and ``state`` of a one-run circuit.
-    """
-
-    terms: PhasePolySet
     state: tuple[int, ...]
     slices: tuple[Slice, ...]
 
 
-def extract_sliced(c: Circuit) -> SlicedExtraction:
+def extract_sliced(c: Circuit, partition: str) -> SlicedExtraction:
     """Full-circuit extraction where each H gate introduces a fresh path variable.
 
     Beside the wire states it folds each run's own map, restarted from the
     identity at the run's start, so every phase gate's parity is also known
-    over the wires at the start of its run. Both term partitions of a
-    :class:`Slice` hold their terms in that frame.
+    over the wires at the start of its run, the frame of every
+    :class:`Slice`'s terms. Each phase gate is folded into the one partition
+    ``partition`` names, ``"own"`` or ``"first"``.
 
-    Each parity belongs to the run where a phase gate first touches it, and
-    every later coefficient on it is added into that run's term, even after
-    they cancel to 0. Within one run a parity and its expression over the
-    start wires determine each other, because the start state's rows are
-    independent: the fold starts from the identity, a CNOT adds one row into
-    another and an H swaps a row for a fresh variable.
+    Under ``"first"`` each parity belongs to the run where a phase gate first
+    touches it, and every later coefficient on it is added into that run's
+    term, even after they cancel to 0. Within one run a parity and its
+    expression over the start wires determine each other, because the start
+    state's rows are independent: the fold starts from the identity, a CNOT
+    adds one row into another and an H swaps a row for a fresh variable.
     """
+    if partition not in ("own", "first"):
+        raise ValueError(f"unknown partition {partition!r}; expected own or first")
+    by_first = partition == "first"
     n = c.num_qubits
     gates = c.gates
     identity = identity_state(n)
-    terms = PhasePolySet()
     state = list(identity)
     local = list(identity)
     slices: list[Slice] = []
-    own, first, first_at = PhasePolySet(), PhasePolySet(), {}
-    owner: dict[int, tuple[PhasePolySet, int]] = {}  # parity -> (its run's terms, its key there)
+    terms, first_at = PhasePolySet(), {}
+    owner: dict[int, tuple[PhasePolySet, int]] = {}  # under "first": parity -> (its run's terms, its key there)
     fresh, start = n, 0
     cx, h, x, y = GateKind.CNOT, GateKind.H, GateKind.X, GateKind.Y  # bound once: each GateKind.<name> costs a lookup
     for k, g in enumerate(gates):
@@ -123,34 +124,35 @@ def extract_sliced(c: Circuit) -> SlicedExtraction:
             local[i] ^= local[g.control - 1]
             continue
         if kind is h:
-            slices.append(Slice(gates[start:k], g.target, tuple(local), own, first, first_at))
+            slices.append(Slice(gates[start:k], g.target, tuple(local), terms, first_at))
             fresh += 1
             state[i] = 1 << fresh
             start = k + 1
             local = list(identity)
-            own, first, first_at = PhasePolySet(), PhasePolySet(), {}
+            terms, first_at = PhasePolySet(), {}
             continue
         if kind is not x:
-            coeff = PHASE_COEFF[kind]
-            parity, key = state[i], local[i]
-            terms.add(coeff, parity)
-            own.add(coeff, key)
+            key = local[i]
             first_at.setdefault(key, k - start)
-            home, home_key = owner.setdefault(parity, (first, key))
-            home.add(coeff, home_key)
+            if by_first:
+                home, key = owner.setdefault(state[i], (terms, key))
+                home.add(PHASE_COEFF[kind], key)
+            else:
+                terms.add(PHASE_COEFF[kind], key)
         if kind is x or kind is y:
             state[i] ^= CONST_BIT
             local[i] ^= CONST_BIT
-    slices.append(Slice(gates[start:], None, tuple(local), own, first, first_at))
-    return SlicedExtraction(terms, tuple(state), tuple(slices))
+    slices.append(Slice(gates[start:], None, tuple(local), terms, first_at))
+    return SlicedExtraction(tuple(state), tuple(slices))
 
 
 def extract_hfree(c: Circuit) -> tuple[PhasePolySet, tuple[int, ...]]:
-    """Phase-polynomial set and final qubit state of an H-free circuit, its one :func:`extract_sliced` run."""
-    ex = extract_sliced(c)
+    """Phase-polynomial set and final qubit state of an H-free circuit: its one run's ``terms`` and ``map``."""
+    ex = extract_sliced(c, "own")
     if len(ex.slices) > 1:
         raise ValueError("H gate not allowed in an H-free extraction")
-    return ex.terms, ex.state
+    (only,) = ex.slices
+    return only.terms, only.map
 
 
 def uncomputable_terms(p: PhasePolySet, q_in: tuple[int, ...], q_out: tuple[int, ...]) -> PhasePolySet:
@@ -158,7 +160,7 @@ def uncomputable_terms(p: PhasePolySet, q_in: tuple[int, ...], q_out: tuple[int,
 
     The paper's CNOT-OPT-B rule. No pipeline calls it:
     :func:`~cnotsynth.pipeline.cnot_opt_b` places each term in the run where it
-    first appears (``Slice.first_terms``).
+    first appears (``extract_sliced(c, "first")``).
     The affine constant never blocks realizability (an X gate supplies it).
     """
     terms = p.terms()

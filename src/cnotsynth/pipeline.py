@@ -37,7 +37,7 @@ from dataclasses import astuple, dataclass
 from .circuit import Circuit, Gate, GateKind, cnot, cnot_count
 from .linalg import AugmentedTransform, OverBudget, ParityMatrix, f2_solve
 from .linsynth import _subtrees, linear_tf_synth
-from .phasepoly import PhasePolySet, Slice, extract_sliced
+from .phasepoly import Slice, extract_sliced
 from .phasesynth import phase_gates, phase_nw_synth
 from .topology import ConnectivityGraph, merge_path
 
@@ -142,10 +142,10 @@ def _rebuild(
     return c_ph.gates + c_lin.gates, spent + cnot_count(c_lin)
 
 
-def _segmented(s: Slice, terms: PhasePolySet, g: ConnectivityGraph) -> tuple[list[Gate], int, int]:
-    """The run with each CNOT routed alone and each of ``terms`` placed at its first phase gate.
+def _segmented(s: Slice, g: ConnectivityGraph) -> tuple[list[Gate], int, int]:
+    """The run with each CNOT routed alone and each of ``s.terms`` placed at its first phase gate.
 
-    Each key of ``terms`` is first touched in this run, and at ``s.first_at[key]``
+    Each key of ``s.terms`` is first touched in this run, and at ``s.first_at[key]``
     its wire holds exactly that key, so its merged coefficient lands there by
     :func:`~cnotsynth.phasesynth.phase_gates`. Every other phase gate goes, its
     coefficient merged into a term placed here or in an earlier run; a Y still
@@ -153,7 +153,7 @@ def _segmented(s: Slice, terms: PhasePolySet, g: ConnectivityGraph) -> tuple[lis
     global phase) when the coefficient placed at it is 4.
     Returns the gates, their CNOTs, and how many CNOTs the run itself holds.
     """
-    at = {s.first_at[key]: coeff for coeff, key in terms.terms()}
+    at = {s.first_at[key]: coeff for coeff, key in s.terms.terms()}
     cx, x, y = GateKind.CNOT, GateKind.X, GateKind.Y  # bound once: each GateKind.<name> costs a lookup
     out: list[Gate] = []
     cost = cnots = 0
@@ -177,9 +177,9 @@ def _segmented(s: Slice, terms: PhasePolySet, g: ConnectivityGraph) -> tuple[lis
 def _slice_loop(c: Circuit, g: ConnectivityGraph, partition: str) -> tuple[Circuit, ResynthesisReport]:
     """Emit each H-free run as the cheaper of its segmented run and its rebuild, then its H.
 
-    ``partition`` names the terms of each run's :class:`Slice` that the
-    pipeline takes, ``own_terms`` or ``first_terms``; both candidates realize
-    them, the segmented run by :func:`_segmented`. The rebuild's terms are
+    ``partition`` names the terms the extraction gives each run's
+    :class:`Slice`, ``"own"`` or ``"first"``; both candidates realize them,
+    the segmented run by :func:`_segmented`. The rebuild's terms are
     written over the wires at the run's start, and its restore target is the
     input circuit's own map of the run over the same wires, so every per-run
     linear transformation matches the original. The terms enter the phase
@@ -196,10 +196,9 @@ def _slice_loop(c: Circuit, g: ConnectivityGraph, partition: str) -> tuple[Circu
     n = g.num_vertices
     out: list[Gate] = []
     per_slice: list[int] = []
-    for s in extract_sliced(_pad(c, n)).slices:
-        terms = getattr(s, partition)
-        block, cost, cnots = _segmented(s, terms, g)
-        if cnots > 1 and (rebuilt := _rebuild(ParityMatrix(terms.terms()), s.map, g, cost)) is not None:
+    for s in extract_sliced(_pad(c, n), partition).slices:
+        block, cost, cnots = _segmented(s, g)
+        if cnots > 1 and (rebuilt := _rebuild(ParityMatrix(s.terms.terms()), s.map, g, cost)) is not None:
             block, cost = rebuilt
         per_slice.append(cost)
         out += block
@@ -216,7 +215,7 @@ def cnot_opt_a(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisRe
     term at its first phase gate; the rebuild is the paper's phase network and
     linear restore for the run's own (P, Q) summary.
     """
-    return _slice_loop(c, g, "own_terms")
+    return _slice_loop(c, g, "own")
 
 
 def cnot_opt_b(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisReport]:
@@ -227,7 +226,7 @@ def cnot_opt_b(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisRe
     placed at the first phase gate on its parity, or the phase network for its
     terms followed by the restore of the input circuit's qubit states at its end.
     """
-    return _slice_loop(c, g, "first_terms")
+    return _slice_loop(c, g, "first")
 
 
 def resynthesize(c: Circuit, g: ConnectivityGraph, algo: str) -> tuple[Circuit, ResynthesisReport]:

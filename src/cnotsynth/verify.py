@@ -4,9 +4,9 @@ The dense simulator uses the convention |x1 x2 ... xn> with qubit 1 on the most
 significant axis, T = diag(1, e^{i pi/4}), and CNOT|c,t> = |c, c XOR t>.
 
 It works on one array of 2^n rows (times any batch axes) in the sum-over-paths
-form. Each run of :func:`~cnotsynth.phasepoly.extract_sliced` maps |x> to i^{#Y}
-omega^{f(x)} |Q(x)>, with f its own terms and Q its map, both over the wires at
-the run's start; it costs one phase-vector multiply and one row gather, each
+form. Each run of :func:`~cnotsynth.phasepoly.extract_sliced`, folded into its
+``"own"`` partition, maps |x> to i^{#Y} omega^{f(x)} |Q(x)>, with f its terms and
+Q its map, both over the wires at the run's start; it costs one phase-vector multiply and one row gather, each
 skipped when it is the identity. The H that ends a run is an unnormalised
 in-place butterfly. The 1/sqrt(2) per H and the i per Y are one scalar applied
 at the end. :func:`equivalent_up_to_phase` applies the second circuit's inverse
@@ -80,9 +80,9 @@ def _apply(c: Circuit, psi: np.ndarray, spare: np.ndarray | None) -> np.ndarray:
     rows = np.arange(2**n)
     identity = identity_state(n)
     pending_h = 0
-    for s in extract_sliced(c).slices:
-        if s.own_terms:
-            exponent = sum(coeff * _parity_values(p, n, rows) for coeff, p in s.own_terms.terms())
+    for s in extract_sliced(c, "own").slices:
+        if s.terms:
+            exponent = sum(coeff * _parity_values(p, n, rows) for coeff, p in s.terms.terms())
             psi *= _OMEGA_POWERS[exponent % 8][:, None]
         if s.map != identity:
             dest = sum(_parity_values(p, n, rows) << (n - q) for q, p in enumerate(s.map, 1))
@@ -123,11 +123,11 @@ def _inverse(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
 def _unshared_middles(c1: Circuit, c2: Circuit) -> tuple[tuple[Gate, ...], tuple[Gate, ...]] | None:
     """The gates of ``c1`` and ``c2`` left once their shared end runs are cut; None if every run is shared.
 
-    From the front, (run, H) pairs go while both runs have equal ``own_terms``
+    From the front, (run, H) pairs go while both runs have equal own ``terms``
     and ``map`` and the H is on the same wire; from the back, (H, run) pairs
     alike. Each end stops at its first mismatch; at most min(H1, H2) H gates go.
     """
-    k1, k2 = ([(s.h, s.own_terms, s.map) for s in extract_sliced(c).slices] for c in (c1, c2))
+    k1, k2 = ([(s.h, s.terms, s.map) for s in extract_sliced(c, "own").slices] for c in (c1, c2))
     if k1 == k2:
         return None
     cap, lead, trail = min(len(k1), len(k2)) - 1, 0, 0
@@ -142,7 +142,7 @@ def _unshared_middles(c1: Circuit, c2: Circuit) -> tuple[tuple[Gate, ...], tuple
 def equivalent_up_to_phase(c1: Circuit, c2: Circuit) -> bool:
     """Dense check that U(c2)^-1 U(c1) = e^{i theta} I within ``_TOL`` per entry (n <= 12).
 
-    A run acts as i^{#Y} omega^{f(x)} |Q(x)>, f its ``own_terms`` and Q its
+    A run acts as i^{#Y} omega^{f(x)} |Q(x)>, f its own ``terms`` and Q its
     ``map`` over its own start wires, so runs with equal fields are one unitary
     up to a phase. With c1 = P M1 S and c2 = P' M2 S' in time order, P, P' and
     S, S' equal run by run and H by H (:func:`_unshared_middles`),

@@ -168,6 +168,55 @@ def hfree_fold(gates, state, terms=None):
     return terms, tuple(state)
 
 
+def hfree_runs(c):
+    """The H-free gate runs of ``c`` between its H gates, as gate tuples."""
+    runs = [[]]
+    for gt in c.gates:
+        if gt.kind is GateKind.H:
+            runs.append([])
+        else:
+            runs[-1].append(gt)
+    return [tuple(run) for run in runs]
+
+
+def run_starts(c):
+    """The wire state at the start of each H-free run, from :func:`reference_fold`."""
+    return [identity_state(c.num_qubits)] + [q_out for _, _, q_out in reference_fold(c)[1]]
+
+
+def circuit_terms(c):
+    """The whole circuit's phase polynomial: each run folded by :func:`hfree_fold` from its start state."""
+    terms = PhasePolySet()
+    for run, start in zip(hfree_runs(c), run_starts(c)):
+        terms, _ = hfree_fold(run, start, terms)
+    return terms
+
+
+def partition_fold(c, partition):
+    """Each H-free run's terms in ``partition``, over the wires at the run's start, written apart from the library.
+
+    ``"own"``: the terms of the run's own phase gates, folded by :func:`hfree_fold`
+    from the identity. ``"first"``: every coefficient on a parity goes to the
+    first run whose phase gates touch it (:func:`reference_fold`'s ``touched``),
+    at the key the parity had at that first touch, even after it cancels to 0.
+    """
+    n = c.num_qubits
+    runs = hfree_runs(c)
+    if partition == "own":
+        return [hfree_fold(run, identity_state(n))[0] for run in runs]
+    touched = reference_fold(c)[0]
+    out = [PhasePolySet() for _ in runs]
+    keys = {}  # parity -> its key at its first touch
+    for run, start in zip(runs, run_starts(c)):
+        for k, gt in enumerate(run):
+            if gt.kind in PHASE_COEFF:
+                # the parity and the key are the wire's states after the run's gates before it
+                parity = hfree_fold(run[:k], start)[1][gt.target - 1]
+                key = keys.setdefault(parity, hfree_fold(run[:k], identity_state(n))[1][gt.target - 1])
+                out[touched[parity][0]].add(PHASE_COEFF[gt.kind], key)
+    return out
+
+
 def traced(synth, *args, events=None):
     """Call ``synth(*args)`` with a trace sink; return its result and the events it received.
 

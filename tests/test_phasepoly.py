@@ -16,7 +16,18 @@ from cnotsynth.phasepoly import (
 )
 from cnotsynth.pipeline import cnot_opt_b, random_circuit
 from cnotsynth.topology import ConnectivityGraph
-from tests.conftest import APPENDIX_PHASE_TERMS, f2_rank, hfree_fold, reference_fold
+from tests.conftest import (
+    APPENDIX_PHASE_TERMS,
+    circuit_terms,
+    f2_rank,
+    hfree_fold,
+    hfree_runs,
+    partition_fold,
+    reference_fold,
+    run_starts,
+)
+
+PARTITIONS = ("own", "first")
 
 
 def test_single_t():
@@ -127,17 +138,18 @@ def test_appendix_network_extraction_survives_serialization(grid2x3):
 def test_sliced_consistent_with_hfree():
     rng = random.Random(5)
     c = _random_hfree(rng, 4, 15)
-    ext = extract_sliced(c)
     terms, q = hfree_fold(c.gates, identity_state(4))
-    [only] = ext.slices
-    assert only.gates == c.gates and only.h is None
-    assert ext.terms == terms and ext.state == q
+    for partition in PARTITIONS:
+        ext = extract_sliced(c, partition)
+        [only] = ext.slices
+        assert only.gates == c.gates and only.h is None
+        assert only.terms == terms and only.map == ext.state == q
 
 
 def test_single_h():
     c = Circuit(1, (Gate(GateKind.H, 1),))
-    ext = extract_sliced(c)
-    assert len(ext.terms) == 0
+    ext = extract_sliced(c, "own")
+    assert len(circuit_terms(c)) == 0 and not any(s.terms for s in ext.slices)
     assert [(s.gates, s.h) for s in ext.slices] == [((), 1), ((), None)]
     assert ext.state == (parity_mask([2]),)  # x_{n + the H count}
     assert reference_fold(c)[1] == [(1, (parity_mask([1]),), (parity_mask([2]),))]
@@ -145,9 +157,12 @@ def test_single_h():
 
 def test_t_h_t():
     c = Circuit(1, (Gate(GateKind.T, 1), Gate(GateKind.H, 1), Gate(GateKind.T, 1)))
-    ext = extract_sliced(c)
-    assert ext.terms == PhasePolySet([(1, parity_mask([1])), (1, parity_mask([2]))])
-    assert [s.h for s in ext.slices] == [1, None]
+    assert circuit_terms(c) == PhasePolySet([(1, parity_mask([1])), (1, parity_mask([2]))])
+    for partition in PARTITIONS:
+        ext = extract_sliced(c, partition)
+        # each T is on wire 1's start parity of its run: x1, then x2 after the H
+        assert [s.terms for s in ext.slices] == [PhasePolySet([(1, parity_mask([1]))])] * 2
+        assert [s.h for s in ext.slices] == [1, None]
     [(wire, q_in, q_out)] = reference_fold(c)[1]
     assert q_in == (parity_mask([1]),) and q_out == (parity_mask([2]),)
 
@@ -155,7 +170,8 @@ def test_t_h_t():
 def test_fresh_variable_numbering():
     c = Circuit(2, (Gate(GateKind.H, 2), Gate(GateKind.H, 2), Gate(GateKind.H, 1)))
     assert [q_out[wire - 1] for wire, _, q_out in reference_fold(c)[1]] == [1 << 3, 1 << 4, 1 << 5]
-    assert extract_sliced(c).state == (1 << 5, 1 << 4)  # the last of n + the H count variables
+    for partition in PARTITIONS:
+        assert extract_sliced(c, partition).state == (1 << 5, 1 << 4)  # the last of n + the H count variables
 
 
 def test_slice_gates_and_hs_rebuild_the_input():
@@ -203,7 +219,7 @@ def test_uncomputable_matches_two_solve_definition():
     for _ in range(300):
         n = rng.randint(2, 6)
         c = random_circuit(n, rng.randint(1, 30), rng)
-        remaining = PhasePolySet(extract_sliced(c).terms.terms())
+        remaining = circuit_terms(c)
         for _, q_in, q_out in reference_fold(c)[1]:
             assert f2_rank(list(q_in)) == n
             terms = remaining.terms()
@@ -298,12 +314,12 @@ def _expand(pm, basis):
     return out
 
 
-def _random_extractions(seed, count):
+def _random_extractions(seed, count, partition="own"):
     # random_circuit draws all nine gate kinds, X and Y included
     rng = random.Random(seed)
     for _ in range(count):
         c = random_circuit(rng.randint(2, 9), rng.randint(0, 30), rng)
-        yield c, extract_sliced(c)
+        yield c, extract_sliced(c, partition)
 
 
 def test_slice_maps_equal_f2_solve_of_slice_ends():
@@ -312,30 +328,25 @@ def test_slice_maps_equal_f2_solve_of_slice_ends():
         hs = reference_fold(c)[1]
         ends = [q_in for _, q_in, _ in hs] + [ext.state]
         assert len(ext.slices) == len(ends)
-        for start, end, s in zip(_slice_starts(c), ends, ext.slices):
+        for start, end, s in zip(run_starts(c), ends, ext.slices):
             assert s.map == tuple(f2_solve(list(start), list(end)))
             flips += sum(row & CONST_BIT for row in s.map)
     assert flips > 100
 
 
-def _slice_starts(c):
-    return [identity_state(c.num_qubits)] + [q_out for _, _, q_out in reference_fold(c)[1]]
-
-
 def test_slice_terms_partition_terms_by_first_appearance():
     moved = 0
-    for c, ext in _random_extractions(29, 300):
+    for c, ext in _random_extractions(29, 300, "first"):
         touched, hs = reference_fold(c)
         assert len(ext.slices) == len(hs) + 1
         merged = PhasePolySet()
-        for k, (s, start) in enumerate(zip(ext.slices, _slice_starts(c))):
-            terms = s.first_terms
-            for coeff, parity in _expand(ParityMatrix.from_terms(terms.terms()), start).terms():
+        for k, (s, start) in enumerate(zip(ext.slices, run_starts(c))):
+            for coeff, parity in _expand(ParityMatrix.from_terms(s.terms.terms()), start).terms():
                 assert touched[parity][0] == k
                 assert parity not in {p: k for k, p in merged.terms()}  # each parity in one slice only
                 merged.add(coeff, parity)
                 moved += touched[parity][-1] != k
-        assert merged == ext.terms
+        assert merged == circuit_terms(c)
     assert moved > 50
 
 
@@ -343,64 +354,95 @@ def test_slice_terms_rebase_over_their_slice_start():
     # each slice holds its share of the global first-appearance partition,
     # rebased over the slice-start state
     kept = 0
-    for c, ext in _random_extractions(31, 300):
+    for c, ext in _random_extractions(31, 300, "first"):
         touched = reference_fold(c)[0]
         first = [PhasePolySet() for _ in ext.slices]
-        for coeff, parity in ext.terms.terms():
+        for coeff, parity in circuit_terms(c).terms():
             first[touched[parity][0]].add(coeff, parity)
-        for s, global_terms, start in zip(ext.slices, first, _slice_starts(c)):
-            assert ParityMatrix.from_terms(s.first_terms.terms()) == rebase(global_terms, start)
-            kept += len(s.first_terms)
+        for s, global_terms, start in zip(ext.slices, first, run_starts(c)):
+            assert ParityMatrix.from_terms(s.terms.terms()) == rebase(global_terms, start)
+            kept += len(s.terms)
     assert kept > 300
-
-
-def _runs(c):
-    # the H-free gate runs between H gates
-    runs = [[]]
-    for gt in c.gates:
-        if gt.kind is GateKind.H:
-            runs.append([])
-        else:
-            runs[-1].append(gt)
-    return [Circuit(c.num_qubits, tuple(run)) for run in runs]
 
 
 def test_own_terms_and_slice_maps_are_extract_hfree_of_each_run():
     terms = cancelled = 0
     for c, ext in _random_extractions(33, 300):
-        runs = _runs(c)
-        assert len(ext.slices) == len(runs)
-        for s, run in zip(ext.slices, runs):
-            want_terms, want_map = hfree_fold(run.gates, identity_state(c.num_qubits))
-            assert list(s.own_terms.terms()) == list(want_terms.terms())  # order too
-            assert s.map == want_map
-            terms += len(s.own_terms)
+        runs = hfree_runs(c)
+        first = extract_sliced(c, "first").slices
+        assert len(ext.slices) == len(runs) == len(first)
+        for s, s_first, run in zip(ext.slices, first, runs):
+            want_terms, want_map = hfree_fold(run, identity_state(c.num_qubits))
+            assert list(s.terms.terms()) == list(want_terms.terms())  # order too
+            assert s.map == s_first.map == want_map
+            terms += len(s.terms)
             # first_at: every key a phase gate of the run touches, to the first such gate
             at: dict[int, int] = {}
             for i, gt in enumerate(s.gates):
                 if gt.kind in PHASE_COEFF:
                     at.setdefault(hfree_fold(s.gates[:i], identity_state(c.num_qubits))[1][gt.target - 1], i)
-            assert s.first_at == at
-            assert {key for _, key in s.first_terms.terms()} <= at.keys()
-            cancelled += len(at.keys() - {key for _, key in s.own_terms.terms()})
+            assert s.first_at == s_first.first_at == at
+            assert {key for _, key in s_first.terms.terms()} <= at.keys()
+            cancelled += len(at.keys() - {key for _, key in s.terms.terms()})
     assert terms > 300
     assert cancelled > 0
 
 
 def test_term_touched_again_after_a_later_h_stays_in_its_first_slice():
     t, tdg, h2 = Gate(GateKind.T, 1), Gate(GateKind.TDG, 1), Gate(GateKind.H, 2)
-    ext = extract_sliced(Circuit(2, (t, h2, t)))
-    assert [s.first_terms for s in ext.slices] == [PhasePolySet([(2, parity_mask([1]))]), PhasePolySet()]
+    ext = extract_sliced(Circuit(2, (t, h2, t)), "first")
+    assert [s.terms for s in ext.slices] == [PhasePolySet([(2, parity_mask([1]))]), PhasePolySet()]
     # cancelled to 0 in its slice, then touched again: it goes back to that slice
-    ext = extract_sliced(Circuit(2, (t, tdg, h2, t)))
-    assert [s.first_terms for s in ext.slices] == [PhasePolySet([(1, parity_mask([1]))]), PhasePolySet()]
+    ext = extract_sliced(Circuit(2, (t, tdg, h2, t)), "first")
+    assert [s.terms for s in ext.slices] == [PhasePolySet([(1, parity_mask([1]))]), PhasePolySet()]
+
+
+def _pairs(terms):
+    return [list(t.terms()) for t in terms]
+
+
+def test_partitions_match_the_reference_term_for_term():
+    runs = moved = 0
+    for partition in PARTITIONS:
+        for c, ext in _random_extractions(37, 300, partition):
+            want = partition_fold(c, partition)
+            assert _pairs(s.terms for s in ext.slices) == _pairs(want)  # order too
+            runs += len(want)
+            if partition == "first":
+                moved += want != partition_fold(c, "own")
+    assert runs > 1000 and moved > 50
+
+
+def test_cancelled_parity_touched_again_keeps_its_first_run_and_goes_last():
+    # x1 cancels to 0 and is touched again, after x2's term: its term now comes after x2's
+    t1, tdg1, t2 = Gate(GateKind.T, 1), Gate(GateKind.TDG, 1), Gate(GateKind.T, 2)
+    s2, h2 = Gate(GateKind.S, 2), Gate(GateKind.H, 2)
+    x1, x2 = parity_mask([1]), parity_mask([2])
+    cases = {
+        # within one run: both partitions put x1 after x2
+        (t1, tdg1, s2, t1): ([[(2, x2), (1, x1)]], [[(2, x2), (1, x1)]]),
+        # in a later run: under "first" x1 goes back to run 0, after x2; under "own" run 1 holds the new T
+        (t1, s2, tdg1, h2, t1, t2): ([[(2, x2)], [(1, x1), (1, x2)]], [[(2, x2), (1, x1)], [(1, x2)]]),
+        # cancelled only across runs: "first" drops it from run 0; "own" keeps each run's coefficient
+        (t1, s2, h2, tdg1, t2): ([[(1, x1), (2, x2)], [(7, x1), (1, x2)]], [[(2, x2)], [(1, x2)]]),
+    }
+    for gates, wants in cases.items():
+        c = Circuit(2, gates)
+        for partition, want in zip(PARTITIONS, wants):
+            assert _pairs(s.terms for s in extract_sliced(c, partition).slices) == want, (gates, partition)
+            assert _pairs(partition_fold(c, partition)) == want, (gates, partition)
+
+
+def test_unknown_partition_is_rejected():
+    with pytest.raises(ValueError, match="partition"):
+        extract_sliced(Circuit(1, ()), "all")
 
 
 def test_t_and_tdg_in_different_slices_emit_no_phase_gate():
     g = ConnectivityGraph.from_edges(2, [(1, 2)])
     c = Circuit(2, (Gate(GateKind.T, 1), Gate(GateKind.H, 2), cnot(2, 1), cnot(2, 1), Gate(GateKind.TDG, 1)))
-    ext = extract_sliced(c)
-    assert len(ext.terms) == 0 and not any(s.first_terms for s in ext.slices)
+    ext = extract_sliced(c, "first")
+    assert len(circuit_terms(c)) == 0 and not any(s.terms for s in ext.slices)
     out, _ = cnot_opt_b(c, g)
     assert [gt.kind for gt in out.gates if gt.kind in PHASE_COEFF] == []
 
@@ -409,7 +451,7 @@ def test_rebase_matches_exhaustive_reference():
     rng = random.Random(25)
     inside = outside = flipped = 0
     for c, ext in _random_extractions(27, 200):
-        for basis in _slice_starts(c):
+        for basis in run_starts(c):
             terms = []
             for _ in range(rng.randint(1, 6)):  # random XORs of the basis rows
                 acc = CONST_BIT if rng.random() < 0.5 else 0
