@@ -8,24 +8,24 @@ column). Steiner trees route each column's row operations; trees are cut into
 sub-trees whose roots and leaves are terminals, and each sub-tree is traversed
 in up to four passes that cancel terminal rows while restoring Steiner rows.
 
-A tree walk costs one pass over its edges. ROW-OP's records come from one
-function, :func:`_subtrees`, the one place that tells two terminals from more:
-two terminals are joined by their merge path
-(:func:`~cnotsynth.topology.merge_path`), which is the whole tree and its own
-single sub-tree, so no tree is built; more are cut from their Steiner tree.
-The cut is a BFS that builds no tree: it records each sub-tree's vertices
-layer by layer and returns a (root, leaves, edges) record whose edges, its
-passes, are read from one top-down ordering (layer, child) and one bottom-up
-ordering (-layer, child); inside a sub-tree a vertex is a leaf exactly when it
-is a terminal. Path records take their passes straight from the path order.
-One loop, :func:`_apply`, applies records to a matrix: a column's row
-operation, the diagonal fix's chain, and the routing fallbacks and the
-corrections, which clear a row along a shortest path with no tree at all.
-The corrections walk inside the shrunken graph; only a term bridged through
-fixed vertices and a pivot candidate unreachable inside it cross them, by the
-routing fallbacks. The phase network
-(:mod:`cnotsynth.phasesynth`) takes its path-per-leaf records (alg 4) from
-:func:`_subtrees` too, and applies each path's net effect itself.
+A tree walk costs one pass over its edges. Two terminals are joined by their
+merge path (:func:`~cnotsynth.topology.merge_path`), the whole tree and its own
+single sub-tree, so no tree is built; more are cut from their Steiner tree by
+:func:`_subtrees`. A column with one term to clear reads its path off the BFS
+it already holds, and :func:`_route` memoizes a pair's record. The cut is a BFS
+that builds no tree: it records each sub-tree's vertices layer by layer and
+returns a (root, leaves, edges) record whose edges, its passes, are read from
+one top-down ordering (layer, child) and one bottom-up ordering (-layer,
+child); inside a sub-tree a vertex is a leaf exactly when it is a terminal.
+Path records take their passes straight from the path order. One loop,
+:func:`_apply`, applies records to a matrix: a column's row operation, the
+diagonal fix's chain, and the routing fallbacks and the corrections, which
+clear a row along a shortest path with no tree at all. The corrections walk
+inside the shrunken graph; only a term bridged through fixed vertices and a
+pivot candidate unreachable inside it cross them, by the routing fallbacks. The
+phase network (:mod:`cnotsynth.phasesynth`) takes two terminals from
+:func:`_route` and cuts only trees of three or more terminals, one path per
+leaf (alg 4), by :func:`_subtrees`; it applies each path's net effect itself.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from .topology import (
     ConnectivityGraph,
     NoPathError,
     SteinerTree,
+    _merge_path,
+    _searches,
     distances,
     merge_path,
     shortest_path,
@@ -55,17 +57,28 @@ _SubTree = tuple[int, tuple[int, ...], list[_Edge]]
 def _subtrees(
     g: ConnectivityGraph, terminals: set[int], root: int, alg: int, active: frozenset[int] | None = None
 ) -> list[_SubTree]:
-    """ROW-OP's (root, leaves, edges) records for ``terminals`` around ``root``, inside ``active``.
+    """ROW-OP's (root, leaves, edges) records for three or more ``terminals`` around ``root``, inside ``active``.
 
-    Two terminals are joined by their merge path, which is the whole tree and
-    its own single sub-tree, so no tree is built; more are :func:`_cut` from
-    their Steiner tree. For ``alg == 4`` the path's other end roots its record.
+    They are :func:`_cut` from their Steiner tree. Two terminals are one path, whose record is built straight
+    from their merge path by :func:`_eliminate_column` and :func:`_route`, so no tree is built for them.
     """
-    if len(terminals) == 2:
-        (end,) = terminals - {root}
-        path = merge_path(g, root, end, active)
-        return [_path_record(path[::-1], 4) if alg == 4 else _path_record(path, alg)]
     return _cut(steiner_tree(g, terminals, root, active), alg)
+
+
+def _route(g: ConnectivityGraph, control: int, target: int) -> tuple[Gate, ...]:
+    """CNOT(control, target) on ``g``: the CNOTs of the alg-2 record of the pair's merge path.
+
+    The CNOT itself on an edge, else 4(d-1) CNOTs at distance d, at most the SWAP chain's 6(d-1)+1. It is
+    also the phase network's expansion of the two terminals at ``target`` (a merge path reversed is that of
+    its ends swapped; alg 4 shares alg 2's passes). Memoized on ``g``: at most n(n-1) entries, which graph
+    equality and hash ignore.
+    """
+    memo = g.__dict__.setdefault("_route", {})
+    hit = memo.get((control, target))
+    if hit is None:
+        _, _, edges = _path_record(merge_path(g, control, target), 2)
+        hit = memo[(control, target)] = tuple(cnot(u, v) for u, v in edges)
+    return hit
 
 
 def _cut(tree: SteinerTree, alg: int) -> list[_SubTree]:
@@ -89,23 +102,23 @@ def _cut(tree: SteinerTree, alg: int) -> list[_SubTree]:
         root = pending.popleft()
         # BFS from root one layer at a time, cutting at terminals
         leaves: list[int] = []
-        levels: list[list[int]] = []  # levels[d]: the vertices at depth d + 1
+        levels: list[list[int]] = []  # levels[d]: the vertices at depth d + 1; alg 4 reads none
         frontier = [root]
         while frontier:
             level: list[int] = []
-            inner: list[int] = []
             for u in frontier:
-                for w in children[u]:
-                    level.append(w)
-                    if w in terminals:
-                        leaves.append(w)
-                        remaining -= 1
-                        if children[w]:
-                            pending.append(w)  # interior terminal: roots a later sub-tree
-                    else:
-                        inner.append(w)
-            levels.append(level)  # never empty: a non-terminal is no leaf
-            frontier = inner
+                level += children[u]
+            if alg != 4:
+                levels.append(level)  # never empty: a non-terminal is no leaf
+            frontier = []
+            for w in level:
+                if w in terminals:
+                    leaves.append(w)
+                    remaining -= 1
+                    if children[w]:
+                        pending.append(w)  # interior terminal: roots a later sub-tree
+                else:
+                    frontier.append(w)
         if alg == 4:
             for leaf in leaves:
                 path = [leaf]
@@ -229,9 +242,12 @@ def _eliminate_column(
     alg: int,
 ) -> tuple[list[Gate], list[_SubTree]]:
     """Clear the 1s of column i in rows ``terms``; returns the CNOTs and the records of the cut inside ``active``."""
-    dist = distances(g, i, active)
-    reachable = {t for t in terms if t in dist}
-    cut = _subtrees(g, reachable | {i}, i, alg, active) if reachable else []
+    search = _searches(g, active)
+    reachable = terms & search(i)[0].keys()
+    if len(reachable) == 1:  # the merge path from i < t, off the BFS tree grown from i
+        cut = [_path_record(_merge_path(search, i, *reachable), alg)]
+    else:
+        cut = _subtrees(g, reachable | {i}, i, alg, active) if reachable else []
     cnots = _apply(a, cut)
     for t in sorted(terms - reachable):
         # route through already-fixed vertices; the four passes leave interior rows intact

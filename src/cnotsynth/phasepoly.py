@@ -15,6 +15,7 @@ in it. Nothing in the library reads the whole circuit's terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import PHASE_COEFF, Circuit, Gate, GateKind
 from .linalg import CONST_BIT, ParityMatrix, f2_solve, format_parity
@@ -56,8 +57,7 @@ def identity_state(n: int) -> tuple[int, ...]:
     return tuple(1 << i for i in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class Slice:
+class Slice(NamedTuple):
     """One H-free run of a circuit and what :func:`extract_sliced` folds over it.
 
     ``gates`` is the run, a slice of the input's gates, and ``h`` the wire of

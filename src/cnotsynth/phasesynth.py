@@ -22,27 +22,27 @@ The parity matrix is kept by rows. The multi-variable terms are numbered in
 input order, and ``rows[j]`` is the bitset of the terms whose parity, over the
 *current* wire states, holds wire j; a frame's columns are one bitset, and each
 term's flip bit and coefficient sit in two lists. CNOT(c, t) on the wires
-rewrites the terms by adding row t into row c. An expansion cuts its tree into
-one path per leaf and emits each path's four traversals, which restore every
-interior wire: the path's net effect is that its top wire gains its leaf wire,
-so the wires and the rows take that one update per path (``rows[leaf] ^=
-rows[top]``), not one per CNOT. Two bit-sliced accumulators over the rows then
-give the columns left with a single 1. Pivot counts, common rows and splits are
-ANDs and popcounts of a row with a frame's bitset. The paths come from
-:func:`~cnotsynth.linsynth._subtrees`, ROW-OP's one entry in both
-synthesizers, which joins two terminals by their merge path with no tree.
+rewrites the terms by adding row t into row c. An expansion emits one path per
+leaf by its four traversals, which restore every interior wire: the path's net
+effect is that its top wire gains its leaf wire, so the wires and the rows take
+that one update per path (``rows[leaf] ^= rows[top]``), not one per CNOT. Two
+terminals are one path, the memoized :func:`~cnotsynth.linsynth._route` from
+the other terminal to the root; :func:`~cnotsynth.linsynth._subtrees` cuts the
+tree of three or more. Two bit-sliced accumulators over the rows then give the
+columns left with a single 1, and one sweep the row of each. Pivot counts,
+common rows and splits are ANDs and popcounts of a row with a frame's bitset.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache
 
 from .circuit import Circuit, Gate, GateKind, cnot
 from .linalg import CONST_BIT, AugmentedTransform, OverBudget, ParityMatrix, format_parity
-from .linsynth import _subtrees
+from .linsynth import _route, _subtrees
 from .topology import ConnectivityGraph
 
 #: Phase gates realizing each nonzero Z8 coefficient (applied left to right).
@@ -101,14 +101,6 @@ def _pivot(rows: list[int] | dict[int, int], cols: int, candidates: frozenset[in
     return min(candidates)
 
 
-def _bits(x: int) -> Iterator[int]:
-    """The set bits of ``x``, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 class PhaseSynthesizer:
     """Stateful driver of the cofactor stack; see the module docstring for the scheme."""
 
@@ -155,8 +147,10 @@ class PhaseSynthesizer:
             if mask.bit_count() == 1:
                 singles[(mask.bit_length() - 1, bit)] = coeff
             else:
-                for j in _bits(mask):
-                    self.rows[j] |= 1 << len(self.coeffs)
+                term = 1 << len(self.coeffs)
+                while mask:
+                    self.rows[(mask & -mask).bit_length() - 1] |= term
+                    mask &= mask - 1
                 self.flips.append(bit)
                 self.coeffs.append(coeff)
         # by wire, and on a wire the plain term before the X of its complement
@@ -178,8 +172,13 @@ class PhaseSynthesizer:
             self._expand(frame, target, s_prime | {target})
 
     def _expand(self, frame: _Frame, root: int, terminals: set[int]) -> None:
-        paths = _subtrees(self.g, terminals, root, 4)[::-1]  # ROW-OP's path per leaf, from the last path
-        cnots = [cnot(u, v) for _, _, edges in paths for u, v in edges]
+        if len(terminals) == 2:  # one path, from the other terminal: its memoized route
+            (leaf,) = terminals - {root}
+            cnots = list(_route(self.g, leaf, root))
+            paths = [(leaf, (root,), ())]
+        else:
+            paths = _subtrees(self.g, terminals, root, 4)[::-1]  # ROW-OP's path per leaf, from the last path
+            cnots = [cnot(u, v) for _, _, edges in paths for u, v in edges]
         self.left -= len(cnots)
         if self.left <= 0:
             raise OverBudget("phase network reached its CNOT budget")
@@ -195,9 +194,14 @@ class PhaseSynthesizer:
         single = ones & ~twos
         placements: list[Gate] = []
         if single:  # the popped frame's columns only: a stacked column keeps two 1s (module docstring)
-            for k in _bits(single):
-                wire = next(j for j, r in enumerate(rows) if r >> k & 1)
-                placements += self._place(wire, self.flips[k], self.coeffs[k])
+            at = {}  # each single column -> the one row holding it, in one sweep
+            for j, r in enumerate(rows):
+                r &= single
+                while r:
+                    at[(r & -r).bit_length() - 1] = j
+                    r &= r - 1
+            for k in sorted(at):
+                placements += self._place(at[k], self.flips[k], self.coeffs[k])
             frame.cols &= ~single
             rows[:] = [r & ~single for r in rows]
         if self.trace:

@@ -36,7 +36,7 @@ from dataclasses import astuple, dataclass
 
 from .circuit import Circuit, Gate, GateKind, cnot, cnot_count
 from .linalg import AugmentedTransform, OverBudget, ParityMatrix, f2_solve
-from .linsynth import _subtrees, linear_tf_synth
+from .linsynth import _route, linear_tf_synth
 from .phasepoly import Slice, extract_sliced
 from .phasesynth import phase_gates, phase_nw_synth
 from .topology import ConnectivityGraph, merge_path
@@ -101,22 +101,6 @@ def swap_template(c: Circuit, g: ConnectivityGraph) -> Circuit:
         else:
             out += _chain(merge_path(g, gt.control, gt.target, full))
     return Circuit.trusted(g.num_vertices, tuple(out))
-
-
-def _route(g: ConnectivityGraph, control: int, target: int) -> tuple[Gate, ...]:
-    """CNOT(control, target) on ``g``: the one ROW-OP record of :func:`~cnotsynth.linsynth._subtrees`.
-
-    Its alg-2 passes along the two terminals' merge path: the CNOT itself on
-    an edge, else 4(d-1) CNOTs at distance d, never more than the SWAP chain's
-    6(d-1)+1. Memoized on ``g`` beside the BFS memo, one entry per ordered
-    pair asked for, so at most n(n-1); graph equality and hash ignore it.
-    """
-    memo = g.__dict__.setdefault("_route", {})
-    hit = memo.get((control, target))
-    if hit is None:
-        ((_, _, edges),) = _subtrees(g, {control, target}, control, 2)
-        hit = memo[(control, target)] = tuple(cnot(u, v) for u, v in edges)
-    return hit
 
 
 def _rebuild(
@@ -211,7 +195,7 @@ def _slice_loop(c: Circuit, g: ConnectivityGraph, partition: str) -> tuple[Circu
 def cnot_opt_a(c: Circuit, g: ConnectivityGraph) -> tuple[Circuit, ResynthesisReport]:
     """Slice at H gates; emit each run as routed or as rebuilt from its own terms, the cheaper.
 
-    The routed run replaces each CNOT by :func:`_route` and places each merged
+    The routed run replaces each CNOT by :func:`~cnotsynth.linsynth._route` and places each merged
     term at its first phase gate; the rebuild is the paper's phase network and
     linear restore for the run's own (P, Q) summary.
     """

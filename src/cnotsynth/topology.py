@@ -21,7 +21,7 @@ set, source), memoized lazily on the graph. The closest pair of every two
 subgraphs is kept in a table of comparable tuples; after a merge only the new
 path vertices are scanned against the other subgraphs, and a candidate pair is
 built only when it is no farther than the best one. The merges write their
-edges into one adjacency map, which one BFS from the root turns into the tree.
+edges into one adjacency map, which a walk from the root turns into the tree.
 Two terminals take one merge, so their tree is their :func:`merge_path`.
 """
 
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import count
 from math import inf
 from typing import Callable, Iterable
 
@@ -272,15 +271,13 @@ def shortest_path(
 
 
 def _merge_path(search: _Search, u: int, v: int) -> list[int]:
-    # Path convention used only inside the Steiner merge: parent walk in the BFS
-    # tree grown from min(u, v) expanding neighbors in descending index order.
+    # the Steiner merge's convention: the parent walk in the BFS tree grown from min(u, v)
     a, b = (u, v) if u < v else (v, u)
     parent = search(a)[1]
     path = [b]
     while (p := parent[path[-1]]) is not None:
         path.append(p)
-    path.reverse()  # now a -> b
-    return path if path[0] == u else path[::-1]
+    return path[::-1] if u < v else path  # path runs from b to a
 
 
 def merge_path(g: ConnectivityGraph, u: int, v: int, active: frozenset[int] | None = None) -> list[int]:
@@ -343,7 +340,7 @@ def steiner_tree(
     # cannot reach each other are absent.
     forest = {k: [t] for k, t in enumerate(order)}
     adj: defaultdict[int, list[int]] = defaultdict(list)
-    ids = count(len(order))
+    new = len(order)  # the id of the next merged subgraph
     closest: dict[tuple[int, int], tuple[int, ...]] = {}
     for i, t in enumerate(order[:-1]):
         dist_t = search(t)[0]
@@ -356,15 +353,17 @@ def steiner_tree(
             raise _disconnected(order)
         _, u, v, i, j = min(closest.values())
         del closest[i, j]
-        path = _merge_path(search, u, v)
-        for a, b in zip(path, path[1:]):
-            adj[a].append(b)
-            adj[b].append(a)
-        # vertices new to the merged subgraph: a shortest path between a closest
-        # pair meets no subgraph in its interior
-        fresh = path[1:-1]
+        # _merge_path(search, u, v) walked inline, from v up the BFS tree grown from u < v; its interior
+        # is new to the merged subgraph, as a shortest path between a closest pair meets no subgraph
+        parent_u, fresh, x = search(u)[1], [], v
+        while x != u:
+            p = parent_u[x]
+            adj[x].append(p)
+            adj[p].append(x)
+            fresh.append(p)
+            x = p
+        fresh.pop()  # the walk's last parent is u itself
         merged = forest.pop(i) + forest.pop(j) + fresh
-        new = next(ids)
         fresh_dist = [(x, search(x)[0]) for x in fresh] if forest else []
         for k, verts_k in forest.items():
             # the pairs into i, into j and from the fresh vertices all end in
@@ -378,18 +377,21 @@ def steiner_tree(
             if best is not far:
                 closest[k, new] = best[:3] + (k, new)
         forest[new] = merged
+        new += 1
 
-    # root the tree: BFS from the root, children ascending
-    parent = {root: root}  # the root's entry marks it visited and is dropped below
+    # root the tree from a stack: in a tree a vertex's children are its neighbors but its parent
+    parent: dict[int, int] = {}
     children: dict[int, tuple[int, ...]] = {}
-    queue = [root]
-    for x in queue:
-        below = sorted(w for w in adj[x] if w not in parent)
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        up = parent.get(x)
+        below = [w for w in adj[x] if w != up]
+        below.sort()
         for w in below:
             parent[w] = x
         children[x] = tuple(below)
-        queue += below
-    del parent[root]
+        stack += below
     return SteinerTree(root, term_set, parent, children)
 
 

@@ -7,8 +7,9 @@ import pytest
 
 from cnotsynth.circuit import PHASE_COEFF, GateKind
 from cnotsynth.linalg import CONST_BIT, AugmentedTransform, OverBudget, ParityMatrix, f2_row_reduce, parity_mask
+from cnotsynth.linsynth import _path_record
 from cnotsynth.phasepoly import PhasePolySet, identity_state
-from cnotsynth.topology import ConnectivityGraph, SteinerTree, distances, preset_graph
+from cnotsynth.topology import ConnectivityGraph, SteinerTree, distances, merge_path, preset_graph
 
 # 6x6 linear transformation of the worked linear-synthesis example (flip column zero).
 APPENDIX_A_BITS = [
@@ -112,6 +113,16 @@ def path_tree(path: list[int]) -> SteinerTree:
     children = {a: (b,) for a, b in zip(path, path[1:])}
     children[path[-1]] = ()
     return SteinerTree(path[0], frozenset({path[0], path[-1]}), parent, children)
+
+
+def two_terminal_expansion_record(g: ConnectivityGraph, root: int, leaf: int):
+    """The phase network's alg-4 record of a two-terminal expansion, as ROW-OP once built it.
+
+    The merge path from ``leaf`` up to ``root`` roots the record at ``leaf``;
+    its passes are alg 4's, which are alg 2's. The phase network now takes the
+    route ``_route(g, leaf, root)`` instead, which this record must equal.
+    """
+    return _path_record(merge_path(g, root, leaf)[::-1], 4)
 
 
 def random_connected_graph(rng, n) -> ConnectivityGraph:

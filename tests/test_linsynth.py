@@ -14,7 +14,6 @@ from cnotsynth.linsynth import (
     _cut,
     _path_passes,
     _path_record,
-    _subtrees,
     linear_tf_synth,
     row_op,
 )
@@ -357,8 +356,11 @@ def test_two_terminal_subtrees_are_the_cut_of_the_merge_path():
                         want.parent,
                         want.children,
                     ), case
-                    for alg in (1, 2, 4):
-                        assert _subtrees(g, {u, v}, u, alg, active) == _cut(tree, alg), case
+                    path = merge_path(g, u, v, active)
+                    for alg in (1, 2):  # a one-term column's record in LINEAR-TF-SYNTH, and _route's
+                        assert _cut(tree, alg) == [_path_record(path, alg)], case
+                    # alg 4 reverses the path: the phase network's two-terminal record, which it takes from _route
+                    assert _cut(tree, 4) == [_path_record(path[::-1], 4)], case
                     seen["suffix" if len(active) < n else "full"] += 1
     assert min(seen.values()) > 50, seen
 

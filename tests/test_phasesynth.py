@@ -5,12 +5,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnotsynth.circuit import Circuit, Gate, GateKind, cnot_count, connectivity_violations, write_circuit
+from cnotsynth.circuit import Circuit, Gate, GateKind, cnot, cnot_count, connectivity_violations, write_circuit
 from cnotsynth.linalg import CONST_BIT, ParityMatrix, parity_mask
+from cnotsynth.linsynth import _route
 from cnotsynth.phasepoly import PhasePolySet, extract_hfree
 from cnotsynth.phasesynth import PhaseSynthesizer, _pivot, phase_nw_synth
 from cnotsynth.topology import PRESET_NAMES, grid_graph, preset_graph
-from tests.conftest import APPENDIX_PHASE_TERMS, assert_budget_contract, random_connected_graph, traced
+from tests.conftest import (
+    APPENDIX_PHASE_TERMS,
+    assert_budget_contract,
+    random_connected_graph,
+    traced,
+    two_terminal_expansion_record,
+)
 
 
 # -- pivot selection ----------------------------------------------------------
@@ -154,6 +161,25 @@ def test_appendix_event_trace(grid2x3, appendix_parity_matrix):
     assert cnot_count(circ) == 21
     terms, _ = extract_hfree(circ)
     assert terms == PhasePolySet(APPENDIX_PHASE_TERMS)
+
+
+def test_two_terminal_expansion_is_the_route():
+    # the alg-4 record of a two-terminal expansion, rooted at the leaf end of
+    # the merge path, has exactly the CNOTs of the route from leaf to root
+    for name in PRESET_NAMES:
+        g = preset_graph(name)
+        for root, leaf in itertools.permutations(g.vertices, 2):
+            top, tops, edges = two_terminal_expansion_record(g, root, leaf)
+            assert (top, tops) == (leaf, (root,)), (name, root, leaf)
+            assert [cnot(u, v) for u, v in edges] == list(_route(g, leaf, root)), (name, root, leaf)
+        # one term on two wires is one expansion, rooted at its smaller wire; its event holds a list
+        for root, leaf in itertools.combinations(g.vertices, 2):
+            pm = ParityMatrix.from_terms([(1, parity_mask([root, leaf]))])
+            (circ, _), events = traced(phase_nw_synth, pm, g)
+            (ev,) = events
+            assert (ev.root, ev.terminals) == (root, frozenset({root, leaf}))
+            assert type(ev.cnots) is list and ev.cnots == list(_route(g, leaf, root)), (name, root, leaf)
+            assert list(circ.gates) == ev.cnots + ev.placements
 
 
 def test_appendix_iteration4_detail(grid2x3, appendix_parity_matrix):

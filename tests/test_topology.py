@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter, deque
@@ -12,6 +13,7 @@ from cnotsynth.topology import (
     PRESET_NAMES,
     UnknownPresetError,
     distances,
+    grid_graph,
     parse_graph,
     preset_graph,
     SteinerTree,
@@ -451,3 +453,35 @@ def test_merge_path_matches_early_stopping_bfs():
             assert _merge_path(_searches(g, active), u, v) == _early_stop_merge_path(g, u, v, active)
             checked += 1
     assert checked > 500
+
+
+def _steiner_pin_cases():
+    """About 2,000 seeded (graph, terminals, root, active) cases: 3-8 terminals, full and suffix active sets."""
+    graphs = {name: preset_graph(name) for name in PRESET_NAMES} | {"grid-5x5": grid_graph(5, 5)}
+    for name, g in graphs.items():
+        rng = random.Random(f"steiner-pin-{name}")
+        n = g.num_vertices
+        for trial in range(290):
+            # every suffix of a preset or a grid stays connected, so every case spans
+            low = 1 if trial % 2 else rng.randint(1, n - 2)
+            active = frozenset(range(low, n + 1))
+            terminals = rng.sample(sorted(active), min(len(active), rng.randint(3, 8)))
+            yield name, g, frozenset(terminals), rng.choice(terminals), active
+
+
+# sha256 over (case, sorted parent items, sorted children items) of every _steiner_pin_cases tree
+PINNED_STEINER = "087a2f8a2213bf24da24ccc564c1dbd50a4ba665e6348341d8d0c5f92bcf429a"
+
+
+def test_steiner_tree_pinned():
+    # pins the merge order and every tie-break, beyond the trees the pipelines reach
+    digest = hashlib.sha256()
+    cases = 0
+    for name, g, terminals, root, active in _steiner_pin_cases():
+        tree = steiner_tree(g, terminals, root, active)
+        assert all(list(kids) == sorted(kids) for kids in tree.children.values())
+        fields = (name, sorted(terminals), root, min(active), sorted(tree.parent.items()), sorted(tree.children.items()))
+        digest.update(repr(fields).encode())
+        cases += 1
+    assert cases > 2000
+    assert digest.hexdigest() == PINNED_STEINER
