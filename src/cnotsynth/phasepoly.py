@@ -1,20 +1,19 @@
 """Sum-over-paths bookkeeping for Clifford+T circuits.
 
 Wire states and parity terms are parity ints (see :mod:`cnotsynth.linalg`):
-bit i is path variable x_i, bit 0 the affine constant. For H-free circuits the
-state lives over x_1..x_n; every H gate replaces its wire's state with a fresh
-variable x_{n+j}. The sliced extraction cuts the circuit at its H gates into
-the runs the slice-and-build pipelines rebuild, and folds each run's own map
-from the identity, so it writes every phase term over the wires at the start
-of its run as it goes, and no term needs an F2 reduction to be placed or
-rebased. It folds each phase gate into the one term partition its caller
-reads: a run's own terms, or the terms whose parity a phase gate first touches
-in it. Nothing in the library reads the whole circuit's terms.
+bit i is path variable x_i, bit 0 the affine constant. The sliced extraction
+cuts the circuit at its H gates into the runs the slice-and-build pipelines
+rebuild, and folds each run's own map from the identity, so it writes every
+phase term over the wires at the start of its run as it goes, and no term
+needs an F2 reduction to be placed or rebased. It folds each phase gate into
+the one term partition its caller reads: a run's own terms, or the terms whose
+parity a phase gate first touches in it. Only the latter folds the whole
+circuit's wire state, where each H gives its wire a fresh variable x_{n+j}.
+Nothing in the library reads the whole circuit's terms or final state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .circuit import PHASE_COEFF, Circuit, Gate, GateKind
@@ -79,29 +78,21 @@ class Slice(NamedTuple):
     first_at: dict[int, int]
 
 
-@dataclass(frozen=True)
-class SlicedExtraction:
-    """The circuit's final wire ``state`` and its H-free runs."""
+def extract_sliced(c: Circuit, partition: str) -> tuple[Slice, ...]:
+    """The circuit's H-free runs, each a :class:`Slice` folded from the identity at its start.
 
-    state: tuple[int, ...]
-    slices: tuple[Slice, ...]
+    Every phase gate's parity is known over the wires at the start of its run,
+    the frame of every :class:`Slice`'s terms, and folded into the one
+    partition ``partition`` names, ``"own"`` or ``"first"``. Under ``"own"``
+    the fold keeps nothing but each run's map, terms and ``first_at``.
 
-
-def extract_sliced(c: Circuit, partition: str) -> SlicedExtraction:
-    """Full-circuit extraction where each H gate introduces a fresh path variable.
-
-    Beside the wire states it folds each run's own map, restarted from the
-    identity at the run's start, so every phase gate's parity is also known
-    over the wires at the start of its run, the frame of every
-    :class:`Slice`'s terms. Each phase gate is folded into the one partition
-    ``partition`` names, ``"own"`` or ``"first"``.
-
-    Under ``"first"`` each parity belongs to the run where a phase gate first
-    touches it, and every later coefficient on it is added into that run's
-    term, even after they cancel to 0. Within one run a parity and its
-    expression over the start wires determine each other, because the start
-    state's rows are independent: the fold starts from the identity, a CNOT
-    adds one row into another and an H swaps a row for a fresh variable.
+    Under ``"first"`` each parity of the whole circuit's wire state, in which
+    the j-th H sets its wire to the fresh variable x_{n+j}, belongs to the run
+    where a phase gate first touches it, and every later coefficient on it is
+    added into that run's term, even after they cancel to 0. Within one run a
+    parity and its expression over the start wires determine each other,
+    because the start state's rows are independent: the fold starts from the
+    identity, a CNOT adds one row into another and an H swaps a row for a fresh variable.
     """
     if partition not in ("own", "first"):
         raise ValueError(f"unknown partition {partition!r}; expected own or first")
@@ -109,24 +100,25 @@ def extract_sliced(c: Circuit, partition: str) -> SlicedExtraction:
     n = c.num_qubits
     gates = c.gates
     identity = identity_state(n)
-    state = list(identity)
+    state = list(identity)  # under "first": the whole circuit's wire states
     local = list(identity)
     slices: list[Slice] = []
     terms, first_at = PhasePolySet(), {}
     owner: dict[int, tuple[PhasePolySet, int]] = {}  # under "first": parity -> (its run's terms, its key there)
-    fresh, start = n, 0
+    start = 0
     cx, h, x, y = GateKind.CNOT, GateKind.H, GateKind.X, GateKind.Y  # bound once: each GateKind.<name> costs a lookup
     for k, g in enumerate(gates):
         kind = g.kind
         i = g.target - 1
         if kind is cx:
-            state[i] ^= state[g.control - 1]
             local[i] ^= local[g.control - 1]
+            if by_first:
+                state[i] ^= state[g.control - 1]
             continue
         if kind is h:
             slices.append(Slice(gates[start:k], g.target, tuple(local), terms, first_at))
-            fresh += 1
-            state[i] = 1 << fresh
+            if by_first:
+                state[i] = 1 << (n + len(slices))  # the j-th H's fresh variable x_{n+j}
             start = k + 1
             local = list(identity)
             terms, first_at = PhasePolySet(), {}
@@ -140,18 +132,18 @@ def extract_sliced(c: Circuit, partition: str) -> SlicedExtraction:
             else:
                 terms.add(PHASE_COEFF[kind], key)
         if kind is x or kind is y:
-            state[i] ^= CONST_BIT
             local[i] ^= CONST_BIT
+            if by_first:
+                state[i] ^= CONST_BIT
     slices.append(Slice(gates[start:], None, tuple(local), terms, first_at))
-    return SlicedExtraction(tuple(state), tuple(slices))
+    return tuple(slices)
 
 
 def extract_hfree(c: Circuit) -> tuple[PhasePolySet, tuple[int, ...]]:
     """Phase-polynomial set and final qubit state of an H-free circuit: its one run's ``terms`` and ``map``."""
-    ex = extract_sliced(c, "own")
-    if len(ex.slices) > 1:
+    only, *rest = extract_sliced(c, "own")
+    if rest:
         raise ValueError("H gate not allowed in an H-free extraction")
-    (only,) = ex.slices
     return only.terms, only.map
 
 

@@ -180,7 +180,7 @@ def _slice_loop(c: Circuit, g: ConnectivityGraph, partition: str) -> tuple[Circu
     n = g.num_vertices
     out: list[Gate] = []
     per_slice: list[int] = []
-    for s in extract_sliced(_pad(c, n), partition).slices:
+    for s in extract_sliced(_pad(c, n), partition):
         block, cost, cnots = _segmented(s, g)
         if cnots > 1 and (rebuilt := _rebuild(ParityMatrix(s.terms.terms()), s.map, g, cost)) is not None:
             block, cost = rebuilt

@@ -80,7 +80,7 @@ def _apply(c: Circuit, psi: np.ndarray, spare: np.ndarray | None) -> np.ndarray:
     rows = np.arange(2**n)
     identity = identity_state(n)
     pending_h = 0
-    for s in extract_sliced(c, "own").slices:
+    for s in extract_sliced(c, "own"):
         if s.terms:
             exponent = sum(coeff * _parity_values(p, n, rows) for coeff, p in s.terms.terms())
             psi *= _OMEGA_POWERS[exponent % 8][:, None]
@@ -127,7 +127,7 @@ def _unshared_middles(c1: Circuit, c2: Circuit) -> tuple[tuple[Gate, ...], tuple
     and ``map`` and the H is on the same wire; from the back, (H, run) pairs
     alike. Each end stops at its first mismatch; at most min(H1, H2) H gates go.
     """
-    k1, k2 = ([(s.h, s.terms, s.map) for s in extract_sliced(c, "own").slices] for c in (c1, c2))
+    k1, k2 = ([(s.h, s.terms, s.map) for s in extract_sliced(c, "own")] for c in (c1, c2))
     if k1 == k2:
         return None
     cap, lead, trail = min(len(k1), len(k2)) - 1, 0, 0

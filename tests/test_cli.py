@@ -139,6 +139,22 @@ def test_verify_width_mismatch_exit_2(tmp_path, capsys, mode):
     assert capsys.readouterr().out == "NOT equivalent\n"
 
 
+@pytest.mark.parametrize(
+    "mode,text,message",
+    [
+        ("linear", "qubits 2\nT 1\nCNOT 1 2\n", "error: transform replay supports only CNOT and X, got T\n"),
+        ("unitary", "qubits 13\nCNOT 1 13\n", "error: dense simulation capped at 12 qubits, got 13\n"),
+    ],
+)
+def test_verify_mode_input_limits_exit_2(tmp_path, capsys, mode, text, message):
+    # a gate the linear replay cannot take, or a width past the dense cap, is an input error, not a verdict
+    a = tmp_path / "a.qct"
+    a.write_text(text)
+    assert main(["verify", "--a", str(a), "--b", str(a), "--mode", mode]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and not captured.out
+
+
 def test_verify_linear_mode(tmp_path):
     a = tmp_path / "a.qct"
     b = tmp_path / "b.qct"

@@ -140,29 +140,27 @@ def test_sliced_consistent_with_hfree():
     c = _random_hfree(rng, 4, 15)
     terms, q = hfree_fold(c.gates, identity_state(4))
     for partition in PARTITIONS:
-        ext = extract_sliced(c, partition)
-        [only] = ext.slices
+        [only] = extract_sliced(c, partition)
         assert only.gates == c.gates and only.h is None
-        assert only.terms == terms and only.map == ext.state == q
+        assert only.terms == terms and only.map == q
 
 
 def test_single_h():
     c = Circuit(1, (Gate(GateKind.H, 1),))
-    ext = extract_sliced(c, "own")
-    assert len(circuit_terms(c)) == 0 and not any(s.terms for s in ext.slices)
-    assert [(s.gates, s.h) for s in ext.slices] == [((), 1), ((), None)]
-    assert ext.state == (parity_mask([2]),)  # x_{n + the H count}
-    assert reference_fold(c)[1] == [(1, (parity_mask([1]),), (parity_mask([2]),))]
+    slices = extract_sliced(c, "own")
+    assert len(circuit_terms(c)) == 0 and not any(s.terms for s in slices)
+    assert [(s.gates, s.h) for s in slices] == [((), 1), ((), None)]
+    assert reference_fold(c)[1] == [(1, (parity_mask([1]),), (parity_mask([2]),))]  # x_{n + the H count}
 
 
 def test_t_h_t():
     c = Circuit(1, (Gate(GateKind.T, 1), Gate(GateKind.H, 1), Gate(GateKind.T, 1)))
     assert circuit_terms(c) == PhasePolySet([(1, parity_mask([1])), (1, parity_mask([2]))])
     for partition in PARTITIONS:
-        ext = extract_sliced(c, partition)
+        slices = extract_sliced(c, partition)
         # each T is on wire 1's start parity of its run: x1, then x2 after the H
-        assert [s.terms for s in ext.slices] == [PhasePolySet([(1, parity_mask([1]))])] * 2
-        assert [s.h for s in ext.slices] == [1, None]
+        assert [s.terms for s in slices] == [PhasePolySet([(1, parity_mask([1]))])] * 2
+        assert [s.h for s in slices] == [1, None]
     [(wire, q_in, q_out)] = reference_fold(c)[1]
     assert q_in == (parity_mask([1]),) and q_out == (parity_mask([2]),)
 
@@ -170,22 +168,26 @@ def test_t_h_t():
 def test_fresh_variable_numbering():
     c = Circuit(2, (Gate(GateKind.H, 2), Gate(GateKind.H, 2), Gate(GateKind.H, 1)))
     assert [q_out[wire - 1] for wire, _, q_out in reference_fold(c)[1]] == [1 << 3, 1 << 4, 1 << 5]
-    for partition in PARTITIONS:
-        assert extract_sliced(c, partition).state == (1 << 5, 1 << 4)  # the last of n + the H count variables
+    # under "first" each run owns the parities of the whole circuit's state: a reused or
+    # colliding fresh variable would merge two runs' T terms into one run
+    t1, t2, h1, h2 = Gate(GateKind.T, 1), Gate(GateKind.T, 2), Gate(GateKind.H, 1), Gate(GateKind.H, 2)
+    x1, x2 = parity_mask([1]), parity_mask([2])
+    c = Circuit(2, (t2, h2, t2, h2, t2, h1, t1))
+    assert _pairs(s.terms for s in extract_sliced(c, "first")) == [[(1, x2)], [(1, x2)], [(1, x2)], [(1, x1)]]
 
 
 def test_slice_gates_and_hs_rebuild_the_input():
     hs = 0
-    for c, ext in _random_extractions(35, 300):
+    for c, slices in _random_extractions(35, 300):
         joined = []
-        for s in ext.slices:
+        for s in slices:
             joined += s.gates
             if s.h is not None:
                 joined.append(Gate(GateKind.H, s.h))
         assert tuple(joined) == c.gates
-        assert [s.h for s in ext.slices[:-1]] == [wire for wire, _, _ in reference_fold(c)[1]]
-        assert ext.slices[-1].h is None
-        hs += len(ext.slices) - 1
+        assert [s.h for s in slices[:-1]] == [wire for wire, _, _ in reference_fold(c)[1]]
+        assert slices[-1].h is None
+        hs += len(slices) - 1
     assert hs > 300
 
 
@@ -324,11 +326,12 @@ def _random_extractions(seed, count, partition="own"):
 
 def test_slice_maps_equal_f2_solve_of_slice_ends():
     flips = 0
-    for c, ext in _random_extractions(23, 300):
-        hs = reference_fold(c)[1]
-        ends = [q_in for _, q_in, _ in hs] + [ext.state]
-        assert len(ext.slices) == len(ends)
-        for start, end, s in zip(run_starts(c), ends, ext.slices):
+    for c, slices in _random_extractions(23, 300):
+        starts = run_starts(c)
+        # each run ends where the next H starts; the last run's end is its own fold from its start
+        ends = [q_in for _, q_in, _ in reference_fold(c)[1]] + [hfree_fold(hfree_runs(c)[-1], starts[-1])[1]]
+        assert len(slices) == len(ends)
+        for start, end, s in zip(starts, ends, slices):
             assert s.map == tuple(f2_solve(list(start), list(end)))
             flips += sum(row & CONST_BIT for row in s.map)
     assert flips > 100
@@ -336,11 +339,11 @@ def test_slice_maps_equal_f2_solve_of_slice_ends():
 
 def test_slice_terms_partition_terms_by_first_appearance():
     moved = 0
-    for c, ext in _random_extractions(29, 300, "first"):
+    for c, slices in _random_extractions(29, 300, "first"):
         touched, hs = reference_fold(c)
-        assert len(ext.slices) == len(hs) + 1
+        assert len(slices) == len(hs) + 1
         merged = PhasePolySet()
-        for k, (s, start) in enumerate(zip(ext.slices, run_starts(c))):
+        for k, (s, start) in enumerate(zip(slices, run_starts(c))):
             for coeff, parity in _expand(ParityMatrix.from_terms(s.terms.terms()), start).terms():
                 assert touched[parity][0] == k
                 assert parity not in {p: k for k, p in merged.terms()}  # each parity in one slice only
@@ -354,12 +357,12 @@ def test_slice_terms_rebase_over_their_slice_start():
     # each slice holds its share of the global first-appearance partition,
     # rebased over the slice-start state
     kept = 0
-    for c, ext in _random_extractions(31, 300, "first"):
+    for c, slices in _random_extractions(31, 300, "first"):
         touched = reference_fold(c)[0]
-        first = [PhasePolySet() for _ in ext.slices]
+        first = [PhasePolySet() for _ in slices]
         for coeff, parity in circuit_terms(c).terms():
             first[touched[parity][0]].add(coeff, parity)
-        for s, global_terms, start in zip(ext.slices, first, run_starts(c)):
+        for s, global_terms, start in zip(slices, first, run_starts(c)):
             assert ParityMatrix.from_terms(s.terms.terms()) == rebase(global_terms, start)
             kept += len(s.terms)
     assert kept > 300
@@ -367,11 +370,11 @@ def test_slice_terms_rebase_over_their_slice_start():
 
 def test_own_terms_and_slice_maps_are_extract_hfree_of_each_run():
     terms = cancelled = 0
-    for c, ext in _random_extractions(33, 300):
+    for c, slices in _random_extractions(33, 300):
         runs = hfree_runs(c)
-        first = extract_sliced(c, "first").slices
-        assert len(ext.slices) == len(runs) == len(first)
-        for s, s_first, run in zip(ext.slices, first, runs):
+        first = extract_sliced(c, "first")
+        assert len(slices) == len(runs) == len(first)
+        for s, s_first, run in zip(slices, first, runs):
             want_terms, want_map = hfree_fold(run, identity_state(c.num_qubits))
             assert list(s.terms.terms()) == list(want_terms.terms())  # order too
             assert s.map == s_first.map == want_map
@@ -390,11 +393,11 @@ def test_own_terms_and_slice_maps_are_extract_hfree_of_each_run():
 
 def test_term_touched_again_after_a_later_h_stays_in_its_first_slice():
     t, tdg, h2 = Gate(GateKind.T, 1), Gate(GateKind.TDG, 1), Gate(GateKind.H, 2)
-    ext = extract_sliced(Circuit(2, (t, h2, t)), "first")
-    assert [s.terms for s in ext.slices] == [PhasePolySet([(2, parity_mask([1]))]), PhasePolySet()]
+    slices = extract_sliced(Circuit(2, (t, h2, t)), "first")
+    assert [s.terms for s in slices] == [PhasePolySet([(2, parity_mask([1]))]), PhasePolySet()]
     # cancelled to 0 in its slice, then touched again: it goes back to that slice
-    ext = extract_sliced(Circuit(2, (t, tdg, h2, t)), "first")
-    assert [s.terms for s in ext.slices] == [PhasePolySet([(1, parity_mask([1]))]), PhasePolySet()]
+    slices = extract_sliced(Circuit(2, (t, tdg, h2, t)), "first")
+    assert [s.terms for s in slices] == [PhasePolySet([(1, parity_mask([1]))]), PhasePolySet()]
 
 
 def _pairs(terms):
@@ -404,9 +407,9 @@ def _pairs(terms):
 def test_partitions_match_the_reference_term_for_term():
     runs = moved = 0
     for partition in PARTITIONS:
-        for c, ext in _random_extractions(37, 300, partition):
+        for c, slices in _random_extractions(37, 300, partition):
             want = partition_fold(c, partition)
-            assert _pairs(s.terms for s in ext.slices) == _pairs(want)  # order too
+            assert _pairs(s.terms for s in slices) == _pairs(want)  # order too
             runs += len(want)
             if partition == "first":
                 moved += want != partition_fold(c, "own")
@@ -429,7 +432,7 @@ def test_cancelled_parity_touched_again_keeps_its_first_run_and_goes_last():
     for gates, wants in cases.items():
         c = Circuit(2, gates)
         for partition, want in zip(PARTITIONS, wants):
-            assert _pairs(s.terms for s in extract_sliced(c, partition).slices) == want, (gates, partition)
+            assert _pairs(s.terms for s in extract_sliced(c, partition)) == want, (gates, partition)
             assert _pairs(partition_fold(c, partition)) == want, (gates, partition)
 
 
@@ -441,8 +444,8 @@ def test_unknown_partition_is_rejected():
 def test_t_and_tdg_in_different_slices_emit_no_phase_gate():
     g = ConnectivityGraph.from_edges(2, [(1, 2)])
     c = Circuit(2, (Gate(GateKind.T, 1), Gate(GateKind.H, 2), cnot(2, 1), cnot(2, 1), Gate(GateKind.TDG, 1)))
-    ext = extract_sliced(c, "first")
-    assert len(circuit_terms(c)) == 0 and not any(s.terms for s in ext.slices)
+    slices = extract_sliced(c, "first")
+    assert len(circuit_terms(c)) == 0 and not any(s.terms for s in slices)
     out, _ = cnot_opt_b(c, g)
     assert [gt.kind for gt in out.gates if gt.kind in PHASE_COEFF] == []
 
@@ -450,7 +453,7 @@ def test_t_and_tdg_in_different_slices_emit_no_phase_gate():
 def test_rebase_matches_exhaustive_reference():
     rng = random.Random(25)
     inside = outside = flipped = 0
-    for c, ext in _random_extractions(27, 200):
+    for c, _ in _random_extractions(27, 200):
         for basis in run_starts(c):
             terms = []
             for _ in range(rng.randint(1, 6)):  # random XORs of the basis rows

@@ -176,7 +176,7 @@ def test_opt_b_per_slice_linear_actions_match():
         out, _ = cnot_opt_b(c, g)
         # each side's fold starts from the identity, so equal maps per run are
         # equal states before every H
-        ends = [[(s.h, s.map) for s in extract_sliced(x, "first").slices] for x in (out, Circuit(9, c.gates))]
+        ends = [[(s.h, s.map) for s in extract_sliced(x, "first")] for x in (out, Circuit(9, c.gates))]
         assert ends[0] == ends[1]
 
 
@@ -461,7 +461,7 @@ def test_slice_terms_need_no_from_terms():
     for graph, c in circuits:
         n = 25 if graph == "grid-5x5" else preset_graph(graph).num_vertices
         padded = Circuit(n, c.gates)
-        for terms in [s.terms for partition in ("own", "first") for s in extract_sliced(padded, partition).slices]:
+        for terms in [s.terms for partition in ("own", "first") for s in extract_sliced(padded, partition)]:
             assert ParityMatrix(terms.terms()) == ParityMatrix.from_terms(terms.terms()), graph
             assert all(parity >> (n + 1) == 0 for _, parity in terms.terms()), graph
             terms_seen += len(terms)

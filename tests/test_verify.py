@@ -347,7 +347,7 @@ def test_one_gate_deletion_applies_only_its_run(dense_calls):
         run = _h_count(a.gates[:at])
         dense_calls.clear()
         assert not equivalent_up_to_phase(a, b)
-        run_a, run_b = (extract_sliced(x, "own").slices[run].gates for x in (a, b))
+        run_a, run_b = (extract_sliced(x, "own")[run].gates for x in (a, b))
         assert dense_calls == [run_a + verify._inverse(run_b)]
 
 
