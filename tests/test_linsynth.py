@@ -40,6 +40,7 @@ from tests.conftest import (
     tree_depths,
     tree_leaves,
 )
+from tests.test_topology import _steiner_pin_cases
 
 
 def _pairs(gates):
@@ -363,6 +364,23 @@ def test_two_terminal_subtrees_are_the_cut_of_the_merge_path():
                     assert _cut(tree, 4) == [_path_record(path[::-1], 4)], case
                     seen["suffix" if len(active) < n else "full"] += 1
     assert min(seen.values()) > 50, seen
+
+
+# sha256 over (case, alg, records) of the alg 1, 2 and 4 cuts of every _steiner_pin_cases tree
+PINNED_CUT = "7493bca1d54e384186ee41640d7e17f40d8a8c97f50c2c78b2c3a60b600d6b57"
+
+
+def test_cut_pinned():
+    # pins the sub-tree order, the leaves and every pass edge of the cut, beyond the trees the pipelines reach
+    digest = hashlib.sha256()
+    cases = 0
+    for name, g, terminals, root, active in _steiner_pin_cases():
+        tree = steiner_tree(g, terminals, root, active)
+        for alg in (1, 2, 4):
+            digest.update(repr((name, sorted(terminals), root, min(active), alg, _cut(tree, alg))).encode())
+        cases += 1
+    assert cases > 2000
+    assert digest.hexdigest() == PINNED_CUT
 
 
 # -- LINEAR-TF-SYNTH -------------------------------------------------------------
