@@ -12,11 +12,11 @@ A tree walk costs one pass over its edges. Two terminals are joined by their
 merge path (:func:`~cnotsynth.topology.merge_path`), the whole tree and its own
 single sub-tree, so no tree is built; more are cut from their Steiner tree by
 :func:`_subtrees`. A column with one term to clear reads its path off the BFS
-it already holds, and :func:`_route` memoizes a pair's record. The cut is a BFS
-that builds no tree: it records each sub-tree's vertices layer by layer and
-returns a (root, leaves, edges) record whose edges, its passes, are read from
-one top-down ordering (layer, child) and one bottom-up ordering (-layer,
-child); inside a sub-tree a vertex is a leaf exactly when it is a terminal.
+it already holds, and :func:`_route` memoizes a pair's record. The cut roots
+the tree's adjacency in its BFS and builds no tree: it records each sub-tree's
+vertices layer by layer and returns a (root, leaves, edges) record whose edges,
+its passes, are read from one top-down ordering (layer, child) and one
+bottom-up ordering (-layer, child); a sub-tree's leaves are its terminals.
 Path records take their passes straight from the path order. One loop,
 :func:`_apply`, applies records to a matrix: a column's row operation, the
 diagonal fix's chain, and the routing fallbacks and the corrections, which
@@ -42,6 +42,7 @@ from .topology import (
     SteinerTree,
     _merge_path,
     _searches,
+    _suffix,
     distances,
     merge_path,
     shortest_path,
@@ -84,17 +85,23 @@ def _route(g: ConnectivityGraph, control: int, target: int) -> tuple[Gate, ...]:
 def _cut(tree: SteinerTree, alg: int) -> list[_SubTree]:
     """Cut a Steiner tree into edge-disjoint sub-trees rooted at its terminals.
 
-    A BFS from the tree's root stops at every terminal it reaches; interior
+    A BFS from the tree's root roots its adjacency as it goes (each vertex's
+    children, ascending) and stops at every terminal it reaches; interior
     terminals seed later sub-trees (processed FIFO). Each sub-tree's terminals
     are its root and the terminals it reached, which are exactly its leaves
     (listed in ascending order), so a vertex inside a sub-tree is a leaf exactly
     when it is a terminal. For ``alg == 4`` (the phase network's path-per-leaf
     mode) every sub-tree is further split into one path per leaf, in the order
     the BFS reached them, with root and leaf exchanged. Each record carries the
-    (parent, child) edges of its ``alg`` passes, in order.
+    (parent, child) edges of its ``alg`` passes, in order: top-down passes take
+    edges by (child layer, child index), bottom-up ones by (-child layer, child
+    index). ``alg == 1`` runs top-down-1 (every edge) and bottom-up-2 (edges
+    into non-leaves, that is, non-terminals); the others first run bottom-up-1
+    (edges out of non-roots) and end with top-down-2 (edges out of non-roots
+    into non-leaves).
     """
-    terminals = tree.terminals
-    parent, children = tree.parent, tree.children
+    terminals, adj = tree.terminals, tree.adj
+    parent = {tree.root: 0}  # 0 is no vertex: the root's parent
     pending = deque([tree.root])
     remaining = len(terminals) - 1
     out: list[_SubTree] = []
@@ -107,15 +114,19 @@ def _cut(tree: SteinerTree, alg: int) -> list[_SubTree]:
         while frontier:
             level: list[int] = []
             for u in frontier:
-                level += children[u]
-            if alg != 4:
-                levels.append(level)  # never empty: a non-terminal is no leaf
+                up = parent[u]
+                below = [w for w in adj[u] if w != up]
+                below.sort()
+                for w in below:
+                    parent[w] = u
+                level += below
+            levels.append(level)  # never empty: a non-terminal is no leaf
             frontier = []
             for w in level:
                 if w in terminals:
                     leaves.append(w)
                     remaining -= 1
-                    if children[w]:
+                    if len(adj[w]) > 1:
                         pending.append(w)  # interior terminal: roots a later sub-tree
                 else:
                     frontier.append(w)
@@ -125,9 +136,17 @@ def _cut(tree: SteinerTree, alg: int) -> list[_SubTree]:
                 while path[-1] != root:
                     path.append(parent[path[-1]])
                 out.append(_path_record(path, alg))
-        else:
-            leaves.sort()
-            out.append((root, tuple(leaves), _tree_passes(tree, root, levels, alg)))
+            continue
+        for level in levels:
+            level.sort()
+        down = [(parent[c], c) for level in levels for c in level]
+        up_edges = [(parent[c], c) for level in reversed(levels) for c in level]
+        passes = down + [e for e in up_edges if e[1] not in terminals]
+        if alg != 1:
+            inner_down = [e for e in down if e[0] != root and e[1] not in terminals]
+            passes = [e for e in up_edges if e[0] != root] + passes + inner_down
+        leaves.sort()
+        out.append((root, tuple(leaves), passes))
     return out
 
 
@@ -144,31 +163,6 @@ def _path_passes(path: list[int], alg: int) -> list[_Edge]:
     if alg == 1:
         return down + up[1:]
     return up[:-1] + down + up[1:] + down[1:-1]
-
-
-def _tree_passes(tree: SteinerTree, root: int, levels: list[list[int]], alg: int) -> list[_Edge]:
-    """The passes over ``tree``'s sub-tree under ``root``; ``levels[d]`` holds its vertices at depth d + 1.
-
-    Top-down passes take edges by (child layer, child index), bottom-up ones by
-    (-child layer, child index). ``alg == 1`` runs top-down-1 (every edge) and
-    bottom-up-2 (edges into non-leaves, that is, non-terminals); the others
-    first run bottom-up-1 (edges out of non-roots) and end with top-down-2
-    (edges out of non-roots into non-leaves). Sorts each level in place.
-    """
-    parent, terminals = tree.parent, tree.terminals
-    for level in levels:
-        level.sort()
-    down = [(parent[c], c) for level in levels for c in level]
-    up = [(parent[c], c) for level in reversed(levels) for c in level]
-    up_inner = [e for e in up if e[1] not in terminals]
-    if alg == 1:
-        return down + up_inner
-    return (
-        [e for e in up if e[0] != root]
-        + down
-        + up_inner
-        + [e for e in down if e[0] != root and e[1] not in terminals]
-    )
 
 
 def row_op(matrix, tree: SteinerTree, alg: int) -> tuple[list[Gate], list[_SubTree]]:
@@ -189,15 +183,16 @@ def row_op(matrix, tree: SteinerTree, alg: int) -> tuple[list[Gate], list[_SubTr
 def _apply(matrix, subtrees: list[_SubTree]) -> list[Gate]:
     """Apply the records' edges to ``matrix``, starting from the last sub-tree, and return their CNOTs.
 
-    ``matrix`` only needs a ``row_xor(dst, src)`` method; it is mutated in place.
+    ``matrix`` only needs a list of row bitsets ``rows`` (row i at index i - 1); it is mutated in place.
     The CNOT for edge (u, v) with u the parent is CNOT(control=u, target=v),
     which as a row operation adds row u into row v.
     """
+    rows = matrix.rows
     cnots: list[Gate] = []
     for _, _, edges in reversed(subtrees):
         cnots += [cnot(u, v) for u, v in edges]
         for u, v in edges:
-            matrix.row_xor(v, u)
+            rows[v - 1] ^= rows[u - 1]
     return cnots
 
 
@@ -225,12 +220,11 @@ def _fix_diagonal(
         return _apply(a, [(best, (i,), list(zip(path, path[1:])))])
     # no candidate reachable inside the shrunken graph: route through fixed
     # vertices with a full interior-restoring path (leaf gains the root row)
-    full = frozenset(g.vertices)
-    dist = distances(g, i, full)
+    dist = distances(g, i, _suffix(g, 1))
     if not candidates <= dist.keys():
         raise NoPathError(f"a pivot candidate for column {i} is unreachable from {i}")
     best = min(candidates, key=lambda j: (dist[j], j))
-    return _apply(a, [_path_record(shortest_path(g, best, i, full), 2)])
+    return _apply(a, [_path_record(shortest_path(g, best, i), 2)])
 
 
 def _eliminate_column(
@@ -251,7 +245,7 @@ def _eliminate_column(
     cnots = _apply(a, cut)
     for t in sorted(terms - reachable):
         # route through already-fixed vertices; the four passes leave interior rows intact
-        cnots += _apply(a, [_path_record(shortest_path(g, i, t, frozenset(g.vertices)), 2)])
+        cnots += _apply(a, [_path_record(shortest_path(g, i, t, _suffix(g, 1)), 2)])
     return cnots, cut
 
 
@@ -353,7 +347,7 @@ def linear_tf_synth(
             diag, cnots, corr = [], [], []
             below = _ones_below(work, i, touched)
             if below or not rows[i - 1] >> i & 1:
-                active = frozenset(range(i, n + 1))
+                active = _suffix(g, i)
                 if not rows[i - 1] >> i & 1:
                     diag = _fix_diagonal(work, g, i, active, below)
                     touched.update(gt.target for gt in diag)

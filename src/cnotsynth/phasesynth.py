@@ -69,12 +69,12 @@ def phase_gates(wire: int, coeff: int) -> tuple[Gate, tuple[Gate, ...]]:
 @dataclass
 class _Frame:
     cols: int  # bitset of the frame's terms
-    candidates: frozenset[int]  # rows not yet used as pivot on this branch
+    candidates: tuple[int, ...]  # rows not yet used as pivot on this branch, ascending
     target: int | None  # epsilon until the branch enters a 1-cofactor
 
 
-def _pivot(rows: list[int] | dict[int, int], cols: int, candidates: frozenset[int]) -> int:
-    """Pivot row for splitting the cofactor of the columns in bitset ``cols``; ``rows[j]`` holds row j's columns.
+def _pivot(rows: list[int] | dict[int, int], cols: int, candidates: tuple[int, ...]) -> int:
+    """Pivot row, of the ascending ``candidates``, to split the columns in bitset ``cols``; ``rows[j]`` holds row j's.
 
     Among rows that split the columns properly (both cofactors nonempty), the one
     with the most ones wins, ties to the smaller row: the 1-cofactor is where
@@ -87,7 +87,7 @@ def _pivot(rows: list[int] | dict[int, int], cols: int, candidates: frozenset[in
     total = cols.bit_count()
     best: tuple[int, int] | None = None
     fallback_one = None
-    for j in sorted(candidates):
+    for j in candidates:
         ones = (rows[j] & cols).bit_count()
         if 0 < ones < total:
             if best is None or ones > best[0]:
@@ -98,7 +98,7 @@ def _pivot(rows: list[int] | dict[int, int], cols: int, candidates: frozenset[in
         return best[1]
     if fallback_one is not None:
         return fallback_one
-    return min(candidates)
+    return candidates[0]
 
 
 class PhaseSynthesizer:
@@ -157,7 +157,7 @@ class PhaseSynthesizer:
         for i, bit in sorted(singles):
             self._place(i, bit, singles[(i, bit)])
         if self.coeffs:
-            self.stack.append(_Frame((1 << len(self.coeffs)) - 1, frozenset(range(1, self.n + 1)), None))
+            self.stack.append(_Frame((1 << len(self.coeffs)) - 1, tuple(range(1, self.n + 1)), None))
 
     # -- main loop ---------------------------------------------------------
 
@@ -166,18 +166,17 @@ class PhaseSynthesizer:
         cols, target = frame.cols, frame.target
         if target is None or not cols:
             return
-        rows = self.rows
-        s_prime = {k for k in range(1, self.n + 1) if k != target and rows[k] & cols == cols}
-        if s_prime:
-            self._expand(frame, target, s_prime | {target})
+        others = [k for k, r in enumerate(self.rows) if r & cols == cols and k != target]  # rows[0] is 0, cols not
+        if others:
+            self._expand(frame, target, others)
 
-    def _expand(self, frame: _Frame, root: int, terminals: set[int]) -> None:
-        if len(terminals) == 2:  # one path, from the other terminal: its memoized route
-            (leaf,) = terminals - {root}
-            cnots = list(_route(self.g, leaf, root))
+    def _expand(self, frame: _Frame, root: int, others: list[int]) -> None:
+        if len(others) == 1:  # one path, from the other terminal: its memoized route
+            (leaf,) = others
+            cnots = _route(self.g, leaf, root)
             paths = [(leaf, (root,), ())]
         else:
-            paths = _subtrees(self.g, terminals, root, 4)[::-1]  # ROW-OP's path per leaf, from the last path
+            paths = _subtrees(self.g, others + [root], root, 4)[::-1]  # ROW-OP's path per leaf, from the last path
             cnots = [cnot(u, v) for _, _, edges in paths for u, v in edges]
         self.left -= len(cnots)
         if self.left <= 0:
@@ -205,7 +204,8 @@ class PhaseSynthesizer:
             frame.cols &= ~single
             rows[:] = [r & ~single for r in rows]
         if self.trace:
-            self.trace("steiner", root=root, terminals=frozenset(terminals), cnots=cnots, placements=placements)
+            terminals = frozenset([root, *others])
+            self.trace("steiner", root=root, terminals=terminals, cnots=list(cnots), placements=placements)
 
     def run(self) -> None:
         """Pop, collect and split frames until every column is realized.
@@ -223,7 +223,8 @@ class PhaseSynthesizer:
             if not frame.candidates:
                 raise AssertionError("cofactor invariant broken: a popped frame has live columns and no candidate row")
             j = _pivot(rows, cols, frame.candidates)
-            rest = frame.candidates - {j}
+            at = frame.candidates.index(j)
+            rest = frame.candidates[:at] + frame.candidates[at + 1 :]
             ones, zeros = cols & rows[j], cols & ~rows[j]
             if ones:
                 self.stack.append(_Frame(ones, rest, j if frame.target is None else frame.target))

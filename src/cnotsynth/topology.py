@@ -21,14 +21,15 @@ set, source), memoized lazily on the graph. The closest pair of every two
 subgraphs is kept in a table of comparable tuples; after a merge only the new
 path vertices are scanned against the other subgraphs, and a candidate pair is
 built only when it is no farther than the best one. The merges write their
-edges into one adjacency map, which a walk from the root turns into the tree.
-Two terminals take one merge, so their tree is their :func:`merge_path`.
+edges into one adjacency map, kept by the tree; a walk from the root turns it
+into the tree. Two terminals take one merge: their tree is :func:`merge_path`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 from typing import Callable, Iterable
 
@@ -201,21 +202,29 @@ def preset_graph(name: str) -> ConnectivityGraph:
     return _PRESETS[name]()
 
 
+def _suffix(g: ConnectivityGraph, i: int) -> frozenset[int]:
+    """The active set {i..n}, built once per graph (at most n entries); ``_suffix(g, 1)`` is the whole graph."""
+    memo = g.__dict__.setdefault("_suffix", {})
+    hit = memo.get(i)
+    if hit is None:
+        hit = memo[i] = frozenset(range(i, g.num_vertices + 1))
+    return hit
+
+
 _Search = Callable[[int], tuple[dict[int, int], dict[int, int | None]]]
 
 
 def _searches(g: ConnectivityGraph, active: frozenset[int]) -> _Search:
     """BFS through ``active`` from any source: ``search(source) -> (distances, parents)``.
 
-    Neighbors are expanded in descending index order, which fixes the parent
-    tree. Results are memoized on ``g`` per (active set, source) and shared
-    between callers, so neither dict may be mutated.
+    Neighbors are expanded in descending index order, which fixes the parent tree. The closure and
+    its results per source are memoized on ``g`` per active set and shared, so no dict may be mutated.
     """
     memo = g.__dict__.setdefault("_bfs", {})
-    table = memo.get(active)
-    if table is None:
-        table = memo[active] = {}
-    adj = g._adjacency()
+    hit = memo.get(active)
+    if hit is not None:
+        return hit[1]
+    table, adj = {}, g._adjacency()
 
     def search(source: int) -> tuple[dict[int, int], dict[int, int | None]]:
         hit = table.get(source)
@@ -233,6 +242,7 @@ def _searches(g: ConnectivityGraph, active: frozenset[int]) -> _Search:
             hit = table[source] = (dist, parent)
         return hit
 
+    memo[active] = (table, search)
     return search
 
 
@@ -254,7 +264,7 @@ def shortest_path(
     smallest shortest path.
     """
     if active is None:
-        active = frozenset(g.vertices)
+        active = _suffix(g, 1)
     if u not in active or v not in active:
         raise NoPathError(f"endpoint outside the active vertex set: {u} or {v}")
     if u == v:
@@ -286,29 +296,37 @@ def merge_path(g: ConnectivityGraph, u: int, v: int, active: frozenset[int] | No
     Only vertices in ``active`` may be used; raises :class:`DisconnectedTerminalsError`
     if ``v`` is not reachable from ``u`` through them.
     """
-    search = _searches(g, frozenset(g.vertices) if active is None else active)
+    search = _searches(g, _suffix(g, 1) if active is None else active)
     a, b = (u, v) if u < v else (v, u)
     if b not in search(a)[0]:
         raise _disconnected([a, b])
     return _merge_path(search, u, v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SteinerTree:
-    """A rooted tree over graph edges spanning a terminal set.
+    """A tree over graph edges spanning ``terminals``, kept as the merge loop's adjacency map ``adj``.
 
-    ``parent`` maps every non-root node to its parent; ``children`` lists each
-    node's children in ascending order. Every leaf is a terminal.
+    ``parent`` (each non-root node's parent) and ``children`` (each node's children, ascending) root it
+    at ``root`` when first read. Every leaf is a terminal.
     """
 
     root: int
     terminals: frozenset[int]
-    parent: dict[int, int] = field(hash=False)
-    children: dict[int, tuple[int, ...]] = field(hash=False)
+    edge_count: int
+    adj: dict[int, list[int]]  # each vertex's tree neighbors; a lone root has no entry
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.parent)
+    @cached_property
+    def children(self) -> dict[int, tuple[int, ...]]:
+        children, stack = {}, [(self.root, None)]
+        for x, up in stack:  # in a tree a vertex's children are its neighbors but its parent
+            children[x] = tuple(sorted(w for w in self.adj.get(x, ()) if w != up))
+            stack += [(w, x) for w in children[x]]
+        return children
+
+    @cached_property
+    def parent(self) -> dict[int, int]:
+        return {w: x for x, below in self.children.items() for w in below}
 
 
 def steiner_tree(
@@ -324,7 +342,7 @@ def steiner_tree(
     one component of the induced subgraph.
     """
     if active is None:
-        active = frozenset(g.vertices)
+        active = _suffix(g, 1)
     term_set = frozenset(terminals)
     if root not in term_set:
         raise ValueError(f"root {root} must be a terminal")
@@ -379,20 +397,7 @@ def steiner_tree(
         forest[new] = merged
         new += 1
 
-    # root the tree from a stack: in a tree a vertex's children are its neighbors but its parent
-    parent: dict[int, int] = {}
-    children: dict[int, tuple[int, ...]] = {}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        up = parent.get(x)
-        below = [w for w in adj[x] if w != up]
-        below.sort()
-        for w in below:
-            parent[w] = x
-        children[x] = tuple(below)
-        stack += below
-    return SteinerTree(root, term_set, parent, children)
+    return SteinerTree(root, term_set, max(len(adj) - 1, 0), adj)  # a tree has one edge less than vertices
 
 
 def _disconnected(terminals: list[int]) -> DisconnectedTerminalsError:

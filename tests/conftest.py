@@ -109,10 +109,11 @@ def tree_depths(tree: SteinerTree) -> dict[int, int]:
 
 def path_tree(path: list[int]) -> SteinerTree:
     """The tree of a path: rooted at ``path[0]``, its two ends the terminals."""
-    parent = {b: a for a, b in zip(path, path[1:])}
-    children = {a: (b,) for a, b in zip(path, path[1:])}
-    children[path[-1]] = ()
-    return SteinerTree(path[0], frozenset({path[0], path[-1]}), parent, children)
+    adj = {v: [] for v in path}
+    for a, b in zip(path, path[1:]):
+        adj[a].append(b)
+        adj[b].append(a)
+    return SteinerTree(path[0], frozenset({path[0], path[-1]}), len(path) - 1, adj)
 
 
 def two_terminal_expansion_record(g: ConnectivityGraph, root: int, leaf: int):

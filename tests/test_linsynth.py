@@ -163,7 +163,12 @@ def _reference_separate(tree, alg):
                 out.append(path_tree(path))
         else:
             child_tuples = {v: tuple(cs) for v, cs in children.items()}
-            out.append(SteinerTree(root, frozenset(leaves) | {root}, parent, child_tuples))
+            adj = {v: list(cs) for v, cs in children.items()}
+            for w, u in parent.items():
+                adj[w].append(u)
+            sub = SteinerTree(root, frozenset(leaves) | {root}, len(parent), adj)
+            assert (sub.parent, sub.children) == (parent, child_tuples)
+            out.append(sub)
     return out
 
 

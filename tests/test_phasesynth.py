@@ -55,25 +55,25 @@ def _columns_to_masks(columns, rows):
 def test_pivot_appendix_iteration1():
     # all seven input columns: row 2 has the largest cofactor (5 of 7)
     masks = [m for _, m in [(c, p & ~1) for c, p in APPENDIX_PHASE_TERMS]]
-    assert _pivot_of_masks(masks, frozenset(range(1, 7))) == 2
+    assert _pivot_of_masks(masks, tuple(range(1, 7))) == 2
 
 
 def test_pivot_prefers_proper_split():
     # {p1, p3} of the worked example: rows 4 and 5 agree everywhere, so the
     # balanced rows 1 and 6 are the only usable pivots; 1 wins the tie
     masks = [parity_mask([1, 4, 5]), parity_mask([4, 5, 6])]
-    assert _pivot_of_masks(masks, frozenset({1, 3, 4, 5, 6})) == 1
+    assert _pivot_of_masks(masks, (1, 3, 4, 5, 6)) == 1
 
 
 def test_pivot_single_column_prefers_one_row():
     # a lone column: no row splits it, so take its smallest support row
     masks = [parity_mask([4, 5, 6])]
-    assert _pivot_of_masks(masks, frozenset({3, 4, 5, 6})) == 4
+    assert _pivot_of_masks(masks, (3, 4, 5, 6)) == 4
 
 
 def test_pivot_exhaustive_against_oracle():
     for rows in (2, 3):
-        candidates = frozenset(range(1, rows + 1))
+        candidates = tuple(range(1, rows + 1))
         grids = list(itertools.product([0, 1], repeat=rows))
         for cols in itertools.product(grids, repeat=3):
             masks = _columns_to_masks(cols, rows)

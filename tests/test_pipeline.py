@@ -574,15 +574,19 @@ def test_bfs_memo_bounded_and_unchanged_by_callers():
     for algo in ("opt-a", "opt-b"):
         resynthesize(c, g, algo)
     memo = g.__dict__["_bfs"]
-    entries = sum(len(table) for table in memo.values())
+    entries = sum(len(table) for table, _ in memo.values())
     # the whole graph and the suffix sets {i..n} of linear synthesis, one BFS per source
     assert n < entries <= (n + 1) * n
     assert n < len(g.__dict__["_route"]) <= n * (n - 1)  # one routing per ordered qubit pair
+    # the active sets {i..n}, at most n of them, each built once
+    suffix = g.__dict__["_suffix"]
+    assert 1 < len(suffix) <= n and all(active == frozenset(range(i, n + 1)) for i, active in suffix.items())
     fresh = ConnectivityGraph.from_edges(n, g.edges)
-    # the pipelines add only the adjacency, BFS and route memos to the graph
-    assert set(g.__dict__) - set(fresh.__dict__) == {"_adj", "_bfs", "_route"}
+    # the pipelines add only the adjacency, active set, BFS and route memos to the graph
+    assert set(g.__dict__) - set(fresh.__dict__) == {"_adj", "_suffix", "_bfs", "_route"}
     assert g == fresh and hash(g) == hash(fresh)  # the memo is not part of the graph's value
-    for active, table in memo.items():
+    for active, (table, search) in memo.items():
+        assert _searches(g, active) is search  # one BFS closure per active set, built once
         for source, (dist, parent) in table.items():
             assert dist == {v: d for v in active if (d := _bfs_dist(g, source, v, active)) is not None}
             assert parent == _searches(fresh, active)(source)[1]

@@ -269,7 +269,11 @@ def _early_stop_merge_path(g, u, v, active):
 
 
 def _reference_root_tree(edges, root, terminals):
-    """BFS from the root over an adjacency list sorted per vertex; children sorted again."""
+    """BFS from the root over an adjacency list sorted per vertex; children sorted again.
+
+    The tree is built from the edges' adjacency, and the parent and children it
+    derives must equal this BFS's.
+    """
     adj = {}
     for a, b in edges:
         adj.setdefault(a, []).append(b)
@@ -285,7 +289,10 @@ def _reference_root_tree(edges, root, terminals):
                 parent[w] = x
                 children[x].append(w)
                 queue.append(w)
-    return SteinerTree(root, terminals, parent, {v: tuple(sorted(cs)) for v, cs in children.items()})
+    children = {v: tuple(sorted(cs)) for v, cs in children.items()}
+    tree = SteinerTree(root, terminals, len(parent), adj)
+    assert (tree.parent, tree.children) == (parent, children)
+    return tree
 
 
 def test_path_tree_matches_rooting_its_edges():
