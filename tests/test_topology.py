@@ -433,6 +433,7 @@ def test_steiner_tree_matches_pair_scan_reference():
                 want.parent,
                 want.children,
             ), (sorted(g.edges), terminals, root, sorted(active))
+            assert got.edge_count == len(want.parent)
             seen[kind] += 1
             seen["two"] += k == 2
     assert min(seen.values()) > 20, seen
