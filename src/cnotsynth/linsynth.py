@@ -11,21 +11,23 @@ in up to four passes that cancel terminal rows while restoring Steiner rows.
 A tree walk costs one pass over its edges. Two terminals are joined by their
 merge path (:func:`~cnotsynth.topology.merge_path`), the whole tree and its own
 single sub-tree, so no tree is built; more are cut from their Steiner tree by
-:func:`_subtrees`. A column with one term to clear reads its path off the BFS
-it already holds, and :func:`_route` memoizes a pair's record. The cut roots
-the tree's adjacency in its BFS and builds no tree: it records each sub-tree's
-vertices layer by layer and returns a (root, leaves, edges) record whose edges,
-its passes, are read from one top-down ordering (layer, child) and one
-bottom-up ordering (-layer, child); a sub-tree's leaves are its terminals.
-Path records take their passes straight from the path order. One loop,
-:func:`_apply`, applies records to a matrix: a column's row operation, the
-diagonal fix's chain, and the routing fallbacks and the corrections, which
-clear a row along a shortest path with no tree at all. The corrections walk
-inside the shrunken graph; only a term bridged through fixed vertices and a
-pivot candidate unreachable inside it cross them, by the routing fallbacks. The
-phase network (:mod:`cnotsynth.phasesynth`) takes two terminals from
-:func:`_route` and cuts only trees of three or more terminals, one path per
-leaf (alg 4), by :func:`_subtrees`; it applies each path's net effect itself.
+:func:`_subtrees`, whose cut roots the tree's adjacency in its BFS and reads
+each sub-tree's passes off one top-down and one bottom-up ordering. A column i
+with one term t to clear takes its (record, CNOTs) from :func:`_one_term`, which
+memoizes them on the graph beside :func:`_route`'s pair records, keyed by
+(active set, i, t, alg): at most n(n-1) entries, as column i's active set is
+{i..n}. One loop, :func:`_apply`, applies records to a matrix and appends their
+CNOTs to the phase's list: a column's row operation, the diagonal fix's chain,
+and the routing fallbacks and the corrections, which clear a row along a
+shortest path with no tree at all. The corrections walk inside the shrunken
+graph; only a term bridged through fixed vertices and a pivot candidate
+unreachable inside it cross them, by the routing fallbacks. The elimination
+keeps its bookkeeping in int bitsets (bit j for row or column j): the rows that
+differ from the identity and the columns left with work, both updated from the
+targets of each column's CNOTs. The phase network (:mod:`cnotsynth.phasesynth`)
+takes two terminals from :func:`_route` and cuts only trees of three or more
+terminals, one path per leaf (alg 4), by :func:`_subtrees`; it applies each
+path's net effect itself.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _subtrees(
     """ROW-OP's (root, leaves, edges) records for three or more ``terminals`` around ``root``, inside ``active``.
 
     They are :func:`_cut` from their Steiner tree. Two terminals are one path, whose record is built straight
-    from their merge path by :func:`_eliminate_column` and :func:`_route`, so no tree is built for them.
+    from their merge path by :func:`_one_term` and :func:`_route`, so no tree is built for them.
     """
     return _cut(steiner_tree(g, terminals, root, active), alg)
 
@@ -79,6 +81,17 @@ def _route(g: ConnectivityGraph, control: int, target: int) -> tuple[Gate, ...]:
     if hit is None:
         _, _, edges = _path_record(merge_path(g, control, target), 2)
         hit = memo[(control, target)] = tuple(cnot(u, v) for u, v in edges)
+    return hit
+
+
+def _one_term(
+    g: ConnectivityGraph, active: frozenset[int], i: int, t: int, alg: int
+) -> tuple[_SubTree, tuple[Gate, ...]]:
+    """The (record, CNOTs) of the merge path from i < t inside ``active``, memoized on ``g`` per (active, i, t, alg)."""
+    memo = g.__dict__.setdefault("_one_term", {})
+    if (hit := memo.get((active, i, t, alg))) is None:
+        record = _path_record(_merge_path(_searches(g, active), i, t), alg)
+        hit = memo[(active, i, t, alg)] = record, tuple(cnot(u, v) for u, v in record[2])
     return hit
 
 
@@ -177,28 +190,33 @@ def row_op(matrix, tree: SteinerTree, alg: int) -> tuple[list[Gate], list[_SubTr
     if alg not in (1, 2):
         raise ValueError(f"alg must be 1 or 2, got {alg}")
     cut = _cut(tree, alg)
-    return _apply(matrix, cut), cut
+    return _apply(matrix, cut, []), cut
 
 
-def _apply(matrix, subtrees: list[_SubTree]) -> list[Gate]:
-    """Apply the records' edges to ``matrix``, starting from the last sub-tree, and return their CNOTs.
+def _apply(matrix, subtrees: list[_SubTree], out: list[Gate]) -> list[Gate]:
+    """Apply the records' edges to ``matrix``, starting from the last sub-tree; append their CNOTs to ``out``.
 
     ``matrix`` only needs a list of row bitsets ``rows`` (row i at index i - 1); it is mutated in place.
     The CNOT for edge (u, v) with u the parent is CNOT(control=u, target=v),
-    which as a row operation adds row u into row v.
+    which as a row operation adds row u into row v. Returns ``out``.
     """
     rows = matrix.rows
-    cnots: list[Gate] = []
     for _, _, edges in reversed(subtrees):
-        cnots += [cnot(u, v) for u, v in edges]
+        out += [cnot(u, v) for u, v in edges]
         for u, v in edges:
             rows[v - 1] ^= rows[u - 1]
-    return cnots
+    return out
 
 
-def _ones_below(a: AugmentedTransform, i: int, rows: set[int]) -> set[int]:
-    """The rows j > i among ``rows`` whose column-i entry is 1."""
-    return {j for j in rows if j > i and a.rows[j - 1] >> i & 1}
+def _ones_below(a: AugmentedTransform, i: int, touched: int) -> set[int]:
+    """The rows j > i in the bitset ``touched`` (bit j is row j) whose column-i entry is 1."""
+    below, rest = set(), touched >> (i + 1) << (i + 1)
+    while rest:
+        j = (rest & -rest).bit_length() - 1
+        rest ^= 1 << j
+        if a.rows[j - 1] >> i & 1:
+            below.add(j)
+    return below
 
 
 def _fix_diagonal(
@@ -207,8 +225,9 @@ def _fix_diagonal(
     i: int,
     active: frozenset[int],
     candidates: set[int],
+    out: list[Gate],
 ) -> list[Gate]:
-    """Propagate a 1 from ``candidates``, the rows below A[i, i] with a 1 in column i, up into A[i, i]."""
+    """Propagate a 1 from ``candidates`` (rows below A[i, i] with a 1 in column i) up into A[i, i]; CNOTs to ``out``."""
     if not candidates:
         raise SingularTransformError(f"no pivot available for column {i}")
     dist = distances(g, i, active)
@@ -217,14 +236,14 @@ def _fix_diagonal(
         best = min(reachable, key=lambda j: (dist[j], j))
         # chain from the leaf end so the 1 walks up to the pivot row
         path = shortest_path(g, i, best, active)[::-1]
-        return _apply(a, [(best, (i,), list(zip(path, path[1:])))])
+        return _apply(a, [(best, (i,), list(zip(path, path[1:])))], out)
     # no candidate reachable inside the shrunken graph: route through fixed
     # vertices with a full interior-restoring path (leaf gains the root row)
     dist = distances(g, i, _suffix(g, 1))
     if not candidates <= dist.keys():
         raise NoPathError(f"a pivot candidate for column {i} is unreachable from {i}")
     best = min(candidates, key=lambda j: (dist[j], j))
-    return _apply(a, [_path_record(shortest_path(g, best, i), 2)])
+    return _apply(a, [_path_record(shortest_path(g, best, i), 2)], out)
 
 
 def _eliminate_column(
@@ -234,19 +253,23 @@ def _eliminate_column(
     active: frozenset[int],
     terms: set[int],
     alg: int,
-) -> tuple[list[Gate], list[_SubTree]]:
-    """Clear the 1s of column i in rows ``terms``; returns the CNOTs and the records of the cut inside ``active``."""
-    search = _searches(g, active)
-    reachable = terms & search(i)[0].keys()
-    if len(reachable) == 1:  # the merge path from i < t, off the BFS tree grown from i
-        cut = [_path_record(_merge_path(search, i, *reachable), alg)]
+    out: list[Gate],
+) -> list[_SubTree]:
+    """Clear the 1s of column i in rows ``terms``, appending the CNOTs to ``out``; returns the cut inside ``active``."""
+    reachable = terms & distances(g, i, active).keys()
+    if len(reachable) == 1:  # the merge path from i < t, off the BFS tree grown from i, built once per graph
+        record, cnots = _one_term(g, active, i, *reachable, alg)
+        for u, v in record[2]:
+            a.rows[v - 1] ^= a.rows[u - 1]
+        out += cnots
+        cut = [record]
     else:
         cut = _subtrees(g, reachable | {i}, i, alg, active) if reachable else []
-    cnots = _apply(a, cut)
+        _apply(a, cut, out)
     for t in sorted(terms - reachable):
         # route through already-fixed vertices; the four passes leave interior rows intact
-        cnots += _apply(a, [_path_record(shortest_path(g, i, t, _suffix(g, 1)), 2)])
-    return cnots, cut
+        _apply(a, [_path_record(shortest_path(g, i, t, _suffix(g, 1)), 2)], out)
+    return cut
 
 
 def _corrections(
@@ -254,25 +277,25 @@ def _corrections(
     g: ConnectivityGraph,
     subtrees: list[_SubTree],
     active: frozenset[int],
-) -> list[Gate]:
-    """Re-pair every leaf whose sub-tree root has a larger index.
+    out: list[Gate],
+) -> None:
+    """Re-pair every leaf whose sub-tree root has a larger index, appending the CNOTs to ``out``.
 
     After the alg=2 pass each leaf row equals (own row + root row); when the
     root index exceeds the leaf index this would leave a 1 above the diagonal,
     so the leaf is chased down the chain of earlier roots until its partner has
-    a smaller index. ``partner`` maps each leaf to its current pairing row.
-    Each walk joins two vertices of the cut, which is connected inside ``active``.
+    a smaller index. ``partner``, built at the first such leaf, maps each leaf to its current pairing
+    row. Each walk joins two vertices of the cut, which is connected inside ``active``.
     """
-    partner = {leaf: root for root, leaves, _ in subtrees for leaf in leaves}
-    gates: list[Gate] = []
+    partner: dict[int, int] = {}
     for root, leaves, _ in subtrees:
         for leaf in leaves:
             r = root
             while r > leaf:
-                gates += _apply(a, [_path_record(shortest_path(g, r, leaf, active), 2)])
+                partner = partner or {lf: rt for rt, lfs, _ in subtrees for lf in lfs}
+                _apply(a, [_path_record(shortest_path(g, r, leaf, active), 2)], out)
                 partner[leaf] = partner[r]
                 r = partner[r]
-    return gates
 
 
 def linear_tf_synth(
@@ -325,15 +348,15 @@ def linear_tf_synth(
     for phase in (1, 2):
         if phase == 2:
             work = work.transposed_linear()
-        rows = work.rows
-        # holds every row that differs from the identity; a CNOT changes only its target
-        touched = {j for j in range(1, n + 1) if rows[j - 1] != 1 << j}
-        # column k has work when row k lacks its diagonal (so row k is touched)
-        # or a touched row j > k holds a 1 in it: the columns a touched row j
-        # adds are j and its bits below j, and a row changes only as a target
-        pending = 0
-        for j in touched:
-            pending |= rows[j - 1] & ((1 << j) - 1) | 1 << j
+        rows, out = work.rows, y[phase]
+        # bit j of touched: row j differs from the identity (a CNOT changes only its target). Bit k of pending:
+        # column k may have work, as row k lacks its diagonal or a touched row j > k holds a 1 in it; each time
+        # row j changes it adds its bits below j, and j itself while it lacks its diagonal
+        touched = pending = 0
+        for j in range(1, n + 1):
+            if rows[j - 1] != 1 << j:
+                touched |= 1 << j
+                pending |= rows[j - 1] & ((1 << j) - 1) | ~rows[j - 1] & 1 << j
         i = 0
         while True:
             ahead = pending >> (i + 1) << (i + 1)
@@ -344,26 +367,28 @@ def linear_tf_synth(
             if nxt > n:
                 break
             i = nxt
-            diag, cnots, corr = [], [], []
+            start = tree = corr = len(out)  # the column's diagonal-fix, tree and correction CNOTs start here
             below = _ones_below(work, i, touched)
             if below or not rows[i - 1] >> i & 1:
                 active = _suffix(g, i)
                 if not rows[i - 1] >> i & 1:
-                    diag = _fix_diagonal(work, g, i, active, below)
-                    touched.update(gt.target for gt in diag)
-                    below = _ones_below(work, i, touched)
-                cnots, subtrees = _eliminate_column(work, g, i, active, below, alg=phase)
-                corr = _corrections(work, g, subtrees, active) if phase == 2 else []
-                targets = {gt.target for gt in diag + cnots + corr}
-                touched |= targets
-                for t in targets:
-                    pending |= rows[t - 1] & ((1 << t) - 1) | 1 << t
-            y[phase] += diag + cnots + corr
-            left -= len(diag) + len(cnots) + len(corr)
+                    _fix_diagonal(work, g, i, active, below, out)
+                    tree = len(out)
+                    below = _ones_below(work, i, (2 << n) - 2)  # every row j > i: the fix may change untouched ones
+                subtrees = _eliminate_column(work, g, i, active, below, phase, out)
+                corr = len(out)
+                if phase == 2:
+                    _corrections(work, g, subtrees, active, out)
+                for gt in out[start:]:
+                    t = gt.target
+                    touched |= 1 << t
+                    pending |= rows[t - 1] & ((1 << t) - 1) | ~rows[t - 1] & 1 << t
+            left -= len(out) - start
             if left <= 0:
                 raise OverBudget("restore reached its CNOT budget")
             if trace:
-                trace("column", phase=phase, column=i, diag=diag, tree=cnots, corrections=corr, matrix=work.copy())
+                parts = dict(diag=out[start:tree], tree=out[tree:corr], corrections=out[corr:])
+                trace("column", phase=phase, column=i, **parts, matrix=work.copy())
 
     assert work.is_identity(), "elimination failed to reach the identity"
 

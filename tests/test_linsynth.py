@@ -1,17 +1,20 @@
 import hashlib
+import math
 import random
 import sys
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnotsynth import linsynth
+from cnotsynth import linsynth, pipeline
 from cnotsynth.circuit import GateKind, cnot, cnot_count, connectivity_violations, write_circuit
 from cnotsynth.linalg import CONST_BIT, AugmentedTransform, SingularTransformError, transform_of_circuit
 from cnotsynth.linsynth import (
     _apply,
     _cut,
+    _eliminate_column,
     _path_passes,
     _path_record,
     linear_tf_synth,
@@ -22,6 +25,8 @@ from cnotsynth.topology import (
     ConnectivityGraph,
     DisconnectedTerminalsError,
     SteinerTree,
+    _suffix,
+    distances,
     grid_graph,
     merge_path,
     preset_graph,
@@ -331,7 +336,7 @@ def test_path_row_op_is_row_op_on_the_path_tree():
         start = random_invertible(rng, g.num_vertices)
         got_matrix, want_matrix = start.copy(), start.copy()
         got_sub = _path_record(path, 2)
-        got_cnots = _apply(got_matrix, [got_sub])
+        got_cnots = _apply(got_matrix, [got_sub], [])
         want_cnots, want_subs = row_op(want_matrix, path_tree(path), alg=2)
         assert _pairs(got_cnots) == _pairs(want_cnots)
         assert [got_sub] == want_subs
@@ -547,15 +552,15 @@ def test_corrections_walk_inside_the_shrunken_graph(monkeypatch):
             column["bridged"] = True
         return path
 
-    def eliminate_spy(a, g, i, active, terms, alg):
+    def eliminate_spy(a, g, i, active, terms, alg, out):
         column.update(active=active, bridged=False)
-        return eliminate_column(a, g, i, active, terms, alg)
+        return eliminate_column(a, g, i, active, terms, alg, out)
 
-    def corrections_spy(a, g, subtrees, active):
+    def corrections_spy(a, g, subtrees, active, out):
         nonlocal bridged_and_corrected
-        gates = corrections(a, g, subtrees, active)
-        bridged_and_corrected += bool(gates) and column["bridged"]
-        return gates
+        before = len(out)  # the corrections append their CNOTs to the phase's list
+        corrections(a, g, subtrees, active, out)
+        bridged_and_corrected += len(out) > before and column["bridged"]
 
     eliminate_column, corrections = linsynth._eliminate_column, linsynth._corrections
     monkeypatch.setattr(linsynth, "shortest_path", path_spy)
@@ -648,9 +653,9 @@ PINNED_LINEAR = {
 
 
 def test_linear_synthesis_pinned(monkeypatch):
-    # path records are built for two-terminal row ops, for the cut's leaf
-    # paths, and for the full-graph routing fallbacks and _corrections; count
-    # which callers built them
+    # path records are built for two-terminal row ops (by the _one_term memo),
+    # for the cut's leaf paths, and for the full-graph routing fallbacks and
+    # _corrections; count which callers built them
     fallbacks = Counter()
 
     def spy(*args, **kwargs):
@@ -668,9 +673,65 @@ def test_linear_synthesis_pinned(monkeypatch):
                 fields = (e.phase, e.column, _pairs(e.diag), _pairs(e.tree), _pairs(e.corrections), e.matrix.rows)
                 digest.update(repr(fields).encode())
         assert digest.hexdigest() == PINNED_LINEAR[name], name
+    assert fallbacks["_one_term"] > 0  # a one-term column's record, built once per graph
     assert fallbacks["_eliminate_column"] > 0  # a term unreachable inside the shrunken graph
     assert fallbacks["_fix_diagonal"] > 0  # a pivot candidate unreachable likewise
     assert fallbacks["_corrections"] > 0  # a phase-2 leaf below its sub-tree's root
+
+
+def test_warm_memos_change_no_restore(monkeypatch):
+    # a graph whose memos other inputs warmed gives the same restores, gates and trace events as a fresh one
+    restores = []  # the trace events of each restore the pipelines call, then its gates
+    restore = linsynth.linear_tf_synth
+
+    def spy(a, g, budget=math.inf):
+        restores.append([])
+        circ = traced(partial(restore, budget=budget), a, g, events=restores[-1])[0]
+        restores[-1].append(circ.gates)
+        return circ
+
+    monkeypatch.setattr(pipeline, "linear_tf_synth", spy)
+    rng = random.Random("warm-memos")
+    for name, warm in _pin_graphs().items():
+        n = warm.num_vertices
+        for a in _pin_inputs(random.Random(f"warm-{name}"), n):
+            linear_tf_synth(a, warm)
+        for c in [pipeline.random_circuit(min(9, n), 12, rng) for _ in range(4)]:
+            for algo in ("opt-a", "opt-b"):
+                pipeline.resynthesize(c, warm, algo)
+        assert warm.__dict__["_one_term"], name
+        for a in _pin_inputs(random.Random(name), n):
+            fresh = ConnectivityGraph.from_edges(n, warm.edges)
+            assert traced(linear_tf_synth, a, warm) == traced(linear_tf_synth, a, fresh), name
+        for k in range(4):
+            c = pipeline.random_circuit(min(9, n), 12, random.Random(f"{name}-{k}"))
+            for algo in ("opt-a", "opt-b"):
+                runs = []
+                for g in (warm, ConnectivityGraph.from_edges(n, warm.edges)):
+                    restores.clear()
+                    runs.append((pipeline.resynthesize(c, g, algo)[0], list(restores)))
+                assert runs[0] == runs[1], (name, k, algo)
+    # the memo keys each record by its active set: a column whose record is warm for {i..n} and is asked
+    # inside a smaller active set gets that set's merge path, as built without the memo
+    g = grid_graph(4, 4)
+    for a in _pin_inputs(random.Random("warm-grid-4x4"), g.num_vertices):
+        linear_tf_synth(a, g)
+    fresh, rng, checked = grid_graph(4, 4), random.Random("other-active"), 0
+    for (active, i, t, alg), (record, _) in list(g.__dict__["_one_term"].items()):
+        assert active is _suffix(g, i)
+        for v in merge_path(fresh, i, t, active)[1:-1]:  # drop a vertex of the warm record's path
+            smaller = active - {v}
+            if t not in distances(fresh, i, smaller):
+                continue
+            want = _path_record(merge_path(fresh, i, t, smaller), alg)
+            assert want != record
+            got_a = random_invertible(rng, g.num_vertices)
+            want_a = got_a.copy()
+            out = []
+            assert _eliminate_column(got_a, g, i, smaller, {t}, alg, out) == [want]
+            assert out == _apply(want_a, [want], []) and got_a == want_a
+            checked += 1
+    assert checked > 10
 
 
 def test_traced_and_untraced_linear_synthesis_agree(monkeypatch):
@@ -678,9 +739,11 @@ def test_traced_and_untraced_linear_synthesis_agree(monkeypatch):
     # one still reports every column, and both emit the same gates
     visited = Counter()
 
-    def spy(a, i, rows):
+    def spy(a, i, touched):
+        # called at every visited column, with the bitset of the rows that differ from the identity (bit j is row j)
+        assert isinstance(touched, int) and touched >> i
         visited[i] += 1
-        return ones_below(a, i, rows)
+        return ones_below(a, i, touched)
 
     ones_below = linsynth._ones_below
     monkeypatch.setattr(linsynth, "_ones_below", spy)

@@ -19,7 +19,7 @@ from cnotsynth.circuit import (
 )
 from cnotsynth import linsynth, pipeline
 from cnotsynth.linalg import AugmentedTransform, ParityMatrix, transform_of_circuit
-from cnotsynth.linsynth import _cut, _path_passes, linear_tf_synth, row_op
+from cnotsynth.linsynth import _cut, _path_passes, _path_record, linear_tf_synth, row_op
 from cnotsynth.pipeline import (
     BENCH_COLUMNS,
     BenchRow,
@@ -41,6 +41,7 @@ from cnotsynth.topology import (
     PRESET_NAMES,
     ConnectivityGraph,
     _searches,
+    _suffix,
     grid_graph,
     merge_path,
     preset_graph,
@@ -582,9 +583,16 @@ def test_bfs_memo_bounded_and_unchanged_by_callers():
     suffix = g.__dict__["_suffix"]
     assert 1 < len(suffix) <= n and all(active == frozenset(range(i, n + 1)) for i, active in suffix.items())
     fresh = ConnectivityGraph.from_edges(n, g.edges)
-    # the pipelines add only the adjacency, active set, BFS and route memos to the graph
-    assert set(g.__dict__) - set(fresh.__dict__) == {"_adj", "_suffix", "_bfs", "_route"}
+    # the pipelines add only the adjacency, active set, BFS, route and one-term column memos to the graph
+    assert set(g.__dict__) - set(fresh.__dict__) == {"_adj", "_suffix", "_bfs", "_route", "_one_term"}
     assert g == fresh and hash(g) == hash(fresh)  # the memo is not part of the graph's value
+    # one record per one-term column: pairs i < t on the active set {i..n}, times alg 1 and 2
+    one_term = g.__dict__["_one_term"]
+    assert n < len(one_term) <= n * (n - 1)
+    for (active, i, t, alg), (record, cnots) in one_term.items():
+        assert active is _suffix(g, i) and i < t and alg in (1, 2)
+        assert record == _path_record(merge_path(fresh, i, t, _suffix(fresh, i)), alg)
+        assert cnots == tuple(cnot(u, v) for u, v in record[2])
     for active, (table, search) in memo.items():
         assert _searches(g, active) is search  # one BFS closure per active set, built once
         for source, (dist, parent) in table.items():
