@@ -12,22 +12,23 @@ A tree walk costs one pass over its edges. Two terminals are joined by their
 merge path (:func:`~cnotsynth.topology.merge_path`), the whole tree and its own
 single sub-tree, so no tree is built; more are cut from their Steiner tree by
 :func:`_subtrees`, whose cut roots the tree's adjacency in its BFS and reads
-each sub-tree's passes off one top-down and one bottom-up ordering. A column i
-with one term t to clear takes its (record, CNOTs) from :func:`_one_term`, which
-memoizes them on the graph beside :func:`_route`'s pair records, keyed by
-(active set, i, t, alg): at most n(n-1) entries, as column i's active set is
-{i..n}. One loop, :func:`_apply`, applies records to a matrix and appends their
-CNOTs to the phase's list: a column's row operation, the diagonal fix's chain,
-and the routing fallbacks and the corrections, which clear a row along a
-shortest path with no tree at all. The corrections walk inside the shrunken
-graph; only a term bridged through fixed vertices and a pivot candidate
-unreachable inside it cross them, by the routing fallbacks. The elimination
-keeps its bookkeeping in int bitsets (bit j for row or column j): the rows that
-differ from the identity and the columns left with work, both updated from the
-targets of each column's CNOTs. The phase network (:mod:`cnotsynth.phasesynth`)
-takes two terminals from :func:`_route` and cuts only trees of three or more
-terminals, one path per leaf (alg 4), by :func:`_subtrees`; it applies each
-path's net effect itself.
+each sub-tree's passes off one top-down and one bottom-up ordering. Column i
+searches inside the vertices it has not yet fixed, i..n (the Steiner-Gauss
+elimination), passed to :mod:`~cnotsynth.topology` as the lower bound
+``low = i``. A column i with one term t to clear takes its (record, CNOTs) from
+:func:`_route` at (low i, i, t, alg), the per-graph memo that also holds the
+pipelines' routes at low 1. One loop, :func:`_apply`, applies records to a
+matrix and appends their CNOTs to the phase's list: a column's row operation,
+the diagonal fix's chain, and the routing fallbacks and the corrections, which
+clear a row along a shortest path with no tree at all. The corrections walk
+inside i..n; only a term bridged through fixed vertices and a pivot candidate
+unreachable inside i..n cross them, by the routing fallbacks at low 1. The
+elimination keeps its bookkeeping in int bitsets (bit j for row or column j):
+the rows that differ from the identity and the columns left with work, both
+updated from the targets of each column's CNOTs. The phase network
+(:mod:`cnotsynth.phasesynth`) takes two terminals from :func:`_route` and cuts
+only trees of three or more terminals, one path per leaf (alg 4), by
+:func:`_subtrees`; it applies each path's net effect itself.
 """
 
 from __future__ import annotations
@@ -38,18 +39,7 @@ from collections.abc import Callable
 
 from .circuit import Circuit, Gate, GateKind, cnot
 from .linalg import CONST_BIT, AugmentedTransform, OverBudget, SingularTransformError
-from .topology import (
-    ConnectivityGraph,
-    NoPathError,
-    SteinerTree,
-    _merge_path,
-    _searches,
-    _suffix,
-    distances,
-    merge_path,
-    shortest_path,
-    steiner_tree,
-)
+from .topology import ConnectivityGraph, NoPathError, SteinerTree, distances, merge_path, shortest_path, steiner_tree
 
 
 _Edge = tuple[int, int]
@@ -57,41 +47,29 @@ _Edge = tuple[int, int]
 _SubTree = tuple[int, tuple[int, ...], list[_Edge]]
 
 
-def _subtrees(
-    g: ConnectivityGraph, terminals: set[int], root: int, alg: int, active: frozenset[int] | None = None
-) -> list[_SubTree]:
-    """ROW-OP's (root, leaves, edges) records for three or more ``terminals`` around ``root``, inside ``active``.
+def _subtrees(g: ConnectivityGraph, terminals: set[int], root: int, alg: int, low: int = 1) -> list[_SubTree]:
+    """ROW-OP's (root, leaves, edges) records for three or more ``terminals`` around ``root``, inside low..n.
 
-    They are :func:`_cut` from their Steiner tree. Two terminals are one path, whose record is built straight
-    from their merge path by :func:`_one_term` and :func:`_route`, so no tree is built for them.
+    They are :func:`_cut` from their Steiner tree. Two terminals are one path, whose record :func:`_route`
+    builds straight from their merge path, so no tree is built for them.
     """
-    return _cut(steiner_tree(g, terminals, root, active), alg)
+    return _cut(steiner_tree(g, terminals, root, low), alg)
 
 
-def _route(g: ConnectivityGraph, control: int, target: int) -> tuple[Gate, ...]:
-    """CNOT(control, target) on ``g``: the CNOTs of the alg-2 record of the pair's merge path.
+def _route(
+    g: ConnectivityGraph, u: int, v: int, low: int = 1, alg: int = 2
+) -> tuple[_SubTree, tuple[Gate, ...]]:
+    """The ROW-OP record rooted at ``u`` of the merge path from ``u`` to ``v`` through low..n, and its CNOTs.
 
-    The CNOT itself on an edge, else 4(d-1) CNOTs at distance d, at most the SWAP chain's 6(d-1)+1. It is
-    also the phase network's expansion of the two terminals at ``target`` (a merge path reversed is that of
-    its ends swapped; alg 4 shares alg 2's passes). Memoized on ``g``: at most n(n-1) entries, which graph
-    equality and hash ignore.
+    At the defaults, low 1 and alg 2, the CNOTs are CNOT(u, v) on ``g``: the CNOT itself on an edge, else
+    4(d-1) CNOTs at distance d, at most the SWAP chain's 6(d-1)+1. They are also the phase network's expansion
+    of the two terminals at ``v`` (a merge path reversed is that of its ends swapped; alg 4 shares alg 2's
+    passes). Memoized on ``g`` per (low, u, v, alg); the bound is in :class:`~cnotsynth.topology.ConnectivityGraph`.
     """
     memo = g.__dict__.setdefault("_route", {})
-    hit = memo.get((control, target))
-    if hit is None:
-        _, _, edges = _path_record(merge_path(g, control, target), 2)
-        hit = memo[(control, target)] = tuple(cnot(u, v) for u, v in edges)
-    return hit
-
-
-def _one_term(
-    g: ConnectivityGraph, active: frozenset[int], i: int, t: int, alg: int
-) -> tuple[_SubTree, tuple[Gate, ...]]:
-    """The (record, CNOTs) of the merge path from i < t inside ``active``, memoized on ``g`` per (active, i, t, alg)."""
-    memo = g.__dict__.setdefault("_one_term", {})
-    if (hit := memo.get((active, i, t, alg))) is None:
-        record = _path_record(_merge_path(_searches(g, active), i, t), alg)
-        hit = memo[(active, i, t, alg)] = record, tuple(cnot(u, v) for u, v in record[2])
+    if (hit := memo.get((low, u, v, alg))) is None:
+        record = _path_record(merge_path(g, u, v, low), alg)
+        hit = memo[low, u, v, alg] = record, tuple(cnot(p, c) for p, c in record[2])
     return hit
 
 
@@ -220,26 +198,21 @@ def _ones_below(a: AugmentedTransform, i: int, touched: int) -> set[int]:
 
 
 def _fix_diagonal(
-    a: AugmentedTransform,
-    g: ConnectivityGraph,
-    i: int,
-    active: frozenset[int],
-    candidates: set[int],
-    out: list[Gate],
+    a: AugmentedTransform, g: ConnectivityGraph, i: int, candidates: set[int], out: list[Gate]
 ) -> list[Gate]:
     """Propagate a 1 from ``candidates`` (rows below A[i, i] with a 1 in column i) up into A[i, i]; CNOTs to ``out``."""
     if not candidates:
         raise SingularTransformError(f"no pivot available for column {i}")
-    dist = distances(g, i, active)
+    dist = distances(g, i, i)
     reachable = [j for j in candidates if j in dist]
     if reachable:
         best = min(reachable, key=lambda j: (dist[j], j))
         # chain from the leaf end so the 1 walks up to the pivot row
-        path = shortest_path(g, i, best, active)[::-1]
+        path = shortest_path(g, i, best, i)[::-1]
         return _apply(a, [(best, (i,), list(zip(path, path[1:])))], out)
     # no candidate reachable inside the shrunken graph: route through fixed
     # vertices with a full interior-restoring path (leaf gains the root row)
-    dist = distances(g, i, _suffix(g, 1))
+    dist = distances(g, i)
     if not candidates <= dist.keys():
         raise NoPathError(f"a pivot candidate for column {i} is unreachable from {i}")
     best = min(candidates, key=lambda j: (dist[j], j))
@@ -247,37 +220,27 @@ def _fix_diagonal(
 
 
 def _eliminate_column(
-    a: AugmentedTransform,
-    g: ConnectivityGraph,
-    i: int,
-    active: frozenset[int],
-    terms: set[int],
-    alg: int,
-    out: list[Gate],
+    a: AugmentedTransform, g: ConnectivityGraph, i: int, terms: set[int], alg: int, out: list[Gate]
 ) -> list[_SubTree]:
-    """Clear the 1s of column i in rows ``terms``, appending the CNOTs to ``out``; returns the cut inside ``active``."""
-    reachable = terms & distances(g, i, active).keys()
+    """Clear the 1s of column i in rows ``terms``, appending the CNOTs to ``out``; returns the cut inside i..n."""
+    reachable = terms & distances(g, i, i).keys()
     if len(reachable) == 1:  # the merge path from i < t, off the BFS tree grown from i, built once per graph
-        record, cnots = _one_term(g, active, i, *reachable, alg)
+        record, cnots = _route(g, i, *reachable, i, alg)
         for u, v in record[2]:
             a.rows[v - 1] ^= a.rows[u - 1]
         out += cnots
         cut = [record]
     else:
-        cut = _subtrees(g, reachable | {i}, i, alg, active) if reachable else []
+        cut = _subtrees(g, reachable | {i}, i, alg, i) if reachable else []
         _apply(a, cut, out)
     for t in sorted(terms - reachable):
         # route through already-fixed vertices; the four passes leave interior rows intact
-        _apply(a, [_path_record(shortest_path(g, i, t, _suffix(g, 1)), 2)], out)
+        _apply(a, [_path_record(shortest_path(g, i, t), 2)], out)
     return cut
 
 
 def _corrections(
-    a: AugmentedTransform,
-    g: ConnectivityGraph,
-    subtrees: list[_SubTree],
-    active: frozenset[int],
-    out: list[Gate],
+    a: AugmentedTransform, g: ConnectivityGraph, i: int, subtrees: list[_SubTree], out: list[Gate]
 ) -> None:
     """Re-pair every leaf whose sub-tree root has a larger index, appending the CNOTs to ``out``.
 
@@ -285,7 +248,7 @@ def _corrections(
     root index exceeds the leaf index this would leave a 1 above the diagonal,
     so the leaf is chased down the chain of earlier roots until its partner has
     a smaller index. ``partner``, built at the first such leaf, maps each leaf to its current pairing
-    row. Each walk joins two vertices of the cut, which is connected inside ``active``.
+    row. Each walk joins two vertices of column i's cut, which is connected inside i..n.
     """
     partner: dict[int, int] = {}
     for root, leaves, _ in subtrees:
@@ -293,7 +256,7 @@ def _corrections(
             r = root
             while r > leaf:
                 partner = partner or {lf: rt for rt, lfs, _ in subtrees for lf in lfs}
-                _apply(a, [_path_record(shortest_path(g, r, leaf, active), 2)], out)
+                _apply(a, [_path_record(shortest_path(g, r, leaf, i), 2)], out)
                 partner[leaf] = partner[r]
                 r = partner[r]
 
@@ -370,15 +333,14 @@ def linear_tf_synth(
             start = tree = corr = len(out)  # the column's diagonal-fix, tree and correction CNOTs start here
             below = _ones_below(work, i, touched)
             if below or not rows[i - 1] >> i & 1:
-                active = _suffix(g, i)
                 if not rows[i - 1] >> i & 1:
-                    _fix_diagonal(work, g, i, active, below, out)
+                    _fix_diagonal(work, g, i, below, out)
                     tree = len(out)
                     below = _ones_below(work, i, (2 << n) - 2)  # every row j > i: the fix may change untouched ones
-                subtrees = _eliminate_column(work, g, i, active, below, phase, out)
+                subtrees = _eliminate_column(work, g, i, below, phase, out)
                 corr = len(out)
                 if phase == 2:
-                    _corrections(work, g, subtrees, active, out)
+                    _corrections(work, g, i, subtrees, out)
                 for gt in out[start:]:
                     t = gt.target
                     touched |= 1 << t

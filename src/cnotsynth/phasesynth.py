@@ -28,9 +28,10 @@ effect is that its top wire gains its leaf wire, so the wires and the rows take
 that one update per path (``rows[leaf] ^= rows[top]``), not one per CNOT. Two
 terminals are one path, the memoized :func:`~cnotsynth.linsynth._route` from
 the other terminal to the root; :func:`~cnotsynth.linsynth._subtrees` cuts the
-tree of three or more. Two bit-sliced accumulators over the rows then give the
-columns left with a single 1, and one sweep the row of each. Pivot counts,
-common rows and splits are ANDs and popcounts of a row with a frame's bitset.
+tree of three or more. Both search the whole graph, the vertices 1..n. Two
+bit-sliced accumulators over the rows then give the columns left with a single
+1, and one sweep the row of each. Pivot counts, common rows and splits are ANDs
+and popcounts of a row with a frame's bitset.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ class PhaseSynthesizer:
     def _expand(self, frame: _Frame, root: int, others: list[int]) -> None:
         if len(others) == 1:  # one path, from the other terminal: its memoized route
             (leaf,) = others
-            cnots = _route(self.g, leaf, root)
+            cnots = _route(self.g, leaf, root)[1]
             paths = [(leaf, (root,), ())]
         else:
             paths = _subtrees(self.g, others + [root], root, 4)[::-1]  # ROW-OP's path per leaf, from the last path

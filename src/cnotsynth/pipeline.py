@@ -6,7 +6,8 @@ and the loop emits the one with fewer CNOTs, the first on a tie:
 
 * the segmented run: the run's own gates with each CNOT routed alone, by
   ROW-OP's passes along the merge path that the synthesizers join two
-  terminals by;
+  terminals by, through the whole graph (``low = 1``), built once per graph
+  and ordered pair by :func:`~cnotsynth.linsynth._route`;
 * the paper's rebuild: a phase network for the run's terms, then a linear
   restore of the input circuit's own map of the run.
 
@@ -93,13 +94,12 @@ def _chain(path: list[int]) -> list[Gate]:
 def swap_template(c: Circuit, g: ConnectivityGraph) -> Circuit:
     """Route each distant CNOT by the SWAP chains of :func:`_chain` along its merge path."""
     out: list[Gate] = []
-    full = frozenset(g.vertices)
     cx = GateKind.CNOT  # bound once: each GateKind.<name> costs a lookup
     for gt in _pad(c, g.num_vertices).gates:
         if gt.kind is not cx or g.has_edge(gt.control, gt.target):
             out.append(gt)
         else:
-            out += _chain(merge_path(g, gt.control, gt.target, full))
+            out += _chain(merge_path(g, gt.control, gt.target))
     return Circuit.trusted(g.num_vertices, tuple(out))
 
 
@@ -145,7 +145,7 @@ def _segmented(s: Slice, g: ConnectivityGraph) -> tuple[list[Gate], int, int]:
         kind = gt.kind
         if kind is cx:
             cnots += 1
-            route = _route(g, gt.control, gt.target)
+            route = _route(g, gt.control, gt.target)[1]
             out += route
             cost += len(route)
         elif kind is x or (kind is y and at.get(j) == 4):

@@ -16,9 +16,11 @@ are terminals. The last subgraph is therefore the Steiner tree itself; no
 spanning-tree or pruning pass is needed. It is within 2(1 - 1/l) of the
 optimum, l being the leaf count of an optimal tree.
 
-Every distance and path question is answered from one BFS per (graph, active
-set, source), memoized lazily on the graph. The closest pair of every two
-subgraphs is kept in a table of comparable tuples; after a merge only the new
+Every search runs inside a suffix of the vertices, low..n: the whole graph at
+``low = 1``, and what is left of it after LINEAR-TF-SYNTH has fixed the columns
+below ``low``. Every distance and path question is answered from one BFS per
+(graph, low, source), memoized lazily on the graph. The closest pair of every
+two subgraphs is kept in a table of comparable tuples; after a merge only the new
 path vertices are scanned against the other subgraphs, and a candidate pair is
 built only when it is no farther than the best one. The merges write their
 edges into one adjacency map, kept by the tree; a walk from the root turns it
@@ -48,7 +50,18 @@ class UnknownPresetError(ValueError):
 
 @dataclass(frozen=True)
 class ConnectivityGraph:
-    """Simple undirected unit-weight graph on vertices 1..num_vertices."""
+    """Simple undirected unit-weight graph on vertices 1..num_vertices.
+
+    Three memos are filled lazily in its ``__dict__``, which equality and hash ignore; each is
+    shared by every caller, so none of its values may be mutated:
+
+    * ``_adj``: each vertex's neighbors, ascending (n entries);
+    * ``_bfs``: per ``low``, the BFS through low..n and its (distances, parents) per source
+      (:func:`_searches`; at most n values of ``low``, each with at most n sources);
+    * ``_route``: per (low, u, v, alg), the ROW-OP record of the merge path from u to v through
+      low..n and its CNOTs (:func:`cnotsynth.linsynth._route`; at most 2n(n-1) entries: the
+      pipelines' routes at low 1 and alg 2, and LINEAR-TF-SYNTH's one-term columns, u = low < v).
+    """
 
     num_vertices: int
     edges: frozenset[tuple[int, int]]  # normalized (u, v) with u < v
@@ -65,18 +78,15 @@ class ConnectivityGraph:
         return (min(u, v), max(u, v)) in self.edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adjacency()[v]
+        return self._adj[v]
 
-    def _adjacency(self) -> dict[int, tuple[int, ...]]:
-        cache = self.__dict__.get("_adj")
-        if cache is None:
-            adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            cache = {v: tuple(sorted(ns)) for v, ns in adj.items()}
-            object.__setattr__(self, "_adj", cache)
-        return cache
+    @cached_property
+    def _adj(self) -> dict[int, tuple[int, ...]]:
+        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
 
 def _edge(num_vertices: int, u: int, v: int) -> tuple[int, int]:
@@ -202,29 +212,20 @@ def preset_graph(name: str) -> ConnectivityGraph:
     return _PRESETS[name]()
 
 
-def _suffix(g: ConnectivityGraph, i: int) -> frozenset[int]:
-    """The active set {i..n}, built once per graph (at most n entries); ``_suffix(g, 1)`` is the whole graph."""
-    memo = g.__dict__.setdefault("_suffix", {})
-    hit = memo.get(i)
-    if hit is None:
-        hit = memo[i] = frozenset(range(i, g.num_vertices + 1))
-    return hit
-
-
 _Search = Callable[[int], tuple[dict[int, int], dict[int, int | None]]]
 
 
-def _searches(g: ConnectivityGraph, active: frozenset[int]) -> _Search:
-    """BFS through ``active`` from any source: ``search(source) -> (distances, parents)``.
+def _searches(g: ConnectivityGraph, low: int) -> _Search:
+    """BFS through the vertices low..n from any source: ``search(source) -> (distances, parents)``.
 
     Neighbors are expanded in descending index order, which fixes the parent tree. The closure and
-    its results per source are memoized on ``g`` per active set and shared, so no dict may be mutated.
+    its results per source are memoized on ``g`` per ``low`` and shared, so no dict may be mutated.
     """
     memo = g.__dict__.setdefault("_bfs", {})
-    hit = memo.get(active)
+    hit = memo.get(low)
     if hit is not None:
         return hit[1]
-    table, adj = {}, g._adjacency()
+    table, adj = {}, g._adj
 
     def search(source: int) -> tuple[dict[int, int], dict[int, int | None]]:
         hit = table.get(source)
@@ -235,72 +236,61 @@ def _searches(g: ConnectivityGraph, active: frozenset[int]) -> _Search:
             for u in queue:
                 d = dist[u] + 1
                 for w in reversed(adj[u]):
-                    if w in active and w not in dist:
+                    if w >= low and w not in dist:
                         dist[w] = d
                         parent[w] = u
                         queue.append(w)
             hit = table[source] = (dist, parent)
         return hit
 
-    memo[active] = (table, search)
+    memo[low] = (table, search)
     return search
 
 
-def distances(g: ConnectivityGraph, source: int, active: frozenset[int]) -> dict[int, int]:
-    """Hop distance from ``source`` to every vertex it reaches through ``active`` vertices.
+def distances(g: ConnectivityGraph, source: int, low: int = 1) -> dict[int, int]:
+    """Hop distance from ``source`` to every vertex it reaches through the vertices low..n.
 
     The dict is memoized on ``g`` and shared: read it, do not mutate it.
     """
-    return _searches(g, active)(source)[0]
+    return _searches(g, low)(source)[0]
 
 
-def shortest_path(
-    g: ConnectivityGraph, u: int, v: int, active: frozenset[int] | None = None
-) -> list[int]:
-    """Minimal-hop path from ``u`` to ``v`` using only ``active`` vertices.
+def shortest_path(g: ConnectivityGraph, u: int, v: int, low: int = 1) -> list[int]:
+    """Minimal-hop path from ``u`` to ``v`` using only the vertices low..n.
 
     Deterministic: the walk from ``u`` greedily takes the smallest-index neighbor
     that still lies on a shortest path, which yields the lexicographically
     smallest shortest path.
     """
-    if active is None:
-        active = _suffix(g, 1)
-    if u not in active or v not in active:
-        raise NoPathError(f"endpoint outside the active vertex set: {u} or {v}")
+    if min(u, v) < low or max(u, v) > g.num_vertices:
+        raise NoPathError(f"endpoint outside the vertices {low}..{g.num_vertices}: {u} or {v}")
     if u == v:
         return [u]
-    dist_v = distances(g, v, active)
+    dist_v = distances(g, v, low)
     if u not in dist_v:
-        raise NoPathError(f"no path from {u} to {v} in the active subgraph")
+        raise NoPathError(f"no path from {u} to {v} through the vertices {low}..{g.num_vertices}")
     path = [u]
     cur = u
     while cur != v:
-        cur = min(w for w in g.neighbors(cur) if w in active and dist_v.get(w, -1) == dist_v[cur] - 1)
+        cur = min(w for w in g.neighbors(cur) if dist_v.get(w, -1) == dist_v[cur] - 1)
         path.append(cur)
     return path
 
 
-def _merge_path(search: _Search, u: int, v: int) -> list[int]:
-    # the Steiner merge's convention: the parent walk in the BFS tree grown from min(u, v)
+def merge_path(g: ConnectivityGraph, u: int, v: int, low: int = 1) -> list[int]:
+    """The path from ``u`` to ``v`` that :func:`steiner_tree` joins the two terminals by.
+
+    It is the parent walk in the BFS tree grown from min(u, v) through the vertices low..n;
+    raises :class:`DisconnectedTerminalsError` if ``v`` is not reachable from ``u`` through them.
+    """
     a, b = (u, v) if u < v else (v, u)
-    parent = search(a)[1]
+    dist, parent = _searches(g, low)(a)
+    if b not in dist:
+        raise _disconnected([a, b])
     path = [b]
     while (p := parent[path[-1]]) is not None:
         path.append(p)
     return path[::-1] if u < v else path  # path runs from b to a
-
-
-def merge_path(g: ConnectivityGraph, u: int, v: int, active: frozenset[int] | None = None) -> list[int]:
-    """The path from ``u`` to ``v`` that :func:`steiner_tree` joins the two terminals by.
-
-    Only vertices in ``active`` may be used; raises :class:`DisconnectedTerminalsError`
-    if ``v`` is not reachable from ``u`` through them.
-    """
-    search = _searches(g, _suffix(g, 1) if active is None else active)
-    a, b = (u, v) if u < v else (v, u)
-    if b not in search(a)[0]:
-        raise _disconnected([a, b])
-    return _merge_path(search, u, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,27 +319,20 @@ class SteinerTree:
         return {w: x for x, below in self.children.items() for w in below}
 
 
-def steiner_tree(
-    g: ConnectivityGraph,
-    terminals: Iterable[int],
-    root: int,
-    active: frozenset[int] | None = None,
-) -> SteinerTree:
+def steiner_tree(g: ConnectivityGraph, terminals: Iterable[int], root: int, low: int = 1) -> SteinerTree:
     """Approximate minimum Steiner tree over ``terminals``, rooted at ``root``.
 
-    ``root`` must itself be a terminal. Only vertices in ``active`` may be used.
+    ``root`` must itself be a terminal. Only the vertices low..n may be used.
     Raises :class:`DisconnectedTerminalsError` if the terminals do not all lie in
-    one component of the induced subgraph.
+    one component of the subgraph that low..n induce.
     """
-    if active is None:
-        active = _suffix(g, 1)
     term_set = frozenset(terminals)
     if root not in term_set:
         raise ValueError(f"root {root} must be a terminal")
-    if not term_set <= active:
-        raise ValueError("terminals must lie inside the active vertex set")
+    if min(term_set) < low or max(term_set) > g.num_vertices:
+        raise ValueError(f"terminals must lie inside the vertices {low}..{g.num_vertices}")
     order = sorted(term_set)
-    search = _searches(g, active)
+    search = _searches(g, low)
 
     # Forest of subgraphs keyed by creation order: id -> vertices. The subgraphs
     # share no vertex, so one adjacency map holds all their edges. closest[i, j]
@@ -371,7 +354,7 @@ def steiner_tree(
             raise _disconnected(order)
         _, u, v, i, j = min(closest.values())
         del closest[i, j]
-        # _merge_path(search, u, v) walked inline, from v up the BFS tree grown from u < v; its interior
+        # merge_path(g, u, v, low) walked inline, from v up the BFS tree grown from u < v; its interior
         # is new to the merged subgraph, as a shortest path between a closest pair meets no subgraph
         parent_u, fresh, x = search(u)[1], [], v
         while x != u:
@@ -401,5 +384,5 @@ def steiner_tree(
 
 
 def _disconnected(terminals: list[int]) -> DisconnectedTerminalsError:
-    return DisconnectedTerminalsError(f"terminals {terminals} are not connected within the active subgraph")
+    return DisconnectedTerminalsError(f"terminals {terminals} are not connected within the subgraph they may use")
 

@@ -84,7 +84,7 @@ def random_invertible(rng, n) -> AugmentedTransform:
 
 def is_connected(g: ConnectivityGraph) -> bool:
     """True iff every vertex of ``g`` is reachable from vertex 1."""
-    return distances(g, 1, frozenset(g.vertices)).keys() == set(g.vertices)
+    return distances(g, 1).keys() == set(g.vertices)
 
 
 def tree_nodes(tree: SteinerTree) -> frozenset[int]:
@@ -121,9 +121,19 @@ def two_terminal_expansion_record(g: ConnectivityGraph, root: int, leaf: int):
 
     The merge path from ``leaf`` up to ``root`` roots the record at ``leaf``;
     its passes are alg 4's, which are alg 2's. The phase network now takes the
-    route ``_route(g, leaf, root)`` instead, which this record must equal.
+    CNOTs of ``_route(g, leaf, root)`` instead, which this record's must equal.
     """
     return _path_record(merge_path(g, root, leaf)[::-1], 4)
+
+
+def star_graph(n: int) -> ConnectivityGraph:
+    """The star with hub 1 on n vertices: every suffix low..n with low > 1 falls apart into single vertices."""
+    return ConnectivityGraph.from_edges(n, [(1, v) for v in range(2, n + 1)])
+
+
+def bridge_graph() -> ConnectivityGraph:
+    """Five vertices whose suffixes 2..5 and 3..5 cut vertex 5 off; presets' suffixes never fall apart."""
+    return ConnectivityGraph.from_edges(5, [(1, 2), (1, 4), (1, 5), (2, 4), (3, 4)])
 
 
 def random_connected_graph(rng, n) -> ConnectivityGraph:

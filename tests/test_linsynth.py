@@ -17,6 +17,7 @@ from cnotsynth.linsynth import (
     _eliminate_column,
     _path_passes,
     _path_record,
+    _route,
     linear_tf_synth,
     row_op,
 )
@@ -25,8 +26,6 @@ from cnotsynth.topology import (
     ConnectivityGraph,
     DisconnectedTerminalsError,
     SteinerTree,
-    _suffix,
-    distances,
     grid_graph,
     merge_path,
     preset_graph,
@@ -36,16 +35,18 @@ from cnotsynth.topology import (
 from tests.conftest import (
     APPENDIX_A_BITS,
     assert_budget_contract,
+    bridge_graph,
     entry,
     is_invertible,
     path_tree,
     random_connected_graph,
     random_invertible,
+    star_graph,
     traced,
     tree_depths,
     tree_leaves,
 )
-from tests.test_topology import _steiner_pin_cases
+from tests.test_topology import _early_stop_merge_path, _steiner_pin_cases, bfs_distance
 
 
 def _pairs(gates):
@@ -78,7 +79,7 @@ def test_separate_flipped_paths(grid2x3):
 
 
 def test_separate_edge_disjoint(grid2x3):
-    tree = steiner_tree(grid2x3, {2, 3, 4, 6}, 2, frozenset({2, 3, 4, 5, 6}))
+    tree = steiner_tree(grid2x3, {2, 3, 4, 6}, 2, 2)
     subs = _cut(tree, alg=1)
     seen = set()
     for _, _, passes in subs:
@@ -232,19 +233,19 @@ def _cut_cnots(records):
 
 def _row_op_cases(rng):
     """(graph, tree): Steiner trees from every preset and from random connected
-    graphs, over full and suffix active sets, and path_tree shortest paths."""
+    graphs, over the whole graph and suffixes low..n, and path_tree shortest paths."""
     graphs = [preset_graph(name) for name in PRESET_NAMES]
     graphs += [random_connected_graph(rng, rng.randint(3, 14)) for _ in range(30)]
     graphs.append(grid_graph(5, 5))
     for g in graphs:
         n = g.num_vertices
         for trial in range(30):
-            active = frozenset(g.vertices) if trial % 2 else frozenset(range(rng.randint(1, n - 1), n + 1))
-            k = min(len(active), rng.choice([1, 2, 3, 4, 5, rng.randint(2, n)]))
-            terminals = frozenset(rng.sample(sorted(active), k))
+            low = 1 if trial % 2 else rng.randint(1, n - 1)
+            k = min(n + 1 - low, rng.choice([1, 2, 3, 4, 5, rng.randint(2, n)]))
+            terminals = frozenset(rng.sample(range(low, n + 1), k))
             pivot = rng.choice(sorted(terminals))
             try:
-                tree = steiner_tree(g, terminals, pivot, active)
+                tree = steiner_tree(g, terminals, pivot, low)
             except DisconnectedTerminalsError:
                 continue
             yield g, tree
@@ -357,22 +358,22 @@ def test_two_terminal_subtrees_are_the_cut_of_the_merge_path():
             for v in g.vertices:
                 if u == v:
                     continue
-                for active in (frozenset(g.vertices), frozenset(range(min(u, v), n + 1))):
-                    case = (name, u, v, sorted(active))
-                    tree = steiner_tree(g, {u, v}, u, active)
-                    want = path_tree(merge_path(g, u, v, active))
+                for low in (1, min(u, v)):
+                    case = (name, u, v, low)
+                    tree = steiner_tree(g, {u, v}, u, low)
+                    want = path_tree(merge_path(g, u, v, low))
                     assert (tree.root, tree.terminals, tree.parent, tree.children) == (
                         want.root,
                         want.terminals,
                         want.parent,
                         want.children,
                     ), case
-                    path = merge_path(g, u, v, active)
+                    path = merge_path(g, u, v, low)
                     for alg in (1, 2):  # a one-term column's record in LINEAR-TF-SYNTH, and _route's
                         assert _cut(tree, alg) == [_path_record(path, alg)], case
                     # alg 4 reverses the path: the phase network's two-terminal record, which it takes from _route
                     assert _cut(tree, 4) == [_path_record(path[::-1], 4)], case
-                    seen["suffix" if len(active) < n else "full"] += 1
+                    seen["suffix" if low > 1 else "full"] += 1
     assert min(seen.values()) > 50, seen
 
 
@@ -384,10 +385,10 @@ def test_cut_pinned():
     # pins the sub-tree order, the leaves and every pass edge of the cut, beyond the trees the pipelines reach
     digest = hashlib.sha256()
     cases = 0
-    for name, g, terminals, root, active in _steiner_pin_cases():
-        tree = steiner_tree(g, terminals, root, active)
+    for name, g, terminals, root, low in _steiner_pin_cases():
+        tree = steiner_tree(g, terminals, root, low)
         for alg in (1, 2, 4):
-            digest.update(repr((name, sorted(terminals), root, min(active), alg, _cut(tree, alg))).encode())
+            digest.update(repr((name, sorted(terminals), root, low, alg, _cut(tree, alg))).encode())
         cases += 1
     assert cases > 2000
     assert digest.hexdigest() == PINNED_CUT
@@ -518,15 +519,10 @@ def test_transform_smaller_than_graph(grid2x3):
     assert action.rows[3:] == [1 << i for i in (4, 5, 6)]
 
 
-def _star():
-    # removing the hub (vertex 1) disconnects everything, forcing the
-    # full-graph routing fallbacks
-    return ConnectivityGraph.from_edges(4, [(1, 2), (1, 3), (1, 4)])
-
-
 def test_disconnected_removal_fallback():
-    # functional correctness must survive the full-graph routing fallback
-    g = _star()
+    # functional correctness must survive the full-graph routing fallback: removing
+    # the hub (vertex 1) of a star disconnects everything
+    g = star_graph(4)
     rng = random.Random(17)
     for _ in range(60):
         a = random_invertible(rng, 4)
@@ -537,29 +533,29 @@ def test_disconnected_removal_fallback():
 
 def test_corrections_walk_inside_the_shrunken_graph(monkeypatch):
     # every leaf _corrections chases belongs to the column's cut, which is
-    # connected inside active; a term bridged through fixed vertices is rooted
+    # connected inside i..n; a term bridged through fixed vertices is rooted
     # at the column, below all its leaves, so no correction starts from it
-    column = {"active": None, "bridged": False}
+    column = {"low": None, "bridged": False}
     walks = []
     bridged_and_corrected = 0
 
-    def path_spy(g, u, v, active=None):
-        path = shortest_path(g, u, v, active)
+    def path_spy(g, u, v, low=1):
+        path = shortest_path(g, u, v, low)
         caller = sys._getframe(1).f_code.co_name
         if caller == "_corrections":
-            walks.append(active == column["active"] and set(path) <= active)
+            walks.append(low == column["low"] and min(path) >= low)
         elif caller == "_eliminate_column":
             column["bridged"] = True
         return path
 
-    def eliminate_spy(a, g, i, active, terms, alg, out):
-        column.update(active=active, bridged=False)
-        return eliminate_column(a, g, i, active, terms, alg, out)
+    def eliminate_spy(a, g, i, terms, alg, out):
+        column.update(low=i, bridged=False)
+        return eliminate_column(a, g, i, terms, alg, out)
 
-    def corrections_spy(a, g, subtrees, active, out):
+    def corrections_spy(a, g, i, subtrees, out):
         nonlocal bridged_and_corrected
         before = len(out)  # the corrections append their CNOTs to the phase's list
-        corrections(a, g, subtrees, active, out)
+        corrections(a, g, i, subtrees, out)
         bridged_and_corrected += len(out) > before and column["bridged"]
 
     eliminate_column, corrections = linsynth._eliminate_column, linsynth._corrections
@@ -576,11 +572,11 @@ def test_corrections_walk_inside_the_shrunken_graph(monkeypatch):
     a = AugmentedTransform.identity(5)
     for dst, src in ((3, 2), (5, 2), (2, 5)):
         a.row_xor(dst, src)
-    synth(a, ConnectivityGraph.from_edges(5, [(1, 2), (1, 4), (1, 5), (2, 4), (3, 4)]))
+    synth(a, bridge_graph())
     assert bridged_and_corrected == 1
     rng = random.Random("corrections-local")
     graphs = [random_connected_graph(rng, rng.randint(4, 12)) for _ in range(60)]
-    graphs += [ConnectivityGraph.from_edges(n, [(1, v) for v in range(2, n + 1)]) for n in range(3, 10)]
+    graphs += [star_graph(n) for n in range(3, 10)]
     graphs += [preset_graph(name) for name in PRESET_NAMES]
     for g in graphs:
         for _ in range(4):
@@ -611,7 +607,7 @@ def test_x_gates_realize_flip_column(grid2x3):
 def _pin_graphs():
     return {
         "appendix-2x3": preset_graph("appendix-2x3"),
-        "star-4": _star(),
+        "star-4": star_graph(4),
         "9q-square": preset_graph("9q-square"),
         "rigetti-16q-aspen": preset_graph("rigetti-16q-aspen"),
         "ibm-q20-tokyo": preset_graph("ibm-q20-tokyo"),
@@ -653,7 +649,7 @@ PINNED_LINEAR = {
 
 
 def test_linear_synthesis_pinned(monkeypatch):
-    # path records are built for two-terminal row ops (by the _one_term memo),
+    # path records are built for two-terminal row ops (by the _route memo),
     # for the cut's leaf paths, and for the full-graph routing fallbacks and
     # _corrections; count which callers built them
     fallbacks = Counter()
@@ -673,7 +669,7 @@ def test_linear_synthesis_pinned(monkeypatch):
                 fields = (e.phase, e.column, _pairs(e.diag), _pairs(e.tree), _pairs(e.corrections), e.matrix.rows)
                 digest.update(repr(fields).encode())
         assert digest.hexdigest() == PINNED_LINEAR[name], name
-    assert fallbacks["_one_term"] > 0  # a one-term column's record, built once per graph
+    assert fallbacks["_route"] > 0  # a one-term column's record, built once per graph
     assert fallbacks["_eliminate_column"] > 0  # a term unreachable inside the shrunken graph
     assert fallbacks["_fix_diagonal"] > 0  # a pivot candidate unreachable likewise
     assert fallbacks["_corrections"] > 0  # a phase-2 leaf below its sub-tree's root
@@ -699,7 +695,7 @@ def test_warm_memos_change_no_restore(monkeypatch):
         for c in [pipeline.random_circuit(min(9, n), 12, rng) for _ in range(4)]:
             for algo in ("opt-a", "opt-b"):
                 pipeline.resynthesize(c, warm, algo)
-        assert warm.__dict__["_one_term"], name
+        assert warm.__dict__["_route"], name
         for a in _pin_inputs(random.Random(name), n):
             fresh = ConnectivityGraph.from_edges(n, warm.edges)
             assert traced(linear_tf_synth, a, warm) == traced(linear_tf_synth, a, fresh), name
@@ -711,27 +707,37 @@ def test_warm_memos_change_no_restore(monkeypatch):
                     restores.clear()
                     runs.append((pipeline.resynthesize(c, g, algo)[0], list(restores)))
                 assert runs[0] == runs[1], (name, k, algo)
-    # the memo keys each record by its active set: a column whose record is warm for {i..n} and is asked
-    # inside a smaller active set gets that set's merge path, as built without the memo
-    g = grid_graph(4, 4)
-    for a in _pin_inputs(random.Random("warm-grid-4x4"), g.num_vertices):
+    # the memo keys each record by its low: on a warm graph whose suffixes fall apart, every column's
+    # (record, CNOTs) at every low equals the build from the memo-free oracle path, and so does the column
+    g = bridge_graph()
+    n = g.num_vertices
+    for a in _pin_inputs(random.Random("warm-bridge"), n):
         linear_tf_synth(a, g)
-    fresh, rng, checked = grid_graph(4, 4), random.Random("other-active"), 0
-    for (active, i, t, alg), (record, _) in list(g.__dict__["_one_term"].items()):
-        assert active is _suffix(g, i)
-        for v in merge_path(fresh, i, t, active)[1:-1]:  # drop a vertex of the warm record's path
-            smaller = active - {v}
-            if t not in distances(fresh, i, smaller):
-                continue
-            want = _path_record(merge_path(fresh, i, t, smaller), alg)
-            assert want != record
-            got_a = random_invertible(rng, g.num_vertices)
-            want_a = got_a.copy()
-            out = []
-            assert _eliminate_column(got_a, g, i, smaller, {t}, alg, out) == [want]
-            assert out == _apply(want_a, [want], []) and got_a == want_a
-            checked += 1
-    assert checked > 10
+    for c in [pipeline.random_circuit(n, 12, random.Random(f"warm-bridge-{k}")) for k in range(4)]:
+        pipeline.resynthesize(c, g, "opt-a")
+    rng, seen = random.Random("every-low"), Counter()
+    for low in g.vertices:
+        for i in range(low, n + 1):
+            for t in range(i + 1, n + 1):
+                for alg in (1, 2):
+                    warm_before = (low, i, t, alg) in g.__dict__["_route"]
+                    active = range(low, n + 1)
+                    if bfs_distance(g, i, t, active) is None:
+                        with pytest.raises(DisconnectedTerminalsError):
+                            _route(g, i, t, low, alg)
+                        seen["unreachable"] += 1
+                        continue
+                    want = _path_record(_early_stop_merge_path(g, i, t, active), alg)
+                    assert _route(g, i, t, low, alg) == (want, tuple(cnot(u, v) for u, v in want[2]))
+                    seen["warm" if warm_before else "cold"] += 1
+                    if low == i:  # column i with the one term t
+                        got_a = random_invertible(rng, n)
+                        want_a = got_a.copy()
+                        out = []
+                        assert _eliminate_column(got_a, g, i, {t}, alg, out) == [want]
+                        assert out == _apply(want_a, [want], []) and got_a == want_a
+                        seen["column"] += 1
+    assert min(seen[k] for k in ("warm", "cold", "unreachable", "column")) > 0, seen
 
 
 def test_traced_and_untraced_linear_synthesis_agree(monkeypatch):

@@ -41,7 +41,6 @@ from cnotsynth.topology import (
     PRESET_NAMES,
     ConnectivityGraph,
     _searches,
-    _suffix,
     grid_graph,
     merge_path,
     preset_graph,
@@ -241,7 +240,7 @@ def test_route_is_row_op_on_the_merge_path(name):
         for target in g.vertices:
             if control == target:
                 continue
-            route = _route(g, control, target)
+            route = _route(g, control, target)[1]
             path = merge_path(g, control, target)
             assert route == tuple(cnot(u, v) for u, v in _path_passes(path, 2))
             # exactly CNOT(control, target), every CNOT on an edge
@@ -254,8 +253,9 @@ def test_route_is_row_op_on_the_merge_path(name):
                 reference = _bridge_or_chain(g, control, target)
                 assert len(route) <= len(reference), (control, target)
                 shorter += len(route) < len(reference)
-            assert _route(g, control, target) is route  # memoized
-    assert len(g.__dict__["_route"]) == n * (n - 1)
+            assert _route(g, control, target)[1] is route  # memoized
+    # one route per ordered pair, beside the one-term columns of the restores _bridge_or_chain ran
+    assert sum((low, alg) == (1, 2) for low, _, _, alg in g.__dict__["_route"]) == n * (n - 1)
     assert shorter == {"rigetti-16q-aspen": 54, "ibm-q20-tokyo": 24}.get(name, 0)
 
 
@@ -288,7 +288,7 @@ def test_cnot_free_run_is_not_rebuilt(monkeypatch):
 def test_run_is_rebuilt_when_the_rebuild_is_cheaper(algo):
     # the two routes cost 12 CNOTs each; the run's map is the identity
     g = preset_graph("9q-square")
-    assert len(_route(g, 1, 9)) == 12
+    assert len(_route(g, 1, 9)[1]) == 12
     out, report = resynthesize(Circuit(9, (cnot(1, 9), cnot(1, 9), Gate(GateKind.H, 9))), g, algo)
     assert out.gates == (Gate(GateKind.H, 9),) and report.per_slice_cnots == (0, 0)
 
@@ -342,7 +342,7 @@ def test_one_cnot_rebuild_never_beats_its_route(family):
             for target in g.vertices:
                 if control == target:
                     continue
-                route = len(_route(g, control, target))
+                route = len(_route(g, control, target)[1])
                 base = (x(control), cnot(control, target))
                 spent = []
                 # no term; the term 1 + x_c + x_t; and the terms 1 + x_c + x_t and x_c + x_t
@@ -391,13 +391,13 @@ def test_one_cnot_run_is_never_rebuilt(monkeypatch):
     t, s, h, z = _one_qubit(GateKind.T), _one_qubit(GateKind.S), _one_qubit(GateKind.H), _one_qubit(GateKind.Z)
     # two runs with CNOT(1, 9) alone, then a run with two CNOTs
     c = Circuit(9, (cnot(1, 9), t(1), h(1), cnot(1, 9), s(1), h(1), cnot(1, 9), cnot(2, 8), t(2)))
-    route = _route(g, 1, 9)
+    route = _route(g, 1, 9)[1]
     for algo in ("opt-a", "opt-b"):
         budgets.clear()
         out, report = resynthesize(c, g, algo)
         assert out.gates == route + (t(1), h(1)) + route + (s(1), h(1), z(9)), algo
         assert report.per_slice_cnots == (12, 12, 0), algo
-        assert budgets == [len(route) + len(_route(g, 2, 8))], algo
+        assert budgets == [len(route) + len(_route(g, 2, 8)[1])], algo
 
 
 @pytest.mark.parametrize("algo", ["opt-a", "opt-b"])
@@ -487,9 +487,9 @@ def test_pipeline_trees_match_the_references(monkeypatch):
     # many terminals, most with interior terminals, unlike random terminal sets
     trees, ops = [], []
 
-    def tree_spy(g, terminals, root, active=None):
-        tree = steiner_tree(g, terminals, root, active)
-        trees.append((g, active or frozenset(g.vertices), tree))
+    def tree_spy(g, terminals, root, low=1):
+        tree = steiner_tree(g, terminals, root, low)
+        trees.append((g, range(low, g.num_vertices + 1), tree))
         return tree
 
     def cut_spy(tree, alg):  # both synthesizers cut their trees of three or more terminals here
@@ -569,35 +569,40 @@ def test_trusted_outputs_pass_the_public_check():
 
 
 def test_bfs_memo_bounded_and_unchanged_by_callers():
+    # the three per-graph memos of ConnectivityGraph's docstring, their keys and bounds, each entry as built fresh
     g = preset_graph("ibm-q20-tokyo")
     n = g.num_vertices
     c = random_circuit(16, 60, random.Random(3))
     for algo in ("opt-a", "opt-b"):
         resynthesize(c, g, algo)
+
+    def unmemoized():
+        return ConnectivityGraph.from_edges(n, g.edges)
+
+    assert set(g.__dict__) - set(unmemoized().__dict__) == {"_adj", "_bfs", "_route"}
+    assert g == unmemoized() and hash(g) == hash(unmemoized())  # the memos are not part of the graph's value
+    assert g.__dict__["_adj"] == {v: tuple(sorted(w for e in g.edges if v in e for w in e if w != v)) for v in g.vertices}
+    # _bfs: the whole graph and the suffixes low..n of linear synthesis, each with one BFS per source
     memo = g.__dict__["_bfs"]
-    entries = sum(len(table) for table, _ in memo.values())
-    # the whole graph and the suffix sets {i..n} of linear synthesis, one BFS per source
-    assert n < entries <= (n + 1) * n
-    assert n < len(g.__dict__["_route"]) <= n * (n - 1)  # one routing per ordered qubit pair
-    # the active sets {i..n}, at most n of them, each built once
-    suffix = g.__dict__["_suffix"]
-    assert 1 < len(suffix) <= n and all(active == frozenset(range(i, n + 1)) for i, active in suffix.items())
-    fresh = ConnectivityGraph.from_edges(n, g.edges)
-    # the pipelines add only the adjacency, active set, BFS, route and one-term column memos to the graph
-    assert set(g.__dict__) - set(fresh.__dict__) == {"_adj", "_suffix", "_bfs", "_route", "_one_term"}
-    assert g == fresh and hash(g) == hash(fresh)  # the memo is not part of the graph's value
-    # one record per one-term column: pairs i < t on the active set {i..n}, times alg 1 and 2
-    one_term = g.__dict__["_one_term"]
-    assert n < len(one_term) <= n * (n - 1)
-    for (active, i, t, alg), (record, cnots) in one_term.items():
-        assert active is _suffix(g, i) and i < t and alg in (1, 2)
-        assert record == _path_record(merge_path(fresh, i, t, _suffix(fresh, i)), alg)
-        assert cnots == tuple(cnot(u, v) for u, v in record[2])
-    for active, (table, search) in memo.items():
-        assert _searches(g, active) is search  # one BFS closure per active set, built once
+    assert 1 in memo and 1 < len(memo) <= n and set(memo) <= set(g.vertices)
+    for low, (table, search) in memo.items():
+        assert _searches(g, low) is search  # one BFS closure per low, built once
+        assert 0 < len(table) <= n
+        active = range(low, n + 1)
         for source, (dist, parent) in table.items():
             assert dist == {v: d for v in active if (d := _bfs_dist(g, source, v, active)) is not None}
-            assert parent == _searches(fresh, active)(source)[1]
+            assert (dist, parent) == _searches(unmemoized(), low)(source)
+    # _route: the pipelines' routes at low 1 and alg 2, one per ordered qubit pair, and the one-term
+    # columns i < t of linear synthesis at low i and alg 1 and 2
+    routes = g.__dict__["_route"]
+    assert n < len(routes) <= 2 * n * (n - 1)
+    kinds = Counter()
+    for (low, u, v, alg), (record, cnots) in routes.items():
+        assert (low, alg) == (1, 2) and u != v or low == u < v and alg in (1, 2), (low, u, v, alg)
+        kinds["route" if (low, alg) == (1, 2) else "column"] += 1
+        assert record == _path_record(merge_path(unmemoized(), u, v, low), alg)
+        assert cnots == tuple(cnot(p, q) for p, q in record[2])
+    assert min(kinds.values()) > n, kinds
 
 
 def test_larger_qubit_gate_set_passthrough():

@@ -14,6 +14,7 @@ from cnotsynth.topology import (
     UnknownPresetError,
     distances,
     grid_graph,
+    merge_path,
     parse_graph,
     preset_graph,
     SteinerTree,
@@ -21,8 +22,15 @@ from cnotsynth.topology import (
     steiner_tree,
     write_graph,
 )
-from cnotsynth.topology import _merge_path, _searches
-from tests.conftest import is_connected, path_tree, random_connected_graph, tree_leaves, tree_nodes
+from tests.conftest import (
+    bridge_graph,
+    is_connected,
+    path_tree,
+    random_connected_graph,
+    star_graph,
+    tree_leaves,
+    tree_nodes,
+)
 
 
 # -- independent oracles ----------------------------------------------------
@@ -158,32 +166,32 @@ def test_path_1_to_4_length(grid2x3):
     assert len(path) == 4
 
 
-def test_path_respects_active(grid2x3):
-    path = shortest_path(grid2x3, 2, 4, active=frozenset({2, 5, 4}))
-    assert path == [2, 5, 4]
+def test_path_respects_low(grid2x3):
+    assert shortest_path(grid2x3, 6, 2) == [6, 1, 2]
+    assert shortest_path(grid2x3, 6, 2, low=2) == [6, 5, 2]  # vertex 1 is below the suffix 2..6
     with pytest.raises(NoPathError):
-        shortest_path(grid2x3, 2, 4, active=frozenset({2, 4}))
+        shortest_path(grid2x3, 2, 4, low=3)  # an endpoint below it
+    with pytest.raises(NoPathError):
+        shortest_path(star_graph(4), 2, 3, low=2)  # the suffix 2..4 of a star has no edge
 
 
 def test_paths_match_bfs_oracle_on_presets():
-    rng = random.Random(5)
     cut_off = 0
-    for name in PRESET_NAMES:
-        g = preset_graph(name)
-        full = frozenset(g.vertices)
+    for g in [preset_graph(name) for name in PRESET_NAMES] + [star_graph(5), bridge_graph()]:
+        n = g.num_vertices
         for u in g.vertices:
-            assert distances(g, u, full) == {v: bfs_distance(g, u, v) for v in g.vertices}
+            assert distances(g, u) == {v: bfs_distance(g, u, v) for v in g.vertices}
             for v in g.vertices:
                 path = shortest_path(g, u, v)
                 assert len(path) - 1 == bfs_distance(g, u, v)
                 assert path[0] == u and path[-1] == v
                 for a, b in zip(path, path[1:]):
                     assert g.has_edge(a, b)
-        for _ in range(20):
-            # a random active subset; vertices it cuts off must be absent from the result
-            active = frozenset(v for v in g.vertices if rng.random() < 0.6)
+        for low in g.vertices:
+            # every suffix low..n; vertices it cuts off (on the star and bridge graphs) must be absent from the result
+            active = range(low, n + 1)
             for u in active:
-                dist = distances(g, u, active)
+                dist = distances(g, u, low)
                 oracle = {v: bfs_distance(g, u, v, active) for v in active}
                 assert dist == {v: d for v, d in oracle.items() if d is not None}
                 cut_off += len(active) - len(dist)
@@ -208,14 +216,17 @@ def test_appendix_tree_column1(grid2x3):
 
 def test_appendix_tree_column2(grid2x3):
     # pivot 2, terminals {2,3,4,6} on the graph without vertex 1: Steiner node 5
-    active = frozenset({2, 3, 4, 5, 6})
-    tree = steiner_tree(grid2x3, {2, 3, 4, 6}, 2, active)
+    tree = steiner_tree(grid2x3, {2, 3, 4, 6}, 2, 2)
     assert set(tree.parent.items()) == {(3, 2), (4, 3), (5, 2), (6, 5)}
 
 
 def test_disconnected_terminals(grid2x3):
     with pytest.raises(DisconnectedTerminalsError):
-        steiner_tree(grid2x3, {1, 4}, 1, active=frozenset({1, 4}))
+        steiner_tree(bridge_graph(), {3, 5}, 3, 2)  # the suffix 2..5 cuts vertex 5 off
+    with pytest.raises(DisconnectedTerminalsError):
+        steiner_tree(star_graph(4), {2, 3, 4}, 4, low=2)
+    with pytest.raises(ValueError, match="inside the vertices 3..6"):
+        steiner_tree(grid2x3, {2, 4}, 4, 3)  # a terminal below the suffix
 
 
 def test_root_must_be_terminal(grid2x3):
@@ -399,40 +410,38 @@ def _reference_graphs():
     rng = random.Random(7070)
     for name in PRESET_NAMES:
         yield preset_graph(name)
+    yield star_graph(6)
+    yield bridge_graph()
     for _ in range(25):
         yield random_connected_graph(rng, rng.randint(3, 12))
 
 
 def test_steiner_tree_matches_pair_scan_reference():
     rng = random.Random(20261018)
-    seen = {"suffix": 0, "arbitrary": 0, "full": 0, "two": 0, "disconnected": 0}
+    seen = {"suffix": 0, "full": 0, "two": 0, "disconnected": 0}
     counts = Counter()
     for g in _reference_graphs():
         n = g.num_vertices
         for trial in range(40):
-            kind = ("full", "suffix", "arbitrary")[trial % 3]
-            if kind == "full":
-                active = frozenset(g.vertices)
-            elif kind == "suffix":
-                active = frozenset(range(rng.randint(1, n - 1), n + 1))
-            else:
-                active = frozenset(v for v in g.vertices if rng.random() < 0.7) or frozenset({1})
+            kind = ("full", "suffix")[trial % 2]
+            low = 1 if kind == "full" else rng.randint(2, n - 1)
+            active = range(low, n + 1)
             k = min(len(active), rng.choice([1, 2, 2, 3, 4, rng.randint(2, n)]))
-            terminals = set(rng.sample(sorted(active), k))
+            terminals = set(rng.sample(active, k))
             root = rng.choice(sorted(terminals))
             try:
                 want = _reference_steiner_tree(g, terminals, root, active, counts)
             except DisconnectedTerminalsError:
                 with pytest.raises(DisconnectedTerminalsError):
-                    steiner_tree(g, terminals, root, active)
+                    steiner_tree(g, terminals, root, low)
                 seen["disconnected"] += 1
                 continue
-            got = steiner_tree(g, terminals, root, active)
+            got = steiner_tree(g, terminals, root, low)
             assert (got.root, got.parent, got.children) == (
                 want.root,
                 want.parent,
                 want.children,
-            ), (sorted(g.edges), terminals, root, sorted(active))
+            ), (sorted(g.edges), terminals, root, low)
             assert got.edge_count == len(want.parent)
             seen[kind] += 1
             seen["two"] += k == 2
@@ -449,22 +458,25 @@ def test_steiner_tree_matches_pair_scan_reference():
 
 def test_merge_path_matches_early_stopping_bfs():
     rng = random.Random(11)
-    checked = 0
+    checked = unreachable = 0
     for g in _reference_graphs():
+        n = g.num_vertices
         for _ in range(30):
-            active = frozenset(v for v in g.vertices if rng.random() < 0.8)
-            if len(active) < 2:
-                continue
-            u, v = rng.sample(sorted(active), 2)
+            low = rng.randint(1, n - 1)
+            active = range(low, n + 1)
+            u, v = rng.sample(active, 2)
             if bfs_distance(g, u, v, active) is None:
+                with pytest.raises(DisconnectedTerminalsError):
+                    merge_path(g, u, v, low)
+                unreachable += 1
                 continue
-            assert _merge_path(_searches(g, active), u, v) == _early_stop_merge_path(g, u, v, active)
+            assert merge_path(g, u, v, low) == _early_stop_merge_path(g, u, v, active)
             checked += 1
-    assert checked > 500
+    assert checked > 500 and unreachable > 0
 
 
 def _steiner_pin_cases():
-    """About 2,000 seeded (graph, terminals, root, active) cases: 3-8 terminals, full and suffix active sets."""
+    """About 2,000 seeded (graph, terminals, root, low) cases: 3-8 terminals, the whole graph and suffixes low..n."""
     graphs = {name: preset_graph(name) for name in PRESET_NAMES} | {"grid-5x5": grid_graph(5, 5)}
     for name, g in graphs.items():
         rng = random.Random(f"steiner-pin-{name}")
@@ -472,9 +484,9 @@ def _steiner_pin_cases():
         for trial in range(290):
             # every suffix of a preset or a grid stays connected, so every case spans
             low = 1 if trial % 2 else rng.randint(1, n - 2)
-            active = frozenset(range(low, n + 1))
-            terminals = rng.sample(sorted(active), min(len(active), rng.randint(3, 8)))
-            yield name, g, frozenset(terminals), rng.choice(terminals), active
+            active = range(low, n + 1)
+            terminals = rng.sample(active, min(len(active), rng.randint(3, 8)))
+            yield name, g, frozenset(terminals), rng.choice(terminals), low
 
 
 # sha256 over (case, sorted parent items, sorted children items) of every _steiner_pin_cases tree
@@ -485,10 +497,10 @@ def test_steiner_tree_pinned():
     # pins the merge order and every tie-break, beyond the trees the pipelines reach
     digest = hashlib.sha256()
     cases = 0
-    for name, g, terminals, root, active in _steiner_pin_cases():
-        tree = steiner_tree(g, terminals, root, active)
+    for name, g, terminals, root, low in _steiner_pin_cases():
+        tree = steiner_tree(g, terminals, root, low)
         assert all(list(kids) == sorted(kids) for kids in tree.children.values())
-        fields = (name, sorted(terminals), root, min(active), sorted(tree.parent.items()), sorted(tree.children.items()))
+        fields = (name, sorted(terminals), root, low, sorted(tree.parent.items()), sorted(tree.children.items()))
         digest.update(repr(fields).encode())
         cases += 1
     assert cases > 2000
