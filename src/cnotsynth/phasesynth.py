@@ -1,14 +1,15 @@
 """Gray-code-style synthesis of phase polynomial networks under connectivity constraints.
 
-Given a parity matrix, the synthesizer explores cofactors of the column set on a
-stack: splitting on a pivot row groups columns that share a value there, so the
-CNOTs steering a shared partial parity onto a target wire are paid for once.
-Whenever a frame is popped with a concrete target wire, the rows on which all of
-its columns agree with a 1 are collected onto that wire along a Steiner tree
-(ROW-OP in its path-per-leaf mode). Columns reduced to a single 1 are realized:
-the phase gate selected by their coefficient (with a leading X when the wire's
-current flip bit disagrees with the term's) lands on the realizing wire, and the
-column leaves the popped frame.
+Given a parity matrix, :func:`phase_nw_synth` explores cofactors of the column
+set in one loop over a stack of (columns, candidate rows, target) frames, as
+GraySynth does: splitting on a pivot row groups columns that share a value
+there, so the CNOTs steering a shared partial parity onto a target wire are
+paid for once. Whenever a frame is popped with a concrete target wire, the rows
+on which all of its columns agree with a 1 are collected onto that wire along a
+Steiner tree (ROW-OP in its path-per-leaf mode). Columns reduced to a single 1
+are realized: the phase gate selected by their coefficient (with a leading X
+when the wire's current flip bit disagrees with the term's) lands on the
+realizing wire, and the column leaves the popped frame.
 
 Only the popped frame's columns ever become single, and a popped frame with
 live columns always has a candidate row left, because the zero-cofactor is
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache
 
 from .circuit import Circuit, Gate, GateKind, cnot
@@ -67,13 +67,6 @@ def phase_gates(wire: int, coeff: int) -> tuple[Gate, tuple[Gate, ...]]:
     return Gate(GateKind.X, wire), tuple(Gate(kind, wire) for kind in COEFF_GATES.get(coeff, ()))
 
 
-@dataclass
-class _Frame:
-    cols: int  # bitset of the frame's terms
-    candidates: tuple[int, ...]  # rows not yet used as pivot on this branch, ascending
-    target: int | None  # epsilon until the branch enters a 1-cofactor
-
-
 def _pivot(rows: list[int] | dict[int, int], cols: int, candidates: tuple[int, ...]) -> int:
     """Pivot row, of the ascending ``candidates``, to split the columns in bitset ``cols``; ``rows[j]`` holds row j's.
 
@@ -82,8 +75,8 @@ def _pivot(rows: list[int] | dict[int, int], cols: int, candidates: tuple[int, .
     CNOT work is shared, so it is the side worth growing. If every row is
     constant across the columns, the smallest all-ones row is preferred (its
     1-cofactor keeps the whole set and assigns a target); failing that, the
-    smallest candidate row. :meth:`PhaseSynthesizer.run` never reaches that last
-    case, but it keeps the rule total over arbitrary columns, as its tests use it.
+    smallest candidate row. :func:`phase_nw_synth` never reaches that last case,
+    but it keeps the rule total over arbitrary columns, as its tests use it.
     """
     total = cols.bit_count()
     best: tuple[int, int] | None = None
@@ -100,137 +93,6 @@ def _pivot(rows: list[int] | dict[int, int], cols: int, candidates: tuple[int, .
     if fallback_one is not None:
         return fallback_one
     return candidates[0]
-
-
-class PhaseSynthesizer:
-    """Stateful driver of the cofactor stack; see the module docstring for the scheme."""
-
-    def __init__(
-        self,
-        p: ParityMatrix,
-        g: ConnectivityGraph,
-        trace: Callable[..., None] | None = None,
-        budget: float = math.inf,
-    ):
-        if g.num_vertices == 0:
-            raise ValueError("connectivity graph is empty")
-        self.n = g.num_vertices
-        self.g = g
-        self.wires = [1 << i for i in range(1, g.num_vertices + 1)]
-        self.rows = [0] * (g.num_vertices + 1)  # rows[j]: the terms whose parity holds wire j; rows[0] unused
-        self.flips: list[bool] = []  # each term's flip bit
-        self.coeffs: list[int] = []  # each term's Z8 coefficient
-        self.gates: list[Gate] = []
-        self.stack: list[_Frame] = []
-        self.trace = trace
-        self.left = budget  # CNOTs still to emit before the budget is reached
-        self._place_single_variable_terms(p)
-        if self.left <= 0:
-            raise OverBudget(f"phase network budget {budget} is not positive")
-
-    # -- placement helpers -------------------------------------------------
-
-    def _place(self, wire: int, bit: bool, coeff: int) -> tuple[Gate, ...]:
-        x, placed = phase_gates(wire, coeff)
-        if bool(self.wires[wire - 1] & CONST_BIT) != bit:
-            self.wires[wire - 1] ^= CONST_BIT
-            placed = (x, *placed)
-        self.gates += placed
-        return placed
-
-    def _place_single_variable_terms(self, p: ParityMatrix) -> None:
-        """Place the single-variable terms; number the others from 0, enter them in the rows and stack their frame."""
-        singles: dict[tuple[int, bool], int] = {}  # (wire, bit) -> coefficient
-        for coeff, parity in p.columns:
-            mask, bit = parity & ~CONST_BIT, bool(parity & CONST_BIT)
-            if mask >> (self.n + 1):
-                raise ValueError(f"parity {format_parity(parity)} uses variables beyond x{self.n}")
-            if mask.bit_count() == 1:
-                singles[(mask.bit_length() - 1, bit)] = coeff
-            else:
-                term = 1 << len(self.coeffs)
-                while mask:
-                    self.rows[(mask & -mask).bit_length() - 1] |= term
-                    mask &= mask - 1
-                self.flips.append(bit)
-                self.coeffs.append(coeff)
-        # by wire, and on a wire the plain term before the X of its complement
-        for i, bit in sorted(singles):
-            self._place(i, bit, singles[(i, bit)])
-        if self.coeffs:
-            self.stack.append(_Frame((1 << len(self.coeffs)) - 1, tuple(range(1, self.n + 1)), None))
-
-    # -- main loop ---------------------------------------------------------
-
-    def fix_columns(self, frame: _Frame) -> None:
-        """Collect the frame's all-ones rows onto its target wire, then realize columns."""
-        cols, target = frame.cols, frame.target
-        if target is None or not cols:
-            return
-        others = [k for k, r in enumerate(self.rows) if r & cols == cols and k != target]  # rows[0] is 0, cols not
-        if others:
-            self._expand(frame, target, others)
-
-    def _expand(self, frame: _Frame, root: int, others: list[int]) -> None:
-        if len(others) == 1:  # one path, from the other terminal: its memoized route
-            (leaf,) = others
-            cnots = _route(self.g, leaf, root)[1]
-            paths = [(leaf, (root,), ())]
-        else:
-            paths = _subtrees(self.g, others + [root], root, 4)[::-1]  # ROW-OP's path per leaf, from the last path
-            cnots = [cnot(u, v) for _, _, edges in paths for u, v in edges]
-        self.left -= len(cnots)
-        if self.left <= 0:
-            raise OverBudget("phase network reached its CNOT budget")
-        self.gates += cnots
-        wires, rows = self.wires, self.rows
-        for leaf, (top,), _ in paths:  # the passes restore the interior: top gains leaf
-            wires[top - 1] ^= wires[leaf - 1]
-            rows[leaf] ^= rows[top]
-        ones = twos = 0  # the columns with at least one, at least two 1s
-        for r in rows:
-            twos |= ones & r
-            ones |= r
-        single = ones & ~twos
-        placements: list[Gate] = []
-        if single:  # the popped frame's columns only: a stacked column keeps two 1s (module docstring)
-            at = {}  # each single column -> the one row holding it, in one sweep
-            for j, r in enumerate(rows):
-                r &= single
-                while r:
-                    at[(r & -r).bit_length() - 1] = j
-                    r &= r - 1
-            for k in sorted(at):
-                placements += self._place(at[k], self.flips[k], self.coeffs[k])
-            frame.cols &= ~single
-            rows[:] = [r & ~single for r in rows]
-        if self.trace:
-            terminals = frozenset([root, *others])
-            self.trace("steiner", root=root, terminals=terminals, cnots=list(cnots), placements=placements)
-
-    def run(self) -> None:
-        """Pop, collect and split frames until every column is realized.
-
-        The zero-cofactor is pushed last, so it is popped next: the invariant of the module docstring, which rests
-        on that order, leaves a candidate row for every frame popped with live columns.
-        """
-        rows = self.rows
-        while self.stack:
-            frame = self.stack.pop()
-            self.fix_columns(frame)
-            cols = frame.cols
-            if not cols:
-                continue
-            if not frame.candidates:
-                raise AssertionError("cofactor invariant broken: a popped frame has live columns and no candidate row")
-            j = _pivot(rows, cols, frame.candidates)
-            at = frame.candidates.index(j)
-            rest = frame.candidates[:at] + frame.candidates[at + 1 :]
-            ones, zeros = cols & rows[j], cols & ~rows[j]
-            if ones:
-                self.stack.append(_Frame(ones, rest, j if frame.target is None else frame.target))
-            if zeros:
-                self.stack.append(_Frame(zeros, rest, frame.target))
 
 
 def phase_nw_synth(
@@ -260,6 +122,96 @@ def phase_nw_synth(
     at most 0): exactly when the call without a budget returns at least
     ``budget`` CNOTs. Below that the result and the trace events are the same.
     """
-    synth = PhaseSynthesizer(p, g, trace, budget)
-    synth.run()
-    return Circuit.trusted(g.num_vertices, tuple(synth.gates)), AugmentedTransform(g.num_vertices, list(synth.wires))
+    if g.num_vertices == 0:
+        raise ValueError("connectivity graph is empty")
+    n = g.num_vertices
+    wires = [1 << i for i in range(1, n + 1)]
+    rows = [0] * (n + 1)  # rows[j]: the terms whose parity holds wire j; rows[0] unused
+    flips: list[bool] = []  # each multi-variable term's flip bit
+    coeffs: list[int] = []  # each multi-variable term's Z8 coefficient
+    gates: list[Gate] = []
+    left = budget  # CNOTs still to emit before the budget is reached
+
+    def place(wire: int, bit: bool, coeff: int) -> tuple[Gate, ...]:
+        x, placed = phase_gates(wire, coeff)
+        if bool(wires[wire - 1] & CONST_BIT) != bit:
+            wires[wire - 1] ^= CONST_BIT
+            placed = (x, *placed)
+        gates.extend(placed)
+        return placed
+
+    singles: dict[tuple[int, bool], int] = {}  # (wire, bit) -> coefficient
+    for coeff, parity in p.columns:
+        mask, bit = parity & ~CONST_BIT, bool(parity & CONST_BIT)
+        if mask >> (n + 1):
+            raise ValueError(f"parity {format_parity(parity)} uses variables beyond x{n}")
+        if mask.bit_count() == 1:
+            singles[(mask.bit_length() - 1, bit)] = coeff
+        else:  # numbered from 0 in input order, entered in the rows
+            term = 1 << len(coeffs)
+            while mask:
+                rows[(mask & -mask).bit_length() - 1] |= term
+                mask &= mask - 1
+            flips.append(bit)
+            coeffs.append(coeff)
+    for i, bit in sorted(singles):  # by wire, and on a wire the plain term before the X of its complement
+        place(i, bit, singles[(i, bit)])
+    if left <= 0:
+        raise OverBudget(f"phase network budget {budget} is not positive")
+
+    # a frame: (bitset of its terms, rows not yet split on along its branch ascending, target or None until the
+    # branch enters a 1-cofactor); the zero-cofactor is pushed last, so it is popped next: the invariant of the
+    # module docstring, which rests on that order, leaves a candidate row for every frame popped with live columns
+    stack = [((1 << len(coeffs)) - 1, tuple(range(1, n + 1)), None)] if coeffs else []
+    while stack:
+        cols, candidates, target = stack.pop()
+        # the rows but the target's that hold all the columns (rows[0] is 0, cols not) are collected onto it
+        others = [k for k, r in enumerate(rows) if r & cols == cols and k != target] if target else []
+        if others:
+            if len(others) == 1:  # one path, from the other terminal: its memoized route
+                (leaf,) = others
+                cnots = _route(g, leaf, target)[1]
+                paths = [(leaf, (target,), ())]
+            else:
+                paths = _subtrees(g, others + [target], target, 4)[::-1]  # ROW-OP's path per leaf, last first
+                cnots = [cnot(u, v) for _, _, edges in paths for u, v in edges]
+            left -= len(cnots)
+            if left <= 0:
+                raise OverBudget("phase network reached its CNOT budget")
+            gates += cnots
+            for leaf, (top,), _ in paths:  # the passes restore the interior: top gains leaf
+                wires[top - 1] ^= wires[leaf - 1]
+                rows[leaf] ^= rows[top]
+            ones = twos = 0  # the columns with at least one, at least two 1s
+            for r in rows:
+                twos |= ones & r
+                ones |= r
+            single = ones & ~twos
+            placements: list[Gate] = []
+            if single:  # the popped frame's columns only: a stacked column keeps two 1s (module docstring)
+                at = {}  # each single column -> the one row holding it, in one sweep
+                for j, r in enumerate(rows):
+                    r &= single
+                    while r:
+                        at[(r & -r).bit_length() - 1] = j
+                        r &= r - 1
+                for k in sorted(at):
+                    placements += place(at[k], flips[k], coeffs[k])
+                cols &= ~single
+                rows[:] = [r & ~single for r in rows]
+            if trace:
+                terminals = frozenset([target, *others])
+                trace("steiner", root=target, terminals=terminals, cnots=list(cnots), placements=placements)
+        if not cols:
+            continue
+        if not candidates:
+            raise AssertionError("cofactor invariant broken: a popped frame has live columns and no candidate row")
+        j = _pivot(rows, cols, candidates)
+        i = candidates.index(j)
+        rest = candidates[:i] + candidates[i + 1 :]
+        ones, zeros = cols & rows[j], cols & ~rows[j]
+        if ones:
+            stack.append((ones, rest, j if target is None else target))
+        if zeros:
+            stack.append((zeros, rest, target))
+    return Circuit.trusted(n, tuple(gates)), AugmentedTransform(n, wires)

@@ -295,28 +295,15 @@ def merge_path(g: ConnectivityGraph, u: int, v: int, low: int = 1) -> list[int]:
 
 @dataclass(frozen=True, eq=False)
 class SteinerTree:
-    """A tree over graph edges spanning ``terminals``, kept as the merge loop's adjacency map ``adj``.
+    """A tree over graph edges spanning ``terminals``, rooted at ``root``, kept as the merge loop's adjacency map.
 
-    ``parent`` (each non-root node's parent) and ``children`` (each node's children, ascending) root it
-    at ``root`` when first read. Every leaf is a terminal.
+    Every leaf is a terminal. Whoever needs the tree rooted walks ``adj`` from ``root``.
     """
 
     root: int
     terminals: frozenset[int]
     edge_count: int
     adj: dict[int, list[int]]  # each vertex's tree neighbors; a lone root has no entry
-
-    @cached_property
-    def children(self) -> dict[int, tuple[int, ...]]:
-        children, stack = {}, [(self.root, None)]
-        for x, up in stack:  # in a tree a vertex's children are its neighbors but its parent
-            children[x] = tuple(sorted(w for w in self.adj.get(x, ()) if w != up))
-            stack += [(w, x) for w in children[x]]
-        return children
-
-    @cached_property
-    def parent(self) -> dict[int, int]:
-        return {w: x for x, below in self.children.items() for w in below}
 
 
 def steiner_tree(g: ConnectivityGraph, terminals: Iterable[int], root: int, low: int = 1) -> SteinerTree:

@@ -87,21 +87,31 @@ def is_connected(g: ConnectivityGraph) -> bool:
     return distances(g, 1).keys() == set(g.vertices)
 
 
+def rooted(tree: SteinerTree) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+    """The tree's ``adj`` rooted at ``tree.root``: each non-root vertex's parent, and each vertex's children ascending."""
+    children, stack = {}, [(tree.root, None)]
+    for x, up in stack:  # in a tree a vertex's children are its neighbors but its parent
+        children[x] = tuple(sorted(w for w in tree.adj.get(x, ()) if w != up))
+        stack += [(w, x) for w in children[x]]
+    return {w: x for x, below in children.items() for w in below}, children
+
+
 def tree_nodes(tree: SteinerTree) -> frozenset[int]:
-    return frozenset(tree.parent) | {tree.root}
+    return frozenset(rooted(tree)[0]) | {tree.root}
 
 
 def tree_leaves(tree: SteinerTree) -> tuple[int, ...]:
     """The tree's childless vertices, ascending."""
-    return tuple(sorted(v for v in tree_nodes(tree) if not tree.children[v]))
+    children = rooted(tree)[1]
+    return tuple(sorted(v for v in children if not children[v]))
 
 
 def tree_depths(tree: SteinerTree) -> dict[int, int]:
     """Each vertex's depth below the root, walking the children lists."""
-    depth = {tree.root: 0}
+    depth, children = {tree.root: 0}, rooted(tree)[1]
     queue = [tree.root]
     for v in queue:
-        for w in tree.children[v]:
+        for w in children[v]:
             depth[w] = depth[v] + 1
             queue.append(w)
     return depth

@@ -41,6 +41,7 @@ from tests.conftest import (
     path_tree,
     random_connected_graph,
     random_invertible,
+    rooted,
     star_graph,
     traced,
     tree_depths,
@@ -141,7 +142,7 @@ def _reference_separate(tree, alg):
     terminals = tree.terminals
     pending = [tree.root]
     remaining = set(terminals) - {tree.root}
-    out = []
+    out, tree_children = [], rooted(tree)[1]
     while remaining:
         root = pending.pop(0)
         parent = {}
@@ -150,14 +151,14 @@ def _reference_separate(tree, alg):
         queue = [root]
         while queue:
             u = queue.pop(0)
-            for w in tree.children[u]:
+            for w in tree_children[u]:
                 parent[w] = u
                 children[u].append(w)
                 children[w] = []
                 if w in terminals:
                     leaves.append(w)
                     remaining.discard(w)
-                    if tree.children[w]:
+                    if tree_children[w]:
                         pending.append(w)
                 else:
                     queue.append(w)
@@ -173,7 +174,7 @@ def _reference_separate(tree, alg):
             for w, u in parent.items():
                 adj[w].append(u)
             sub = SteinerTree(root, frozenset(leaves) | {root}, len(parent), adj)
-            assert (sub.parent, sub.children) == (parent, child_tuples)
+            assert rooted(sub) == (parent, child_tuples)
             out.append(sub)
     return out
 
@@ -181,7 +182,7 @@ def _reference_separate(tree, alg):
 def _reference_tree_edges(sub):
     """(parent, child) pairs ordered by (child depth, child index)."""
     depth = tree_depths(sub)
-    return sorted(((p, c) for c, p in sub.parent.items()), key=lambda pc: (depth[pc[1]], pc[1]))
+    return sorted(((p, c) for c, p in rooted(sub)[0].items()), key=lambda pc: (depth[pc[1]], pc[1]))
 
 
 def _reference_traversal_edges(sub, which):
@@ -274,8 +275,9 @@ def test_row_op_matches_sort_per_pass_reference():
         assert _pairs(_cut_cnots(got_subs)) == _pairs(want_cnots), case
         assert got_subs == want_subs, case
         seen["terminals-%d" % min(len(tree.terminals), 3)] += 1
-        seen["interior terminal"] += any(tree.children[t] for t in tree.terminals - {tree.root})
-        seen["branching"] += any(len(cs) > 1 for cs in tree.children.values())
+        children = rooted(tree)[1]
+        seen["interior terminal"] += any(children[t] for t in tree.terminals - {tree.root})
+        seen["branching"] += any(len(cs) > 1 for cs in children.values())
     # single terminals, paths (two terminals), trees that cut into several sub-trees
     assert min(seen.values()) > 100, seen
 
@@ -362,11 +364,10 @@ def test_two_terminal_subtrees_are_the_cut_of_the_merge_path():
                     case = (name, u, v, low)
                     tree = steiner_tree(g, {u, v}, u, low)
                     want = path_tree(merge_path(g, u, v, low))
-                    assert (tree.root, tree.terminals, tree.parent, tree.children) == (
+                    assert (tree.root, tree.terminals, *rooted(tree)) == (
                         want.root,
                         want.terminals,
-                        want.parent,
-                        want.children,
+                        *rooted(want),
                     ), case
                     path = merge_path(g, u, v, low)
                     for alg in (1, 2):  # a one-term column's record in LINEAR-TF-SYNTH, and _route's

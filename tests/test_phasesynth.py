@@ -1,15 +1,17 @@
 import hashlib
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cnotsynth.circuit import Circuit, Gate, GateKind, cnot, cnot_count, connectivity_violations, write_circuit
+from cnotsynth import phasesynth
+from cnotsynth.circuit import Gate, GateKind, cnot, cnot_count, connectivity_violations, write_circuit
 from cnotsynth.linalg import CONST_BIT, ParityMatrix, parity_mask
 from cnotsynth.linsynth import _route
 from cnotsynth.phasepoly import PhasePolySet, extract_hfree
-from cnotsynth.phasesynth import PhaseSynthesizer, _pivot, phase_nw_synth
+from cnotsynth.phasesynth import _pivot, phase_nw_synth
 from cnotsynth.topology import PRESET_NAMES, grid_graph, preset_graph
 from tests.conftest import (
     APPENDIX_PHASE_TERMS,
@@ -282,54 +284,69 @@ def _invariant_inputs(rng, n, count):
     return inputs
 
 
-def test_cofactor_invariant_holds_at_every_pop_and_expansion():
+def test_cofactor_invariant_holds_at_every_pop_and_expansion(monkeypatch):
     # the module docstring's invariant on real runs: a frame without a target is
     # popped before any expansion; after a pop's collection the rows that held
     # every popped column, the target's aside, hold none, the columns left are
     # 1 at the target, 0 outside it and the candidates and nonzero on the
-    # candidates; no expansion changes or leaves single a stacked frame's columns
+    # candidates; no expansion changes or leaves single a stacked frame's columns.
+    # The loop's locals are read from the hooks' caller frame: _pivot is called
+    # at every pop whose columns survive collection, _route or _subtrees at the
+    # start of each expansion, the trace sink after it. A pop that collection
+    # empties calls no _pivot, and for it every check is vacuous, as cols = 0.
     rng = random.Random(29)
     graphs = [preset_graph(name) for name in PRESET_NAMES] + [grid_graph(3, 4), grid_graph(2, 5)]
     graphs += [random_connected_graph(rng, rng.randint(3, 10)) for _ in range(17)]
-    expansions = stacked = 0  # expansions, and those made with columns waiting on the stack
+    expansions = stacked = first = 0  # expansions, those made with columns waiting on the stack, and the run's first
+    full, before = [], []  # the expansion's rows holding every popped column, and the stacked frames' columns
+
+    def checked_pivot(rows, cols, candidates):
+        target = sys._getframe(1).f_locals["target"]
+        assert target is not None or expansions == first
+        on_candidates = 0
+        for j in candidates:
+            on_candidates |= rows[j]
+        assert cols & ~on_candidates == 0
+        assert all(rows[j] & cols == 0 for j in range(1, len(rows)) if j not in candidates and j != target)
+        if target is not None:
+            assert rows[target] & cols == cols
+        return _pivot(rows, cols, candidates)
+
+    def expansion_spy(search):
+        def spy(*args):
+            nonlocal expansions, stacked, full, before
+            loop = sys._getframe(1).f_locals
+            rows, cols, target = loop["rows"], loop["cols"], loop["target"]
+            full = [j for j in range(1, len(rows)) if j != target and rows[j] & cols == cols]
+            before = [frame[0] for frame in loop["stack"]]
+            expansions, stacked = expansions + 1, stacked + any(before)
+            return search(*args)
+
+        return spy
+
+    def checked_expansion(kind, **event):
+        loop = sys._getframe(1).f_locals
+        rows, cols = loop["rows"], loop["cols"]
+        assert all(rows[j] & cols == 0 for j in full)
+        assert [frame[0] for frame in loop["stack"]] == before
+        ones = twos = 0
+        for r in rows:
+            twos |= ones & r
+            ones |= r
+        for cols in before:
+            assert cols & ~twos == 0
+
+    monkeypatch.setattr(phasesynth, "_pivot", checked_pivot)
+    monkeypatch.setattr(phasesynth, "_route", expansion_spy(phasesynth._route))
+    monkeypatch.setattr(phasesynth, "_subtrees", expansion_spy(phasesynth._subtrees))
     for g in graphs:
         n = g.num_vertices
         for pm in _invariant_inputs(rng, n, 40):
-            synth, first = PhaseSynthesizer(pm, g), expansions
-            rows, fix_columns, expand = synth.rows, synth.fix_columns, synth._expand
-
-            def checked_fix(frame):
-                cols, target, candidates = frame.cols, frame.target, frame.candidates
-                assert target is not None or expansions == first
-                full = [j for j in range(1, n + 1) if j != target and rows[j] & cols == cols]
-                fix_columns(frame)
-                cols, on_candidates = frame.cols, 0
-                for j in candidates:
-                    on_candidates |= rows[j]
-                assert cols & ~on_candidates == 0
-                assert all(rows[j] & cols == 0 for j in range(1, n + 1) if j not in candidates and j != target)
-                if target is not None:
-                    assert rows[target] & cols == cols
-                    assert all(rows[j] & cols == 0 for j in full)
-
-            def checked_expand(frame, root, terminals):
-                nonlocal expansions, stacked
-                before = [f.cols for f in synth.stack]
-                expansions, stacked = expansions + 1, stacked + any(before)
-                expand(frame, root, terminals)
-                assert [f.cols for f in synth.stack] == before
-                ones = twos = 0
-                for r in rows:
-                    twos |= ones & r
-                    ones |= r
-                for cols in before:
-                    assert cols & ~twos == 0
-
-            synth.fix_columns, synth._expand = checked_fix, checked_expand
-            synth.run()
-            terms, state = extract_hfree(Circuit(n, tuple(synth.gates)))
+            first = expansions
+            circ, tf = phase_nw_synth(pm, g, trace=checked_expansion)
+            terms, state = extract_hfree(circ)
             assert terms == PhasePolySet(pm.columns)
-            assert list(state) == synth.wires
+            assert list(state) == tf.rows
     assert expansions > stacked > 1000
 
 

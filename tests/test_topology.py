@@ -27,6 +27,7 @@ from tests.conftest import (
     is_connected,
     path_tree,
     random_connected_graph,
+    rooted,
     star_graph,
     tree_leaves,
     tree_nodes,
@@ -101,16 +102,17 @@ def check_tree(tree, g: ConnectivityGraph, terminals, root):
     assert set(terminals) <= tree_nodes(tree)
     for leaf in tree_leaves(tree):
         assert leaf in terminals
-    for child, parent in tree.parent.items():
+    parents, children = rooted(tree)
+    for child, parent in parents.items():
         assert g.has_edge(child, parent)
-        assert child in tree.children[parent]
+        assert child in children[parent]
     # parent map acyclicity: walking up always reaches the root
     for v in tree_nodes(tree):
         seen = set()
         while v != tree.root:
             assert v not in seen
             seen.add(v)
-            v = tree.parent[v]
+            v = parents[v]
 
 
 # -- presets ------------------------------------------------------------------
@@ -210,14 +212,14 @@ def test_single_terminal(grid2x3):
 def test_appendix_tree_column1(grid2x3):
     # the worked example's first tree: path 1-2-3-4-5 with 2 the only Steiner node
     tree = steiner_tree(grid2x3, {1, 3, 4, 5}, 1)
-    assert set(tree.parent.items()) == {(2, 1), (3, 2), (4, 3), (5, 4)}
+    assert set(rooted(tree)[0].items()) == {(2, 1), (3, 2), (4, 3), (5, 4)}
     check_tree(tree, grid2x3, {1, 3, 4, 5}, 1)
 
 
 def test_appendix_tree_column2(grid2x3):
     # pivot 2, terminals {2,3,4,6} on the graph without vertex 1: Steiner node 5
     tree = steiner_tree(grid2x3, {2, 3, 4, 6}, 2, 2)
-    assert set(tree.parent.items()) == {(3, 2), (4, 3), (5, 2), (6, 5)}
+    assert set(rooted(tree)[0].items()) == {(3, 2), (4, 3), (5, 2), (6, 5)}
 
 
 def test_disconnected_terminals(grid2x3):
@@ -302,7 +304,7 @@ def _reference_root_tree(edges, root, terminals):
                 queue.append(w)
     children = {v: tuple(sorted(cs)) for v, cs in children.items()}
     tree = SteinerTree(root, terminals, len(parent), adj)
-    assert (tree.parent, tree.children) == (parent, children)
+    assert rooted(tree) == (parent, children)
     return tree
 
 
@@ -314,14 +316,9 @@ def test_path_tree_matches_rooting_its_edges():
         path = shortest_path(g, u, v)
         edges = {(min(a, b), max(a, b)) for a, b in zip(path, path[1:])}
         got, want = path_tree(path), _reference_root_tree(edges, u, frozenset({u, v}))
-        assert (got.root, got.terminals, got.parent, got.children) == (
-            want.root,
-            want.terminals,
-            want.parent,
-            want.children,
-        )
+        assert (got.root, got.terminals, *rooted(got)) == (want.root, want.terminals, *rooted(want))
     single = path_tree([3])
-    assert (single.root, single.terminals, single.parent, single.children) == (
+    assert (single.root, single.terminals, *rooted(single)) == (
         3,
         frozenset({3}),
         {},
@@ -437,12 +434,8 @@ def test_steiner_tree_matches_pair_scan_reference():
                 seen["disconnected"] += 1
                 continue
             got = steiner_tree(g, terminals, root, low)
-            assert (got.root, got.parent, got.children) == (
-                want.root,
-                want.parent,
-                want.children,
-            ), (sorted(g.edges), terminals, root, low)
-            assert got.edge_count == len(want.parent)
+            assert (got.root, *rooted(got)) == (want.root, *rooted(want)), (sorted(g.edges), terminals, root, low)
+            assert got.edge_count == len(rooted(want)[0])
             seen[kind] += 1
             seen["two"] += k == 2
     assert min(seen.values()) > 20, seen
@@ -499,8 +492,9 @@ def test_steiner_tree_pinned():
     cases = 0
     for name, g, terminals, root, low in _steiner_pin_cases():
         tree = steiner_tree(g, terminals, root, low)
-        assert all(list(kids) == sorted(kids) for kids in tree.children.values())
-        fields = (name, sorted(terminals), root, low, sorted(tree.parent.items()), sorted(tree.children.items()))
+        parent, children = rooted(tree)
+        assert all(list(kids) == sorted(kids) for kids in children.values())
+        fields = (name, sorted(terminals), root, low, sorted(parent.items()), sorted(children.items()))
         digest.update(repr(fields).encode())
         cases += 1
     assert cases > 2000
