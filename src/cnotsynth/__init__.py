@@ -12,13 +12,14 @@ from .circuit import (
     parse_circuit,
     write_circuit,
 )
-from .linalg import AugmentedTransform, OverBudget, ParityMatrix, SingularTransformError, transform_of_circuit
+from .linalg import AugmentedTransform, OverBudget, SingularTransformError
 from .linsynth import linear_tf_synth, row_op
 from .phasepoly import (
     PhasePolySet,
     extract_hfree,
     extract_sliced,
     rebase,
+    transform_of_circuit,
     uncomputable_terms,
 )
 from .phasesynth import phase_nw_synth
@@ -52,7 +53,6 @@ __all__ = [
     "GateKind",
     "NoPathError",
     "OverBudget",
-    "ParityMatrix",
     "PhasePolySet",
     "PRESET_NAMES",
     "ResynthesisReport",

@@ -18,9 +18,9 @@ from .circuit import (
     parse_circuit,
     write_circuit,
 )
-from .linalg import AugmentedTransform, ParityMatrix, parity_mask, transform_of_circuit
+from .linalg import AugmentedTransform, parity_mask
 from .linsynth import linear_tf_synth
-from .phasepoly import dump_phasepoly, extract_hfree
+from .phasepoly import PhasePolySet, dump_phasepoly, extract_hfree, transform_of_circuit
 from .phasesynth import phase_nw_synth
 from .pipeline import bench_random, bench_tsv, resynthesize
 from .topology import PRESET_NAMES, parse_graph, preset_graph, write_graph
@@ -74,7 +74,7 @@ def _load_matrix(path: str) -> AugmentedTransform:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _load_terms(path: str) -> ParityMatrix:
+def _load_terms(path: str) -> PhasePolySet:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -96,13 +96,14 @@ def _load_terms(path: str) -> ParityMatrix:
     if not rows:
         raise CliError(f"{path}: no terms")
     width = len(rows[0]) - 2
-    terms = []
+    terms = PhasePolySet()
     for tokens in rows:
         if len(tokens) - 2 != width:
             raise CliError(f"{path}: inconsistent parity widths")
         coeff, bit, bits = tokens[0], tokens[1], tokens[2:]
-        terms.append((coeff % 8, parity_mask([i for i, b in enumerate(bits, 1) if b], const=bool(bit))))
-    return ParityMatrix.from_terms(terms)
+        if any(bits):  # a constant-only term is a global phase
+            terms.add(coeff, parity_mask([i for i, b in enumerate(bits, 1) if b], const=bool(bit)))
+    return terms
 
 
 def _cmd_resynth(args) -> int:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Circuit, Gate, GateKind
-
 CONST_BIT = 1  # mask of the affine-constant bit
 
 
@@ -123,21 +121,6 @@ class AugmentedTransform:
     def copy(self) -> "AugmentedTransform":
         return AugmentedTransform(self.n, list(self.rows))
 
-    def row_xor(self, dst: int, src: int) -> None:
-        """Row dst <- row dst XOR row src (1-indexed, dst != src)."""
-        if dst == src:
-            raise ValueError("row_xor needs distinct rows")
-        self.rows[dst - 1] ^= self.rows[src - 1]
-
-    def apply_gate(self, g: Gate) -> None:
-        """Replay one gate: CNOT(c,t) adds row c into row t; X(i) toggles row i's flip bit."""
-        if g.kind is GateKind.CNOT:
-            self.row_xor(g.target, g.control)
-        elif g.kind is GateKind.X:
-            self.rows[g.target - 1] ^= CONST_BIT
-        else:
-            raise ValueError(f"transform replay supports only CNOT and X, got {g.kind.value}")
-
     def transposed_linear(self) -> "AugmentedTransform":
         """Transpose of the n x n block; the flip column is dropped (it must be 0).
 
@@ -163,40 +146,3 @@ class AugmentedTransform:
         if n < self.n:
             raise ValueError("cannot shrink a transform")
         return AugmentedTransform(n, list(self.rows) + [1 << i for i in range(self.n + 1, n + 1)])
-
-
-def transform_of_circuit(c: Circuit) -> AugmentedTransform:
-    """Fold a {CNOT, X} circuit into its augmented transform, starting from [I|0]."""
-    out = AugmentedTransform.identity(c.num_qubits)
-    for g in c.gates:
-        out.apply_gate(g)
-    return out
-
-
-@dataclass(frozen=True)
-class ParityMatrix:
-    """A phase network's input: (coefficient, parity int) terms in first-appearance order.
-
-    The terms are the pairs :meth:`~cnotsynth.phasepoly.PhasePolySet.terms`
-    yields, as the constructor checks: distinct parities, no zero coefficient
-    (mod 8) and no constant-only parity. :meth:`from_terms` builds them from any input.
-    """
-
-    columns: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        seen: set[int] = set()
-        for coeff, parity in self.columns:
-            if not coeff % 8 or not parity & ~CONST_BIT or parity in seen:
-                raise ValueError(f"phase term ({coeff}, {format_parity(parity)}) is zero, constant or repeated")
-            seen.add(parity)
-
-    @staticmethod
-    def from_terms(terms) -> "ParityMatrix":
-        """Merge (coeff, parity int) pairs mod 8 at each parity's first appearance; drop zeros and constants."""
-        merged: dict[int, int] = {}
-        for coeff, parity in terms:
-            merged[parity] = (merged.get(parity, 0) + coeff) % 8
-        return ParityMatrix(
-            tuple((coeff, parity) for parity, coeff in merged.items() if coeff and parity & ~CONST_BIT)
-        )

@@ -17,11 +17,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .circuit import PHASE_COEFF, Circuit, Gate, GateKind
-from .linalg import CONST_BIT, ParityMatrix, f2_solve, format_parity
+from .linalg import CONST_BIT, AugmentedTransform, f2_solve, format_parity
 
 
 class PhasePolySet:
-    """Ordered set of (coefficient, parity) pairs with mod-8 merge semantics."""
+    """Ordered set of (coefficient, parity) pairs with mod-8 merge semantics.
+
+    A pair that merges to 0 leaves the set, so no coefficient is 0 and no
+    parity repeats; added again, it goes last.
+    """
 
     def __init__(self, terms=()):
         self._terms: dict[int, int] = {}
@@ -35,8 +39,9 @@ class PhasePolySet:
         else:
             self._terms.pop(parity, None)
 
-    def terms(self) -> tuple[tuple[int, int], ...]:
-        """(coefficient, parity) pairs in first-appearance order."""
+    @property
+    def columns(self) -> tuple[tuple[int, int], ...]:
+        """(coefficient, parity) pairs in the order they entered the set."""
         return tuple((c, p) for p, c in self._terms.items())
 
     def __len__(self) -> int:
@@ -48,7 +53,7 @@ class PhasePolySet:
         return self._terms == other._terms
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"({c}, {format_parity(p)})" for c, p in self.terms())
+        inner = ", ".join(f"({c}, {format_parity(p)})" for c, p in self.columns)
         return f"PhasePolySet({inner})"
 
 
@@ -147,6 +152,14 @@ def extract_hfree(c: Circuit) -> tuple[PhasePolySet, tuple[int, ...]]:
     return only.terms, only.map
 
 
+def transform_of_circuit(c: Circuit) -> AugmentedTransform:
+    """The augmented transform of a {CNOT, X} circuit: its one run's ``map``, folded from [I|0]."""
+    for g in c.gates:
+        if g.kind not in (GateKind.CNOT, GateKind.X):
+            raise ValueError(f"transform replay supports only CNOT and X, got {g.kind.value}")
+    return AugmentedTransform(c.num_qubits, list(extract_hfree(c)[1]))
+
+
 def uncomputable_terms(p: PhasePolySet, q_in: tuple[int, ...], q_out: tuple[int, ...]) -> PhasePolySet:
     """Terms expressible over the states before (q_in) but not after (q_out) an H.
 
@@ -155,28 +168,29 @@ def uncomputable_terms(p: PhasePolySet, q_in: tuple[int, ...], q_out: tuple[int,
     first appears (``extract_sliced(c, "first")``).
     The affine constant never blocks realizability (an X gate supplies it).
     """
-    terms = p.terms()
+    terms = p.columns
     parities = [parity for _, parity in terms]
     before = f2_solve(list(q_in), parities)
     after = f2_solve(list(q_out), parities)
     return PhasePolySet(t for t, b, a in zip(terms, before, after) if b is not None and a is None)
 
 
-def rebase(p: PhasePolySet, basis: tuple[int, ...]) -> ParityMatrix:
-    """Rewrite each parity as an XOR of the basis rows, as a wire-indexed matrix.
+def rebase(p: PhasePolySet, basis: tuple[int, ...]) -> PhasePolySet:
+    """Rewrite each parity as an XOR of the basis rows, as a wire-indexed set.
 
-    The column of a term is its :func:`~cnotsynth.linalg.f2_solve` combination
-    over ``basis``. Raises ValueError when a term lies outside the basis span.
+    The parity of a term becomes its :func:`~cnotsynth.linalg.f2_solve`
+    combination over ``basis``; a constant-only one, a global phase, is
+    dropped. Raises ValueError when a term lies outside the basis span.
     No pipeline calls it: :func:`extract_sliced` writes every term over its
     slice's start wires as it folds.
     """
-    terms = p.terms()
+    terms = p.columns
     combos = f2_solve(list(basis), [parity for _, parity in terms])
     if None in combos:
         raise ValueError(f"parity {format_parity(terms[combos.index(None)][1])} is outside the basis span")
-    return ParityMatrix.from_terms([(coeff, combo) for (coeff, _), combo in zip(terms, combos)])
+    return PhasePolySet((coeff, combo) for (coeff, _), combo in zip(terms, combos) if combo & ~CONST_BIT)
 
 
 def dump_phasepoly(p: PhasePolySet) -> str:
     """One ``<coefficient> : <parity>`` line per term, in set order."""
-    return "\n".join(f"{c} : {format_parity(parity)}" for c, parity in p.terms()) + "\n"
+    return "\n".join(f"{c} : {format_parity(parity)}" for c, parity in p.columns) + "\n"

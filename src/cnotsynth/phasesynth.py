@@ -1,6 +1,6 @@
 """Gray-code-style synthesis of phase polynomial networks under connectivity constraints.
 
-Given a parity matrix, :func:`phase_nw_synth` explores cofactors of the column
+Given a phase polynomial, :func:`phase_nw_synth` explores cofactors of its column
 set in one loop over a stack of (columns, candidate rows, target) frames, as
 GraySynth does: splitting on a pivot row groups columns that share a value
 there, so the CNOTs steering a shared partial parity onto a target wire are
@@ -42,8 +42,9 @@ from collections.abc import Callable
 from functools import cache
 
 from .circuit import Circuit, Gate, GateKind, cnot
-from .linalg import CONST_BIT, AugmentedTransform, OverBudget, ParityMatrix, format_parity
+from .linalg import CONST_BIT, AugmentedTransform, OverBudget, format_parity
 from .linsynth import _route, _subtrees
+from .phasepoly import PhasePolySet
 from .topology import ConnectivityGraph
 
 #: Phase gates realizing each nonzero Z8 coefficient (applied left to right).
@@ -96,7 +97,7 @@ def _pivot(rows: list[int] | dict[int, int], cols: int, candidates: tuple[int, .
 
 
 def phase_nw_synth(
-    p: ParityMatrix,
+    p: PhasePolySet,
     g: ConnectivityGraph,
     trace: Callable[..., None] | None = None,
     budget: float = math.inf,
@@ -110,8 +111,8 @@ def phase_nw_synth(
     Set-up costs O(terms) beyond the wire states: the single-variable terms are
     placed in sorted (wire, bit) order. The rest is the cofactor splits and
     Steiner-tree expansions of the multi-variable terms, so input without such
-    a term does no further work. A parity over variables past the graph's
-    size is a ValueError.
+    a term does no further work. A constant-only parity, or one over variables
+    past the graph's size, is a ValueError.
     ``trace``, when given, is called once per Steiner-tree expansion as
     ``trace("steiner", root=, terminals=, cnots=, placements=)``: the CNOTs it
     emitted and the X and phase gates placed right after them. The gates before
@@ -145,6 +146,8 @@ def phase_nw_synth(
         mask, bit = parity & ~CONST_BIT, bool(parity & CONST_BIT)
         if mask >> (n + 1):
             raise ValueError(f"parity {format_parity(parity)} uses variables beyond x{n}")
+        if not mask:  # a global phase, with no wire to place it on
+            raise ValueError(f"phase term ({coeff}, {format_parity(parity)}) is constant-only")
         if mask.bit_count() == 1:
             singles[(mask.bit_length() - 1, bit)] = coeff
         else:  # numbered from 0 in input order, entered in the rows

@@ -36,9 +36,9 @@ import time
 from dataclasses import astuple, dataclass
 
 from .circuit import Circuit, Gate, GateKind, cnot, cnot_count
-from .linalg import AugmentedTransform, OverBudget, ParityMatrix, f2_solve
+from .linalg import AugmentedTransform, OverBudget, f2_solve
 from .linsynth import _route, linear_tf_synth
-from .phasepoly import Slice, extract_sliced
+from .phasepoly import PhasePolySet, Slice, extract_sliced
 from .phasesynth import phase_gates, phase_nw_synth
 from .topology import ConnectivityGraph, merge_path
 
@@ -104,11 +104,11 @@ def swap_template(c: Circuit, g: ConnectivityGraph) -> Circuit:
 
 
 def _rebuild(
-    pm: ParityMatrix, target: tuple[int, ...], g: ConnectivityGraph, budget: float = math.inf
+    terms: PhasePolySet, target: tuple[int, ...], g: ConnectivityGraph, budget: float = math.inf
 ) -> tuple[tuple[Gate, ...], int] | None:
-    """Phase network for ``pm``, then the linear restore that leaves the wires in ``target``.
+    """Phase network for ``terms``, then the linear restore that leaves the wires in ``target``.
 
-    Returns the block and its CNOTs. ``pm`` and ``target`` are both written
+    Returns the block and its CNOTs. ``terms`` and ``target`` are both written
     over the wire states at the start of the slice. None as soon as the block's
     CNOTs reach ``budget``: the phase network stops at the Steiner expansion
     that reaches it, and the restore, given what the network left of it, at the
@@ -116,7 +116,7 @@ def _rebuild(
     alone reaches the budget.
     """
     try:
-        c_ph, a_ph = phase_nw_synth(pm, g, budget=budget)
+        c_ph, a_ph = phase_nw_synth(terms, g, budget=budget)
         spent = cnot_count(c_ph)
         # the network's wires stay invertible (each path's top gains its leaf), so every target solves
         restore = AugmentedTransform(g.num_vertices, f2_solve(a_ph.rows, list(target)))
@@ -137,7 +137,7 @@ def _segmented(s: Slice, g: ConnectivityGraph) -> tuple[list[Gate], int, int]:
     global phase) when the coefficient placed at it is 4.
     Returns the gates, their CNOTs, and how many CNOTs the run itself holds.
     """
-    at = {s.first_at[key]: coeff for coeff, key in s.terms.terms()}
+    at = {s.first_at[key]: coeff for coeff, key in s.terms.columns}
     cx, x, y = GateKind.CNOT, GateKind.X, GateKind.Y  # bound once: each GateKind.<name> costs a lookup
     out: list[Gate] = []
     cost = cnots = 0
@@ -167,10 +167,8 @@ def _slice_loop(c: Circuit, g: ConnectivityGraph, partition: str) -> tuple[Circu
     written over the wires at the run's start, and its restore target is the
     input circuit's own map of the run over the same wires, so every per-run
     linear transformation matches the original. The terms enter the phase
-    network as they are, and pass its checks: each run's set is merged mod 8
-    with no zero coefficient, as :class:`ParityMatrix` checks, and its parities
-    are rows of the run's own invertible map, so none has a zero variable mask
-    or reaches past x_n.
+    network as they are, and pass its checks: their parities are rows of the
+    run's own invertible map, so none has a zero variable mask or reaches past x_n.
 
     A run with fewer than two CNOTs is emitted segmented: no rebuild of a lone
     CNOT beats its route, proven in two of three cases and searched in the third
@@ -182,7 +180,7 @@ def _slice_loop(c: Circuit, g: ConnectivityGraph, partition: str) -> tuple[Circu
     per_slice: list[int] = []
     for s in extract_sliced(_pad(c, n), partition):
         block, cost, cnots = _segmented(s, g)
-        if cnots > 1 and (rebuilt := _rebuild(ParityMatrix(s.terms.terms()), s.map, g, cost)) is not None:
+        if cnots > 1 and (rebuilt := _rebuild(s.terms, s.map, g, cost)) is not None:
             block, cost = rebuilt
         per_slice.append(cost)
         out += block

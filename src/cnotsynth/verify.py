@@ -82,7 +82,7 @@ def _apply(c: Circuit, psi: np.ndarray, spare: np.ndarray | None) -> np.ndarray:
     pending_h = 0
     for s in extract_sliced(c, "own"):
         if s.terms:
-            exponent = sum(coeff * _parity_values(p, n, rows) for coeff, p in s.terms.terms())
+            exponent = sum(coeff * _parity_values(p, n, rows) for coeff, p in s.terms.columns)
             psi *= _OMEGA_POWERS[exponent % 8][:, None]
         if s.map != identity:
             dest = sum(_parity_values(p, n, rows) << (n - q) for q, p in enumerate(s.map, 1))

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cnotsynth.circuit import PHASE_COEFF, GateKind
-from cnotsynth.linalg import CONST_BIT, AugmentedTransform, OverBudget, ParityMatrix, f2_row_reduce, parity_mask
+from cnotsynth.circuit import PHASE_COEFF, Gate, GateKind
+from cnotsynth.linalg import CONST_BIT, AugmentedTransform, OverBudget, f2_row_reduce, parity_mask
 from cnotsynth.linsynth import _path_record
 from cnotsynth.phasepoly import PhasePolySet, identity_state
 from cnotsynth.topology import ConnectivityGraph, SteinerTree, distances, merge_path, preset_graph
@@ -37,6 +37,20 @@ def entry(a: AugmentedTransform, i: int, j: int) -> int:
     """Entry at row i, column j; column n+1 is the bit-flip column."""
     mask = CONST_BIT if j == a.n + 1 else 1 << j
     return 1 if a.rows[i - 1] & mask else 0
+
+
+def replay(a: AugmentedTransform, *gates: Gate) -> AugmentedTransform:
+    """Apply CNOT and X ``gates`` after ``a``, in place, and return it; written apart from the library's fold.
+
+    CNOT(c, t) adds row c into row t, and X(i) flips row i's constant.
+    """
+    for g in gates:
+        if g.kind is GateKind.CNOT:
+            a.rows[g.target - 1] ^= a.rows[g.control - 1]
+        else:
+            assert g.kind is GateKind.X, g
+            a.rows[g.target - 1] ^= CONST_BIT
+    return a
 
 
 def f2_rank(rows: list[int]) -> int:
@@ -311,4 +325,4 @@ def appendix_transform():
 
 @pytest.fixture()
 def appendix_parity_matrix():
-    return ParityMatrix.from_terms(APPENDIX_PHASE_TERMS)
+    return PhasePolySet(APPENDIX_PHASE_TERMS)

@@ -14,9 +14,9 @@ import pytest
 from networkx.generators.atlas import graph_atlas_g
 
 from cnotsynth.circuit import Circuit, Gate, GateKind, cnot, cnot_count, connectivity_violations
-from cnotsynth.linalg import AugmentedTransform, ParityMatrix, transform_of_circuit
+from cnotsynth.linalg import AugmentedTransform
 from cnotsynth.linsynth import linear_tf_synth
-from cnotsynth.phasepoly import PhasePolySet, extract_hfree
+from cnotsynth.phasepoly import PhasePolySet, extract_hfree, transform_of_circuit
 from cnotsynth.phasesynth import phase_nw_synth
 from cnotsynth.pipeline import bench_random, bench_tsv, random_circuit, resynthesize
 from cnotsynth.topology import (
@@ -177,7 +177,7 @@ EXPECTED_PHASE_EVENTS = [
 
 def test_criterion_3_phase_network_golden(grid2x3):
     with criterion(3, "per-iteration phase network synthesis of the 8x7 instance"):
-        pm = ParityMatrix.from_terms(APPENDIX_PHASE_TERMS)
+        pm = PhasePolySet(APPENDIX_PHASE_TERMS)
         t0 = time.perf_counter()
         (circ, _), events = traced(phase_nw_synth, pm, grid2x3)
         elapsed = time.perf_counter() - t0

@@ -4,43 +4,33 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cnotsynth.circuit import Circuit, Gate, GateKind, cnot
-from cnotsynth.linalg import (
-    AugmentedTransform,
-    ParityMatrix,
-    CONST_BIT,
-    f2_row_reduce,
-    f2_solve,
-    parity_mask,
-    transform_of_circuit,
-)
-from tests.conftest import APPENDIX_A_BITS, entry, f2_rank, is_invertible
+from cnotsynth.linalg import AugmentedTransform, CONST_BIT, f2_row_reduce, f2_solve, parity_mask
+from cnotsynth.phasepoly import PhasePolySet, transform_of_circuit
+from tests.conftest import APPENDIX_A_BITS, entry, f2_rank, is_invertible, replay
 
 
 def test_x_sets_flip_bit():
-    a = AugmentedTransform.identity(3)
-    out = a.copy()
-    out.apply_gate(Gate(GateKind.X, 2))
+    out = transform_of_circuit(Circuit(3, (Gate(GateKind.X, 2),)))
     assert entry(out, 2, 4) == 1
-    assert entry(a, 2, 4) == 0  # input untouched
+    assert out.rows[0] == 1 << 1 and out.rows[2] == 1 << 3  # the other rows untouched
 
 
 def test_cnot_row_addition():
-    out = AugmentedTransform.identity(2)
-    out.apply_gate(cnot(1, 2))
+    out = transform_of_circuit(Circuit(2, (cnot(1, 2),)))
     assert [entry(out, 2, j) for j in (1, 2, 3)] == [1, 1, 0]
 
 
 def test_rejects_other_gates():
-    a = AugmentedTransform.identity(2)
-    with pytest.raises(ValueError):
-        a.apply_gate(Gate(GateKind.T, 1))
+    # a Y flips its wire in the extraction's fold, but it is not a {CNOT, X} gate
+    for kind in (GateKind.T, GateKind.Y, GateKind.H):
+        with pytest.raises(ValueError, match=f"transform replay supports only CNOT and X, got {kind.value}$"):
+            transform_of_circuit(Circuit(2, (cnot(1, 2), Gate(kind, 1))))
 
 
 def test_appendix_first_column_replay():
     # replaying the first column's row-operation list reproduces the printed matrix
     a = AugmentedTransform.from_bits(APPENDIX_A_BITS)
-    for src, dst in [(4, 5), (3, 4), (1, 2), (2, 3), (1, 2)]:
-        a.row_xor(dst, src)
+    replay(a, *(cnot(src, dst) for src, dst in [(4, 5), (3, 4), (1, 2), (2, 3), (1, 2)]))
     expected = AugmentedTransform.from_bits(
         [
             [1, 1, 0, 1, 1, 0, 0],
@@ -58,9 +48,7 @@ def test_row_add_involution():
     rng = random.Random(7)
     bits = [[rng.randint(0, 1) for _ in range(6)] for _ in range(5)]
     a = AugmentedTransform.from_bits(bits)
-    b = a.copy()
-    b.row_xor(2, 1)
-    b.row_xor(2, 1)
+    b = replay(a.copy(), cnot(1, 2), cnot(1, 2))
     assert a == b
 
 
@@ -70,7 +58,7 @@ def test_row_add_preserves_invertibility(n, rng):
     a = AugmentedTransform.from_bits(bits)
     before = is_invertible(a)
     dst, src = rng.sample(range(1, n + 1), 2)
-    a.row_xor(dst, src)
+    replay(a, cnot(src, dst))
     assert is_invertible(a) == before
 
 
@@ -87,8 +75,7 @@ def test_fold_equals_composition():
     folded = transform_of_circuit(circ)
     step = AugmentedTransform.identity(4)
     for g in circ.gates:
-        step = step.copy()
-        step.apply_gate(g)
+        step = replay(step.copy(), g)
     assert folded == step
 
 
@@ -117,42 +104,31 @@ def test_from_bits_rejects_non_binary_entries():
         AugmentedTransform.from_bits([[1, 0, 0], [0, 1, -1]])  # the flip column too
 
 
-def test_parity_matrix_merges_and_drops():
-    terms = [
-        (1, parity_mask([1])),
-        (1, parity_mask([1])),  # merges to 2
-        (4, parity_mask([2], const=True)),
-        (4, parity_mask([2], const=True)),  # merges to 0, dropped
-        (3, parity_mask([], const=True)),  # zero variable mask, dropped
+def _parity_matrix_cases():
+    # the paper's parity matrix is a PhasePolySet: (terms added, columns it holds)
+    x1, x2 = parity_mask([1]), parity_mask([2])
+    return [
+        ([(1, x1), (1, x1), (4, x2 | CONST_BIT), (4, x2 | CONST_BIT)], ((2, x1),)),  # merges to 2; to 0, dropped
+        ([(0, x1)], ()),
+        ([(8, x1)], ()),
+        ([(3, x2), (1, x1), (5, x1)], ((3, x2), (6, x1))),  # a repeated parity merges into its place
+        ([(1, x1), (2, x1 | CONST_BIT)], ((1, x1), (2, x1 | CONST_BIT))),  # x1 and 1⊕x1 are distinct parities
+        ([(1, parity_mask([1, 3])), (6, x2 | CONST_BIT), (2, parity_mask([4]))], None),  # nothing merges
     ]
-    assert ParityMatrix.from_terms(terms).columns == ((2, parity_mask([1])),)
+
+
+def test_parity_matrix_merges_and_drops():
+    for terms, columns in _parity_matrix_cases():
+        p = PhasePolySet(terms)
+        want = tuple(terms) if columns is None else columns
+        assert p.columns == want and len(p) == len(want), terms
 
 
 def test_parity_matrix_idempotent():
-    pm = ParityMatrix.from_terms([(1, parity_mask([1, 3])), (6, parity_mask([2], const=True)), (2, parity_mask([4]))])
-    assert ParityMatrix.from_terms(pm.columns) == pm
-
-
-def test_parity_matrix_rejects_what_from_terms_drops():
-    # from_terms drops a constant-only term; the phase network has no wire to place one on
-    with pytest.raises(ValueError, match=r"\(1, 1\)"):
-        ParityMatrix(((1, CONST_BIT), (1, parity_mask([1, 2]))))
-    x1 = parity_mask([1])
-    for columns, named in [
-        (((0, x1),), r"\(0, x1\)"),
-        (((8, x1),), r"\(8, x1\)"),
-        (((3, parity_mask([2])), (1, x1), (5, x1)), r"\(5, x1\)"),
-    ]:
-        with pytest.raises(ValueError, match=named):
-            ParityMatrix(columns)
-    # x1 and 1⊕x1 are distinct parities
-    assert ParityMatrix(((1, x1), (2, x1 | CONST_BIT))).columns == ((1, x1), (2, x1 | CONST_BIT))
-
-
-def test_parity_matrix_keeps_a_cancelled_term_in_its_first_place():
-    x1, x2 = parity_mask([1]), parity_mask([2])
-    pm = ParityMatrix.from_terms([(1, x1), (1, x2), (7, x1), (3, x1)])
-    assert pm.columns == ((3, x1), (1, x2))
+    for terms, _ in _parity_matrix_cases():
+        p = PhasePolySet(terms)
+        again = PhasePolySet(p.columns)
+        assert again == p and again.columns == p.columns, terms
 
 
 def test_f2_span_matches_enumeration():
@@ -248,8 +224,7 @@ def test_rank():
 
 def test_row_add_pure():
     a = AugmentedTransform.identity(3)
-    b = a.copy()
-    b.row_xor(2, 1)
+    b = replay(a.copy(), cnot(1, 2))
     assert a.is_identity()
     assert [entry(b, 2, j) for j in (1, 2, 3)] == [1, 1, 0]
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cnotsynth import linsynth, pipeline
 from cnotsynth.circuit import GateKind, cnot, cnot_count, connectivity_violations, write_circuit
-from cnotsynth.linalg import CONST_BIT, AugmentedTransform, SingularTransformError, transform_of_circuit
+from cnotsynth.linalg import CONST_BIT, AugmentedTransform, SingularTransformError
 from cnotsynth.linsynth import (
     _apply,
     _cut,
@@ -32,6 +32,7 @@ from cnotsynth.topology import (
     shortest_path,
     steiner_tree,
 )
+from cnotsynth.phasepoly import transform_of_circuit
 from tests.conftest import (
     APPENDIX_A_BITS,
     assert_budget_contract,
@@ -41,6 +42,7 @@ from tests.conftest import (
     path_tree,
     random_connected_graph,
     random_invertible,
+    replay,
     rooted,
     star_graph,
     traced,
@@ -121,10 +123,7 @@ def test_row_op_replay_matches_matrix(grid2x3, appendix_transform):
     tree = steiner_tree(grid2x3, {1, 3, 4, 5}, 1)
     work = appendix_transform.copy()
     cnots, _ = row_op(work, tree, alg=1)
-    replay = appendix_transform.copy()
-    for g in cnots:
-        replay.apply_gate(g)
-    assert replay == work
+    assert replay(appendix_transform.copy(), *cnots) == work
 
 
 def test_row_op_bad_alg(grid2x3, appendix_transform):
@@ -223,7 +222,7 @@ def _reference_row_op(matrix, tree, alg):
     for _, _, edges in reversed(records):
         for u, v in edges:
             cnots.append(cnot(u, v))
-            matrix.row_xor(v, u)
+            replay(matrix, cnot(u, v))
     return cnots, records
 
 
@@ -293,14 +292,11 @@ def test_each_leaf_path_nets_one_row_xor():
         n = g.num_vertices
         for leaf, (top,), edges in _cut(tree, 4):
             start = random_invertible(rng, n)
-            replay, want = start.copy(), start.copy()
-            for u, v in edges:
-                replay.apply_gate(cnot(u, v))
-            want.row_xor(top, leaf)
-            assert replay == want, (sorted(g.edges), leaf, top)
+            replayed = replay(start.copy(), *(cnot(u, v) for u, v in edges))
+            assert replayed == replay(start.copy(), cnot(leaf, top)), (sorted(g.edges), leaf, top)
             mask = rng.getrandbits(n) << 1
             moved = mask ^ 1 << leaf if mask >> top & 1 else mask
-            assert _parity_over(start, mask) == _parity_over(replay, moved)
+            assert _parity_over(start, mask) == _parity_over(replayed, moved)
             seen["interior" if len(edges) > 1 else "one edge"] += 1
     assert min(seen.values()) > 500, seen
 
@@ -572,7 +568,7 @@ def test_corrections_walk_inside_the_shrunken_graph(monkeypatch):
     # CNOT 2 3, CNOT 2 5, CNOT 5 2: phase 2 bridges a term and corrects in one column
     a = AugmentedTransform.identity(5)
     for dst, src in ((3, 2), (5, 2), (2, 5)):
-        a.row_xor(dst, src)
+        replay(a, cnot(src, dst))
     synth(a, bridge_graph())
     assert bridged_and_corrected == 1
     rng = random.Random("corrections-local")
@@ -622,7 +618,7 @@ def _near_identity(rng, n, k):
     rows = rng.sample(range(1, n + 1), k)
     for _ in range(3 * k):
         dst = rng.choice(rows)
-        a.row_xor(dst, rng.choice([j for j in range(1, n + 1) if j != dst]))
+        replay(a, cnot(rng.choice([j for j in range(1, n + 1) if j != dst]), dst))
     for r in rows:
         if rng.random() < 0.3:
             a.rows[r - 1] ^= CONST_BIT
@@ -798,7 +794,7 @@ def _singular(rng, n):
     a.rows[r - 1] = dependent | rng.getrandbits(1)
     for _ in range(rng.randint(0, 2 * n)):
         dst, src = rng.sample(range(1, n + 1), 2)
-        a.row_xor(dst, src)
+        replay(a, cnot(src, dst))
     return a
 
 

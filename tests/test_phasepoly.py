@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cnotsynth.circuit import PHASE_COEFF, Circuit, Gate, GateKind, cnot
-from cnotsynth.linalg import CONST_BIT, ParityMatrix, f2_solve, parity_mask, transform_of_circuit
+from cnotsynth.linalg import CONST_BIT, f2_solve, parity_mask
 from cnotsynth.phasepoly import (
     PhasePolySet,
     dump_phasepoly,
@@ -12,6 +12,7 @@ from cnotsynth.phasepoly import (
     extract_sliced,
     identity_state,
     rebase,
+    transform_of_circuit,
     uncomputable_terms,
 )
 from cnotsynth.pipeline import cnot_opt_b, random_circuit
@@ -52,7 +53,7 @@ def test_coefficient_map():
     ]
     for kind, coeff in kinds:
         terms, _ = extract_hfree(Circuit(1, (Gate(kind, 1),)))
-        assert {p: c for c, p in terms.terms()}[parity_mask([1])] == coeff
+        assert {p: c for c, p in terms.columns}[parity_mask([1])] == coeff
 
 
 def test_y_also_flips_bit():
@@ -69,6 +70,15 @@ def test_coefficients_cancel_mod_8():
     c = Circuit(1, (Gate(GateKind.T, 1), Gate(GateKind.TDG, 1)))
     terms, _ = extract_hfree(c)
     assert len(terms) == 0
+
+
+def test_a_cancelled_term_added_again_goes_last():
+    # the rule the extraction's terms follow, and PINNED_OUTPUTS with them
+    x1, x2 = parity_mask([1]), parity_mask([2])
+    assert PhasePolySet([(1, x1), (1, x2), (7, x1), (3, x1)]).columns == ((1, x2), (3, x1))
+    t1, t2, tdg1, s1 = Gate(GateKind.T, 1), Gate(GateKind.T, 2), Gate(GateKind.TDG, 1), Gate(GateKind.S, 1)
+    terms, _ = extract_hfree(Circuit(2, (t1, t2, tdg1, s1)))
+    assert terms.columns == ((1, x2), (2, x1))
 
 
 def test_rejects_h():
@@ -111,22 +121,18 @@ def test_state_agrees_with_transform_replay():
 
 def test_appendix_network_extraction(grid2x3):
     # the synthesized network of the worked example must extract its own input set
-    from cnotsynth.linalg import ParityMatrix
     from cnotsynth.phasesynth import phase_nw_synth
 
-    pm = ParityMatrix.from_terms(APPENDIX_PHASE_TERMS)
-    circ, _ = phase_nw_synth(pm, grid2x3)
+    circ, _ = phase_nw_synth(PhasePolySet(APPENDIX_PHASE_TERMS), grid2x3)
     terms, _ = extract_hfree(circ)
     assert terms == PhasePolySet(APPENDIX_PHASE_TERMS)
 
 
 def test_appendix_network_extraction_survives_serialization(grid2x3):
     from cnotsynth.circuit import parse_circuit, write_circuit
-    from cnotsynth.linalg import ParityMatrix
     from cnotsynth.phasesynth import phase_nw_synth
 
-    pm = ParityMatrix.from_terms(APPENDIX_PHASE_TERMS)
-    circ, _ = phase_nw_synth(pm, grid2x3)
+    circ, _ = phase_nw_synth(PhasePolySet(APPENDIX_PHASE_TERMS), grid2x3)
     reparsed = parse_circuit(write_circuit(circ))
     terms, _ = extract_hfree(reparsed)
     assert terms == PhasePolySet(APPENDIX_PHASE_TERMS)
@@ -224,11 +230,11 @@ def test_uncomputable_matches_two_solve_definition():
         remaining = circuit_terms(c)
         for _, q_in, q_out in reference_fold(c)[1]:
             assert f2_rank(list(q_in)) == n
-            terms = remaining.terms()
+            terms = remaining.columns
             before, after = _span(q_in), _span(q_out)
             expected = [t for t in terms if t[1] & ~CONST_BIT in before and t[1] & ~CONST_BIT not in after]
             unc = uncomputable_terms(remaining, q_in, q_out)
-            assert list(unc.terms()) == expected
+            assert list(unc.columns) == expected
             # the paper's CNOT-OPT-B rule: a term leaves once it is uncomputable
             remaining = PhasePolySet(t for t in terms if t not in expected)
             hs += 1
@@ -260,7 +266,7 @@ def test_span_membership_matches_exhaustive_oracle():
 def test_rebase_identity_basis():
     p = PhasePolySet([(1, parity_mask([1, 3])), (5, parity_mask([2], const=True))])
     pm = rebase(p, identity_state(3))
-    assert pm.columns == p.terms()
+    assert pm.columns == p.columns
 
 
 def test_rebase_direct_basis_hit():
@@ -344,9 +350,9 @@ def test_slice_terms_partition_terms_by_first_appearance():
         assert len(slices) == len(hs) + 1
         merged = PhasePolySet()
         for k, (s, start) in enumerate(zip(slices, run_starts(c))):
-            for coeff, parity in _expand(ParityMatrix.from_terms(s.terms.terms()), start).terms():
+            for coeff, parity in _expand(s.terms, start).columns:
                 assert touched[parity][0] == k
-                assert parity not in {p: k for k, p in merged.terms()}  # each parity in one slice only
+                assert parity not in {p: k for k, p in merged.columns}  # each parity in one slice only
                 merged.add(coeff, parity)
                 moved += touched[parity][-1] != k
         assert merged == circuit_terms(c)
@@ -360,10 +366,10 @@ def test_slice_terms_rebase_over_their_slice_start():
     for c, slices in _random_extractions(31, 300, "first"):
         touched = reference_fold(c)[0]
         first = [PhasePolySet() for _ in slices]
-        for coeff, parity in circuit_terms(c).terms():
+        for coeff, parity in circuit_terms(c).columns:
             first[touched[parity][0]].add(coeff, parity)
         for s, global_terms, start in zip(slices, first, run_starts(c)):
-            assert ParityMatrix.from_terms(s.terms.terms()) == rebase(global_terms, start)
+            assert s.terms.columns == rebase(global_terms, start).columns  # order too
             kept += len(s.terms)
     assert kept > 300
 
@@ -376,7 +382,7 @@ def test_own_terms_and_slice_maps_are_extract_hfree_of_each_run():
         assert len(slices) == len(runs) == len(first)
         for s, s_first, run in zip(slices, first, runs):
             want_terms, want_map = hfree_fold(run, identity_state(c.num_qubits))
-            assert list(s.terms.terms()) == list(want_terms.terms())  # order too
+            assert s.terms.columns == want_terms.columns  # order too
             assert s.map == s_first.map == want_map
             terms += len(s.terms)
             # first_at: every key a phase gate of the run touches, to the first such gate
@@ -385,8 +391,8 @@ def test_own_terms_and_slice_maps_are_extract_hfree_of_each_run():
                 if gt.kind in PHASE_COEFF:
                     at.setdefault(hfree_fold(s.gates[:i], identity_state(c.num_qubits))[1][gt.target - 1], i)
             assert s.first_at == s_first.first_at == at
-            assert {key for _, key in s_first.terms.terms()} <= at.keys()
-            cancelled += len(at.keys() - {key for _, key in s.terms.terms()})
+            assert {key for _, key in s_first.terms.columns} <= at.keys()
+            cancelled += len(at.keys() - {key for _, key in s.terms.columns})
     assert terms > 300
     assert cancelled > 0
 
@@ -401,7 +407,7 @@ def test_term_touched_again_after_a_later_h_stays_in_its_first_slice():
 
 
 def _pairs(terms):
-    return [list(t.terms()) for t in terms]
+    return [list(t.columns) for t in terms]
 
 
 def test_partitions_match_the_reference_term_for_term():
@@ -464,14 +470,14 @@ def test_rebase_matches_exhaustive_reference():
                 terms.append((rng.randint(1, 7), acc))
             p = PhasePolySet(terms)
             pm = rebase(p, basis)
-            # the empty XOR is a constant term, a global phase that the matrix drops
-            assert _expand(pm, basis) == PhasePolySet(t for t in p.terms() if t[1] & ~CONST_BIT)
+            # the empty XOR is a constant term, a global phase that rebase drops
+            assert _expand(pm, basis) == PhasePolySet(t for t in p.columns if t[1] & ~CONST_BIT)
             inside += len(pm.columns)
             flipped += sum(parity & CONST_BIT for _, parity in pm.columns)
             # a random parity over every variable of the extraction, usually outside the span
             num_vars = c.num_qubits + sum(gt.kind is GateKind.H for gt in c.gates)
             stray = PhasePolySet([(1, rng.getrandbits(num_vars + 1))])
-            if _span_membership_oracle(stray.terms()[0][1], basis):
+            if _span_membership_oracle(stray.columns[0][1], basis):
                 assert _expand(rebase(stray, basis), basis) == stray
             else:
                 with pytest.raises(ValueError):

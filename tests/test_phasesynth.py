@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cnotsynth import phasesynth
 from cnotsynth.circuit import Gate, GateKind, cnot, cnot_count, connectivity_violations, write_circuit
-from cnotsynth.linalg import CONST_BIT, ParityMatrix, parity_mask
+from cnotsynth.linalg import CONST_BIT, parity_mask
 from cnotsynth.linsynth import _route
 from cnotsynth.phasepoly import PhasePolySet, extract_hfree
 from cnotsynth.phasesynth import _pivot, phase_nw_synth
@@ -88,21 +88,21 @@ def test_pivot_exhaustive_against_oracle():
 
 
 def test_single_variable_term(grid2x3):
-    pm = ParityMatrix.from_terms([(1, parity_mask([1]))])
+    pm = PhasePolySet([(1, parity_mask([1]))])
     circ, tf = phase_nw_synth(pm, grid2x3)
     assert list(circ.gates) == [Gate(GateKind.T, 1)]
     assert tf.is_identity()
 
 
 def test_complemented_single_variable_term(grid2x3):
-    pm = ParityMatrix.from_terms([(4, parity_mask([2], const=True))])
+    pm = PhasePolySet([(4, parity_mask([2], const=True))])
     circ, tf = phase_nw_synth(pm, grid2x3)
     assert list(circ.gates) == [Gate(GateKind.X, 2), Gate(GateKind.Z, 2)]
     assert tf.rows[1] == parity_mask([2], const=True)  # the X persists
 
 
 def test_plain_and_complemented_on_same_wire(grid2x3):
-    pm = ParityMatrix.from_terms([(1, parity_mask([3])), (2, parity_mask([3], const=True))])
+    pm = PhasePolySet([(1, parity_mask([3])), (2, parity_mask([3], const=True))])
     circ, _ = phase_nw_synth(pm, grid2x3)
     assert list(circ.gates) == [
         Gate(GateKind.T, 3),
@@ -112,7 +112,7 @@ def test_plain_and_complemented_on_same_wire(grid2x3):
 
 
 def test_empty_input(grid2x3):
-    pm = ParityMatrix.from_terms([])
+    pm = PhasePolySet([])
     circ, tf = phase_nw_synth(pm, grid2x3)
     assert circ.gates == ()
     assert tf.is_identity()
@@ -176,7 +176,7 @@ def test_two_terminal_expansion_is_the_route():
             assert [cnot(u, v) for u, v in edges] == list(_route(g, leaf, root)[1]), (name, root, leaf)
         # one term on two wires is one expansion, rooted at its smaller wire; its event holds a list
         for root, leaf in itertools.combinations(g.vertices, 2):
-            pm = ParityMatrix.from_terms([(1, parity_mask([root, leaf]))])
+            pm = PhasePolySet([(1, parity_mask([root, leaf]))])
             (circ, _), events = traced(phase_nw_synth, pm, g)
             (ev,) = events
             assert (ev.root, ev.terminals) == (root, frozenset({root, leaf}))
@@ -212,7 +212,7 @@ def _random_parity_matrix(rng, n, max_terms):
             mask = rng.getrandbits(n) << 1
         const = rng.random() < 0.4
         terms.append((rng.randint(1, 7), mask | (1 if const else 0)))
-    return ParityMatrix.from_terms(terms)
+    return PhasePolySet(terms)
 
 
 def test_random_round_trip(grid2x3):
@@ -223,17 +223,17 @@ def test_random_round_trip(grid2x3):
         assert connectivity_violations(circ, grid2x3) == []
         terms, state = extract_hfree(circ)
         # soundness: exactly the input terms, no spurious phases
-        assert terms == PhasePolySet(pm.columns)
+        assert terms == pm
         # the reported residual action matches the real one
         assert list(state) == tf.rows
 
 
 def test_composite_coefficients(grid2x3):
     # coefficients 3 and 5 have no single gate; their decompositions must merge back
-    pm = ParityMatrix.from_terms([(3, parity_mask([1, 2])), (5, parity_mask([4, 5], const=True))])
+    pm = PhasePolySet([(3, parity_mask([1, 2])), (5, parity_mask([4, 5], const=True))])
     circ, _ = phase_nw_synth(pm, grid2x3)
     terms, _ = extract_hfree(circ)
-    assert terms == PhasePolySet(pm.columns)
+    assert terms == pm
 
 
 def test_determinism(grid2x3, appendix_parity_matrix):
@@ -251,7 +251,7 @@ def test_other_presets():
             assert (circ, tf) == phase_nw_synth(pm, g)
             assert connectivity_violations(circ, g) == []
             terms, _ = extract_hfree(circ)
-            assert terms == PhasePolySet(pm.columns)
+            assert terms == pm
             # the Steiner expansions emit a suffix of the circuit; the gates
             # before it place single-variable terms and hold no CNOT
             suffix = [gt for ev in events for gt in ev.cnots + ev.placements]
@@ -280,7 +280,7 @@ def _invariant_inputs(rng, n, count):
             for _ in range(rng.randint(1, 6)):
                 mask = all_wires & ~sum(1 << w for w in rng.sample(range(1, n + 1), rng.randint(0, min(2, n - 2))))
                 terms.append((rng.randint(1, 7), mask | (rng.random() < 0.5)))
-        inputs.append(ParityMatrix.from_terms(terms))
+        inputs.append(PhasePolySet(t for t in terms if t[1] & ~CONST_BIT))  # the network rejects a constant-only term
     return inputs
 
 
@@ -345,7 +345,7 @@ def test_cofactor_invariant_holds_at_every_pop_and_expansion(monkeypatch):
             first = expansions
             circ, tf = phase_nw_synth(pm, g, trace=checked_expansion)
             terms, state = extract_hfree(circ)
-            assert terms == PhasePolySet(pm.columns)
+            assert terms == pm
             assert list(state) == tf.rows
     assert expansions > stacked > 1000
 
@@ -363,7 +363,7 @@ def _pin_phase_inputs(rng, n):
                 while mask.bit_count() < 2:
                     mask = rng.getrandbits(n) << 1
             terms.append((rng.randint(1, 7), mask | (rng.random() < 0.4)))
-        inputs.append(ParityMatrix.from_terms(terms))
+        inputs.append(PhasePolySet(terms))
     return inputs
 
 
@@ -392,9 +392,18 @@ def test_phase_network_pinned():
 
 def test_width_mismatch():
     g = preset_graph("appendix-2x3")
-    pm = ParityMatrix.from_terms([(1, parity_mask([1])), (1, parity_mask([2, 7], const=True))])
+    pm = PhasePolySet([(1, parity_mask([1])), (1, parity_mask([2, 7], const=True))])
     with pytest.raises(ValueError, match="parity 1⊕x2⊕x7 uses variables beyond x6"):
         phase_nw_synth(pm, g)
+
+
+def test_constant_only_term_is_rejected():
+    # a global phase has no wire to be placed on; the error names the term
+    g = preset_graph("appendix-2x3")
+    for const, named in ((True, r"\(3, 1\)"), (False, r"\(3, 0\)")):
+        pm = PhasePolySet([(1, parity_mask([1, 2])), (3, parity_mask([], const=const))])
+        with pytest.raises(ValueError, match=f"phase term {named} is constant-only"):
+            phase_nw_synth(pm, g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -406,4 +415,5 @@ def test_budget_is_reached_exactly_when_the_unbudgeted_network_reaches_it(graph,
     rng = random.Random(seed)
     n = g.num_vertices
     terms = [(rng.randint(1, 7), rng.getrandbits(n + 1)) for _ in range(rng.randint(0, max_terms))]
-    assert_budget_contract(phase_nw_synth, (ParityMatrix.from_terms(terms), g), lambda result: cnot_count(result[0]))
+    pm = PhasePolySet(t for t in terms if t[1] & ~CONST_BIT)  # the network rejects a constant-only term
+    assert_budget_contract(phase_nw_synth, (pm, g), lambda result: cnot_count(result[0]))

@@ -18,7 +18,7 @@ from cnotsynth.circuit import (
     write_circuit,
 )
 from cnotsynth import linsynth, pipeline
-from cnotsynth.linalg import AugmentedTransform, ParityMatrix, transform_of_circuit
+from cnotsynth.linalg import CONST_BIT, AugmentedTransform
 from cnotsynth.linsynth import _cut, _path_passes, _path_record, linear_tf_synth, row_op
 from cnotsynth.pipeline import (
     BENCH_COLUMNS,
@@ -35,7 +35,7 @@ from cnotsynth.pipeline import (
     resynthesize,
     swap_template,
 )
-from cnotsynth.phasepoly import extract_hfree, extract_sliced
+from cnotsynth.phasepoly import PhasePolySet, extract_hfree, extract_sliced, transform_of_circuit
 from cnotsynth.phasesynth import phase_nw_synth
 from cnotsynth.topology import (
     PRESET_NAMES,
@@ -48,7 +48,7 @@ from cnotsynth.topology import (
     steiner_tree,
 )
 from cnotsynth.verify import equivalent_up_to_phase
-from tests.conftest import random_invertible, rooted
+from tests.conftest import random_invertible, replay, rooted
 from tests.test_linsynth import _cut_cnots, _reference_row_op
 from tests.test_topology import _reference_steiner_tree
 
@@ -224,8 +224,7 @@ def _one_qubit(kind):
 def _bridge_or_chain(g, control, target):
     """Reference routing of a distant CNOT: its ``linear_tf_synth`` bridge (the
     one-CNOT transform) or its SWAP chain, whichever is shorter, the bridge on a tie."""
-    one = AugmentedTransform.identity(g.num_vertices)
-    one.row_xor(target, control)
+    one = replay(AugmentedTransform.identity(g.num_vertices), cnot(control, target))
     bridge = linear_tf_synth(one, g).gates
     chain = tuple(_chain(shortest_path(g, control, target)))
     return chain if len(chain) < len(bridge) else bridge
@@ -298,7 +297,7 @@ def test_tie_emits_the_segmented_run(algo):
     g = preset_graph("appendix-2x3")
     gates = (cnot(4, 3), Gate(GateKind.T, 4), Gate(GateKind.T, 5))
     terms, state = extract_hfree(Circuit(6, gates))
-    rebuilt, spent = _rebuild(ParityMatrix(terms.terms()), state, g)
+    rebuilt, spent = _rebuild(terms, state, g)
     assert spent == cnot_count(rebuilt) == 1 and rebuilt != gates  # an equal-cost rebuild exists
     out, _ = resynthesize(Circuit(6, gates), g, algo)
     assert out.gates == gates
@@ -348,7 +347,7 @@ def test_one_cnot_rebuild_never_beats_its_route(family):
                 # no term; the term 1 + x_c + x_t; and the terms 1 + x_c + x_t and x_c + x_t
                 for run in (base, base + (t(target),), base + (t(target), x(target), s(target))):
                     terms, state = extract_hfree(Circuit(n, run))
-                    spent.append(_rebuild(ParityMatrix(terms.terms()), state, g)[1])
+                    spent.append(_rebuild(terms, state, g)[1])
                 assert min(spent) >= route, (control, target)
                 assert spent[1] == spent[2], (control, target)
                 # a T on the control, the CNOT, then each tail on the target; the
@@ -358,7 +357,7 @@ def test_one_cnot_rebuild_never_beats_its_route(family):
                 tails += [(t(control), t(target)), (x(target), tdg(target))]
                 for tail in tails:
                     terms, state = extract_hfree(Circuit(n, head + tail))
-                    assert _rebuild(ParityMatrix(terms.terms()), state, g, route) is None, (control, target, tail)
+                    assert _rebuild(terms, state, g, route) is None, (control, target, tail)
 
 
 def test_warm_graph_changes_no_output():
@@ -433,28 +432,27 @@ def test_rebuild_realizes_its_terms_and_target(monkeypatch):
     for _ in range(10):
         c = Circuit(n, _long_slice_circuit(rng, n).gates[:99])  # H-free
         terms, state = extract_hfree(c)
-        pm = ParityMatrix(terms.terms())
-        block, spent = _rebuild(pm, state, g)
+        block, spent = _rebuild(terms, state, g)
         assert connectivity_violations(Circuit(n, block), g) == []
         assert extract_hfree(Circuit(n, block)) == (terms, state)
         assert spent == cnot_count(block)
         # a budget the block reaches abandons it; the restore is skipped when
         # the phase network alone reaches it
-        assert _rebuild(pm, state, g, spent + 1) == (block, spent)
-        assert _rebuild(pm, state, g, spent) is None
+        assert _rebuild(terms, state, g, spent + 1) == (block, spent)
+        assert _rebuild(terms, state, g, spent) is None
         restores.clear()
-        network = cnot_count(phase_nw_synth(pm, g)[0])
-        assert _rebuild(pm, state, g, network) is None
+        network = cnot_count(phase_nw_synth(terms, g)[0])
+        assert _rebuild(terms, state, g, network) is None
         assert restores == []
         # a budget inside the restore: the restore is entered, and stops there
         assert network < spent
-        assert _rebuild(pm, state, g, network + 1) is None
+        assert _rebuild(terms, state, g, network + 1) is None
         assert len(restores) == 1
 
 
 def test_slice_terms_need_no_from_terms():
-    # the slice loop builds each slice's ParityMatrix from its terms unchecked;
-    # merging them again changes nothing, and no parity reaches past the graph
+    # the slice loop hands each slice's terms to the phase network as they are, and
+    # the network rejects a constant-only parity and one past x_n: no slice holds either
     terms_seen = 0
     circuits = [(graph, random_circuit(*PINNED_SIZES.get(graph, (9, 20)), random.Random(seed)))
                 for graph, seed in dict.fromkeys((graph, seed) for graph, seed, _ in PINNED_OUTPUTS)]
@@ -463,10 +461,30 @@ def test_slice_terms_need_no_from_terms():
         n = 25 if graph == "grid-5x5" else preset_graph(graph).num_vertices
         padded = Circuit(n, c.gates)
         for terms in [s.terms for partition in ("own", "first") for s in extract_sliced(padded, partition)]:
-            assert ParityMatrix(terms.terms()) == ParityMatrix.from_terms(terms.terms()), graph
-            assert all(parity >> (n + 1) == 0 for _, parity in terms.terms()), graph
+            assert all(parity & ~CONST_BIT and parity >> (n + 1) == 0 for _, parity in terms.columns), graph
             terms_seen += len(terms)
     assert terms_seen > 1000
+
+
+def test_steiner_tree_gets_low_as_its_fourth_positional_argument(monkeypatch):
+    # perfbench's tracer keys each Steiner tree by its args[3], the suffix low..n it
+    # searches: every call, from an opt-a compile and from a restore, passes low there
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return steiner_tree(*args, **kwargs)
+
+    monkeypatch.setattr(linsynth, "steiner_tree", spy)
+    g = preset_graph("16q-square")
+    n = g.num_vertices
+    rng = random.Random("steiner-low")
+    resynthesize(_long_slice_circuit(rng, n), g, "opt-a")
+    compiled = len(calls)
+    linear_tf_synth(random_invertible(rng, n), g)
+    assert 0 < compiled < len(calls)
+    assert all(len(args) == 4 and not kwargs and 1 <= args[3] <= n for args, kwargs in calls)
+    assert len({args[3] for args, _ in calls[compiled:]}) > 1  # the restore's columns move low
 
 
 def _long_slice_circuit(rng, n):
@@ -558,7 +576,7 @@ def test_trusted_outputs_pass_the_public_check():
                 out, _ = resynthesize(c, g, algo)
                 assert _revalidated(out) == out, (name, algo)
             terms = [(rng.randint(1, 7), rng.getrandbits(n + 1) | 2) for _ in range(rng.randint(0, 8))]
-            phase, _ = phase_nw_synth(ParityMatrix.from_terms(terms), g)
+            phase, _ = phase_nw_synth(PhasePolySet(terms), g)
             assert _revalidated(phase) == phase, name
             linear = linear_tf_synth(random_invertible(rng, n), g)
             assert _revalidated(linear) == linear, name

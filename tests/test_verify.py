@@ -7,8 +7,8 @@ import pytest
 
 from cnotsynth import verify
 from cnotsynth.circuit import Circuit, Gate, GateKind, cnot
-from cnotsynth.linalg import CONST_BIT, transform_of_circuit
-from cnotsynth.phasepoly import extract_sliced
+from cnotsynth.linalg import CONST_BIT
+from cnotsynth.phasepoly import extract_sliced, transform_of_circuit
 from cnotsynth.verify import (
     circuit_unitary,
     equivalent_up_to_phase,
